@@ -1,16 +1,14 @@
-// Execution-engine comparison: tree-walking evaluator vs the Volcano-style
-// pipeline vs the fused batched IR engine on BALG¹ workloads (the paper's
-// tractable fragment, Thm 4.4).
+// Execution-engine comparison: tree-walking evaluator vs the fused batched
+// IR engine (exec::RunPipeline) on BALG¹ workloads (the paper's tractable
+// fragment, Thm 4.4).
 //
-// The streaming Volcano engine avoids materializing intermediates for
-// select/project/product chains (the pipeline stays a pull loop), while
-// pipeline breakers (−, ∩, ε) fall back to materialization — mirroring how
-// SQL engines treat DISTINCT/EXCEPT. The IR engine goes further: it fuses
-// map/σ/π into one pass over 1024-row batches, promotes σ-over-× equi
-// predicates to hash joins, and amortizes per-row overhead (virtual calls,
-// governor ticking) across each batch. The table checks exact three-way
-// agreement; the benches chart all engines as the inputs grow — the
-// BM_PipelineJoin / BM_IrJoin pair is the headline 2x gate of the IR PR.
+// The IR engine fuses map/σ/π into one pass over 1024-row batches, promotes
+// σ-over-× equi predicates to hash joins, and amortizes per-row overhead
+// (virtual calls, governor ticking) across each batch; pipeline breakers
+// (−, ∩, ε) materialize, mirroring how SQL engines treat DISTINCT/EXCEPT.
+// The table checks exact agreement with the evaluator; the benches chart
+// both engines as the inputs grow — the BM_EvaluatorJoin / BM_IrJoin pair
+// is the 2x gate of CI's bench-exec-smoke job.
 
 #include <benchmark/benchmark.h>
 
@@ -52,7 +50,7 @@ Database MakeDb(size_t elements, uint64_t seed = 7) {
 void PrintAgreementSweep() {
   // stderr, so --benchmark_format=json output on stdout stays parseable.
   std::fprintf(stderr,
-               "=== volcano + fused IR vs evaluator: agreement on random "
+               "=== fused IR vs evaluator: agreement on random "
                "BALG¹ queries ===\n");
   Rng rng(4242);
   Type tup2 = Type::Tuple({Type::Atom(), Type::Atom()});
@@ -61,23 +59,16 @@ void PrintAgreementSweep() {
   options.max_bag_nesting = 1;
   options.allow_powerset = false;
   Evaluator eval;
-  int volcano_agree = 0;
   int ir_agree = 0;
   const int trials = 100;
-  exec::ExecOptions strict_ir;
-  strict_ir.engine = exec::Engine::kIr;
   for (int i = 0; i < trials; ++i) {
     auto e = RandomExpr(rng, schema, options);
     if (!e.ok()) continue;
     Database db = MakeDb(6, 1000 + static_cast<uint64_t>(i));
     auto r1 = eval.EvalToBag(*e, db);
-    auto r2 = exec::RunVolcanoPipeline(*e, db);
-    auto r3 = exec::RunPipeline(*e, db, strict_ir);
-    if (r1.ok() && r2.ok() && *r1 == *r2) ++volcano_agree;
-    if (r1.ok() && r3.ok() && *r1 == *r3) ++ir_agree;
+    auto r2 = exec::RunPipeline(*e, db);
+    if (r1.ok() && r2.ok() && *r1 == *r2) ++ir_agree;
   }
-  std::fprintf(stderr, "  volcano: %d/%d identical bags\n", volcano_agree,
-               trials);
   std::fprintf(stderr, "  fused ir: %d/%d identical bags\n\n", ir_agree,
                trials);
 }
@@ -96,28 +87,13 @@ void BM_EvaluatorJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluatorJoin)->RangeMultiplier(4)->Range(16, 1024);
 
-// Pinned to the Volcano engine: the tuple-at-a-time baseline the IR engine
-// is gated against (bench/compare_benchmarks.py tracks both names).
-void BM_PipelineJoin(benchmark::State& state) {
-  Database db = MakeDb(static_cast<size_t>(state.range(0)));
-  Expr q = JoinChain();
-  exec::ExecOptions options;
-  options.tracer = obs::GlobalTracerIfEnabled();
-  for (auto _ : state) {
-    auto r = exec::RunVolcanoPipeline(q, db, options);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_PipelineJoin)->RangeMultiplier(4)->Range(16, 1024);
-
 // The fused batched engine on the same join: hash-join promotion plus
-// fused σ/π stages. The PR's acceptance gate wants ≥2x over
-// BM_PipelineJoin at the larger sizes.
+// fused σ/π stages. CI's bench-exec-smoke gate wants ≥2x over
+// BM_EvaluatorJoin at n=256 and n=1024.
 void BM_IrJoin(benchmark::State& state) {
   Database db = MakeDb(static_cast<size_t>(state.range(0)));
   Expr q = JoinChain();
   exec::ExecOptions options;
-  options.engine = exec::Engine::kIr;
   options.tracer = obs::GlobalTracerIfEnabled();
   for (auto _ : state) {
     auto r = exec::RunPipeline(q, db, options);
@@ -125,16 +101,6 @@ void BM_IrJoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IrJoin)->RangeMultiplier(4)->Range(16, 1024);
-
-void BM_PipelineCompileOnly(benchmark::State& state) {
-  Database db = MakeDb(64);
-  Expr q = JoinChain();
-  for (auto _ : state) {
-    auto r = exec::CompilePipeline(q, db);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_PipelineCompileOnly);
 
 // Plan-time cost of the IR front half (rewrite, typecheck, lowering,
 // passes) — the per-query overhead the batched execution must amortize.
@@ -159,24 +125,11 @@ void BM_EvaluatorUnionChain(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluatorUnionChain)->RangeMultiplier(8)->Range(64, 1 << 14);
 
-// Pinned Volcano, as with BM_PipelineJoin.
-void BM_PipelineUnionChain(benchmark::State& state) {
-  Database db = MakeDb(static_cast<size_t>(state.range(0)));
-  Expr q = Uplus(Uplus(Input("R"), Input("S")), Uplus(Input("S"), Input("R")));
-  for (auto _ : state) {
-    auto r = exec::RunVolcanoPipeline(q, db);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_PipelineUnionChain)->RangeMultiplier(8)->Range(64, 1 << 14);
-
 void BM_IrUnionChain(benchmark::State& state) {
   Database db = MakeDb(static_cast<size_t>(state.range(0)));
   Expr q = Uplus(Uplus(Input("R"), Input("S")), Uplus(Input("S"), Input("R")));
-  exec::ExecOptions options;
-  options.engine = exec::Engine::kIr;
   for (auto _ : state) {
-    auto r = exec::RunPipeline(q, db, options);
+    auto r = exec::RunPipeline(q, db);
     benchmark::DoNotOptimize(r);
   }
 }

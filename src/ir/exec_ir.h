@@ -16,12 +16,9 @@
 /// accounting identical to the per-row ticker (paired test in
 /// tests/ir_test.cc). Materialization points (merge kernels, dup-elim,
 /// hash-join build sides) account memory through Bag::Builder exactly as
-/// the Volcano engine does, so memory-cap trips are engine-independent.
+/// the evaluator's kernels do, so memory-cap trips match `eval`.
 ///
-/// Non-fusible plans never reach this layer — lowering rejects them — but
-/// kBridge nodes let individual subtrees run on the Volcano engine behind a
-/// batch-at-a-time adapter, which is also the seam where a future codegen
-/// backend plugs in.
+/// Non-fusible plans never reach this layer — lowering rejects them.
 
 #include <map>
 #include <string>
@@ -41,9 +38,9 @@ struct ExecIrOptions {
 };
 
 /// Runs a lowered plan to a canonical bag. The ambient governor (installed
-/// by the caller's GovernorScope) is enforced per batch. `db` backs kBridge
-/// nodes, which re-compile their origin subexpression through
-/// exec::CompilePipeline.
+/// by the caller's GovernorScope) is enforced per batch. `db` is the
+/// database the plan was lowered against; lowering already bound every
+/// scan's bag, so execution reads nothing else from it.
 Result<Bag> ExecuteIr(const IrPlan& plan, const Database& db,
                       const ExecIrOptions& options = {});
 

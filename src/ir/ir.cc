@@ -18,8 +18,6 @@ const char* IrKindName(IrKind kind) {
       return "merge";
     case IrKind::kDupElim:
       return "dup_elim";
-    case IrKind::kBridge:
-      return "bridge";
   }
   return "?";
 }
@@ -88,10 +86,6 @@ bool IrEquals(const IrNode& a, const IrNode& b) {
       a.cse_shared != b.cse_shared || a.cse_key != b.cse_key) {
     return false;
   }
-  if (a.kind == IrKind::kBridge &&
-      a.origin.ToString() != b.origin.ToString()) {
-    return false;
-  }
   for (size_t i = 0; i < a.stages.size(); ++i) {
     if (!StageEquals(a.stages[i], b.stages[i])) return false;
   }
@@ -103,13 +97,13 @@ bool IrEquals(const IrNode& a, const IrNode& b) {
 
 namespace {
 
-const char* MergeKindName(exec::MergeKind kind) {
+const char* MergeKindName(MergeKind kind) {
   switch (kind) {
-    case exec::MergeKind::kMonus:
+    case MergeKind::kMonus:
       return "monus";
-    case exec::MergeKind::kMaxUnion:
+    case MergeKind::kMaxUnion:
       return "umax";
-    case exec::MergeKind::kIntersect:
+    case MergeKind::kIntersect:
       return "inter";
   }
   return "?";
@@ -135,11 +129,6 @@ void RenderNode(const IrNode& node, size_t depth, const std::string& role,
     case IrKind::kMerge:
       out->append(" ");
       out->append(MergeKindName(node.merge_kind));
-      break;
-    case IrKind::kBridge:
-      if (node.origin.IsValid()) {
-        out->append(" [volcano: " + node.origin.ToString() + "]");
-      }
       break;
     default:
       break;

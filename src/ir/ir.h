@@ -5,20 +5,20 @@
 /// The fused loop IR: a batched pipeline tree between BALG plans and
 /// execution.
 ///
-/// Where the Volcano layer (src/exec) maps one algebra operator to one
-/// physical operator pulling one Row per virtual call, the IR collapses
-/// every fusible chain of MAP / σ / α-projection into a *stage list*
-/// attached to the node that produces the rows. An IrNode is therefore a
-/// pipeline: a source (scan, join, union, merge) plus zero or more fused
-/// stages applied to each batch in one pass, with no intermediate Bag
-/// materialized between them. Batches are columnar (values ∥ counts) and
-/// default to kDefaultBatchSize rows, so per-row costs — virtual dispatch,
-/// governor ticking, span bookkeeping — amortize across the batch.
+/// Rather than map one algebra operator to one physical operator pulling
+/// one row per virtual call, the IR collapses every fusible chain of MAP /
+/// σ / α-projection into a *stage list* attached to the node that produces
+/// the rows. An IrNode is therefore a pipeline: a source (scan, join,
+/// union, merge) plus zero or more fused stages applied to each batch in
+/// one pass, with no intermediate Bag materialized between them. Batches
+/// are columnar (values ∥ counts) and default to kDefaultBatchSize rows, so
+/// per-row costs — virtual dispatch, governor ticking, span bookkeeping —
+/// amortize across the batch.
 ///
-/// The supported fragment is the same BALG¹ fragment as exec::CompilePipeline
-/// (paper §4): no powerset / bag-destroy / fixpoints / nested-bag
-/// construction, object-level lambda bodies only. Lowering anything else
-/// returns kUnsupported and callers fall back.
+/// The supported fragment is the paper's tractable BALG¹ fragment (§4): no
+/// powerset / bag-destroy / fixpoints / nested-bag construction,
+/// object-level lambda bodies only. Lowering anything else returns
+/// kUnsupported, and exec::RunPipeline returns that status as is.
 ///
 /// The tree is deliberately execution-strategy-neutral: ExecuteIr (exec_ir.h)
 /// interprets it batch-at-a-time today, and a codegen backend can walk the
@@ -34,7 +34,6 @@
 
 #include "src/algebra/expr.h"
 #include "src/core/value.h"
-#include "src/exec/operators.h"
 #include "src/ir/program.h"
 
 namespace bagalg::ir {
@@ -67,6 +66,10 @@ struct RowBatch {
   }
 };
 
+/// The multiplicity-merging binary operators of a kMerge node: monus (−),
+/// max-union (∪) and intersection (∩).
+enum class MergeKind : uint8_t { kMonus, kMaxUnion, kIntersect };
+
 /// One fused per-row transformation applied in pipeline position.
 enum class StageKind : uint8_t {
   kFilter,   ///< σ_{φ=φ'}: keep rows where program == rhs
@@ -90,7 +93,6 @@ enum class IrKind : uint8_t {
   kHashJoin,  ///< equi-join detected from σ over ×; hash table on build side
   kMerge,     ///< monus / max-union / intersect (blocking, kernel-based)
   kDupElim,   ///< ε (blocking)
-  kBridge,    ///< escape hatch: wrap a Volcano operator batch-at-a-time
 };
 
 const char* IrKindName(IrKind kind);
@@ -115,7 +117,7 @@ struct IrNode {
   size_t build_key = 0;
 
   // --- kMerge ---
-  exec::MergeKind merge_kind = exec::MergeKind::kMonus;
+  MergeKind merge_kind = MergeKind::kMonus;
 
   /// Fused per-row stages applied to this node's raw output, in order.
   std::vector<Stage> stages;
@@ -126,8 +128,8 @@ struct IrNode {
   bool cse_shared = false;        ///< materialization reused via the CSE cache
   std::string cse_key;            ///< canonical key for the shared result
 
-  /// The source subexpression this node was lowered from. Keeps the Expr
-  /// alive for kBridge re-compilation and provenance in explain ir.
+  /// The source subexpression this node was lowered from. The CSE key, the
+  /// static-cost annotation and the fusion legality check read it.
   Expr origin;
 
   /// Deep-copies the pipeline tree. Cheap relative to node count: Bag,

@@ -533,9 +533,8 @@ std::string CseKeyOf(const IrNode& node) {
 
 void CollectCseCandidates(IrNode* node,
                           std::map<std::string, std::vector<IrNode*>>* seen) {
-  // Scans are already shared-rep bags; caching them buys nothing. Bridges
-  // re-enter the Volcano engine which has its own lifecycle.
-  if (node->kind != IrKind::kScan && node->kind != IrKind::kBridge) {
+  // Scans are already shared-rep bags; caching them buys nothing.
+  if (node->kind != IrKind::kScan) {
     const std::string key = CseKeyOf(*node);
     if (!key.empty()) (*seen)[key].push_back(node);
   }
@@ -578,7 +577,6 @@ Status CheckNode(const IrNode& node) {
   size_t want_children = 0;
   switch (node.kind) {
     case IrKind::kScan:
-    case IrKind::kBridge:
       want_children = 0;
       break;
     case IrKind::kUnionAll:

@@ -5,12 +5,11 @@
 /// Compiled row programs: the IR engine's replacement for per-row AST
 /// walking.
 ///
-/// The Volcano engine evaluates every MAP image and σ side by recursively
-/// walking the lambda's Expr tree for every row (exec::EvalRowLambda). The
-/// IR engine compiles each object-level lambda body once, into a flat
-/// postorder instruction sequence executed by a tiny stack machine — no
-/// recursion, no per-node switch re-dispatch through shared_ptr
-/// indirections, and the constants pre-resolved into a pool.
+/// Rather than recursively walk a MAP image's or σ side's Expr tree for
+/// every row, the IR engine compiles each object-level lambda body once,
+/// into a flat postorder instruction sequence executed by a tiny stack
+/// machine — no recursion, no per-node switch re-dispatch through
+/// shared_ptr indirections, and the constants pre-resolved into a pool.
 ///
 /// Three shapes cover almost every real pipeline and get dedicated fast
 /// paths that skip the stack machine entirely:
@@ -19,10 +18,10 @@
 ///   field-ref     λx. α_i(x)                 (join keys, filter sides)
 ///   gather        λx. τ(α_a1(x), ..., α_ak(x))   (projections)
 ///
-/// The supported fragment is exactly the pipeline lambda fragment of
-/// exec::CheckLambdaBody: Var(0) / constants / tupling / attribute
-/// projection. Anything else fails to compile with kUnsupported, and the
-/// caller falls back to the tree-walking engines.
+/// The supported fragment is the object-level lambda bodies of BALG¹:
+/// Var(0) / constants / tupling / attribute projection. Anything else fails
+/// to compile with kUnsupported; such plans run only on the tree-walking
+/// evaluator (`eval`).
 
 #include <cstdint>
 #include <optional>

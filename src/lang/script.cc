@@ -77,11 +77,9 @@ ScriptRunner::ScriptRunner(Limits limits)
   tracer_.set_flight_recorder(&flight_);
   SyncTracerMode();
   // Exported journals lead with the build identity (docs/OBSERVABILITY.md):
-  // which binary, which commit, which default engine produced the entries.
-  journal_.set_header_json(
-      "{\"header\":true,\"build\":" + BuildInfoJson() +
-      ",\"engine_default\":" +
-      std::string("\"") + exec::EngineName(exec::EngineFromEnv()) + "\"}");
+  // which binary, which commit, which engine runs exec statements.
+  journal_.set_header_json("{\"header\":true,\"build\":" + BuildInfoJson() +
+                           ",\"engine_default\":\"ir\"}");
 }
 
 void ScriptRunner::set_budget(std::optional<analysis::CostBudget> budget) {
@@ -234,9 +232,8 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
   }
 
   if (cmd == "exec") {
-    // Run through the execution engines (fused IR by default, Volcano as
-    // fallback — see exec::Engine) instead of the tree-walking evaluator;
-    // with tracing on, per-pipeline spans land in the same trace as the
+    // Run on the fused IR instead of the tree-walking evaluator; with
+    // tracing on, per-pipeline spans land in the same trace as the
     // evaluator's.
     BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(rest));
     last_result_.reset();
@@ -251,12 +248,10 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
     cancel_.Reset();
     ResourceGovernor governor(StatementGovernorOptions());
     options.governor = &governor;
-    exec::ExecReport report;
-    options.report = &report;
     Result<Bag> br = exec::RunPipeline(e, db_, options);
     uint64_t wall_ns = obs::MonotonicNowNs() - t0;
     uint64_t cpu1 = obs::ThreadCpuNowNs();
-    entry.engine = exec::EngineName(report.engine_used);
+    entry.engine = "ir";
     entry.wall_ns = wall_ns;
     entry.cpu_ns = cpu1 >= cpu0 ? cpu1 - cpu0 : 0;
     if (br.ok()) entry.result_distinct = uint64_t{br->DistinctCount()};

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/analysis/static_cost.h"
-#include "src/exec/compile.h"
 #include "src/lang/script.h"
 #include "src/net/epoll.h"
 #include "src/net/io.h"
@@ -574,8 +573,7 @@ class Server::Impl {
     std::string body = "{\"status\":";
     body += s.draining ? "\"draining\"" : "\"serving\"";
     body += ",\"build\":" + BuildInfoJson();
-    body += ",\"engine_default\":" +
-            obs::JsonQuote(exec::EngineName(exec::EngineFromEnv()));
+    body += ",\"engine_default\":\"ir\"";
     body += ",\"sessions\":" + std::to_string(s.sessions_live);
     body += ",\"connections\":" + std::to_string(s.connections_live);
     body += ",\"queue_depth\":" + std::to_string(s.queue_depth);

@@ -55,25 +55,33 @@ void SetBatchContextHooks(const BatchContextHooks& hooks) {
 }
 
 struct ThreadPool::Impl {
+  /// One dispatched batch. A worker holds its own reference while it pulls
+  /// tasks, so a straggler that wakes after its batch drained — even after
+  /// the next batch started — pulls from its own exhausted counter instead
+  /// of claiming an index of the next batch that it would then lose.
+  struct Batch {
+    const std::function<void(size_t)>* task = nullptr;
+    // The dispatching caller's ambient governor, re-installed on each
+    // worker for the batch's duration so kernel checkpoints inside pool
+    // tasks see the same per-query budget as the caller.
+    ResourceGovernor* governor = nullptr;
+    // The caller's captured ambient context (opaque; owned by Run) plus the
+    // hooks to install it with, null when there is nothing to propagate.
+    const BatchContextHooks* hooks = nullptr;
+    void* context = nullptr;
+    size_t total = 0;
+    std::atomic<size_t> next{0};
+    size_t finished = 0;  // guarded by Impl::mu
+  };
+
   std::mutex mu;
   std::condition_variable_any cv_work;
   std::condition_variable cv_done;
   // One batch at a time; Run holds run_mu for the batch's duration.
   std::mutex run_mu;
 
-  // Current batch, guarded by mu except for the lock-free index counter.
-  const std::function<void(size_t)>* task = nullptr;
-  // The dispatching caller's ambient governor, re-installed on each worker
-  // for the batch's duration so kernel checkpoints inside pool tasks see
-  // the same per-query budget as the caller.
-  ResourceGovernor* governor = nullptr;
-  // The caller's captured ambient context (opaque; owned by Run) plus the
-  // hooks to install it with, null when there is nothing to propagate.
-  const BatchContextHooks* hooks = nullptr;
-  void* context = nullptr;
-  size_t total = 0;
-  std::atomic<size_t> next{0};
-  size_t finished = 0;
+  // The batch in flight (null between batches), guarded by mu.
+  std::shared_ptr<Batch> batch;
   uint64_t generation = 0;
 
   std::vector<std::jthread> workers;
@@ -86,36 +94,33 @@ struct ThreadPool::Impl {
       cv_work.wait(lock, stop, [&] { return generation != seen; });
       if (stop.stop_requested()) return;
       seen = generation;
-      const std::function<void(size_t)>* batch_task = task;
-      ResourceGovernor* batch_governor = governor;
-      const BatchContextHooks* batch_hooks = hooks;
-      void* batch_context = context;
-      const size_t batch_total = total;
+      const std::shared_ptr<Batch> b = batch;
+      if (b == nullptr) continue;  // woke after the batch finished
       lock.unlock();
       size_t done_here = 0;
       {
-        GovernorScope scope(batch_governor);
+        GovernorScope scope(b->governor);
         // Enter the propagated context lazily, on the first claimed task: a
         // straggler that wakes after the batch drained must not touch
-        // `batch_context` (Run may have released it already), and Run cannot
+        // `b->context` (Run may have released it already), and Run cannot
         // finish while a task this worker claimed is still incomplete.
         void* token = nullptr;
         bool entered = false;
         while (true) {
-          size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= batch_total) break;
-          if (batch_hooks != nullptr && !entered) {
-            token = batch_hooks->enter(batch_context);
+          size_t i = b->next.fetch_add(1, std::memory_order_relaxed);
+          if (i >= b->total) break;
+          if (b->hooks != nullptr && !entered) {
+            token = b->hooks->enter(b->context);
             entered = true;
           }
-          (*batch_task)(i);
+          (*b->task)(i);
           ++done_here;
         }
-        if (entered) batch_hooks->exit(token);
+        if (entered) b->hooks->exit(token);
       }
       lock.lock();
-      finished += done_here;
-      if (finished >= batch_total) cv_done.notify_all();
+      b->finished += done_here;
+      if (b->finished >= b->total) cv_done.notify_all();
     }
   }
 };
@@ -190,33 +195,30 @@ void ThreadPool::Run(size_t n, const std::function<void(size_t)>& task) {
       g_batch_hooks.load(std::memory_order_acquire);
   void* context =
       hooks != nullptr && hooks->capture != nullptr ? hooks->capture() : nullptr;
+  auto b = std::make_shared<Impl::Batch>();
+  b->task = &task;
+  b->governor = CurrentGovernor();
+  b->hooks = context != nullptr ? hooks : nullptr;
+  b->context = context;
+  b->total = n;
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->task = &task;
-    impl_->governor = CurrentGovernor();
-    impl_->hooks = context != nullptr ? hooks : nullptr;
-    impl_->context = context;
-    impl_->total = n;
-    impl_->next.store(0, std::memory_order_relaxed);
-    impl_->finished = 0;
+    impl_->batch = b;
     ++impl_->generation;
     impl_->cv_work.notify_all();
   }
   // The caller pulls tasks alongside the workers.
   size_t done_here = 0;
   while (true) {
-    size_t i = impl_->next.fetch_add(1, std::memory_order_relaxed);
+    size_t i = b->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) break;
     task(i);
     ++done_here;
   }
   std::unique_lock<std::mutex> lock(impl_->mu);
-  impl_->finished += done_here;
-  impl_->cv_done.wait(lock, [&] { return impl_->finished >= n; });
-  impl_->task = nullptr;
-  impl_->governor = nullptr;
-  impl_->hooks = nullptr;
-  impl_->context = nullptr;
+  b->finished += done_here;
+  impl_->cv_done.wait(lock, [&] { return b->finished >= n; });
+  impl_->batch = nullptr;
   lock.unlock();
   // Workers are done with the batch once finished >= n, so the captured
   // context can be freed here.

@@ -1,7 +1,7 @@
-// Tests for the Volcano-style BALG¹ pipeline engine: per-operator
-// behaviour, fragment gating, and — the load-bearing property — exact
-// agreement with the tree-walking evaluator on randomly generated BALG¹
-// queries.
+// Tests for `exec` (exec::RunPipeline, which runs plans on the fused IR):
+// per-operator behaviour, fragment and type gating, and — the
+// load-bearing property — exact agreement with the tree-walking evaluator
+// on randomly generated BALG¹ queries.
 
 #include "src/exec/compile.h"
 
@@ -9,7 +9,8 @@
 
 #include "src/algebra/derived.h"
 #include "src/algebra/eval.h"
-#include "src/exec/operators.h"
+#include "src/ir/exec_ir.h"
+#include "src/ir/lower.h"
 #include "src/stats/expr_gen.h"
 #include "src/stats/sampler.h"
 #include "src/util/rng.h"
@@ -17,10 +18,6 @@
 namespace bagalg {
 namespace {
 
-using exec::Collect;
-using exec::CompilePipeline;
-using exec::EvalRowLambda;
-using exec::MakeScan;
 using exec::RunPipeline;
 
 Value A(const char* name) { return MakeAtom(name); }
@@ -36,25 +33,16 @@ Database Db(std::initializer_list<std::pair<std::string, Bag>> items) {
 
 TEST(ExecTest, ScanStreamsCanonicalEntries) {
   Bag b = MakeBag({{MakeTuple({A("x")}), 3}, {MakeTuple({A("y")}), 1}});
-  auto scan = MakeScan(b);
-  auto out = Collect(scan.get());
+  Database db = Db({{"B", b}});
+  auto plan = ir::LowerToIr(Input("B"), db);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto out = ir::ExecuteIr(*plan, db);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, b);
-  // Re-open works.
-  auto again = Collect(scan.get());
+  // A plan runs again from the start.
+  auto again = ir::ExecuteIr(*plan, db);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, b);
-}
-
-TEST(ExecTest, RowLambdaEvaluation) {
-  Value row = MakeTuple({A("p"), A("q")});
-  auto swapped =
-      EvalRowLambda(Tup({Proj(Var(0), 2), Proj(Var(0), 1)}), row);
-  ASSERT_TRUE(swapped.ok());
-  EXPECT_EQ(*swapped, MakeTuple({A("q"), A("p")}));
-  EXPECT_FALSE(EvalRowLambda(Var(1), row).ok());
-  EXPECT_FALSE(EvalRowLambda(Eps(Var(0)), row).ok());
-  EXPECT_FALSE(EvalRowLambda(Proj(Var(0), 9), row).ok());
 }
 
 TEST(ExecTest, JoinPipelineMatchesSection4Table) {
@@ -103,19 +91,38 @@ TEST(ExecTest, MapMergesEqualImagesThroughSink) {
 }
 
 TEST(ExecTest, RejectsOperatorsOutsideFragment) {
-  Database db = Db({{"B", MakeBagOf({MakeTuple({A("x")})})}});
+  Database db = Db({{"B", MakeBagOf({MakeTuple({A("x")})})},
+                    {"G", MakeBagOf({MakeTuple({A("x"), A("y")})})}});
   EXPECT_EQ(RunPipeline(Pow(Input("B")), db).status().code(),
             StatusCode::kUnsupported);
   EXPECT_EQ(RunPipeline(Destroy(Pow(Input("B"))), db).status().code(),
             StatusCode::kUnsupported);
   EXPECT_EQ(
-      RunPipeline(TransitiveClosure(Input("B")), db).status().code(),
+      RunPipeline(TransitiveClosure(Input("G")), db).status().code(),
       StatusCode::kUnsupported);
   // Bag-building lambda bodies are out too.
   EXPECT_EQ(RunPipeline(Map(Beta(Var(0)), Input("B")), db).status().code(),
             StatusCode::kUnsupported);
   EXPECT_EQ(RunPipeline(Input("ZZZ"), db).status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(ExecTest, IllTypedUnionsAreTypeErrorsLikeEval) {
+  // ⊎ and ∸ of a 2-ary and a 1-ary tuple bag do not typecheck. exec must
+  // refuse them with the same kTypeError as eval, not run them.
+  Database db = Db({{"B", MakeBagOf({MakeTuple({A("x"), A("y")})})}});
+  ASSERT_TRUE(db.Declare("E", Type::Bag(Type::Tuple({Type::Atom()}))).ok());
+  Evaluator eval;
+  for (const Expr& q : {Uplus(Input("B"), Input("E")),
+                        Monus(Input("B"), Input("E"))}) {
+    auto reference = eval.EvalToBag(q, db);
+    ASSERT_FALSE(reference.ok()) << q.ToString();
+    EXPECT_EQ(reference.status().code(), StatusCode::kTypeError);
+    auto out = RunPipeline(q, db);
+    ASSERT_FALSE(out.ok()) << q.ToString() << " = " << out->ToString();
+    EXPECT_EQ(out.status().code(), reference.status().code())
+        << q.ToString() << ": " << out.status();
+  }
 }
 
 TEST(ExecTest, EmptyInputsFlowThrough) {

@@ -417,7 +417,7 @@ TEST(FaultTest, ProbabilisticModeIsDeterministic) {
 }
 
 /// The sweep corpus: nested powerset, product, a map/sel pipeline, and the
-/// Volcano exec path — every family of checkpointed loop.
+/// IR exec path — every family of checkpointed loop.
 std::vector<std::string> SweepSetup() {
   return {LetAtoms("S", 12), LetAtoms("T", 3),
           "let B = {{[a1, b1], [a2, b2], [a3, b3], [a4, b4], [a5, b5],"

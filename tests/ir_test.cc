@@ -1,14 +1,13 @@
 // Tests for the fused loop IR: compiled row programs, lowering and the IR
 // passes (hash-join promotion, pushdowns, CSE), the vectorized batch
-// interpreter, engine dispatch/reporting, and — the governor-parity
-// property promised in util/governor.h — byte-for-byte agreement between
-// per-row and per-batch checkpoint ticking.
+// interpreter, exec::RunPipeline's plan-time refusals, and — the
+// governor-parity property promised in util/governor.h — byte-for-byte
+// agreement between per-row and per-batch checkpoint ticking.
 
 #include "src/ir/lower.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -318,7 +317,7 @@ TEST(ExecIrTest, BatchBoundarySizesRoundTrip) {
   }
 }
 
-TEST(ExecIrTest, MergeKindsNativeAndViaBridgeAgree) {
+TEST(ExecIrTest, MergeKindsAgreeWithTheEvaluator) {
   Bag x = MakeBag({{MakeTuple({A("x")}), 5}, {MakeTuple({A("y")}), 1}});
   Bag y = MakeBag({{MakeTuple({A("x")}), 2}, {MakeTuple({A("z")}), 7}});
   Database db = Db({{"X", x}, {"Y", y}});
@@ -335,15 +334,6 @@ TEST(ExecIrTest, MergeKindsNativeAndViaBridgeAgree) {
     auto native_out = ExecuteIr(*native, db);
     ASSERT_TRUE(native_out.ok()) << native_out.status();
     EXPECT_EQ(*native_out, *reference) << q.ToString();
-
-    LowerOptions bridged;
-    bridged.merges_via_bridge = true;
-    auto bridge = LowerToIr(q, db, bridged);
-    ASSERT_TRUE(bridge.ok()) << bridge.status();
-    EXPECT_EQ(bridge->root->kind, IrKind::kBridge);
-    auto bridge_out = ExecuteIr(*bridge, db);
-    ASSERT_TRUE(bridge_out.ok()) << bridge_out.status();
-    EXPECT_EQ(*bridge_out, *reference) << q.ToString();
   }
 }
 
@@ -364,94 +354,25 @@ TEST(ExecIrTest, CseSharingPreservesSemantics) {
   EXPECT_EQ(*out, *reference);
 }
 
-// ------------------------------------------------------- engine dispatch
+// ------------------------------------------------- exec::RunPipeline
 
 TEST(EngineTest, StrictIrRefusesUnsupportedPlans) {
+  // There is no second engine to retry on: a plan the IR cannot lower
+  // fails with the IR's status.
   Database db = Db({{"S", MakeBagOf({MakeTuple({A("x")})})}});
-  exec::ExecOptions options;
-  options.engine = exec::Engine::kIr;
-  auto out = exec::RunPipeline(Pow(Input("S")), db, options);
+  auto out = exec::RunPipeline(Pow(Input("S")), db);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kUnsupported);
-}
-
-TEST(EngineTest, AutoPrefersTheIrEngine) {
-  Database db = Db({{"S", MakeBagOf({MakeTuple({A("x")})})}});
-  exec::ExecReport report;
-  exec::ExecOptions options;
-  options.engine = exec::Engine::kAuto;
-  options.report = &report;
-  auto out = exec::RunPipeline(Eps(Input("S")), db, options);
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(report.engine_used, exec::Engine::kIr);
-  EXPECT_FALSE(report.fell_back);
-}
-
-TEST(EngineTest, AutoFallsBackToVolcanoOnPlansTheIrCannotLower) {
-  // P is outside both engines' fragments, but under kAuto the dispatcher
-  // records the attempted fallback: the IR refuses at lowering time, the
-  // Volcano leg runs (and refuses too — the final status is its verdict).
-  Database db = Db({{"S", MakeBagOf({MakeTuple({A("x")})})}});
-  exec::ExecReport report;
-  exec::ExecOptions options;
-  options.engine = exec::Engine::kAuto;
-  options.report = &report;
-  auto out = exec::RunPipeline(Pow(Input("S")), db, options);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kUnsupported);
-  EXPECT_EQ(report.engine_used, exec::Engine::kVolcano);
-  EXPECT_TRUE(report.fell_back);
-}
-
-TEST(EngineTest, VolcanoPinRunsTheOldEngine) {
-  Database db = Db({{"S", MakeBagOf({MakeTuple({A("x")})})}});
-  exec::ExecReport report;
-  exec::ExecOptions options;
-  options.engine = exec::Engine::kVolcano;
-  options.report = &report;
-  auto out = exec::RunPipeline(Eps(Input("S")), db, options);
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(report.engine_used, exec::Engine::kVolcano);
-  EXPECT_FALSE(report.fell_back);
-}
-
-TEST(EngineTest, StrictIrAndPinnedVolcanoAgreeOnResults) {
-  Bag b = MakeBag({{MakeTuple({A("a"), A("b")}), 4},
-                   {MakeTuple({A("b"), A("a")}), 3}});
-  Database db = Db({{"B", b}});
-  auto volcano = exec::RunVolcanoPipeline(JoinChain("B"), db);
-  ASSERT_TRUE(volcano.ok()) << volcano.status();
-  exec::ExecOptions strict;
-  strict.engine = exec::Engine::kIr;
-  auto fused = exec::RunPipeline(JoinChain("B"), db, strict);
-  ASSERT_TRUE(fused.ok()) << fused.status();
-  EXPECT_EQ(*fused, *volcano);
 }
 
 TEST(EngineTest, StrictIrCatchesIllTypedLambdasAtPlanTime) {
   // The IR engine typechecks before lowering, so an out-of-range
-  // projection is a plan-time kTypeError rather than a mid-run abort —
-  // and being a plan-time error it never silently falls back under kIr.
+  // projection is a plan-time kTypeError rather than a mid-run abort.
   Bag b = MakeBag({{MakeTuple({A("a"), A("b")}), 1}});
   Database db = Db({{"B", b}});
-  exec::ExecOptions strict;
-  strict.engine = exec::Engine::kIr;
-  auto out = exec::RunPipeline(Map(Proj(Var(0), 9), Input("B")), db, strict);
+  auto out = exec::RunPipeline(Map(Proj(Var(0), 9), Input("B")), db);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kTypeError);
-}
-
-TEST(EngineTest, EngineFromEnvParsesTheKnownNames) {
-  ASSERT_EQ(setenv("BAGALG_EXEC_ENGINE", "ir", 1), 0);
-  EXPECT_EQ(exec::EngineFromEnv(), exec::Engine::kIr);
-  ASSERT_EQ(setenv("BAGALG_EXEC_ENGINE", "interp", 1), 0);
-  EXPECT_EQ(exec::EngineFromEnv(), exec::Engine::kVolcano);
-  ASSERT_EQ(setenv("BAGALG_EXEC_ENGINE", "volcano", 1), 0);
-  EXPECT_EQ(exec::EngineFromEnv(), exec::Engine::kVolcano);
-  ASSERT_EQ(setenv("BAGALG_EXEC_ENGINE", "sorcery", 1), 0);
-  EXPECT_EQ(exec::EngineFromEnv(), exec::Engine::kAuto);
-  ASSERT_EQ(unsetenv("BAGALG_EXEC_ENGINE"), 0);
-  EXPECT_EQ(exec::EngineFromEnv(), exec::Engine::kAuto);
 }
 
 // ------------------------------------------------------- REPL and lint

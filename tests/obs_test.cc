@@ -10,6 +10,7 @@
 
 #include <cctype>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -439,32 +440,53 @@ TEST(ExplainAnalyzeTest, PropagatesEvalErrors) {
 
 // ------------------------------------------------------ exec integration
 
-TEST(ExecTracingTest, OperatorLifecyclesBecomeSpans) {
+TEST(ExecTracingTest, PipelineSpanParentsTheIrSpans) {
   obs::Tracer tracer;
   Database db = JoinDb();
   exec::ExecOptions options;
   options.tracer = &tracer;
-  // This test is about the Volcano operator tracing decorator; the IR
-  // engine's spans are covered in ir_test.cc.
-  options.engine = exec::Engine::kVolcano;
   auto r = exec::RunPipeline(JoinQuery(), db, options);
   ASSERT_TRUE(r.ok()) << r.status();
-  bool saw_scan = false, saw_product = false, saw_pipeline = false;
-  uint64_t scan_rows = 0;
-  for (const auto& e : tracer.SnapshotEvents()) {
-    if (e.name == "exec.scan") {
-      saw_scan = true;
-      for (const auto& [k, v] : e.attrs) {
-        if (k == "rows") scan_rows = std::get<uint64_t>(v);
-      }
+  const std::vector<obs::TraceEvent> events = tracer.SnapshotEvents();
+  std::map<uint64_t, const obs::TraceEvent*> by_id;
+  const obs::TraceEvent* root = nullptr;
+  for (const auto& e : events) {
+    by_id[e.id] = &e;
+    if (e.name == "exec.pipeline") {
+      ASSERT_EQ(root, nullptr) << "two exec.pipeline spans";
+      root = &e;
     }
-    if (e.name == "exec.nested-loop-product") saw_product = true;
-    if (e.name == "exec.pipeline") saw_pipeline = true;
   }
-  EXPECT_TRUE(saw_scan);
-  EXPECT_TRUE(saw_product);
-  EXPECT_TRUE(saw_pipeline);
-  EXPECT_EQ(scan_rows, 2u);  // R has two distinct rows
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->category, "exec");
+  EXPECT_EQ(root->parent_id, 0u);
+  std::string engine;
+  uint64_t rows = 0;
+  for (const auto& [k, v] : root->attrs) {
+    if (k == "engine") engine = std::get<std::string>(v);
+    if (k == "rows") rows = std::get<uint64_t>(v);
+  }
+  EXPECT_EQ(engine, "ir");
+  EXPECT_EQ(rows, r->DistinctCount());
+  // Every per-pipeline drain (the join's build side, then the root) has
+  // the exec.pipeline span as an ancestor, and the root drain is its child.
+  size_t ir_spans = 0;
+  bool saw_root_drain = false;
+  for (const auto& e : events) {
+    if (e.name.rfind("ir.pipeline.", 0) != 0) continue;
+    ++ir_spans;
+    if (e.name == "ir.pipeline.root") {
+      saw_root_drain = true;
+      EXPECT_EQ(e.parent_id, root->id);
+    }
+    uint64_t up = e.parent_id;
+    while (up != 0 && up != root->id && by_id.count(up) != 0) {
+      up = by_id[up]->parent_id;
+    }
+    EXPECT_EQ(up, root->id) << e.name << " is not inside exec.pipeline";
+  }
+  EXPECT_TRUE(saw_root_drain);
+  EXPECT_GE(ir_spans, 2u);
 }
 
 TEST(ExecTracingTest, DisabledTracerAddsNoWrappers) {
@@ -531,7 +553,7 @@ TEST(ScriptObsTest, TraceCommandWritesValidChromeTrace) {
 }
 
 TEST(ScriptObsTest, ExecCommandRunsPipelineAndTraces) {
-  std::string path = testing::TempDir() + "/bagalg_exec_trace.json";
+  std::string path = testing::TempDir() + "/exec_command_trace.json";
   lang::ScriptRunner runner;
   ASSERT_TRUE(runner.RunLine("let R = {{[a, b]*2, [b, c]}}").ok());
   auto direct = runner.RunLine("eval sel(p -> proj(1, p) == 'a, R)");

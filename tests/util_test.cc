@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <vector>
 
 #include "src/util/parallel.h"
 #include "src/util/result.h"
@@ -232,6 +234,24 @@ TEST(ParallelTest, NestedParallelSectionsRunInline) {
     }
   });
   for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << i;
+}
+
+TEST(ParallelTest, BackToBackBatchesRunEveryIndexOnce) {
+  // Workers that wake late for a batch must not claim indices of the next
+  // one: every index of every batch runs exactly once, batch after batch,
+  // with more workers than cores so stragglers are common.
+  PoolConfigGuard guard;
+  ThreadPool::Configure({8, 1});
+  const size_t sizes[] = {2, 64, 3, 17};
+  std::vector<std::atomic<int>> hits(64);
+  for (int round = 0; round < 20000; ++round) {
+    const size_t n = sizes[round % 4];
+    for (size_t i = 0; i < n; ++i) hits[i].store(0);
+    ThreadPool::Global().Run(n, [&hits](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
+    }
+  }
 }
 
 TEST(ParallelTest, StatsCountDispatches) {
