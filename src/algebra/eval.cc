@@ -58,17 +58,33 @@ class Walker {
   // Kept tiny so the disabled-instrumentation fast path inlines into every
   // recursive call site as branch + direct EvalNode call.
   Result<Value> Eval(const Expr& expr) {
-    if (tracer_ == nullptr && profiles_ == nullptr) [[likely]] {
+    if ((tracer_ == nullptr || lambda_depth_ > 0) && profiles_ == nullptr)
+        [[likely]] {
       return EvalNode(expr);
     }
     return EvalInstrumented(expr);
   }
 
  private:
+  /// The tracer spans go to: none inside a MAP / σ body, which runs once
+  /// per input entry. The operator's own span covers its body applications.
+  obs::Tracer* SpanTracer() const {
+    return lambda_depth_ == 0 ? tracer_ : nullptr;
+  }
+
+  /// Applies a MAP / σ body to the binder on top of the stack, without
+  /// spans (see SpanTracer); explain analyze profiles still count it.
+  Result<Value> EvalBody(const Expr& body) {
+    ++lambda_depth_;
+    Result<Value> out = Eval(body);
+    --lambda_depth_;
+    return out;
+  }
+
   __attribute__((noinline)) Result<Value> EvalInstrumented(const Expr& expr) {
     obs::Span span;
-    if (tracer_ != nullptr) {
-      span = tracer_->StartSpan(ExprKindName(expr->kind), "eval");
+    if (obs::Tracer* tracer = SpanTracer(); tracer != nullptr) {
+      span = tracer->StartSpan(ExprKindName(expr->kind), "eval");
     }
     uint64_t start_ns = profiles_ != nullptr ? obs::MonotonicNowNs() : 0;
     Result<Value> out = EvalNode(expr);
@@ -200,7 +216,7 @@ class Walker {
             BAGALG_RETURN_IF_ERROR(ticker_.Flush());
           }
           binders_.push_back(e.value);
-          auto image = Eval(n.children[0]);
+          auto image = EvalBody(n.children[0]);
           binders_.pop_back();
           BAGALG_RETURN_IF_ERROR(image.status());
           builder.Add(std::move(image).value(), e.count);
@@ -215,8 +231,8 @@ class Walker {
             BAGALG_RETURN_IF_ERROR(ticker_.Flush());
           }
           binders_.push_back(e.value);
-          auto lhs = Eval(n.children[0]);
-          auto rhs = Eval(n.children[1]);
+          auto lhs = EvalBody(n.children[0]);
+          auto rhs = EvalBody(n.children[1]);
           binders_.pop_back();
           BAGALG_RETURN_IF_ERROR(lhs.status());
           BAGALG_RETURN_IF_ERROR(rhs.status());
@@ -259,8 +275,8 @@ class Walker {
           ++iterations;
           stats_->fixpoint_iterations += 1;
           obs::Span iter_span;
-          if (tracer_ != nullptr) {
-            iter_span = tracer_->StartSpan("ifp.iteration", "eval");
+          if (obs::Tracer* tracer = SpanTracer(); tracer != nullptr) {
+            iter_span = tracer->StartSpan("ifp.iteration", "eval");
             iter_span.AddAttr("iteration", iterations);
           }
           binders_.push_back(Value::FromBag(current));
@@ -336,6 +352,8 @@ class Walker {
   obs::Tracer* tracer_;
   NodeProfileMap* profiles_;
   std::vector<Value> binders_;
+  // MAP / σ bodies currently being applied (see SpanTracer).
+  size_t lambda_depth_ = 0;
   // Bound to the governor installed by Evaluator::Eval (inert when none).
   // One ticker for the whole walk: node visits, entry loops, and Observe
   // scans all drain the same stride. Checkpoint-only (no bytes per tick):
@@ -346,9 +364,6 @@ class Walker {
 }  // namespace
 
 Result<Value> Evaluator::Eval(const Expr& expr, const Database& db) {
-  if (preflight_) {
-    BAGALG_RETURN_IF_ERROR(preflight_(expr, db));
-  }
   // Install the per-query governor for the whole walk; the Walker's ticker
   // binds to it at construction, after the scope is in place.
   GovernorScope scope(governor_);

@@ -15,10 +15,8 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 #include "src/algebra/database.h"
 #include "src/algebra/expr.h"
@@ -97,9 +95,11 @@ class Evaluator {
   void set_track_sizes(bool on) { track_sizes_ = on; }
 
   /// Attaches a tracer: every AST-node application becomes a span (fixpoint
-  /// iterations as child spans) carrying distinct-count / multiplicity-bits
-  /// attributes. Pass nullptr (the default) for zero-overhead evaluation —
-  /// the hot path then pays a single pointer test per node.
+  /// iterations as child spans) carrying a distinct-count attribute, except
+  /// inside MAP / σ bodies — those run once per input entry, and the
+  /// operator's span covers them. Pass nullptr (the default) for
+  /// zero-overhead evaluation — the hot path then pays a single pointer
+  /// test per node.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
@@ -109,15 +109,6 @@ class Evaluator {
   void set_node_profiling(bool on) { node_profiling_ = on; }
   bool node_profiling() const { return node_profiling_; }
   const NodeProfileMap& node_profiles() const { return node_profiles_; }
-
-  /// An admission hook run before any evaluation work. A non-OK return
-  /// (typically kBudgetExceeded from analysis::MakeBudgetPreflight) refuses
-  /// the query; nothing is computed. Pass an empty function to clear.
-  using Preflight = std::function<Status(const Expr&, const Database&)>;
-  void set_preflight(Preflight preflight) {
-    preflight_ = std::move(preflight);
-  }
-  const Preflight& preflight() const { return preflight_; }
 
   /// Attaches a per-query ResourceGovernor (deadline / memory cap /
   /// cancellation; see util/governor.h). Eval installs it as the ambient
@@ -150,7 +141,6 @@ class Evaluator {
   bool node_profiling_ = false;
   obs::Tracer* tracer_ = nullptr;
   ResourceGovernor* governor_ = nullptr;
-  Preflight preflight_;
   EvalStats stats_;
   NodeProfileMap node_profiles_;
 };

@@ -1,6 +1,7 @@
 #include "src/analysis/static_cost.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -195,7 +196,9 @@ Shape ShapeFromType(const Type& t, const SizeBound& card) {
 Shape JoinShapes(const Shape& a, const Shape& b);
 
 /// Exact shape of a concrete value: bags carry their true total cardinality
-/// and the join of their members' shapes.
+/// and the join of their members' shapes. A bag whose element type nests
+/// no bag has members whose shape is the type's own, so only bags of bags
+/// walk their entries (for the inner cardinalities).
 Shape ShapeOfValue(const Value& v) {
   switch (v.kind()) {
     case Value::Kind::kAtom:
@@ -210,8 +213,10 @@ Shape ShapeOfValue(const Value& v) {
       const Bag& bag = v.bag();
       Shape elem = ShapeFromType(bag.element_type(),
                                  SizeBound::Constant(BigNat(0)));
-      for (const BagEntry& e : bag.entries()) {
-        elem = JoinShapes(elem, ShapeOfValue(e.value));
+      if (bag.element_type().BagNesting() > 0) {
+        for (const BagEntry& e : bag.entries()) {
+          elem = JoinShapes(elem, ShapeOfValue(e.value));
+        }
       }
       return Shape::BagShape(SizeBound::Constant(bag.TotalCount()),
                              std::move(elem));
@@ -570,17 +575,14 @@ bool ExceedsBudget(const SizeBound& bound, const BigNat& max) {
   return false;
 }
 
-Status CheckBudget(const Expr& expr, const Database& db,
+Status CheckBudget(const Expr& expr, const CostAnalysis& analysis,
                    const CostBudget& budget) {
-  auto analysis = AnalyzeCost(expr, db.schema(), CostFacts::Exact(db));
-  // Ill-typed queries are admitted: evaluation produces the real error.
-  if (!analysis.ok()) return Status::Ok();
   std::string offending_path;
   SizeBound offending;
   VisitPaths(expr, "", [&](const Expr& e, const std::string& path) {
     if (!offending_path.empty()) return;
-    auto it = analysis->per_node.find(e.raw());
-    if (it == analysis->per_node.end()) return;
+    auto it = analysis.per_node.find(e.raw());
+    if (it == analysis.per_node.end()) return;
     if (ExceedsBudget(it->second.bound, budget.max_estimated_size)) {
       offending_path = path;
       offending = it->second.bound;
@@ -605,11 +607,12 @@ Status CheckBudget(const Expr& expr, const Database& db,
   return Status::BudgetExceeded(detail);
 }
 
-std::function<Status(const Expr&, const Database&)> MakeBudgetPreflight(
-    CostBudget budget) {
-  return [budget](const Expr& expr, const Database& db) {
-    return CheckBudget(expr, db, budget);
-  };
+Status CheckBudget(const Expr& expr, const Database& db,
+                   const CostBudget& budget) {
+  auto analysis = AnalyzeCost(expr, db.schema(), CostFacts::Exact(db));
+  // Ill-typed queries are admitted: evaluation produces the real error.
+  if (!analysis.ok()) return Status::Ok();
+  return CheckBudget(expr, *analysis, budget);
 }
 
 // ----------------------------------------------------------- explain cost

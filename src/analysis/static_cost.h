@@ -19,10 +19,9 @@
 /// The bound is *sound*: bound >= the actual evaluated size whenever a bound
 /// is produced at all (validated against the evaluator in
 /// tests/static_cost_test.cc). On top of the analysis sit the lint rules of
-/// lint.h and the CostBudget admission check consulted by the evaluator and
-/// the exec pipeline before running a query.
+/// lint.h and the CostBudget admission check the script runner applies
+/// before running a query.
 
-#include <functional>
 #include <map>
 #include <string>
 
@@ -112,7 +111,10 @@ struct CostFacts {
   /// value — is assumed to have total cardinality at most n, the single
   /// symbolic variable of the bound polynomials.
   static CostFacts Symbolic() { return CostFacts{}; }
-  /// Exact mode, bound to a concrete instance.
+  /// Exact mode, bound to a concrete instance. An input's shape is its
+  /// total count (cached on the bag) over its element type; only element
+  /// types that nest bags walk the entries, for the inner cardinalities.
+  /// So on flat inputs the analysis costs a function of the query alone.
   static CostFacts Exact(const Database& db) { return CostFacts{&db}; }
 };
 
@@ -151,19 +153,20 @@ struct CostBudget {
 /// exceed either — they carry no data-level estimate.
 bool ExceedsBudget(const SizeBound& bound, const BigNat& max);
 
-/// Statically checks `expr` against the budget using exact facts from `db`.
-/// Returns BudgetExceeded when the estimated size exceeds the budget (or is
-/// astronomical) and the budget is kFail; increments the "budget.refusals"
-/// metric on every refusal. Unknown bounds (unbounded fixpoints) are
-/// admitted. Expressions that fail to typecheck are admitted too — the
-/// evaluator produces its own (better) error for those.
-Status CheckBudget(const Expr& expr, const Database& db,
+/// Checks `expr` against the budget using `analysis`, an AnalyzeCost result
+/// for `expr` (callers that already ran the analysis pass it in instead of
+/// paying for a second one). Returns BudgetExceeded when some node's
+/// estimated size exceeds the budget (or is astronomical) and the budget is
+/// kFail; increments "budget.refusals" and "governor.preflight.refusals" on
+/// every refusal, and the matching ".warnings" counters in kWarn mode.
+/// Unknown bounds (unbounded fixpoints) are admitted.
+Status CheckBudget(const Expr& expr, const CostAnalysis& analysis,
                    const CostBudget& budget);
 
-/// Adapts a budget into the preflight-hook shape consumed by
-/// Evaluator::set_preflight and exec::ExecOptions::preflight.
-std::function<Status(const Expr&, const Database&)> MakeBudgetPreflight(
-    CostBudget budget);
+/// The same check with exact facts from `db`. Expressions that fail to
+/// typecheck are admitted — evaluation produces its own (better) error.
+Status CheckBudget(const Expr& expr, const Database& db,
+                   const CostBudget& budget);
 
 // ----------------------------------------------------------- explain cost
 

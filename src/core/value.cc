@@ -1,9 +1,11 @@
 #include "src/core/value.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <iterator>
+#include <memory>
 #include <mutex>
 
 #include "src/obs/metrics.h"
@@ -52,6 +54,13 @@ struct Bag::Rep {
   // elements. Mutable because the index is a cache on an immutable Rep.
   mutable std::once_flag index_once;
   mutable std::vector<uint32_t> index;
+  // Cached IsSetLike answer: kSetLikeUnknown until the first call. A pure
+  // function of `entries`, so racing first callers store the same value.
+  static constexpr uint8_t kSetLikeUnknown = 2;
+  mutable std::atomic<uint8_t> set_like{kSetLikeUnknown};
+  // Lazy Bag::column_facts(), built at most once under `column_facts_once`.
+  mutable std::once_flag column_facts_once;
+  mutable std::unique_ptr<const Bag::ColumnFacts> column_facts;
 };
 
 namespace {
@@ -112,6 +121,34 @@ const BagEntry* IndexedFind(const Bag::Rep& rep, const Value& value) {
     }
     slot = (slot + 1) & mask;
   }
+}
+
+// ------------------------------------------------------ lazy column facts
+
+/// Computes Bag::column_facts() for `rep`: per column, one pass against
+/// the first entry decides constancy, and a sort of the column's values
+/// decides uniqueness.
+std::unique_ptr<const Bag::ColumnFacts> BuildColumnFacts(
+    const Bag::Rep& rep) {
+  auto facts = std::make_unique<Bag::ColumnFacts>();
+  const size_t arity =
+      rep.element_type.IsTuple() ? rep.element_type.fields().size() : 0;
+  facts->constant.assign(arity, true);
+  facts->unique.assign(arity, true);
+  std::vector<const Value*> column(rep.entries.size());
+  for (size_t c = 0; c < arity; ++c) {
+    for (size_t i = 0; i < column.size(); ++i) {
+      column[i] = &rep.entries[i].value.fields()[c];
+      if (!(*column[i] == *column[0])) facts->constant[c] = false;
+    }
+    std::sort(column.begin(), column.end(),
+              [](const Value* a, const Value* b) { return *a < *b; });
+    for (size_t i = 1; i < column.size(); ++i) {
+      if (*column[i - 1] == *column[i]) facts->unique[c] = false;
+    }
+  }
+  obs::GlobalMetrics().GetCounter("kernel.column_facts_builds")->Increment();
+  return facts;
 }
 
 // --------------------------------------------------- parallel canonical sort
@@ -404,10 +441,24 @@ const std::vector<BagEntry>& Bag::entries() const { return rep_->entries; }
 const Mult& Bag::TotalCount() const { return rep_->total; }
 
 bool Bag::IsSetLike() const {
-  for (const BagEntry& e : entries()) {
-    if (!e.count.IsOne()) return false;
+  uint8_t cached = rep_->set_like.load(std::memory_order_relaxed);
+  if (cached == Rep::kSetLikeUnknown) {
+    cached = 1;
+    for (const BagEntry& e : entries()) {
+      if (!e.count.IsOne()) {
+        cached = 0;
+        break;
+      }
+    }
+    rep_->set_like.store(cached, std::memory_order_relaxed);
   }
-  return true;
+  return cached == 1;
+}
+
+const Bag::ColumnFacts& Bag::column_facts() const {
+  std::call_once(rep_->column_facts_once,
+                 [this] { rep_->column_facts = BuildColumnFacts(*rep_); });
+  return *rep_->column_facts;
 }
 
 Mult Bag::CountOf(const Value& value) const {

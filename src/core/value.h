@@ -178,8 +178,24 @@ class Bag {
   const Mult& TotalCount() const;
   /// True iff the bag has no occurrences.
   bool empty() const { return entries().empty(); }
-  /// True iff every multiplicity is 1 (the bag "is a set").
+  /// True iff every multiplicity is 1 (the bag "is a set"). Walks the
+  /// entries on the first call only; the answer is cached on the bag.
   bool IsSetLike() const;
+
+  /// Per-column facts of a bag of tuples, indexed by 0-based column.
+  struct ColumnFacts {
+    /// Every entry holds the same value in this column.
+    std::vector<bool> constant;
+    /// No two entries hold the same value in this column.
+    std::vector<bool> unique;
+  };
+  /// The column facts of this bag: one slot per field of a tuple element
+  /// type, none otherwise. Built on the first call (once, thread-safely,
+  /// like the hash index) and shared by every copy of the bag, so plan-time
+  /// analyses that read them on each lowering pay the O(distinct · arity ·
+  /// log distinct) walk once per stored bag (counter
+  /// `kernel.column_facts_builds`).
+  const ColumnFacts& column_facts() const;
 
   /// Multiplicity of `value` in this bag (zero if absent). Bags with at
   /// least kIndexThreshold distinct elements lazily build a hash index

@@ -14,8 +14,6 @@
 /// status (kUnsupported, kNotFound, kTypeError); there is no second engine
 /// to retry on. The tree-walking evaluator (`eval`) is the reference.
 
-#include <functional>
-
 #include "src/algebra/database.h"
 #include "src/algebra/expr.h"
 #include "src/obs/trace.h"
@@ -29,10 +27,6 @@ struct ExecOptions {
   /// When non-null and enabled, RunPipeline adds a root "exec.pipeline"
   /// span (engine=ir, rows) with the IR's per-pipeline spans nested inside.
   obs::Tracer* tracer = nullptr;
-  /// Admission hook run by RunPipeline before lowering: a non-OK return
-  /// (typically kBudgetExceeded from analysis::MakeBudgetPreflight) refuses
-  /// the query without executing anything.
-  std::function<Status(const Expr&, const Database&)> preflight;
   /// Per-query ResourceGovernor (deadline / memory cap / cancellation).
   /// RunPipeline installs it as the ambient governor for the run, so the
   /// IR's per-batch checkpoints and the kernels below enforce it.
@@ -40,7 +34,7 @@ struct ExecOptions {
   ResourceGovernor* governor = nullptr;
 };
 
-/// Preflight, lower to IR, verify, run to a canonical bag. Defined in
+/// Lower to IR, verify, run to a canonical bag. Defined in
 /// src/ir/run.cc (libbagalg_ir); callers link bagalg_ir.
 Result<Bag> RunPipeline(const Expr& expr, const Database& db,
                         const ExecOptions& options = {});

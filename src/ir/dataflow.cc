@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <utility>
 
 namespace bagalg::ir {
@@ -14,13 +13,13 @@ namespace {
 /// this column set", which one witness answers.
 constexpr size_t kMaxKeys = 4;
 
-/// Per-column scans (key / constant detection) only run on bags at most
-/// this large: the facts must stay cheap enough to compute on every
-/// lowering, including inside bench loops.
+/// Per-column facts (key / constant detection) are only read off bags at
+/// most this large. Bag::column_facts() builds them once per stored bag,
+/// but that first build still costs O(distinct · arity · log distinct).
 constexpr size_t kScanFactEntryCap = 4096;
 
-/// The all-counts-one walk (Bag::IsSetLike) is O(distinct); gate it so a
-/// huge scan doesn't turn plan-time into data-time.
+/// The all-counts-one walk behind Bag::IsSetLike is O(distinct) on first
+/// use; gate it so a huge scan doesn't turn plan-time into data-time.
 constexpr size_t kSetLikeEntryCap = 1 << 16;
 
 uint64_t SatAdd(uint64_t a, uint64_t b) {
@@ -145,7 +144,8 @@ std::optional<std::vector<TupleField>> DecomposeTupleProgram(
 }
 
 /// Facts for a scan's bound bag. Exact where the bag is small enough to
-/// inspect; conservative (unknown) beyond the caps.
+/// inspect; conservative (unknown) beyond the caps. The data-dependent
+/// parts are cached on the bag, so re-lowering over it reads them for free.
 IrFacts ScanFacts(const IrNode& node) {
   IrFacts facts;
   const Bag& bag = node.scan_bag;
@@ -162,18 +162,13 @@ IrFacts ScanFacts(const IrNode& node) {
   if (distinct <= kSetLikeEntryCap) facts.dup_free = bag.IsSetLike();
   if (facts.shape == IrFacts::Shape::kTuple && facts.arity > 0 &&
       distinct > 0 && distinct <= kScanFactEntryCap) {
-    const auto& entries = bag.entries();
+    const Bag::ColumnFacts& columns = bag.column_facts();
+    const Value& first = bag.entries()[0].value;
     for (size_t c = 1; c <= facts.arity; ++c) {
-      bool constant = true;
-      std::set<Value> seen;
-      const Value& first = entries[0].value.fields()[c - 1];
-      for (const BagEntry& entry : entries) {
-        const Value& v = entry.value.fields()[c - 1];
-        if (constant && !(v == first)) constant = false;
-        seen.insert(v);
+      if (columns.constant[c - 1]) {
+        facts.const_cols.emplace(c, first.fields()[c - 1]);
       }
-      if (constant) facts.const_cols.emplace(c, first);
-      if (seen.size() == distinct && facts.arity > 1) AddKey(&facts, {c});
+      if (columns.unique[c - 1] && facts.arity > 1) AddKey(&facts, {c});
     }
   }
   return facts;

@@ -1,5 +1,5 @@
 /// \file run.cc
-/// The definition of exec::RunPipeline: preflight, lower, run on the IR.
+/// The definition of exec::RunPipeline: lower, then run on the IR.
 
 #include "src/exec/compile.h"
 #include "src/ir/exec_ir.h"
@@ -12,9 +12,6 @@ namespace bagalg::exec {
 
 Result<Bag> RunPipeline(const Expr& expr, const Database& db,
                         const ExecOptions& options) {
-  if (options.preflight) {
-    BAGALG_RETURN_IF_ERROR(options.preflight(expr, db));
-  }
   BAGALG_ASSIGN_OR_RETURN(ir::IrPlan plan, ir::LowerToIr(expr, db));
   obs::Span span;
   if (options.tracer != nullptr && options.tracer->enabled()) {

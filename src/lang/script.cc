@@ -82,13 +82,6 @@ ScriptRunner::ScriptRunner(Limits limits)
                            ",\"engine_default\":\"ir\"}");
 }
 
-void ScriptRunner::set_budget(std::optional<analysis::CostBudget> budget) {
-  budget_ = std::move(budget);
-  evaluator_.set_preflight(
-      budget_.has_value() ? analysis::MakeBudgetPreflight(*budget_)
-                          : Evaluator::Preflight{});
-}
-
 void ScriptRunner::SyncTracerMode() {
   tracer_.set_buffering(!trace_path_.empty());
   flight_.set_enabled(flight_on_);
@@ -97,19 +90,26 @@ void ScriptRunner::SyncTracerMode() {
   evaluator_.set_tracer(enabled ? &tracer_ : nullptr);
 }
 
-obs::JournalEntry ScriptRunner::BeginJournalEntry(
-    const std::string& kind, const std::string& statement, const Expr& expr) {
+obs::JournalEntry ScriptRunner::BeginStatement(const std::string& kind,
+                                               const std::string& statement,
+                                               const Expr& expr,
+                                               Status* admitted) {
   obs::JournalEntry entry;
   entry.kind = kind;
   entry.statement = statement;
   entry.statement_hash = obs::HashStatementText(statement);
+  *admitted = Status::Ok();
   // Best-effort static verdict; an expression the analyzer cannot cost
-  // (unknown names, type errors caught later) journals with empty fields.
+  // (unknown names, type errors caught later) journals with empty fields
+  // and is admitted, so running it reports the real error.
   auto cost = analysis::AnalyzeCost(expr, db_.schema(),
                                     analysis::CostFacts::Exact(db_));
   if (cost.ok()) {
     entry.tractability = analysis::TractabilityName(cost->root.cls);
     entry.cost_bound = cost->root.bound.ToString();
+    if (budget_.has_value()) {
+      *admitted = analysis::CheckBudget(expr, *cost, *budget_);
+    }
   }
   return entry;
 }
@@ -188,7 +188,8 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
   if (cmd == "eval" || cmd == "count") {
     BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(rest));
     last_result_.reset();
-    obs::JournalEntry entry = BeginJournalEntry(cmd, rest, e);
+    Status admitted;
+    obs::JournalEntry entry = BeginStatement(cmd, rest, e, &admitted);
     entry.engine = "eval";
     uint64_t steps_before = evaluator_.stats().steps;
     uint64_t t0 = obs::MonotonicNowNs();
@@ -199,7 +200,8 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
     // process. The governor lives on this stack frame only.
     cancel_.Reset();
     EvalGovernor governed(evaluator_, StatementGovernorOptions());
-    Result<Value> vr = evaluator_.Eval(e, db_);
+    Result<Value> vr =
+        admitted.ok() ? evaluator_.Eval(e, db_) : Result<Value>(admitted);
     uint64_t wall_ns = obs::MonotonicNowNs() - t0;
     uint64_t cpu1 = obs::ThreadCpuNowNs();
     uint64_t steps = evaluator_.stats().steps - steps_before;
@@ -237,18 +239,17 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
     // evaluator's.
     BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(rest));
     last_result_.reset();
-    obs::JournalEntry entry = BeginJournalEntry(cmd, rest, e);
+    Status admitted;
+    obs::JournalEntry entry = BeginStatement(cmd, rest, e, &admitted);
     uint64_t t0 = obs::MonotonicNowNs();
     uint64_t cpu0 = obs::ThreadCpuNowNs();
     exec::ExecOptions options;
     options.tracer = tracer_.enabled() ? &tracer_ : nullptr;
-    if (budget_.has_value()) {
-      options.preflight = analysis::MakeBudgetPreflight(*budget_);
-    }
     cancel_.Reset();
     ResourceGovernor governor(StatementGovernorOptions());
     options.governor = &governor;
-    Result<Bag> br = exec::RunPipeline(e, db_, options);
+    Result<Bag> br = admitted.ok() ? exec::RunPipeline(e, db_, options)
+                                   : Result<Bag>(admitted);
     uint64_t wall_ns = obs::MonotonicNowNs() - t0;
     uint64_t cpu1 = obs::ThreadCpuNowNs();
     entry.engine = "ir";
@@ -292,6 +293,9 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
     std::string plan;
     if (sub == "analyze") {
       BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(analyze_rest));
+      if (budget_.has_value()) {
+        BAGALG_RETURN_IF_ERROR(analysis::CheckBudget(e, db_, *budget_));
+      }
       BAGALG_ASSIGN_OR_RETURN(plan, ExplainAnalyzeExpr(e, db_, evaluator_));
     } else if (sub == "cost") {
       BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(analyze_rest));
@@ -355,7 +359,6 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
   if (cmd == "\\budget") {
     if (rest == "off") {
       budget_.reset();
-      evaluator_.set_preflight({});
       return std::string("budget off");
     }
     auto [size_text, mode] = SplitCommand(rest);
@@ -369,7 +372,6 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
                            ? analysis::CostBudget::OnExceed::kWarn
                            : analysis::CostBudget::OnExceed::kFail;
     budget_ = budget;
-    evaluator_.set_preflight(analysis::MakeBudgetPreflight(budget));
     return "budget " + max.ToString() +
            (mode == "warn" ? std::string(" (warn)") : std::string());
   }

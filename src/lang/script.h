@@ -70,6 +70,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/algebra/database.h"
 #include "src/algebra/eval.h"
@@ -142,7 +143,9 @@ class ScriptRunner {
   /// synthesizing command lines. 0 / nullopt turn the limit off.
   void set_timeout_ms(uint64_t ms) { timeout_ms_ = ms; }
   void set_memlimit_bytes(uint64_t bytes) { memlimit_bytes_ = bytes; }
-  void set_budget(std::optional<analysis::CostBudget> budget);
+  void set_budget(std::optional<analysis::CostBudget> budget) {
+    budget_ = std::move(budget);
+  }
 
   /// The structured result of the most recent successful eval/exec
   /// statement (count results are bags too and land here). Cleared at the
@@ -160,9 +163,12 @@ class ScriptRunner {
 
   /// Journal-entry scaffold for an eval/count/exec statement: statement
   /// text/hash plus the static analyzer's verdict when it is derivable.
-  obs::JournalEntry BeginJournalEntry(const std::string& kind,
-                                      const std::string& statement,
-                                      const Expr& expr);
+  /// The same exact-facts cost analysis decides budget admission: *admitted
+  /// is kBudgetExceeded when the session budget refuses the statement, and
+  /// the caller then runs nothing.
+  obs::JournalEntry BeginStatement(const std::string& kind,
+                                   const std::string& statement,
+                                   const Expr& expr, Status* admitted);
 
   /// Stamps the outcome (from the governor's trip kind and the Status),
   /// appends the entry, and on a governor trip captures the flight dump

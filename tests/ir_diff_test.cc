@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,8 @@
 #include "src/algebra/derived.h"
 #include "src/algebra/eval.h"
 #include "src/exec/compile.h"
+#include "src/ir/lower.h"
+#include "src/obs/metrics.h"
 #include "src/stats/expr_gen.h"
 #include "src/stats/sampler.h"
 #include "src/util/fault.h"
@@ -271,6 +274,60 @@ void RunEngineFaultSweep(Engine engine, fault::FaultPoint point,
       EXPECT_EQ(*again, *reference) << q.ToString();
     }
   }
+}
+
+// ------------------------------------------------ scan facts cached per bag
+
+uint64_t ColumnFactsBuilds() {
+  return obs::GlobalMetrics().GetCounter("kernel.column_facts_builds")->value();
+}
+
+TEST(ScanFactsTest, FactsAreIdenticalOnFreshAndProfiledBags) {
+  // Profile one database's bags by lowering the whole corpus over it.
+  Database profiled = CorpusDb();
+  for (const Expr& q : Corpus()) ASSERT_TRUE(ir::LowerToIr(q, profiled).ok());
+  for (const Expr& q : Corpus()) {
+    // A fresh database has new bags, so its facts are built here.
+    auto fresh = ir::ExplainIrFacts(q, CorpusDb());
+    ASSERT_TRUE(fresh.ok()) << q.ToString() << "\n" << fresh.status();
+    auto cached = ir::ExplainIrFacts(q, profiled);
+    ASSERT_TRUE(cached.ok()) << q.ToString() << "\n" << cached.status();
+    EXPECT_EQ(*cached, *fresh) << q.ToString();
+  }
+}
+
+TEST(ScanFactsTest, LoweringTwiceBuildsColumnFactsOnce) {
+  Database db;
+  ASSERT_TRUE(db.Put("R", Pairs(700)).ok());
+  const Expr q = Map(Tup({Proj(Var(0), 2), Proj(Var(0), 1)}), Input("R"));
+  const uint64_t before = ColumnFactsBuilds();
+  ASSERT_TRUE(ir::LowerToIr(q, db).ok());
+  EXPECT_EQ(ColumnFactsBuilds(), before + 1);
+  ASSERT_TRUE(ir::LowerToIr(q, db).ok());
+  // A second database holding the same bag shares its facts too.
+  Database copy;
+  ASSERT_TRUE(copy.Put("R", *db.Get("R")).ok());
+  ASSERT_TRUE(ir::LowerToIr(q, copy).ok());
+  EXPECT_EQ(ColumnFactsBuilds(), before + 1);
+}
+
+TEST(ScanFactsTest, ConcurrentLoweringsOverOneBagAgree) {
+  const Database db = CorpusDb();
+  const Expr q = Corpus()[1];  // uplus(R, R2): two scans
+  const uint64_t before = ColumnFactsBuilds();
+  std::vector<std::string> facts(8);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < facts.size(); ++t) {
+    threads.emplace_back([&, t] {
+      auto plan = ir::ExplainIrFacts(q, db);
+      facts[t] = plan.ok() ? *plan : plan.status().ToString();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::string& f : facts) EXPECT_EQ(f, facts[0]);
+  EXPECT_NE(facts[0].find("key{"), std::string::npos) << facts[0];
+  // One build per scanned bag, however many threads raced for it.
+  EXPECT_EQ(ColumnFactsBuilds(), before + 2);
 }
 
 TEST(IrDiffAbortTest, CheckpointFaultSweepEvaluator) {

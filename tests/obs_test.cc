@@ -403,6 +403,44 @@ TEST(EvalTracingTest, FixpointIterationsBecomeChildSpans) {
   EXPECT_EQ(iteration_spans, eval.stats().fixpoint_iterations);
 }
 
+/// R with n distinct unary tuples [r0] .. [r<n-1>], each once.
+Database UnaryDb(size_t n) {
+  Bag::Builder builder;
+  for (size_t i = 0; i < n; ++i) {
+    builder.AddOne(MakeTuple({MakeAtom("r" + std::to_string(i))}));
+  }
+  auto bag = std::move(builder).Build();
+  EXPECT_TRUE(bag.ok());
+  Database db;
+  EXPECT_TRUE(db.Put("R", *bag).ok());
+  return db;
+}
+
+Expr UnaryMap() { return Map(Tup({Proj(Var(0), 1)}), Input("R")); }
+
+TEST(EvalTracingTest, LambdaBodiesOpenNoSpanPerEntry) {
+  // The map body runs once per entry of R; its span count must not.
+  auto eval_spans = [](size_t n) {
+    obs::Tracer tracer;
+    Evaluator eval;
+    eval.set_tracer(&tracer);
+    Database db = UnaryDb(n);
+    auto r = eval.EvalToBag(UnaryMap(), db);
+    EXPECT_TRUE(r.ok()) << r.status();
+    if (r.ok()) {
+      EXPECT_EQ(r->DistinctCount(), n);
+    }
+    size_t spans = 0;
+    for (const auto& e : tracer.SnapshotEvents()) {
+      if (e.category == "eval") ++spans;
+    }
+    return spans;
+  };
+  const size_t small = eval_spans(4);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(eval_spans(400), small);
+}
+
 TEST(EvalTracingTest, NullTracerKeepsEvaluatorClean) {
   Evaluator eval;
   Database db = JoinDb();
@@ -429,6 +467,26 @@ TEST(ExplainAnalyzeTest, AnnotatesJoinSelectionPlan) {
   // Profiling is restored off afterwards.
   EXPECT_FALSE(eval.node_profiling());
   EXPECT_FALSE(eval.node_profiles().empty());
+}
+
+TEST(ExplainAnalyzeTest, CountsEveryLambdaBodyApplication) {
+  // Spans skip lambda bodies; the explain analyze profile must not.
+  obs::Tracer tracer;
+  Evaluator eval;
+  eval.set_tracer(&tracer);
+  Database db = UnaryDb(400);
+  Expr q = UnaryMap();
+  auto plan = ExplainAnalyzeExpr(q, db, eval);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const Expr& tup = q->children[0];
+  const Expr& proj = tup->children[0];
+  const Expr& var = proj->children[0];
+  for (const Expr* body_node : {&tup, &proj, &var}) {
+    auto it = eval.node_profiles().find(body_node->raw());
+    ASSERT_NE(it, eval.node_profiles().end());
+    EXPECT_EQ(it->second.calls, 400u);
+  }
+  EXPECT_NE(plan->find("calls=400"), std::string::npos) << *plan;
 }
 
 TEST(ExplainAnalyzeTest, PropagatesEvalErrors) {

@@ -12,13 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/algebra/builder.h"
 #include "src/algebra/eval.h"
 #include "src/algebra/typecheck.h"
 #include "src/analysis/lint.h"
-#include "src/exec/compile.h"
 #include "src/lang/script.h"
 #include "src/obs/metrics.h"
 
@@ -526,35 +526,46 @@ TEST(BudgetTest, ZeroBudgetMeansNoLimit) {
   EXPECT_TRUE(CheckBudget(Pow(Input("S")), db, budget).ok());
 }
 
-TEST(BudgetTest, EvaluatorPreflightRefusesBeforeEvaluating) {
-  Database db = CorpusDb();
-  CostBudget budget;
-  budget.max_estimated_size = BigNat(5);
-  Evaluator ev(Limits::Default());
-  ev.set_preflight(analysis::MakeBudgetPreflight(budget));
-  auto refused = ev.Eval(Product(Input("R"), Input("R")), db);
+TEST(BudgetTest, EvalRefusesBeforeEvaluating) {
+  lang::ScriptRunner runner;
+  ASSERT_TRUE(runner.RunLine("let R = {{[a, b]*2, [c, d], [a, d]}}").ok());
+  ASSERT_TRUE(runner.RunLine("\\budget 5").ok());
+  auto refused = runner.RunLine("eval prod(R, R)");  // estimate 16 > 5
   EXPECT_EQ(refused.status().code(), StatusCode::kBudgetExceeded);
+  EXPECT_NE(refused.status().message().find("exceeds budget 5"),
+            std::string::npos);
+  auto analyze_refused = runner.RunLine("explain analyze prod(R, R)");
+  EXPECT_EQ(analyze_refused.status().code(), StatusCode::kBudgetExceeded);
   // Nothing ran: the refusal happens before any operator application.
-  EXPECT_EQ(ev.stats().steps, 0u);
+  EXPECT_EQ(runner.evaluator().stats().steps, 0u);
+  auto tail = runner.journal().Tail(1);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].outcome, "budget-refused");
+  EXPECT_EQ(tail[0].steps, 0u);
   // Within budget still evaluates.
-  EXPECT_TRUE(ev.Eval(Input("R"), db).ok());
-  // Clearing the hook restores unguarded evaluation.
-  ev.set_preflight({});
-  EXPECT_TRUE(ev.Eval(Product(Input("R"), Input("R")), db).ok());
+  EXPECT_TRUE(runner.RunLine("eval R").ok());
+  // Clearing the budget restores unguarded evaluation.
+  ASSERT_TRUE(runner.RunLine("\\budget off").ok());
+  EXPECT_TRUE(runner.RunLine("eval prod(R, R)").ok());
 }
 
-TEST(BudgetTest, ExecPipelinePreflightRefuses) {
-  Database db = CorpusDb();
-  CostBudget budget;
-  budget.max_estimated_size = BigNat(5);
-  exec::ExecOptions options;
-  options.preflight = analysis::MakeBudgetPreflight(budget);
-  auto refused =
-      exec::RunPipeline(Product(Input("R"), Input("R")), db, options);
+TEST(BudgetTest, ExecRefusesBeforeRunning) {
+  lang::ScriptRunner runner;
+  ASSERT_TRUE(runner.RunLine("let R = {{[a, b]*2, [c, d], [a, d]}}").ok());
+  ASSERT_TRUE(runner.RunLine("\\budget 5").ok());
+  obs::Counter* pipelines = obs::GlobalMetrics().GetCounter("ir.pipelines");
+  const uint64_t pipelines_before = pipelines->value();
+  auto refused = runner.RunLine("exec prod(R, R)");
   EXPECT_EQ(refused.status().code(), StatusCode::kBudgetExceeded);
-  options.preflight = {};
-  EXPECT_TRUE(
-      exec::RunPipeline(Product(Input("R"), Input("R")), db, options).ok());
+  // The IR never ran a pipeline.
+  EXPECT_EQ(pipelines->value(), pipelines_before);
+  auto tail = runner.journal().Tail(1);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].engine, "ir");
+  EXPECT_EQ(tail[0].outcome, "budget-refused");
+  ASSERT_TRUE(runner.RunLine("\\budget off").ok());
+  EXPECT_TRUE(runner.RunLine("exec prod(R, R)").ok());
+  EXPECT_GT(pipelines->value(), pipelines_before);
 }
 
 // ---------------------------------------------------------- explain cost
@@ -586,6 +597,104 @@ TEST(ExplainCostTest, TowersAreMarked) {
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->find("[tower h=1 size=astronomical]"), std::string::npos)
       << *plan;
+}
+
+/// A session holding flat inputs (P: pairs, B: a count past 2^64, E:
+/// empty) and bag-of-bags inputs (N, D) for the exact-facts pins below.
+void LoadExactFactsInputs(lang::ScriptRunner& runner) {
+  for (const char* let : {"let P = {{[a, b]*2, [c, d], [a, d]}}",
+                          "let B = {{x*18446744073709551621, y*3}}",
+                          "let E = {{ }}",
+                          "let N = {{[a, {{x, y}}], [b, {{x, y, z}}]}}",
+                          "let D = {{ {{x}}*2, {{x, y, z}}*3 }}"}) {
+    ASSERT_TRUE(runner.RunLine(let).ok()) << let;
+  }
+}
+
+TEST(ExplainCostTest, ExactBoundsOfFlatInputsArePinned) {
+  // Flat inputs take their exact shape from the element type and the
+  // bag's total count. These are the per-node estimates a walk over every
+  // entry gives.
+  lang::ScriptRunner runner;
+  LoadExactFactsInputs(runner);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"explain cost map(x -> tup(proj(2, x), proj(1, x)), "
+       "sel(x -> proj(1, x) == proj(4, x), prod(P, P)))",
+       "map : {{[U, U]}} [poly deg=2 size<=n^2 est<=16]\n"
+       "  body:\n"
+       "    tup : [U, U] [poly deg=0 size<=1 est<=1]\n"
+       "      proj #2 : U [poly deg=0 size<=1 est<=1]\n"
+       "        var v0 : [U, U, U, U] [poly deg=0 size<=1 est<=1]\n"
+       "      proj #1 : U [poly deg=0 size<=1 est<=1]\n"
+       "        var v0 : [U, U, U, U] [poly deg=0 size<=1 est<=1]\n"
+       "  sel : {{[U, U, U, U]}} [poly deg=2 size<=n^2 est<=16]\n"
+       "    lhs:\n"
+       "      proj #1 : U [poly deg=0 size<=1 est<=1]\n"
+       "        var v0 : [U, U, U, U] [poly deg=0 size<=1 est<=1]\n"
+       "    rhs:\n"
+       "      proj #4 : U [poly deg=0 size<=1 est<=1]\n"
+       "        var v0 : [U, U, U, U] [poly deg=0 size<=1 est<=1]\n"
+       "    prod : {{[U, U, U, U]}} [poly deg=2 size<=n^2 est<=16]\n"
+       "      input P : {{[U, U]}} [poly deg=1 size<=n est<=4]\n"
+       "      input P : {{[U, U]}} [poly deg=1 size<=n est<=4]"},
+      {"explain cost monus(uplus(B, B), dedup(B))",
+       "monus : {{U}} [poly deg=1 size<=2n est<=2^65+]\n"
+       "  uplus : {{U}} [poly deg=1 size<=2n est<=2^65+]\n"
+       "    input B : {{U}} [poly deg=1 size<=n est<=2^64+]\n"
+       "    input B : {{U}} [poly deg=1 size<=n est<=2^64+]\n"
+       "  dedup : {{U}} [poly deg=1 size<=n est<=2^64+]\n"
+       "    input B : {{U}} [poly deg=1 size<=n est<=2^64+]"},
+      {"explain cost inter(B, E)",
+       "inter : {{U}} [poly deg=1 size<=n est<=0]\n"
+       "  input B : {{U}} [poly deg=1 size<=n est<=2^64+]\n"
+       "  input E : {{_}} [poly deg=1 size<=n est<=0]"},
+      {"explain cost flat(map(x -> bag(x), B))",
+       "flat : {{U}} [poly deg=1 size<=n est<=2^64+]\n"
+       "  map : {{{{U}}}} [poly deg=1 size<=n est<=2^64+]\n"
+       "    body:\n"
+       "      bag : {{U}} [poly deg=0 size<=1 est<=1]\n"
+       "        var v0 : U [poly deg=0 size<=1 est<=1]\n"
+       "    input B : {{U}} [poly deg=1 size<=n est<=2^64+]"},
+  };
+  for (const auto& [line, want] : cases) {
+    auto out = runner.RunLine(line);
+    ASSERT_TRUE(out.ok()) << line << ": " << out.status();
+    EXPECT_EQ(*out, want) << line;
+  }
+}
+
+TEST(ExplainCostTest, ExactCountsPastTwoToThe64StayExact) {
+  Database db;
+  Bag::Builder builder;
+  builder.Add(A("x"), BigNat::TwoPow(64) + BigNat(5));
+  builder.Add(A("y"), BigNat(3));
+  auto b = std::move(builder).Build();
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(db.Put("B", *b).ok());
+  Expr q = Uplus(Input("B"), Input("B"));
+  auto analysis = AnalyzeCost(q, db.schema(), CostFacts::Exact(db));
+  ASSERT_TRUE(analysis.ok()) << analysis.status();
+  const BigNat total = BigNat::TwoPow(64) + BigNat(8);
+  EXPECT_EQ(analysis->root.bound.poly.ConstantTerm(), BigInt(total + total));
+  const NodeCost& input = analysis->per_node.at(q->children[0].raw());
+  EXPECT_EQ(input.bound.poly.ConstantTerm(), BigInt(total));
+}
+
+TEST(ExplainCostTest, BagOfBagsInputsKeepTheirInnerCardinalities) {
+  // Element types that nest bags still walk their entries: the inner
+  // totals (at most 3 here) bound δ and unnest, not the symbolic n.
+  lang::ScriptRunner runner;
+  LoadExactFactsInputs(runner);
+  auto flat = runner.RunLine("explain cost flat(D)");
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  EXPECT_EQ(*flat,
+            "flat : {{U}} [poly deg=2 size<=n^2 est<=15]\n"
+            "  input D : {{{{U}}}} [poly deg=1 size<=n est<=5]");
+  auto unnest = runner.RunLine("explain cost unnest([2], N)");
+  ASSERT_TRUE(unnest.ok()) << unnest.status();
+  EXPECT_EQ(*unnest,
+            "unnest attrs=[2] : {{[U, U]}} [poly deg=2 size<=n^2 est<=6]\n"
+            "  input N : {{[U, {{U}}]}} [poly deg=1 size<=n est<=2]");
 }
 
 // ------------------------------------------------------------------ REPL

@@ -108,6 +108,32 @@ TEST(BagTest, SetLikeDetection) {
   EXPECT_TRUE(Bag().IsSetLike());
 }
 
+TEST(BagTest, ColumnFactsMatchABruteForceScan) {
+  Rng rng(11);
+  for (size_t trial = 0; trial < 40; ++trial) {
+    FlatBagSpec spec;
+    spec.arity = 1 + trial % 3;
+    spec.num_atoms = 2 + trial % 7;
+    spec.num_elements = 1 + trial % 12;
+    Bag bag = RandomFlatBag(rng, spec);
+    const Bag::ColumnFacts& facts = bag.column_facts();
+    ASSERT_EQ(facts.constant.size(), spec.arity);
+    ASSERT_EQ(facts.unique.size(), spec.arity);
+    for (size_t c = 0; c < spec.arity; ++c) {
+      std::set<Value> seen;
+      for (const BagEntry& e : bag.entries()) seen.insert(e.value.fields()[c]);
+      EXPECT_EQ(facts.constant[c], seen.size() == 1) << bag << " col " << c;
+      EXPECT_EQ(facts.unique[c], seen.size() == bag.DistinctCount())
+          << bag << " col " << c;
+    }
+    // Cached on the bag: copies hand back the very same facts.
+    const Bag copy = bag;
+    EXPECT_EQ(&copy.column_facts(), &facts);
+  }
+  EXPECT_TRUE(MakeBagOf({A("a"), A("b")}).column_facts().constant.empty());
+  EXPECT_TRUE(Bag().column_facts().unique.empty());
+}
+
 TEST(BagTest, SubBagRelation) {
   Bag big = MakeBag({{A("a"), 3}, {A("b"), 1}});
   EXPECT_TRUE(MakeBag({{A("a"), 2}}).SubBagOf(big));
