@@ -8,11 +8,13 @@
 // (−, ∩, ε) materialize, mirroring how SQL engines treat DISTINCT/EXCEPT.
 // The table checks exact agreement with the evaluator; the benches chart
 // both engines as the inputs grow — the BM_EvaluatorJoin / BM_IrJoin pair
-// is the 2x gate of CI's bench-exec-smoke job, and BM_IrLowerOnly/{64,4096}
-// its plan-time gate.
+// is the 2x gate of CI's bench-exec-smoke job, BM_IrLowerOnly/{64,4096}
+// its plan-time gate, and BM_IrUnionChain / BM_EvaluatorUnionChain at
+// 16384 its union-chain gate.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -138,26 +140,86 @@ void BM_IrLowerOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_IrLowerOnly)->Arg(64)->Arg(4096);
 
-void BM_EvaluatorUnionChain(benchmark::State& state) {
-  Database db = MakeDb(static_cast<size_t>(state.range(0)));
-  Expr q = Uplus(Uplus(Input("R"), Input("S")), Uplus(Input("S"), Input("R")));
+Expr UnionChain() {
+  return Uplus(Uplus(Input("R"), Input("S")), Uplus(Input("S"), Input("R")));
+}
+
+void EvaluatorUnionChain(benchmark::State& state, const Database& db) {
+  Expr q = UnionChain();
   Evaluator eval;
   for (auto _ : state) {
     auto r = eval.EvalToBag(q, db);
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK(BM_EvaluatorUnionChain)->RangeMultiplier(8)->Range(64, 1 << 14);
 
-void BM_IrUnionChain(benchmark::State& state) {
-  Database db = MakeDb(static_cast<size_t>(state.range(0)));
-  Expr q = Uplus(Uplus(Input("R"), Input("S")), Uplus(Input("S"), Input("R")));
+// The IR drains R ⊎ S ⊎ S ⊎ R as four concatenated canonical streams,
+// which Bag::Builder merges. CI's bench-exec-smoke gate wants /16384
+// within 4x of BM_EvaluatorUnionChain/16384.
+void IrUnionChain(benchmark::State& state, const Database& db) {
+  Expr q = UnionChain();
   for (auto _ : state) {
     auto r = exec::RunPipeline(q, db);
     benchmark::DoNotOptimize(r);
   }
 }
+
+// MakeDb caps at 256 distinct tuples, so sizes above 256 grow the counts.
+void BM_EvaluatorUnionChain(benchmark::State& state) {
+  EvaluatorUnionChain(state, MakeDb(static_cast<size_t>(state.range(0))));
+}
+BENCHMARK(BM_EvaluatorUnionChain)->RangeMultiplier(8)->Range(64, 1 << 14);
+
+void BM_IrUnionChain(benchmark::State& state) {
+  IrUnionChain(state, MakeDb(static_cast<size_t>(state.range(0))));
+}
 BENCHMARK(BM_IrUnionChain)->RangeMultiplier(8)->Range(64, 1 << 14);
+
+// The same chains over 1024 and 4096 distinct tuples.
+void BM_EvaluatorUnionChainDistinct(benchmark::State& state) {
+  EvaluatorUnionChain(state,
+                      MakeDistinctDb(static_cast<size_t>(state.range(0))));
+}
+BENCHMARK(BM_EvaluatorUnionChainDistinct)
+    ->Name("BM_EvaluatorUnionChain/distinct")
+    ->Arg(1024)
+    ->Arg(4096);
+
+void BM_IrUnionChainDistinct(benchmark::State& state) {
+  IrUnionChain(state, MakeDistinctDb(static_cast<size_t>(state.range(0))));
+}
+BENCHMARK(BM_IrUnionChainDistinct)
+    ->Name("BM_IrUnionChain/distinct")
+    ->Arg(1024)
+    ->Arg(4096);
+
+// Bag::Builder over 16384 rows of 4096 distinct flat 2-tuples arriving as
+// `range(0)` sorted runs (1, 4 or 64), or in random order when range(0)
+// is 0.
+// One run skips the sort, a few runs are merged, shuffled input is sorted.
+void BM_BuilderRuns(benchmark::State& state) {
+  const size_t n = 16384;
+  const size_t runs = static_cast<size_t>(state.range(0));
+  Rng rng(11);
+  const std::vector<Value> atoms = AtomPool(64);
+  std::vector<Value> rows;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t v = rng.Below(4096);
+    rows.push_back(Value::Tuple({atoms[v % 64], atoms[v / 64]}));
+  }
+  for (size_t r = 0; r < runs; ++r) {
+    std::sort(rows.begin() + r * n / runs, rows.begin() + (r + 1) * n / runs);
+  }
+  for (auto _ : state) {
+    Bag::Builder builder;
+    builder.Reserve(n);
+    for (const Value& row : rows) builder.Add(row, Mult(2));
+    auto bag = std::move(builder).Build();
+    benchmark::DoNotOptimize(bag);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_BuilderRuns)->Arg(1)->Arg(4)->Arg(64)->Arg(0);
 
 }  // namespace
 

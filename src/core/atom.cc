@@ -22,7 +22,9 @@ std::optional<AtomId> AtomTable::Find(std::string_view name) const {
 std::string AtomTable::NameOf(AtomId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (id < names_.size()) return names_[id];
-  return "#" + std::to_string(id);
+  std::string name = "#";
+  name += std::to_string(id);
+  return name;
 }
 
 size_t AtomTable::size() const {

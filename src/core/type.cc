@@ -1,5 +1,7 @@
 #include "src/core/type.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "src/util/strings.h"
@@ -39,17 +41,10 @@ const std::shared_ptr<const Type::Rep>& BottomRep() {
   return rep;
 }
 
-}  // namespace
-
-Type::Type() : rep_(BottomRep()) {}
-
-Type Type::Atom() { return Type(AtomRep()); }
-
-Type Type::Bottom() { return Type(BottomRep()); }
-
-Type Type::Tuple(std::vector<Type> fields) {
-  auto rep = std::make_shared<Rep>();
-  rep->kind = Kind::kTuple;
+/// A fresh (unshared) tuple rep over `fields`.
+std::shared_ptr<const Type::Rep> TupleRep(std::vector<Type> fields) {
+  auto rep = std::make_shared<Type::Rep>();
+  rep->kind = Type::Kind::kTuple;
   size_t h = 0x54u;
   int nesting = 0;
   for (const Type& f : fields) {
@@ -59,7 +54,37 @@ Type Type::Tuple(std::vector<Type> fields) {
   rep->children = std::move(fields);
   rep->bag_nesting = nesting;
   rep->hash = h;
-  return Type(std::move(rep));
+  return rep;
+}
+
+}  // namespace
+
+Type::Type() : rep_(BottomRep()) {}
+
+Type Type::Atom() { return Type(AtomRep()); }
+
+Type Type::Bottom() { return Type(BottomRep()); }
+
+Type Type::Tuple(std::vector<Type> fields) {
+  if (fields.size() <= kSharedFlatArity &&
+      std::all_of(fields.begin(), fields.end(),
+                  [](const Type& f) { return f.IsAtom(); })) {
+    return FlatTuple(fields.size());
+  }
+  return Type(TupleRep(std::move(fields)));
+}
+
+Type Type::FlatTuple(size_t arity) {
+  static const auto* const shared = [] {
+    auto* reps =
+        new std::array<std::shared_ptr<const Rep>, kSharedFlatArity + 1>();
+    for (size_t k = 0; k <= kSharedFlatArity; ++k) {
+      (*reps)[k] = TupleRep(std::vector<Type>(k, Type::Atom()));
+    }
+    return reps;
+  }();
+  if (arity <= kSharedFlatArity) return Type((*shared)[arity]);
+  return Type(TupleRep(std::vector<Type>(arity, Type::Atom())));
 }
 
 Type Type::Bag(Type element) {

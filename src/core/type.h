@@ -12,7 +12,8 @@
 /// root-to-leaf path — stratifies the algebra into the fragments BALG^k the
 /// paper studies.
 ///
-/// Type values are immutable shared trees; copying is O(1).
+/// Type values are immutable shared trees; copying is O(1). Flat tuple
+/// types (all-Atom fields, up to a fixed arity) share one rep per arity.
 
 #include <memory>
 #include <ostream>
@@ -35,8 +36,15 @@ class Type {
 
   /// Constructs the atomic type U.
   static Type Atom();
-  /// Constructs a tuple type from field types (arity may be 0).
+  /// Constructs a tuple type from field types (arity may be 0). A tuple of
+  /// at most kSharedFlatArity Atom fields is the shared FlatTuple rep.
   static Type Tuple(std::vector<Type> fields);
+  /// The tuple of `arity` Atom fields. Up to kSharedFlatArity it is one
+  /// shared rep per arity, built once, so `==` between such types is a
+  /// pointer test and constructing one allocates nothing.
+  static Type FlatTuple(size_t arity);
+  /// Largest arity whose flat tuple type is shared.
+  static constexpr size_t kSharedFlatArity = 16;
   /// Constructs a bag type with the given element type.
   static Type Bag(Type element);
   /// Constructs the Bottom type.
@@ -60,7 +68,7 @@ class Type {
   /// Bottom has nesting 0.
   int BagNesting() const;
 
-  /// Structural equality.
+  /// Structural equality; a pointer test for shared reps.
   bool operator==(const Type& other) const;
   bool operator!=(const Type& other) const { return !(*this == other); }
 

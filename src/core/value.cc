@@ -7,6 +7,7 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -151,60 +152,62 @@ std::unique_ptr<const Bag::ColumnFacts> BuildColumnFacts(
   return facts;
 }
 
-// --------------------------------------------------- parallel canonical sort
+// ------------------------------------------------------- canonical order
 
 bool EntryValueLess(const BagEntry& a, const BagEntry& b) {
   return a.value.Compare(b.value) < 0;
 }
 
-/// Sorts `items` by value order. Large inputs are chunk-sorted on the
-/// global pool, then the sorted runs are merged pairwise in index order —
-/// so the resulting sequence of (value, count) contents is independent of
-/// the thread count.
-void SortEntriesByValue(std::vector<BagEntry>& items) {
-  constexpr size_t kSortGrain = 4096;
+/// Inputs of at least twice this many entries sort and merge on the pool.
+constexpr size_t kSortGrain = 4096;
+/// Run detection gives up, and the input is sorted instead, once the
+/// natural runs average fewer than this many entries.
+constexpr size_t kMinMeanRunLength = 16;
+
+/// Contiguous [begin, end) index ranges of `items`, in index order.
+using Runs = std::vector<std::pair<size_t, size_t>>;
+
+/// The maximal non-decreasing runs of `items`, found with one Compare per
+/// adjacent pair: none when `items` is already sorted (without
+/// allocating), nullopt once there are more than n / kMinMeanRunLength.
+std::optional<Runs> NaturalRuns(const std::vector<BagEntry>& items) {
   const size_t n = items.size();
-  const size_t chunks = ParallelChunkCount(n, kSortGrain);
-  if (chunks <= 1) {
-    std::sort(items.begin(), items.end(), EntryValueLess);
-    return;
+  const size_t max_runs = n / kMinMeanRunLength;
+  Runs runs;
+  size_t begin = 0;
+  for (size_t i = 1; i < n; ++i) {
+    if (items[i - 1].value.Compare(items[i].value) > 0) {
+      if (runs.size() + 2 > max_runs) return std::nullopt;
+      runs.emplace_back(begin, i);
+      begin = i;
+    }
   }
-  obs::Span sort_span = obs::StartAmbientSpan("kernel.build.sort", "kernel");
-  sort_span.AddAttr("entries", uint64_t{n});
-  sort_span.AddAttr("chunks", uint64_t{chunks});
-  const size_t per = (n + chunks - 1) / chunks;
-  std::vector<std::pair<size_t, size_t>> runs;
-  for (size_t begin = 0; begin < n; begin += per) {
-    runs.emplace_back(begin, std::min(begin + per, n));
-  }
-  ThreadPool::Global().Run(runs.size(), [&](size_t c) {
-    // Chunk spans land under kernel.build.sort via pool context propagation.
-    obs::Span chunk_span =
-        obs::StartAmbientSpan("kernel.build.sort_chunk", "kernel");
-    chunk_span.AddAttr("chunk", uint64_t{c});
-    std::sort(items.begin() + runs[c].first, items.begin() + runs[c].second,
-              EntryValueLess);
-  });
-  // Merge adjacent runs, halving the run count each round; the pairwise
-  // merges of one round are independent and run on the pool too.
-  std::vector<BagEntry> scratch(n);
-  std::vector<BagEntry>* src = &items;
-  std::vector<BagEntry>* dst = &scratch;
+  if (!runs.empty()) runs.emplace_back(begin, n);
+  return runs;
+}
+
+/// Merges the sorted `runs` of `items` pairwise in index order, halving
+/// the run count each round, so the resulting sequence of (value, count)
+/// contents is independent of the thread count. With `parallel`, the
+/// independent pair merges of a round run on the global pool.
+void MergeRuns(std::vector<BagEntry>& items, Runs runs, bool parallel) {
+  // The scratch buffer is move-constructed rather than default-constructed,
+  // and the first round merges back into `items`.
+  std::vector<BagEntry> scratch(std::make_move_iterator(items.begin()),
+                                std::make_move_iterator(items.end()));
+  std::vector<BagEntry>* src = &scratch;
+  std::vector<BagEntry>* dst = &items;
   while (runs.size() > 1) {
-    std::vector<std::pair<size_t, size_t>> next;
+    Runs next;
     const size_t pairs = runs.size() / 2;
     for (size_t p = 0; p < pairs; ++p) {
       next.emplace_back(runs[2 * p].first, runs[2 * p + 1].second);
     }
     if (runs.size() % 2 == 1) next.push_back(runs.back());
-    ThreadPool::Global().Run(next.size(), [&](size_t p) {
-      obs::Span merge_span =
-          obs::StartAmbientSpan("kernel.build.sort_merge", "kernel");
-      merge_span.AddAttr("pair", uint64_t{p});
+    auto merge_pair = [&](size_t p) {
       if (p < pairs) {
         const auto [lo, mid] = runs[2 * p];
-        const auto [mid2, hi] = runs[2 * p + 1];
-        (void)mid2;
+        const size_t hi = runs[2 * p + 1].second;
         std::merge(std::make_move_iterator(src->begin() + lo),
                    std::make_move_iterator(src->begin() + mid),
                    std::make_move_iterator(src->begin() + mid),
@@ -214,18 +217,74 @@ void SortEntriesByValue(std::vector<BagEntry>& items) {
         const auto [lo, hi] = runs[2 * p];
         std::move(src->begin() + lo, src->begin() + hi, dst->begin() + lo);
       }
-    });
+    };
+    if (parallel) {
+      ThreadPool::Global().Run(next.size(), [&](size_t p) {
+        obs::Span merge_span =
+            obs::StartAmbientSpan("kernel.build.sort_merge", "kernel");
+        merge_span.AddAttr("pair", uint64_t{p});
+        merge_pair(p);
+      });
+    } else {
+      for (size_t p = 0; p < next.size(); ++p) merge_pair(p);
+    }
     runs = std::move(next);
     std::swap(src, dst);
   }
   if (src != &items) items = std::move(*src);
 }
 
+/// Puts `items` in value order. Input that is already sorted is left as
+/// is, and a few natural runs (the concatenated canonical streams of a
+/// `⊎`) are merged. Past n / kMinMeanRunLength runs the input is sorted:
+/// large inputs are chunk-sorted on the global pool and the chunks feed
+/// the same merge.
+void SortEntriesByValue(std::vector<BagEntry>& items) {
+  const size_t n = items.size();
+  std::optional<Runs> runs = NaturalRuns(items);
+  if (runs && runs->empty()) return;
+  const size_t chunks = ParallelChunkCount(n, kSortGrain);
+  if (!runs && chunks <= 1) {
+    std::sort(items.begin(), items.end(), EntryValueLess);
+    return;
+  }
+  obs::Span sort_span;
+  if (chunks > 1) {
+    sort_span = obs::StartAmbientSpan("kernel.build.sort", "kernel");
+    sort_span.AddAttr("entries", uint64_t{n});
+  }
+  if (runs) {
+    sort_span.AddAttr("runs", uint64_t{runs->size()});
+  } else {
+    sort_span.AddAttr("chunks", uint64_t{chunks});
+    runs.emplace();
+    const size_t per = (n + chunks - 1) / chunks;
+    for (size_t begin = 0; begin < n; begin += per) {
+      runs->emplace_back(begin, std::min(begin + per, n));
+    }
+    ThreadPool::Global().Run(runs->size(), [&](size_t c) {
+      // Chunk spans land under kernel.build.sort via pool context
+      // propagation.
+      obs::Span chunk_span =
+          obs::StartAmbientSpan("kernel.build.sort_chunk", "kernel");
+      chunk_span.AddAttr("chunk", uint64_t{c});
+      std::sort(items.begin() + (*runs)[c].first,
+                items.begin() + (*runs)[c].second, EntryValueLess);
+    });
+  }
+  MergeRuns(items, std::move(*runs), chunks > 1);
+}
+
 }  // namespace
 
 // --------------------------------------------------------------------- Value
 
-Value::Value() : Value(Tuple({})) {}
+Value::Value() {
+  // One shared empty tuple: default construction (scratch rows, resized
+  // batches) allocates nothing.
+  static const Value* const empty = new Value(Tuple({}));
+  rep_ = empty->rep_;
+}
 
 Value Value::Atom(AtomId id) {
   auto rep = std::make_shared<Rep>();
@@ -240,14 +299,21 @@ Value Value::Tuple(std::vector<Value> fields) {
   auto rep = std::make_shared<Rep>();
   rep->kind = Kind::kTuple;
   size_t h = 0x70u;
-  std::vector<Type> field_types;
-  field_types.reserve(fields.size());
+  bool flat = true;
   for (const Value& f : fields) {
     h = CombineHash(h, f.Hash());
-    field_types.push_back(f.type());
+    flat = flat && f.IsAtom();
+  }
+  if (flat) {
+    // A row of atoms takes the shared flat tuple type: no Type allocated.
+    rep->type = Type::FlatTuple(fields.size());
+  } else {
+    std::vector<Type> field_types;
+    field_types.reserve(fields.size());
+    for (const Value& f : fields) field_types.push_back(f.type());
+    rep->type = Type::Tuple(std::move(field_types));
   }
   rep->fields = std::move(fields);
-  rep->type = Type::Tuple(std::move(field_types));
   rep->hash = h;
   return Value(std::move(rep));
 }
@@ -362,16 +428,9 @@ void Bag::Builder::AddBag(const Bag& bag, const Mult& factor) {
 
 Result<Bag> Bag::Builder::Build() && {
   // Kernels that emit in canonical order (merge walks, products of
-  // canonical operands, subbag materialization) skip the sort entirely;
-  // the pre-scan costs one Compare per adjacent pair.
-  bool presorted = true;
-  for (size_t i = 1; i < items_.size(); ++i) {
-    if (items_[i - 1].value.Compare(items_[i].value) > 0) {
-      presorted = false;
-      break;
-    }
-  }
-  if (!presorted) SortEntriesByValue(items_);
+  // canonical operands, subbag materialization) skip the sort entirely,
+  // and concatenated canonical streams are merged, not re-sorted.
+  SortEntriesByValue(items_);
   auto rep = std::make_shared<Rep>();
   rep->entries.reserve(items_.size());
   Type elem = declared_;

@@ -142,10 +142,11 @@ class Bag {
     /// Number of (unmerged) pending additions, for limit pre-checks.
     size_t PendingCount() const { return items_.size(); }
 
-    /// Canonicalizes: sorts (in parallel for large pending sets, skipped
-    /// entirely when the additions arrived in order — the common case for
-    /// kernels that emit canonically), merges duplicates, joins element
-    /// types.
+    /// Canonicalizes: puts the additions in value order, merges
+    /// duplicates, joins element types. Additions that arrived in order
+    /// (kernels that emit canonically) are not sorted at all; a few sorted
+    /// runs (concatenated canonical streams) are merged; anything else is
+    /// sorted, in parallel for large pending sets.
     Result<Bag> Build() &&;
 
    private:

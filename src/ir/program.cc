@@ -210,10 +210,14 @@ std::string RowProgram::ToString() const {
         stack.push_back(consts_[insn.arg].ToString());
         break;
       case OpCode::kProjField: {
-        std::string base = std::move(stack.back());
-        stack.pop_back();
-        stack.push_back(base == "x" ? "a" + std::to_string(insn.arg)
-                                    : base + ".a" + std::to_string(insn.arg));
+        // Rewrites the top of the stack, `x` -> `a<k>`, `e` -> `e.a<k>`.
+        std::string& top = stack.back();
+        if (top == "x") {
+          top = "a";
+        } else {
+          top += ".a";
+        }
+        top += std::to_string(insn.arg);
         break;
       }
       case OpCode::kMakeTuple: {

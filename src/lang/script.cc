@@ -565,8 +565,8 @@ Result<std::string> ScriptRunner::RunScript(const std::string& text) {
     ++line_no;
     if (pending.empty()) command_start = line_no;
     // Commands may span lines while brackets remain open.
-    pending += (pending.empty() ? "" : " ") +
-               line.substr(0, line.find('#'));
+    if (!pending.empty()) pending += ' ';
+    pending += line.substr(0, line.find('#'));
     balance += BracketBalance(line);
     if (balance > 0) continue;
     balance = 0;

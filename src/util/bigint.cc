@@ -46,7 +46,9 @@ int BigInt::Compare(const BigInt& other) const {
 }
 
 std::string BigInt::ToString() const {
-  return (negative_ ? "-" : "") + magnitude_.ToString();
+  std::string out = negative_ ? "-" : "";
+  out += magnitude_.ToString();
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, const BigInt& n) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace bagalg {
 namespace {
 
@@ -125,6 +128,61 @@ TEST(TypeTest, CopyIsCheapAndShared) {
   Type b = a;
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.Hash(), b.Hash());
+}
+
+TEST(TypeTest, SharedFlatTuplesAgreeWithStructuralTypes) {
+  // Arities up to the bound share one rep; above it FlatTuple builds a
+  // fresh rep and == falls back to the structural walk.
+  for (size_t k = 0; k <= Type::kSharedFlatArity + 4; ++k) {
+    SCOPED_TRACE(k);
+    const std::vector<Type> atoms(k, U());
+    Type flat = Type::FlatTuple(k);
+    Type built = Type::Tuple(atoms);
+    EXPECT_EQ(&flat.fields() == &built.fields(), k <= Type::kSharedFlatArity);
+    EXPECT_EQ(flat, built);
+    EXPECT_EQ(flat.Hash(), built.Hash());
+    EXPECT_EQ(flat.BagNesting(), 0);
+    ASSERT_EQ(flat.fields().size(), k);
+    for (const Type& f : flat.fields()) EXPECT_TRUE(f.IsAtom());
+    std::string rendered = "[";
+    for (size_t i = 0; i < k; ++i) rendered += i == 0 ? "U" : ", U";
+    EXPECT_EQ(flat.ToString(), rendered + "]");
+    EXPECT_TRUE(flat.Accepts(built));
+    EXPECT_EQ(Type::Bag(flat), Type::Bag(built));
+    EXPECT_EQ(Type::Bag(flat).Hash(), Type::Bag(built).Hash());
+    auto self = Type::Join(flat, built);
+    ASSERT_TRUE(self.ok());
+    EXPECT_EQ(*self, flat);
+
+    Type wider = Type::FlatTuple(k + 1);
+    EXPECT_NE(flat, wider);
+    EXPECT_FALSE(flat.Accepts(wider));
+    EXPECT_EQ(Type::Join(flat, wider).status().code(), StatusCode::kTypeError);
+    if (k == 0) continue;
+
+    // One Bottom field: accepted by the flat type and joined up to it.
+    std::vector<Type> partial_fields = atoms;
+    partial_fields[k - 1] = Type::Bottom();
+    Type partial = Type::Tuple(partial_fields);
+    EXPECT_NE(partial, flat);
+    EXPECT_TRUE(flat.Accepts(partial));
+    EXPECT_FALSE(partial.Accepts(flat));
+    for (auto joined : {Type::Join(flat, partial), Type::Join(partial, flat)}) {
+      ASSERT_TRUE(joined.ok());
+      EXPECT_EQ(*joined, flat);
+      EXPECT_EQ(joined->Hash(), flat.Hash());
+    }
+
+    // One bag field: a different type that does not join with the flat one.
+    std::vector<Type> nested_fields = atoms;
+    nested_fields[0] = Type::Bag(U());
+    Type nested = Type::Tuple(nested_fields);
+    EXPECT_NE(nested, flat);
+    EXPECT_EQ(nested.BagNesting(), 1);
+    EXPECT_FALSE(flat.Accepts(nested));
+    EXPECT_EQ(Type::Join(flat, nested).status().code(),
+              StatusCode::kTypeError);
+  }
 }
 
 }  // namespace

@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "src/core/encoding.h"
 #include "src/core/iso.h"
 #include "src/stats/sampler.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
 
 namespace bagalg {
@@ -41,6 +44,26 @@ TEST(ValueTest, DefaultValueIsEmptyTuple) {
   Value v;
   EXPECT_TRUE(v.IsTuple());
   EXPECT_EQ(v.fields().size(), 0u);
+  EXPECT_EQ(v, Value::Tuple({}));
+  EXPECT_EQ(v.Hash(), Value::Tuple({}).Hash());
+  EXPECT_EQ(v.type(), Type::Tuple({}));
+  // Every default value shares one rep.
+  EXPECT_EQ(&v.fields(), &Value().fields());
+}
+
+TEST(ValueTest, FlatTuplesShareTheirType) {
+  for (size_t k = 0; k <= Type::kSharedFlatArity + 2; ++k) {
+    SCOPED_TRACE(k);
+    std::vector<Value> fields;
+    for (size_t i = 0; i < k; ++i) fields.push_back(A(i % 2 ? "a" : "b"));
+    Value row = Value::Tuple(fields);
+    EXPECT_EQ(row.type(), Type::Tuple(std::vector<Type>(k, Type::Atom())));
+    EXPECT_EQ(&row.type().fields() == &Type::FlatTuple(k).fields(),
+              k <= Type::kSharedFlatArity);
+  }
+  Value nested = MakeTuple({A("a"), Value::FromBag(MakeBagOf({A("b")}))});
+  EXPECT_EQ(nested.type(),
+            Type::Tuple({Type::Atom(), Type::Bag(Type::Atom())}));
 }
 
 TEST(ValueTest, NestedBagValue) {
@@ -336,6 +359,189 @@ TEST(BagIndexTest, SmallBagsAnswerWithoutIndex) {
   EXPECT_EQ(bag.CountOf(A("a")), Mult(3));
   EXPECT_EQ(bag.CountOf(A("b")), Mult(1));
   EXPECT_TRUE(bag.CountOf(A("c")).IsZero());
+}
+
+// ------------------------------------ Builder vs sort-and-combine reference
+
+/// Restores the default pool configuration when a test exits.
+struct PoolConfigGuard {
+  ~PoolConfigGuard() { ThreadPool::Configure(ParallelOptions::Default()); }
+};
+
+/// What Build must return: drop zero counts, std::sort by value, combine
+/// equal neighbours and join the element types.
+Result<Bag> ReferenceBuild(std::vector<BagEntry> items) {
+  std::erase_if(items, [](const BagEntry& e) { return e.count.IsZero(); });
+  std::sort(items.begin(), items.end(),
+            [](const BagEntry& a, const BagEntry& b) {
+              return a.value < b.value;
+            });
+  Type elem = Type::Bottom();
+  std::vector<BagEntry> out;
+  for (BagEntry& e : items) {
+    BAGALG_ASSIGN_OR_RETURN(elem, Type::Join(elem, e.value.type()));
+    if (!out.empty() && out.back().value == e.value) {
+      out.back().count += e.count;
+    } else {
+      out.push_back(std::move(e));
+    }
+  }
+  return Bag::FromCanonicalEntries(std::move(elem), std::move(out));
+}
+
+Result<Bag> BuildInOrder(const std::vector<BagEntry>& items) {
+  Bag::Builder builder;
+  for (const BagEntry& e : items) builder.Add(e.value, e.count);
+  return std::move(builder).Build();
+}
+
+/// Zero (ignored by Add), past 2^64, or small.
+Mult RandomCount(Rng& rng) {
+  switch (rng.Below(8)) {
+    case 0:
+      return Mult(0);
+    case 1:
+      return BigNat::TwoPow(64) + Mult(rng.Below(1000));
+    default:
+      return Mult(rng.Range(1, 5));
+  }
+}
+
+/// `runs` non-decreasing runs of `n` items in total, values drawn from
+/// `pool`.
+std::vector<BagEntry> SortedRuns(Rng& rng, const std::vector<Value>& pool,
+                                 size_t runs, size_t n) {
+  std::vector<BagEntry> items;
+  for (size_t r = 0; r < runs; ++r) {
+    const size_t len = r + 1 < runs ? n / runs : n - items.size();
+    std::vector<Value> run;
+    for (size_t i = 0; i < len; ++i) {
+      run.push_back(pool[rng.Below(pool.size())]);
+    }
+    std::sort(run.begin(), run.end());
+    for (Value& v : run) items.push_back({std::move(v), RandomCount(rng)});
+  }
+  return items;
+}
+
+/// The same sorted stream `copies` times over, like R ⊎ R ⊎ …: every value
+/// sits on both sides of every run boundary.
+std::vector<BagEntry> RepeatedRun(Rng& rng, const std::vector<Value>& pool,
+                                  size_t copies, size_t n) {
+  std::vector<BagEntry> run = SortedRuns(rng, pool, 1, n / copies);
+  std::vector<BagEntry> items;
+  for (size_t c = 0; c < copies; ++c) {
+    items.insert(items.end(), run.begin(), run.end());
+  }
+  return items;
+}
+
+/// Flat 2-tuples over 40 atoms: 1600 distinct values, so large inputs
+/// repeat values within and across runs.
+std::vector<Value> FlatPool() {
+  const std::vector<Value> atoms = AtomPool(40, "bld");
+  std::vector<Value> pool;
+  for (const Value& a : atoms) {
+    for (const Value& b : atoms) pool.push_back(Value::Tuple({a, b}));
+  }
+  return pool;
+}
+
+/// [atom, bag] rows whose bags are small random bags over 6 atoms.
+std::vector<Value> NestedPool(Rng& rng) {
+  const std::vector<Value> atoms = AtomPool(6, "nst");
+  std::vector<Value> pool;
+  for (size_t i = 0; i < 300; ++i) {
+    Bag::Builder inner;
+    for (size_t j = rng.Below(4); j > 0; --j) {
+      inner.Add(atoms[rng.Below(atoms.size())], Mult(rng.Range(1, 3)));
+    }
+    pool.push_back(
+        Value::Tuple({atoms[i % atoms.size()],
+                      Value::FromBag(std::move(inner).Build().value())}));
+  }
+  return pool;
+}
+
+struct BuildCase {
+  std::string name;
+  std::vector<BagEntry> items;
+};
+
+std::vector<BuildCase> BuildCases() {
+  Rng rng(16);
+  const std::vector<Value> flat = FlatPool();
+  const std::vector<Value> nested = NestedPool(rng);
+  // Large enough that the merge and the sort run on the pool.
+  const size_t n = 9000;
+  std::vector<BuildCase> cases;
+  for (size_t runs : {1, 2, 3, 7, 64}) {
+    cases.push_back({"flat_runs_" + std::to_string(runs),
+                     SortedRuns(rng, flat, runs, n)});
+    cases.push_back({"nested_runs_" + std::to_string(runs),
+                     SortedRuns(rng, nested, runs, n)});
+  }
+  cases.push_back({"repeated_4", RepeatedRun(rng, flat, 4, n)});
+  cases.push_back({"repeated_nested_3", RepeatedRun(rng, nested, 3, n)});
+  // Runs at the n / 16 bound, and just past it (which sorts instead).
+  cases.push_back({"runs_at_bound", SortedRuns(rng, flat, n / 16, n)});
+  cases.push_back({"runs_past_bound", SortedRuns(rng, flat, n / 16 + 1, n)});
+  std::vector<BagEntry> shuffled = SortedRuns(rng, flat, 1, n);
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.Below(i)]);
+  }
+  cases.push_back({"shuffled", shuffled});
+  cases.push_back({"small_runs", SortedRuns(rng, flat, 3, 40)});
+  cases.push_back({"tiny_shuffled", SortedRuns(rng, flat, 5, 5)});
+  cases.push_back({"empty", {}});
+  return cases;
+}
+
+TEST(BuilderDifferentialTest, MatchesSortAndCombineAtOneTwoAndEightThreads) {
+  PoolConfigGuard guard;
+  for (const BuildCase& c : BuildCases()) {
+    SCOPED_TRACE(c.name);
+    auto want = ReferenceBuild(c.items);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (unsigned threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(threads);
+      ThreadPool::Configure({threads, 4096});
+      auto got = BuildInOrder(c.items);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->DistinctCount(), want->DistinctCount());
+      for (size_t i = 0; i < want->DistinctCount(); ++i) {
+        const BagEntry& g = got->entries()[i];
+        const BagEntry& w = want->entries()[i];
+        ASSERT_EQ(g.value, w.value) << i;
+        ASSERT_EQ(g.count, w.count) << i;
+      }
+      EXPECT_EQ(got->element_type(), want->element_type());
+      EXPECT_EQ(got->TotalCount(), want->TotalCount());
+      EXPECT_EQ(got->Hash(), want->Hash());
+      EXPECT_EQ(*got, *want);
+    }
+  }
+}
+
+TEST(BuilderDifferentialTest, MixedArityRunsAreATypeError) {
+  PoolConfigGuard guard;
+  const std::vector<Value> atoms = AtomPool(40, "bld");
+  std::vector<Value> unary;
+  for (const Value& a : atoms) unary.push_back(Value::Tuple({a}));
+  Rng rng(17);
+  // A run of 2-tuples then a run of 1-tuples: the boundary is a descent,
+  // so 20 items are sorted (two runs exceed 20 / 16) and 9000 are merged.
+  for (size_t n : {size_t{20}, size_t{9000}}) {
+    std::vector<BagEntry> items = SortedRuns(rng, FlatPool(), 1, n / 2);
+    std::vector<BagEntry> tail = SortedRuns(rng, unary, 1, n / 2);
+    items.insert(items.end(), tail.begin(), tail.end());
+    for (unsigned threads : {1u, 2u, 8u}) {
+      ThreadPool::Configure({threads, 4096});
+      auto got = BuildInOrder(items);
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().code(), StatusCode::kTypeError);
+    }
+  }
 }
 
 }  // namespace
