@@ -8,6 +8,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
+#include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1228,6 +1231,326 @@ TEST(ServerTest, ConcurrentKeepAliveSessions) {
   EXPECT_EQ(stats.connections_accepted, static_cast<uint64_t>(kClients));
   EXPECT_EQ(stats.keepalive_reuses,
             static_cast<uint64_t>(kClients * (kPerClient - 1)));
+}
+
+// ------------------------------------------------- golden response bytes
+
+// Renders response bytes as one printable line: CR and LF as \r and \n,
+// backslash doubled, any other non-printable byte as \xNN.
+std::string Printable(std::string_view bytes) {
+  std::string out;
+  for (const char ch : bytes) {
+    const auto byte = static_cast<unsigned char>(ch);
+    if (ch == '\r') {
+      out += "\\r";
+    } else if (ch == '\n') {
+      out += "\\n";
+    } else if (ch == '\\') {
+      out += "\\\\";
+    } else if (byte < 0x20 || byte >= 0x7f) {
+      char hex[8];
+      std::snprintf(hex, sizeof(hex), "\\x%02x", byte);
+      out += hex;
+    } else {
+      out.push_back(ch);
+    }
+  }
+  return out;
+}
+
+// Masks the two fields that legitimately vary between runs — wall_us (JSON
+// digits, or the BAG1 u64) and the flight-recorder dump — and renders the
+// response printable. The received Content-Length must match the received
+// body; the golden shows the length of the masked body. A chunked body
+// (already de-chunked by KeepAliveClient) is shown after "[chunked]".
+std::string MaskResponse(const ClientResponse& r) {
+  const size_t head_end = r.raw.find("\r\n\r\n");
+  if (head_end == std::string::npos) return "no response: " + r.raw;
+  std::string head = r.raw.substr(0, head_end + 4);
+  std::string body = r.body;
+  if (head.find("application/x-bag1") != std::string::npos) {
+    // Frame header, ok byte, then the outcome and output strings.
+    size_t at = kFrameHeaderBytes + 1;
+    for (int i = 0; i < 2 && at + 4 <= body.size(); ++i) {
+      uint32_t len = 0;
+      std::memcpy(&len, body.data() + at, 4);  // little-endian host
+      at += 4 + len;
+    }
+    if (at + 8 <= body.size()) body.replace(at, 8, 8, '\0');
+  } else {
+    const std::string wall = "\"wall_us\":";
+    if (size_t at = body.find(wall); at != std::string::npos) {
+      at += wall.size();
+      size_t end = at;
+      while (end < body.size() && std::isdigit(body[end])) ++end;
+      body.replace(at, end - at, "W");
+    }
+    const std::string flight = "\"flight\":\"";
+    if (size_t at = body.find(flight); at != std::string::npos) {
+      at += flight.size();
+      size_t end = at;
+      while (end < body.size() && body[end] != '"') {
+        end += body[end] == '\\' ? 2 : 1;
+      }
+      body.replace(at, end - at, "F");
+    }
+  }
+  const std::string length = "Content-Length: ";
+  if (size_t at = head.find(length); at != std::string::npos) {
+    at += length.size();
+    const size_t end = head.find("\r\n", at);
+    EXPECT_EQ(head.substr(at, end - at), std::to_string(r.body.size()))
+        << r.raw;
+    head.replace(at, end - at, std::to_string(body.size()));
+    return Printable(head + body);
+  }
+  return Printable(head) + "[chunked]" + Printable(body);
+}
+
+std::string Bag1Body(const std::string& session, const std::string& statement,
+                     WireFormat format = WireFormat::kBinary) {
+  WireStatementRequest request;
+  request.session = session;
+  request.statement = statement;
+  return EncodeFrame(format, EncodeStatementRequest(request));
+}
+
+// Every statement-route response shape, byte for byte (wall_us and flight
+// dumps masked): success small, streamed and BAG1; every 400 branch; 404,
+// 405, 429, the 503s, close-session 200/404, and a 504 with a flight dump.
+TEST(GoldenResponseTest, StatementRouteBytesAreStable) {
+  std::vector<std::pair<std::string, std::string>> got;
+  auto exchange = [&](KeepAliveClient& client, const std::string& name,
+                      const std::string& request) {
+    ClientResponse r;
+    if (!client.Send(request) || !client.ReadResponse(&r)) {
+      got.emplace_back(name, "no response");
+      return;
+    }
+    got.emplace_back(name, MaskResponse(r));
+  };
+  auto post = [](const std::string& body) {
+    return KeepAliveClient::Request("POST", "/v1/statement", body);
+  };
+  auto post_bag1 = [](const std::string& body) {
+    return KeepAliveClient::Request("POST", "/v1/statement", body,
+                                    "application/x-bag1");
+  };
+
+  {
+    ServerOptions options;
+    options.stream_entries_threshold = 4;
+    options.max_sessions = 1;
+    auto server = Server::Start(options);
+    ASSERT_TRUE(server.ok()) << server.status();
+    KeepAliveClient c((*server)->port());
+    ASSERT_TRUE(c.connected());
+    exchange(c, "let_2pow100",
+             post(R"js({"session":"g","statement":"let X = )js"
+                  R"js({{a*1267650600228229401496703205376, b}}"})js"));
+    exchange(c, "let_16",
+             post(R"js({"session":"g","statement":)js"
+                  R"js("let Y = {{a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p}}"})js"));
+    exchange(c, "json_small",
+             post(R"js({"session":"g","statement":"eval X"})js"));
+    exchange(c, "json_streamed",
+             post(R"js({"session":"g",)js"
+                  R"js("statement":"eval uplus(X, '{{c, d, e}})"})js"));
+    exchange(c, "bag1_success", post_bag1(Bag1Body("g", "eval X")));
+    exchange(c, "bad_json", post("{not json"));
+    exchange(c, "non_object", post("[1]"));
+    exchange(c, "missing_statement", post(R"js({"session":"g"})js"));
+    exchange(c, "statement_not_string",
+             post(R"js({"session":"g","statement":7})js"));
+    exchange(c, "bad_session",
+             post(R"js({"session":"../etc","statement":"count X"})js"));
+    const std::string frame = Bag1Body("g", "count X");
+    exchange(c, "bag1_truncated",
+             post_bag1(frame.substr(0, frame.size() - 2)));
+    exchange(c, "bag1_json_tag",
+             post_bag1(Bag1Body("g", "count X", WireFormat::kJson)));
+    exchange(c, "bag1_bad_payload",
+             post_bag1(EncodeFrame(WireFormat::kBinary, "xx")));
+    exchange(c, "not_found", KeepAliveClient::Request("GET", "/nope", ""));
+    exchange(c, "method_not_allowed",
+             KeepAliveClient::Request("GET", "/v1/statement", ""));
+    exchange(c, "session_cap",
+             post(R"js({"session":"other","statement":"count '{{a}}"})js"));
+    exchange(c, "deadline",
+             post(R"js({"session":"g","statement":"eval pow(pow(Y))",)js"
+                  R"js("timeout_ms":30})js"));
+    exchange(c, "close_ok",
+             KeepAliveClient::Request("POST", "/v1/session/close",
+                                      R"js({"session":"g"})js"));
+    exchange(c, "close_missing",
+             KeepAliveClient::Request("POST", "/v1/session/close",
+                                      R"js({"session":"g"})js"));
+    (*server)->RequestShutdown();
+    exchange(c, "draining",
+             post(R"js({"session":"h","statement":"count '{{a}}"})js"));
+    c.Close();
+    (*server)->Wait();
+  }
+  {
+    ServerOptions options;
+    options.queue_capacity = 0;
+    auto server = Server::Start(options);
+    ASSERT_TRUE(server.ok()) << server.status();
+    KeepAliveClient c((*server)->port());
+    ASSERT_TRUE(c.connected());
+    exchange(c, "queue_full",
+             post(R"js({"session":"q","statement":"count '{{a}}"})js"));
+    c.Close();
+    (*server)->RequestShutdown();
+    (*server)->Wait();
+  }
+  {
+    ServerOptions options;
+    options.max_connections = 1;
+    auto server = Server::Start(options);
+    ASSERT_TRUE(server.ok()) << server.status();
+    KeepAliveClient c((*server)->port());
+    ASSERT_TRUE(c.connected());
+    exchange(c, "first_connection",
+             KeepAliveClient::Request("GET", "/nope", ""));
+    got.emplace_back("connection_cap", MaskResponse(Fetch(
+                                           (*server)->port(), "GET",
+                                           "/healthz", "")));
+    c.Close();
+    (*server)->RequestShutdown();
+    (*server)->Wait();
+  }
+
+  const std::map<std::string, std::string> expected = {
+      {"let_2pow100",
+       R"g(HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Len)g"
+       R"g(gth: 73\r\n\r\n{"ok":true,"outcome":"ok","session":"g","output":)g"
+       R"g("X : {{U}}","wall_us":W})g"},
+      {"let_16",
+       R"g(HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Len)g"
+       R"g(gth: 73\r\n\r\n{"ok":true,"outcome":"ok","session":"g","output":)g"
+       R"g("Y : {{U}}","wall_us":W})g"},
+      {"json_small",
+       R"g(HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Len)g"
+       R"g(gth: 234\r\n\r\n{"ok":true,"outcome":"ok","session":"g","output")g"
+       R"g(:"{{a*1267650600228229401496703205376, b}}","result":{"bag":{"ty)g"
+       R"g(pe":"{{U}}","entries":[{"v":{"atom":"a"},"n":"126765060022822940)g"
+       R"g(1496703205376"},{"v":{"atom":"b"},"n":"1"}]}},"wall_us":W})g"},
+      {"json_streamed",
+       R"g(HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-En)g"
+       R"g(coding: chunked\r\n\r\n[chunked]{"ok":true,"outcome":"ok","sessi)g"
+       R"g(on":"g","output":"{{a*1267650600228229401496703205376, b, c, d, )g"
+       R"g(e}}","result":{"bag":{"type":"{{U}}","entries":[{"v":{"atom":"a")g"
+       R"g(},"n":"1267650600228229401496703205376"},{"v":{"atom":"b"},"n":")g"
+       R"g(1"},{"v":{"atom":"c"},"n":"1"},{"v":{"atom":"d"},"n":"1"},{"v":{)g"
+       R"g("atom":"e"},"n":"1"}]}},"wall_us":W})g"},
+      {"bag1_success",
+       R"g(HTTP/1.1 200 OK\r\nContent-Type: application/x-bag1\r\nContent-L)g"
+       R"g(ength: 156\r\n\r\nBAG1\x01\x02\x00\x00\x90\x00\x00\x00\x01\x02\x)g"
+       R"g(00\x00\x00ok(\x00\x00\x00{{a*1267650600228229401496703205376, b})g"
+       R"g(}\x00\x00\x00\x00\x00\x00\x00\x00\x01\x03\x01\x00\x00\x00U\x02\x)g"
+       R"g(00\x00\x00\x00\x00\x00\x00\x01\x01\x00\x00\x00a\x01\x1f\x00\x00\)g"
+       R"g(x001267650600228229401496703205376\x01\x01\x00\x00\x00b\x00\x01\)g"
+       R"g(x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\)g"
+       R"g(x00\x00\x00\x00)g"},
+      {"bad_json",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
+       R"g(ntent-Length: 120\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
+       R"g("code":"ParseError","message":"json: expected '\\"' at byte 1",")g"
+       R"g(retryable":false}})g"},
+      {"non_object",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
+       R"g(ntent-Length: 130\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
+       R"g("code":"InvalidArgument","message":"request body must be a JSON )g"
+       R"g(object","retryable":false}})g"},
+      {"missing_statement",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
+       R"g(ntent-Length: 124\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
+       R"g("code":"InvalidArgument","message":"missing \\"statement\\" stri)g"
+       R"g(ng","retryable":false}})g"},
+      {"statement_not_string",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
+       R"g(ntent-Length: 124\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
+       R"g("code":"InvalidArgument","message":"missing \\"statement\\" stri)g"
+       R"g(ng","retryable":false}})g"},
+      {"bad_session",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
+       R"g(ntent-Length: 133\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
+       R"g("code":"InvalidArgument","message":"session names are [A-Za-z0-9)g"
+       R"g(_-]{1,64}","retryable":false}})g"},
+      {"bag1_truncated",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/x-bag1\r\n)g"
+       R"g(Content-Length: 84\r\n\r\nBAG1\x01\x02\x00\x00H\x00\x00\x00\x00\)g"
+       R"g(x05\x00\x00\x00error\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00)g"
+       R"g(\x00\x00\n\x00\x00\x00ParseError\x1a\x00\x00\x00wire: truncated )g"
+       R"g(BAG1 frame\x00\x00\x00\x00\x00)g"},
+      {"bag1_json_tag",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/x-bag1\r\n)g"
+       R"g(Content-Length: 111\r\n\r\nBAG1\x01\x02\x00\x00c\x00\x00\x00\x00)g"
+       R"g(\x05\x00\x00\x00error\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x0)g"
+       R"g(0\x00\x00\n\x00\x00\x00ParseError5\x00\x00\x00wire: BAG1 stateme)g"
+       R"g(nt frames use the binary format tag\x00\x00\x00\x00\x00)g"},
+      {"bag1_bad_payload",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/x-bag1\r\n)g"
+       R"g(Content-Length: 86\r\n\r\nBAG1\x01\x02\x00\x00J\x00\x00\x00\x00\)g"
+       R"g(x05\x00\x00\x00error\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00)g"
+       R"g(\x00\x00\n\x00\x00\x00ParseError\x1c\x00\x00\x00wire: truncated )g"
+       R"g(binary value\x00\x00\x00\x00\x00)g"},
+      {"not_found",
+       R"g(HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nCont)g"
+       R"g(ent-Length: 112\r\n\r\n{"ok":false,"outcome":"error","error":{"c)g"
+       R"g(ode":"NotFound","message":"no such endpoint: /nope","retryable":)g"
+       R"g(false}})g"},
+      {"method_not_allowed",
+       R"g(HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/jso)g"
+       R"g(n\r\nContent-Length: 131\r\n\r\n{"ok":false,"outcome":"error","e)g"
+       R"g(rror":{"code":"InvalidArgument","message":"method not allowed on)g"
+       R"g( /v1/statement","retryable":false}})g"},
+      {"session_cap",
+       R"g(HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/js)g"
+       R"g(on\r\nContent-Length: 115\r\nRetry-After: 1\r\n\r\n{"ok":false,")g"
+       R"g(outcome":"shed","error":{"code":"Unavailable","message":"session)g"
+       R"g( limit reached (1)","retryable":true}})g"},
+      {"deadline",
+       R"g(HTTP/1.1 504 Gateway Timeout\r\nContent-Type: application/json\r)g"
+       R"g(\nContent-Length: 140\r\nRetry-After: 1\r\n\r\n{"ok":false,"outc)g"
+       R"g(ome":"deadline","error":{"code":"DeadlineExceeded","message":"wa)g"
+       R"g(ll-clock deadline exceeded","retryable":true},"flight":"F"})g"},
+      {"close_ok",
+       R"g(HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Len)g"
+       R"g(gth: 39\r\n\r\n{"ok":true,"outcome":"ok","closed":"g"})g"},
+      {"close_missing",
+       R"g(HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nCont)g"
+       R"g(ent-Length: 107\r\n\r\n{"ok":false,"outcome":"error","error":{"c)g"
+       R"g(ode":"NotFound","message":"no such session: g","retryable":false)g"
+       R"g(}})g"},
+      {"draining",
+       R"g(HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/js)g"
+       R"g(on\r\nContent-Length: 111\r\nRetry-After: 1\r\n\r\n{"ok":false,")g"
+       R"g(outcome":"shed","error":{"code":"Unavailable","message":"drainin)g"
+       R"g(g for shutdown","retryable":true}})g"},
+      {"queue_full",
+       R"g(HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json)g"
+       R"g(\r\nContent-Length: 110\r\nRetry-After: 1\r\n\r\n{"ok":false,"ou)g"
+       R"g(tcome":"shed","error":{"code":"Unavailable","message":"admission)g"
+       R"g( queue full","retryable":true}})g"},
+      {"first_connection",
+       R"g(HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nCont)g"
+       R"g(ent-Length: 112\r\n\r\n{"ok":false,"outcome":"error","error":{"c)g"
+       R"g(ode":"NotFound","message":"no such endpoint: /nope","retryable":)g"
+       R"g(false}})g"},
+      {"connection_cap",
+       R"g(HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/js)g"
+       R"g(on\r\nContent-Length: 114\r\nRetry-After: 1\r\nConnection: close)g"
+       R"g(\r\n\r\n{"ok":false,"outcome":"shed","error":{"code":"Unavailabl)g"
+       R"g(e","message":"connection limit reached","retryable":true}})g"},
+  };
+  for (const auto& [name, response] : got) {
+    const auto it = expected.find(name);
+    ASSERT_NE(it, expected.end()) << name;
+    EXPECT_EQ(response, it->second) << name;
+  }
+  EXPECT_EQ(got.size(), expected.size());
 }
 
 }  // namespace
