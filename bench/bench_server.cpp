@@ -66,10 +66,10 @@ Bag MakeBag(int64_t entries) {
 }
 
 void BM_BagToWireJson(benchmark::State& state) {
-  const Bag bag = MakeBag(state.range(0));
+  const Value bag = Value::FromBag(MakeBag(state.range(0)));
   std::string json;
   for (auto _ : state) {
-    json = BagToWireJson(bag);
+    json = ValueToWireJson(bag);
     benchmark::DoNotOptimize(json);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -80,7 +80,8 @@ void BM_BagToWireJson(benchmark::State& state) {
 BENCHMARK(BM_BagToWireJson)->Arg(8)->Arg(256)->Arg(4096);
 
 void BM_FrameRoundTrip(benchmark::State& state) {
-  const std::string payload = BagToWireJson(MakeBag(state.range(0)));
+  const std::string payload =
+      ValueToWireJson(Value::FromBag(MakeBag(state.range(0))));
   for (auto _ : state) {
     const std::string frame = EncodeFrame(WireFormat::kJson, payload);
     size_t consumed = 0;

@@ -119,15 +119,8 @@ void ScriptRunner::FinishStatement(obs::JournalEntry& entry,
                                    const ResourceGovernor& governor) {
   entry.bytes_accounted = governor.bytes_allocated();
   const TripKind trip = governor.trip_kind();
-  if (status.ok()) {
-    entry.outcome = "ok";
-  } else if (trip != TripKind::kNone) {
-    entry.outcome = TripKindName(trip);
-  } else if (status.code() == StatusCode::kBudgetExceeded) {
-    entry.outcome = "budget-refused";
-  } else {
-    entry.outcome = "error";
-  }
+  last_trip_ = trip;
+  entry.outcome = StatementOutcome(status, trip);
   if (!status.ok()) entry.status_message = status.ToString();
   journal_.Append(std::move(entry));
   obs::GlobalMetrics().GetCounter("repl.statements")->Increment();
@@ -139,8 +132,72 @@ void ScriptRunner::FinishStatement(obs::JournalEntry& entry,
   }
 }
 
+Result<std::string> ScriptRunner::RunStatement(const std::string& kind,
+                                               const std::string& text) {
+  BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(text));
+  last_result_.reset();
+  Status admitted;
+  obs::JournalEntry entry = BeginStatement(kind, text, e, &admitted);
+  const bool on_ir = kind == "exec";
+  entry.engine = on_ir ? "ir" : "eval";
+  const uint64_t steps_before = evaluator_.stats().steps;
+  const uint64_t t0 = obs::MonotonicNowNs();
+  const uint64_t cpu0 = obs::ThreadCpuNowNs();
+  // Every statement runs governed: the session's \timeout / \memlimit
+  // become this statement's budget, and the session token makes Ctrl-C
+  // (or any cross-thread Cancel) a typed kCancelled instead of a dead
+  // process. The governor lives on this stack frame only.
+  cancel_.Reset();
+  EvalGovernor governed(evaluator_, StatementGovernorOptions());
+  Result<Value> vr = admitted;
+  if (admitted.ok() && on_ir) {
+    // The fused IR instead of the tree walker; with tracing on,
+    // per-pipeline spans land in the same trace as the evaluator's.
+    exec::ExecOptions options;
+    options.tracer = tracer_.enabled() ? &tracer_ : nullptr;
+    options.governor = governed.get();
+    Result<Bag> br = exec::RunPipeline(e, db_, options);
+    vr = br.ok() ? Result<Value>(Value::FromBag(*std::move(br)))
+                 : Result<Value>(br.status());
+  } else if (admitted.ok()) {
+    vr = evaluator_.Eval(e, db_);
+  }
+  const uint64_t wall_ns = obs::MonotonicNowNs() - t0;
+  const uint64_t cpu1 = obs::ThreadCpuNowNs();
+  const uint64_t steps = evaluator_.stats().steps - steps_before;
+  entry.wall_ns = wall_ns;
+  entry.cpu_ns = cpu1 >= cpu0 ? cpu1 - cpu0 : 0;
+  entry.steps = steps;
+  if (vr.ok() && !on_ir) {
+    obs::GlobalMetrics().GetCounter("repl.eval.steps")->Increment(steps);
+    obs::GlobalMetrics().GetHistogram("repl.eval.wall_us")
+        ->Observe(wall_ns / 1000);
+  }
+  if (vr.ok() && kind == "count" && !vr->IsBag()) {
+    vr = Status::InvalidArgument("count requires a bag result");
+  }
+  if (vr.ok() && vr->IsBag()) {
+    entry.result_distinct = uint64_t{vr->bag().DistinctCount()};
+  }
+  FinishStatement(entry, vr.status(), *governed.get());
+  BAGALG_ASSIGN_OR_RETURN(Value v, std::move(vr));
+  std::string out =
+      kind == "count" ? v.bag().TotalCount().ToString() : v.ToString();
+  last_result_ = std::move(v);
+  if (timing_) {
+    std::ostringstream os;
+    os << out << "\n(time=" << static_cast<double>(wall_ns) / 1e6 << "ms";
+    if (!on_ir) os << " steps=" << steps;
+    os << ")";
+    return os.str();
+  }
+  return out;
+}
+
 Result<std::string> ScriptRunner::RunLine(const std::string& line) {
+  last_trip_ = TripKind::kNone;
   Result<std::string> out = RunCommand(line);
+  last_outcome_ = StatementOutcome(out.status(), last_trip_);
   // Keep the trace file valid after every traced statement, so scripts that
   // end (or die) without `\trace off` still leave a loadable trace behind.
   if (tracer_.enabled() && !trace_path_.empty()) {
@@ -185,87 +242,8 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
     return name + " : " + t.ToString();
   }
 
-  if (cmd == "eval" || cmd == "count") {
-    BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(rest));
-    last_result_.reset();
-    Status admitted;
-    obs::JournalEntry entry = BeginStatement(cmd, rest, e, &admitted);
-    entry.engine = "eval";
-    uint64_t steps_before = evaluator_.stats().steps;
-    uint64_t t0 = obs::MonotonicNowNs();
-    uint64_t cpu0 = obs::ThreadCpuNowNs();
-    // Every statement runs governed: the session's \timeout / \memlimit
-    // become this statement's budget, and the session token makes Ctrl-C
-    // (or any cross-thread Cancel) a typed kCancelled instead of a dead
-    // process. The governor lives on this stack frame only.
-    cancel_.Reset();
-    EvalGovernor governed(evaluator_, StatementGovernorOptions());
-    Result<Value> vr =
-        admitted.ok() ? evaluator_.Eval(e, db_) : Result<Value>(admitted);
-    uint64_t wall_ns = obs::MonotonicNowNs() - t0;
-    uint64_t cpu1 = obs::ThreadCpuNowNs();
-    uint64_t steps = evaluator_.stats().steps - steps_before;
-    entry.wall_ns = wall_ns;
-    entry.cpu_ns = cpu1 >= cpu0 ? cpu1 - cpu0 : 0;
-    entry.steps = steps;
-    if (vr.ok() && vr->IsBag()) {
-      entry.result_distinct = uint64_t{vr->bag().DistinctCount()};
-    }
-    FinishStatement(entry, vr.status(), *governed.get());
-    BAGALG_ASSIGN_OR_RETURN(Value v, std::move(vr));
-    last_result_ = v;
-    obs::GlobalMetrics().GetCounter("repl.eval.steps")->Increment(steps);
-    obs::GlobalMetrics().GetHistogram("repl.eval.wall_us")
-        ->Observe(wall_ns / 1000);
-    std::string out = cmd == "count"
-                          ? (v.IsBag() ? v.bag().TotalCount().ToString()
-                                       : std::string())
-                          : v.ToString();
-    if (cmd == "count" && !v.IsBag()) {
-      return Status::InvalidArgument("count requires a bag result");
-    }
-    if (timing_) {
-      std::ostringstream os;
-      os << out << "\n(time=" << static_cast<double>(wall_ns) / 1e6
-         << "ms steps=" << steps << ")";
-      return os.str();
-    }
-    return out;
-  }
-
-  if (cmd == "exec") {
-    // Run on the fused IR instead of the tree-walking evaluator; with
-    // tracing on, per-pipeline spans land in the same trace as the
-    // evaluator's.
-    BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(rest));
-    last_result_.reset();
-    Status admitted;
-    obs::JournalEntry entry = BeginStatement(cmd, rest, e, &admitted);
-    uint64_t t0 = obs::MonotonicNowNs();
-    uint64_t cpu0 = obs::ThreadCpuNowNs();
-    exec::ExecOptions options;
-    options.tracer = tracer_.enabled() ? &tracer_ : nullptr;
-    cancel_.Reset();
-    ResourceGovernor governor(StatementGovernorOptions());
-    options.governor = &governor;
-    Result<Bag> br = admitted.ok() ? exec::RunPipeline(e, db_, options)
-                                   : Result<Bag>(admitted);
-    uint64_t wall_ns = obs::MonotonicNowNs() - t0;
-    uint64_t cpu1 = obs::ThreadCpuNowNs();
-    entry.engine = "ir";
-    entry.wall_ns = wall_ns;
-    entry.cpu_ns = cpu1 >= cpu0 ? cpu1 - cpu0 : 0;
-    if (br.ok()) entry.result_distinct = uint64_t{br->DistinctCount()};
-    FinishStatement(entry, br.status(), governor);
-    BAGALG_ASSIGN_OR_RETURN(Bag b, std::move(br));
-    last_result_ = Value::FromBag(b);
-    std::string out = last_result_->ToString();
-    if (timing_) {
-      std::ostringstream os;
-      os << out << "\n(time=" << static_cast<double>(wall_ns) / 1e6 << "ms)";
-      return os.str();
-    }
-    return out;
+  if (cmd == "eval" || cmd == "count" || cmd == "exec") {
+    return RunStatement(cmd, rest);
   }
 
   if (cmd == "type") {

@@ -154,8 +154,19 @@ class ScriptRunner {
   /// re-parsing the printable output.
   const std::optional<Value>& last_result() const { return last_result_; }
 
+  /// The typed outcome word of the most recent RunLine, journaled or not:
+  /// StatementOutcome of its Status and of the governor trip, if any. For
+  /// an eval/count/exec statement it equals the journal entry's outcome.
+  const char* last_outcome() const { return last_outcome_; }
+
  private:
   Result<std::string> RunCommand(const std::string& line);
+
+  /// The one statement bracket of eval, count and exec: parse, admission,
+  /// governor, timing, journal entry and result text. Only the engine call
+  /// differs: the fused IR for exec, the evaluator otherwise.
+  Result<std::string> RunStatement(const std::string& kind,
+                                   const std::string& text);
 
   /// GovernorOptions for one statement from the session's \timeout,
   /// \memlimit, and cancellation token.
@@ -171,8 +182,8 @@ class ScriptRunner {
                                    const Expr& expr, Status* admitted);
 
   /// Stamps the outcome (from the governor's trip kind and the Status),
-  /// appends the entry, and on a governor trip captures the flight dump
-  /// into last_flight_dump_.
+  /// appends the entry, records the trip for last_outcome(), and on a
+  /// governor trip captures the flight dump into last_flight_dump_.
   void FinishStatement(obs::JournalEntry& entry, const Status& status,
                        const ResourceGovernor& governor);
 
@@ -182,6 +193,8 @@ class ScriptRunner {
   Database db_;
   Evaluator evaluator_;
   std::optional<Value> last_result_;
+  TripKind last_trip_ = TripKind::kNone;
+  const char* last_outcome_ = "ok";
   obs::Tracer tracer_;
   obs::FlightRecorder flight_;
   obs::QueryJournal journal_;

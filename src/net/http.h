@@ -14,8 +14,7 @@
 /// complete requests. Bytes after a parsed body — the next pipelined
 /// request — stay buffered for the following Next() call; they are never
 /// dropped, and they never count against the next request's header cap
-/// until they are that request's header bytes. The blocking
-/// ReadHttpRequest wrapper (tests, simple clients) runs the same machine.
+/// until they are that request's header bytes.
 ///
 /// Also home of the StatusCode → HTTP status mapping, the outward face of
 /// the retryability contract in src/util/status.h: retryable codes map to
@@ -23,7 +22,6 @@
 /// to 4xx/5xx they must not blindly retry.
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -41,9 +39,6 @@ struct HttpLimits {
   /// Cap on Content-Length. Exceeding it is a 413-shaped
   /// kResourceExhausted; a statement this large is an attack, not a query.
   size_t max_body_bytes = 1024 * 1024;
-  /// Poll granularity while waiting for request bytes in the blocking
-  /// reader; bounds how long a drain waits on an idle connection.
-  int read_poll_ms = 100;
 };
 
 struct HttpRequest {
@@ -88,10 +83,6 @@ class HttpReader {
   /// an EOF here means the peer vanished mid-request, not a clean close.
   bool mid_request() const { return have_head_; }
 
-  /// Moves the unconsumed bytes out (resets the reader). The blocking
-  /// wrapper uses this to hand leftovers back to its caller's buffer.
-  std::string TakeRemainder();
-
  private:
   HttpLimits limits_;
   std::string buffer_;
@@ -102,20 +93,6 @@ class HttpReader {
   size_t body_start_ = 0;  // absolute offset of the pending body
   size_t body_len_ = 0;
 };
-
-/// Reads one request from `fd`, blocking. `buffer` carries bytes left over
-/// from the previous request on this connection (keep-alive pipelining)
-/// and must persist across calls. `should_stop` is polled while waiting
-/// for bytes; when it turns true between requests the read aborts with
-/// kCancelled("draining").
-///
-/// Error map: kCancelled = orderly close or drain (close quietly);
-/// kUnavailable = the peer vanished mid-request or injected io fault;
-/// kParseError = malformed request (answer 400); kResourceExhausted =
-/// header/body cap exceeded (answer 431/413).
-Result<HttpRequest> ReadHttpRequest(int fd, std::string* buffer,
-                                    const HttpLimits& limits,
-                                    const std::function<bool()>& should_stop);
 
 struct HttpResponse {
   int status = 200;
@@ -142,9 +119,6 @@ std::string FormatHttpResponseHead(const HttpResponse& response, bool chunked,
 void AppendHttpChunk(std::string_view data, std::string* out);
 /// Appends the stream-terminating zero chunk.
 void AppendHttpLastChunk(std::string* out);
-
-/// Serializes and sends `response` (Content-Length framing, HTTP/1.1).
-Status WriteHttpResponse(int fd, const HttpResponse& response);
 
 /// Canonical reason phrase for the statuses bagalgd emits.
 const char* HttpReasonPhrase(int status);

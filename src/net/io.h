@@ -58,42 +58,28 @@ Result<Fd> ListenOn(const std::string& host, uint16_t port, int backlog);
 /// The port a listener is actually bound to.
 Result<uint16_t> LocalPort(int listen_fd);
 
-/// Accepts one connection. kUnavailable covers the transient accept
-/// failures (EMFILE/ENFILE/ECONNABORTED/EAGAIN and injected ones) — the
-/// accept loop should back off and keep going. Other errors (including a
-/// listener shut down for drain) are kCancelled.
-Result<Fd> AcceptConnection(int listen_fd);
-
-/// Reads up to `len` bytes. Returns 0 at orderly EOF. An injected short
-/// read transfers at most one byte (exercising every caller's resume
-/// loop); an injected error is an ECONNRESET-shaped kUnavailable.
-Result<size_t> ReadSome(int fd, char* buf, size_t len);
-
 /// Writes all of `data`, looping over partial writes. SIGPIPE is
 /// suppressed (MSG_NOSIGNAL); a dead peer is an EPIPE-shaped kUnavailable.
 /// Injected short writes shrink individual transfers to one byte; injected
 /// errors abort the write as kUnavailable.
 Status WriteAll(int fd, std::string_view data);
 
-/// Waits up to `timeout_ms` for `fd` to become readable. Returns 1 when
-/// readable (or the peer hung up), 0 on timeout.
-Result<int> PollReadable(int fd, int timeout_ms);
-
 // ------------------------------------------------------- non-blocking io
 //
 // The epoll connection layer never blocks in a syscall on behalf of one
-// peer. These primitives mirror ReadSome/WriteAll/AcceptConnection —
-// same typed Status map, same BAGALG_FAULT=io: injection points — but
-// report EAGAIN through `*would_block` instead of waiting, so the event
-// loop can park the connection until the readiness notification.
+// peer. These primitives have WriteAll's typed Status map and
+// BAGALG_FAULT=io: injection points, but report EAGAIN through
+// `*would_block` instead of waiting, so the event loop can park the
+// connection until the readiness notification.
 
 /// Switches `fd` to O_NONBLOCK.
 Status SetNonBlocking(int fd);
 
 /// Reads up to `len` bytes without blocking. Returns 0 with
 /// *would_block=true when the socket has no bytes ready; returns 0 with
-/// *would_block=false at orderly EOF. Injected faults behave as in
-/// ReadSome (short transfer = 1 byte, error = kUnavailable).
+/// *would_block=false at orderly EOF. An injected short read transfers at
+/// most one byte (exercising every caller's resume loop); an injected
+/// error is an ECONNRESET-shaped kUnavailable.
 Result<size_t> ReadNonBlocking(int fd, char* buf, size_t len,
                                bool* would_block);
 
@@ -105,8 +91,9 @@ Result<size_t> WriteNonBlocking(int fd, std::string_view data,
 
 /// Accepts one connection without blocking; the returned socket is already
 /// O_NONBLOCK. *would_block=true when the backlog is empty. Transient
-/// accept failures (and injected ones) are kUnavailable exactly as in
-/// AcceptConnection; a listener shut down for drain is kCancelled.
+/// accept failures (EMFILE/ENFILE/ECONNABORTED and injected ones) are
+/// kUnavailable — the accept loop retries on the next listener event; a
+/// listener shut down for drain is kCancelled.
 Result<Fd> AcceptNonBlocking(int listen_fd, bool* would_block);
 
 /// An eventfd for cross-thread wakeups of an epoll loop: executor threads

@@ -22,12 +22,16 @@ std::string JsonValue::GetString(std::string_view key,
 
 uint64_t JsonValue::GetUint(std::string_view key, uint64_t fallback) const {
   const JsonValue* v = Find(key);
-  if (v == nullptr || v->kind != Kind::kNumber) return fallback;
-  const double d = v->number;
-  if (!(d >= 0) || d != std::floor(d) || d > 9007199254740992.0) {
-    return fallback;
+  return v == nullptr ? fallback : v->AsUint().value_or(fallback);
+}
+
+std::optional<uint64_t> JsonValue::AsUint() const {
+  if (kind != Kind::kNumber) return std::nullopt;
+  if (!(number >= 0) || number != std::floor(number) ||
+      number > 9007199254740992.0) {
+    return std::nullopt;
   }
-  return static_cast<uint64_t>(d);
+  return static_cast<uint64_t>(number);
 }
 
 namespace {

@@ -14,6 +14,7 @@
 /// prefix.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -50,6 +51,10 @@ class JsonValue {
   /// Member `key` as a non-negative integer; `fallback` when absent, not a
   /// number, negative, or not integral.
   uint64_t GetUint(std::string_view key, uint64_t fallback = 0) const;
+
+  /// This node as a non-negative integer; nullopt when it is not a number,
+  /// negative, not integral, or past 2^53 (where doubles stop being exact).
+  std::optional<uint64_t> AsUint() const;
 };
 
 /// Nesting bound: a request body has no business nesting deeper than this,

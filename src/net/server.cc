@@ -19,6 +19,7 @@
 
 #include "src/analysis/static_cost.h"
 #include "src/lang/script.h"
+#include "src/net/envelope.h"
 #include "src/net/epoll.h"
 #include "src/net/io.h"
 #include "src/net/json_reader.h"
@@ -55,8 +56,6 @@ constexpr size_t kReadBatchBytes = 256 * 1024;
 // the cap stops a single pipelining client from monopolizing the
 // admission queue.
 constexpr size_t kMaxPipelineDepth = 16;
-
-const char kBag1ContentType[] = "application/x-bag1";
 
 /// Session names are also journal file names: the charset excludes every
 /// path metacharacter by construction.
@@ -95,20 +94,6 @@ struct Session {
   uint64_t now_serving = 0;  // guarded by turn_mu
 };
 
-/// What one statement execution produced, shipped from the executor back
-/// to the event loop through the completion queue. The result travels as
-/// a Value (an O(1) shared-tree handle), not serialized text: the loop
-/// decides per-connection whether to materialize JSON, stream it chunked,
-/// or encode BAG1 binary.
-struct StatementResult {
-  Status status = Status::Ok();
-  std::string output;
-  std::optional<Value> result;
-  std::string outcome;      // "ok","budget-refused","deadline","memcap",...
-  std::string flight;       // flight-recorder dump when the governor tripped
-  uint64_t wall_us = 0;
-};
-
 struct ExecJob {
   enum class Kind : uint8_t { kStatement, kCloseSession };
   Kind kind = Kind::kStatement;
@@ -120,42 +105,22 @@ struct ExecJob {
   std::string statement;
   uint64_t timeout_ms = 0;
   uint64_t memlimit_bytes = 0;
-  bool bag1 = false;        // answer on the binary wire path
+  WireFormat format = WireFormat::kJson;  // the request's, and the answer's
   bool want_close = false;  // connection closes after the response
 };
 
+/// What one job produced, shipped from the executor back to the event
+/// loop through the completion queue. The envelope holds the result as a
+/// Value (an O(1) shared-tree handle), not serialized text: the loop
+/// encodes it per connection.
 struct Completion {
   ExecJob job;
-  StatementResult result;
+  Envelope envelope;
 };
 
-/// Aggregates the precise per-statement outcome word into the five typed
-/// buckets of the acceptance contract.
-enum class Bucket { kOk, kRefused, kShed, kTripped, kError };
-
-Bucket BucketFor(const std::string& outcome) {
-  if (outcome == "ok") return Bucket::kOk;
-  if (outcome == "budget-refused") return Bucket::kRefused;
-  if (outcome == "shed" || outcome == "draining") return Bucket::kShed;
-  if (outcome == "deadline" || outcome == "memcap" || outcome == "cancel" ||
-      outcome == "fault") {
-    return Bucket::kTripped;
-  }
-  return Bucket::kError;
-}
-
-/// Outcome word for statements that never reached the journal (parse
-/// errors, shed, refusal surfaced only as a Status).
-std::string OutcomeForStatus(const Status& status) {
-  if (status.ok()) return "ok";
-  switch (status.code()) {
-    case StatusCode::kBudgetExceeded: return "budget-refused";
-    case StatusCode::kDeadlineExceeded: return "deadline";
-    case StatusCode::kResourceExhausted: return "memcap";
-    case StatusCode::kCancelled: return "cancel";
-    case StatusCode::kUnavailable: return "shed";
-    default: return "error";
-  }
+/// A shed envelope: outcome "shed", retryable, Retry-After: 1.
+Envelope Shed(int http_status, std::string_view why) {
+  return ErrorEnvelope(http_status, Status::Unavailable(std::string(why)));
 }
 
 uint64_t EffectiveLimit(uint64_t requested, uint64_t server_default) {
@@ -403,13 +368,13 @@ class Server::Impl {
         // Over the cap: answer with a typed 503 and close. Best-effort —
         // the socket is fresh, so the small write virtually never blocks,
         // and a peer that cannot take it was going to be closed anyway.
-        HttpResponse resp = ErrorResponseBody(
-            503, Status::Unavailable("connection limit reached"), "shed");
-        resp.close = true;
-        resp.extra_headers.emplace_back("Retry-After", "1");
+        const Envelope refusal = Shed(503, "connection limit reached");
+        Bucket(refusal.body.outcome).fetch_add(1);
         bool wb = false;
-        (void)WriteNonBlocking(conn->get(), FormatHttpResponse(resp), &wb);
-        shed_.fetch_add(1);
+        (void)WriteNonBlocking(
+            conn->get(),
+            EncodeEnvelope(refusal, WireFormat::kJson, /*close=*/true).bytes,
+            &wb);
         continue;
       }
       auto c = std::make_unique<Conn>();
@@ -495,16 +460,13 @@ class Server::Impl {
     HttpRequest request;
     auto got = c->reader.Next(&request);
     if (!got.ok()) {
-      errors_.fetch_add(1);
       const bool header_cap =
           got.status().message().find("header") != std::string::npos;
       const int status =
           got.status().code() == StatusCode::kParseError
               ? 400
               : (header_cap ? 431 : 413);
-      HttpResponse resp = ErrorResponseBody(status, got.status(), "error");
-      resp.close = true;
-      QueueResponse(c, resp, /*close=*/true);
+      QueueError(c, status, got.status(), /*close=*/true);
       return true;
     }
     if (!*got) {
@@ -544,28 +506,24 @@ class Server::Impl {
       CloseSessionRequest(c, request, want_close);
       return;
     }
-    HttpResponse resp;
     if (request.method == "GET" && request.path == "/healthz") {
-      resp = Healthz();
+      QueueResponse(c, Healthz(), want_close);
     } else if (request.method == "GET" && request.path == "/metrics") {
-      resp = Metrics();
+      QueueResponse(c, Metrics(), want_close);
     } else if (request.method == "GET" && request.path == "/trace") {
-      resp = Trace();
+      QueueResponse(c, Trace(), want_close);
     } else if (request.path == "/healthz" || request.path == "/metrics" ||
                request.path == "/trace" || request.path == "/v1/statement" ||
                request.path == "/v1/session/close") {
-      errors_.fetch_add(1);
-      resp = ErrorResponseBody(
-          405,
-          Status::InvalidArgument("method not allowed on " + request.path),
-          "error");
+      QueueError(c, 405,
+                 Status::InvalidArgument("method not allowed on " +
+                                         request.path),
+                 want_close);
     } else {
-      errors_.fetch_add(1);
-      resp = ErrorResponseBody(
-          404, Status::NotFound("no such endpoint: " + request.path),
-          "error");
+      QueueError(c, 404,
+                 Status::NotFound("no such endpoint: " + request.path),
+                 want_close);
     }
-    QueueResponse(c, resp, want_close);
   }
 
   HttpResponse Healthz() {
@@ -633,92 +591,28 @@ class Server::Impl {
 
   void StatementRequest(Conn* c, const HttpRequest& request,
                         bool want_close) {
-    const bool bag1 = IsBag1Request(request);
-    std::string session_name;
-    std::string statement;
-    uint64_t timeout_ms = 0;
-    uint64_t memlimit_bytes = 0;
-
-    if (bag1) {
-      bag1_requests_.fetch_add(1);
-      size_t consumed = 0;
-      auto frame = DecodeFrame(request.body, &consumed);
-      Status bad = Status::Ok();
-      WireStatementRequest decoded;
-      if (!frame.ok()) {
-        bad = frame.status().code() == StatusCode::kUnavailable
-                  ? Status::ParseError("wire: truncated BAG1 frame")
-                  : frame.status();
-      } else if (frame->format != WireFormat::kBinary) {
-        bad = Status::ParseError("wire: BAG1 statement frames use the "
-                                 "binary format tag");
-      } else {
-        auto req = DecodeStatementRequest(frame->payload);
-        if (!req.ok()) {
-          bad = req.status();
-        } else {
-          decoded = std::move(*req);
-        }
-      }
-      if (!bad.ok()) {
-        errors_.fetch_add(1);
-        QueueEnvelope(c, ErrorEnvelope(400, bad, "error"), bag1, want_close);
-        return;
-      }
-      session_name = decoded.session.empty() ? "default" : decoded.session;
-      statement = std::move(decoded.statement);
-      timeout_ms = decoded.timeout_ms;
-      memlimit_bytes = decoded.memlimit_bytes;
-    } else {
-      auto doc = ParseJson(request.body);
-      if (!doc.ok() || !doc->is_object()) {
-        errors_.fetch_add(1);
-        QueueEnvelope(
-            c,
-            ErrorEnvelope(400,
-                          doc.ok() ? Status::InvalidArgument(
-                                         "request body must be a JSON object")
-                                   : doc.status(),
-                          "error"),
-            bag1, want_close);
-        return;
-      }
-      session_name = doc->GetString("session", "default");
-      const JsonValue* stmt = doc->Find("statement");
-      if (stmt == nullptr || !stmt->is_string() || stmt->string.empty()) {
-        errors_.fetch_add(1);
-        QueueEnvelope(
-            c,
-            ErrorEnvelope(400,
-                          Status::InvalidArgument(
-                              "missing \"statement\" string"),
-                          "error"),
-            bag1, want_close);
-        return;
-      }
-      statement = stmt->string;
-      timeout_ms = doc->GetUint("timeout_ms", 0);
-      memlimit_bytes = doc->GetUint("memlimit_bytes", 0);
+    const WireFormat format =
+        IsBag1Request(request) ? WireFormat::kBinary : WireFormat::kJson;
+    if (format == WireFormat::kBinary) bag1_requests_.fetch_add(1);
+    Result<WireStatementRequest> decoded =
+        DecodeStatementBody(request.body, format);
+    if (decoded.ok() && !ValidSessionName(decoded->session)) {
+      decoded = Status::InvalidArgument(
+          "session names are [A-Za-z0-9_-]{1,64}");
     }
-
-    if (!ValidSessionName(session_name)) {
-      errors_.fetch_add(1);
-      QueueEnvelope(c,
-                    ErrorEnvelope(400,
-                                  Status::InvalidArgument(
-                                      "session names are [A-Za-z0-9_-]{1,64}"),
-                                  "error"),
-                    bag1, want_close);
-      return;
-    }
-    if (draining()) {
-      QueueEnvelope(c, ShedEnvelope(503, "draining for shutdown"), bag1,
+    if (!decoded.ok()) {
+      QueueEnvelope(c, ErrorEnvelope(400, decoded.status()), format,
                     want_close);
       return;
     }
-    auto session = GetOrCreateSession(session_name);
+    if (draining()) {
+      QueueEnvelope(c, Shed(503, "draining for shutdown"), format,
+                    want_close);
+      return;
+    }
+    auto session = GetOrCreateSession(decoded->session);
     if (!session.ok()) {
-      QueueEnvelope(c, ShedEnvelope(503, session.status().message()), bag1,
+      QueueEnvelope(c, Shed(503, session.status().message()), format,
                     want_close);
       return;
     }
@@ -727,27 +621,28 @@ class Server::Impl {
     job.kind = ExecJob::Kind::kStatement;
     job.conn_id = c->id;
     job.session = *session;
-    job.session_name = session_name;
-    job.statement = std::move(statement);
-    job.timeout_ms = EffectiveLimit(timeout_ms, options_.default_timeout_ms);
-    job.memlimit_bytes =
-        EffectiveLimit(memlimit_bytes, options_.default_memlimit_bytes);
-    job.bag1 = bag1;
+    job.session_name = std::move(decoded->session);
+    job.statement = std::move(decoded->statement);
+    job.timeout_ms =
+        EffectiveLimit(decoded->timeout_ms, options_.default_timeout_ms);
+    job.memlimit_bytes = EffectiveLimit(decoded->memlimit_bytes,
+                                        options_.default_memlimit_bytes);
+    job.format = format;
     job.want_close = want_close;
 
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       if (draining()) {
-        QueueEnvelope(c, ShedEnvelope(503, "draining for shutdown"), bag1,
+        QueueEnvelope(c, Shed(503, "draining for shutdown"), format,
                       want_close);
         return;
       }
       if (queue_.size() >= options_.queue_capacity) {
         const size_t depth = queue_.size();
         const unsigned lanes = std::max(1u, options_.executors);
-        Envelope shed = ShedEnvelope(429, "admission queue full");
+        Envelope shed = Shed(429, "admission queue full");
         shed.retry_after = std::to_string(1 + depth / lanes);
-        QueueEnvelope(c, shed, bag1, want_close);
+        QueueEnvelope(c, shed, format, want_close);
         return;
       }
       // Slot seq and session ticket are both issued here, under the queue
@@ -764,16 +659,11 @@ class Server::Impl {
                            bool want_close) {
     auto doc = ParseJson(request.body);
     if (!doc.ok() || !doc->is_object()) {
-      errors_.fetch_add(1);
-      QueueResponse(
-          c,
-          ErrorResponseBody(400,
-                            doc.ok() ? Status::InvalidArgument(
-                                           "request body must be a JSON "
-                                           "object")
-                                     : doc.status(),
-                            "error"),
-          want_close);
+      QueueError(c, 400,
+                 doc.ok() ? Status::InvalidArgument(
+                                "request body must be a JSON object")
+                          : doc.status(),
+                 want_close);
       return;
     }
     const std::string session_name = doc->GetString("session", "");
@@ -787,13 +677,8 @@ class Server::Impl {
       }
     }
     if (session == nullptr) {
-      errors_.fetch_add(1);
-      QueueResponse(
-          c,
-          ErrorResponseBody(
-              404, Status::NotFound("no such session: " + session_name),
-              "error"),
-          want_close);
+      QueueError(c, 404, Status::NotFound("no such session: " + session_name),
+                 want_close);
       return;
     }
     // The flush can block on the session mutex behind an in-flight
@@ -880,18 +765,17 @@ class Server::Impl {
           lock.unlock();
           WaitTurn(*job.session, job.ticket);
           AdvanceTurn(*job.session);
-          StatementResult shed;
-          shed.status = Status::Unavailable("draining for shutdown");
-          shed.outcome = "draining";
+          Envelope shed = Shed(503, "draining for shutdown");
+          shed.body.outcome = "draining";
           PublishCompletion(std::move(job), std::move(shed));
           continue;
         }
         active_executions_.fetch_add(1);
       }
-      StatementResult result = job.kind == ExecJob::Kind::kCloseSession
-                                   ? ExecuteClose(job)
-                                   : Execute(job);
-      PublishCompletion(std::move(job), std::move(result));
+      Envelope envelope = job.kind == ExecJob::Kind::kCloseSession
+                              ? ExecuteClose(job)
+                              : Execute(job);
+      PublishCompletion(std::move(job), std::move(envelope));
       active_executions_.fetch_sub(1);
       idle_cv_.notify_all();
     }
@@ -914,61 +798,52 @@ class Server::Impl {
     session.turn_cv.notify_all();
   }
 
-  void PublishCompletion(ExecJob job, StatementResult result) {
+  void PublishCompletion(ExecJob job, Envelope envelope) {
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
       completions_.push_back(
-          Completion{std::move(job), std::move(result)});
+          Completion{std::move(job), std::move(envelope)});
     }
     wakeup_.Signal();
   }
 
-  StatementResult Execute(ExecJob& job) {
+  Envelope Execute(ExecJob& job) {
     Session& session = *job.session;
     WaitTurn(session, job.ticket);
-    StatementResult result;
+    Envelope envelope;
     {
       std::lock_guard<std::mutex> lock(session.mu);
       session.runner.set_timeout_ms(job.timeout_ms);
       session.runner.set_memlimit_bytes(job.memlimit_bytes);
-      const uint64_t journal_before = session.runner.journal().total();
       const auto start = std::chrono::steady_clock::now();
       Result<std::string> output = session.runner.RunLine(job.statement);
       const auto wall = std::chrono::steady_clock::now() - start;
-
-      result.wall_us = static_cast<uint64_t>(
+      const auto wall_us = static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(wall)
               .count());
-      result.flight = session.runner.TakeFlightDump();
+      std::string flight = session.runner.TakeFlightDump();
       if (output.ok()) {
-        result.output = *output;
-        if (session.runner.last_result().has_value()) {
-          result.result = *session.runner.last_result();
-        }
+        envelope = SuccessEnvelope(job.session_name, *std::move(output),
+                                   session.runner.last_result(), wall_us);
       } else {
-        result.status = output.status();
-      }
-      if (session.runner.journal().total() > journal_before) {
-        const auto tail = session.runner.journal().Tail(1);
-        if (!tail.empty()) result.outcome = tail.back().outcome;
-      }
-      if (result.outcome.empty()) {
-        result.outcome = OutcomeForStatus(result.status);
+        envelope = ErrorEnvelope(HttpStatusForCode(output.status().code()),
+                                 output.status());
+        envelope.body.outcome = session.runner.last_outcome();
+        envelope.body.flight = std::move(flight);
+        envelope.body.wall_us = wall_us;
       }
     }
     AdvanceTurn(session);
     obs::MirrorGovernorStats();
-    return result;
+    return envelope;
   }
 
-  StatementResult ExecuteClose(ExecJob& job) {
+  Envelope ExecuteClose(ExecJob& job) {
     WaitTurn(*job.session, job.ticket);
     FlushSessionJournal(*job.session);
     AdvanceTurn(*job.session);
     sessions_closed_.fetch_add(1);
-    StatementResult result;
-    result.outcome = "ok";
-    return result;
+    return SuccessEnvelope(job.session_name, "", std::nullopt, 0);
   }
 
   // -------------------------------------------------------- completions
@@ -980,26 +855,30 @@ class Server::Impl {
       batch.swap(completions_);
     }
     for (Completion& completion : batch) {
+      // The typed outcome counts even when the connection died while the
+      // job ran and the bytes have nowhere to go.
+      Bucket(completion.envelope.body.outcome).fetch_add(1);
       auto it = conns_.find(completion.job.conn_id);
-      if (it == conns_.end() || it->second->doomed) {
-        // The connection died while the statement ran: the typed outcome
-        // still counts, the bytes have nowhere to go.
-        CountBucket(BucketFor(completion.result.outcome));
-        continue;
-      }
+      if (it == conns_.end() || it->second->doomed) continue;
       Conn* c = it->second.get();
       const uint64_t idx = completion.job.seq - c->base_seq;
-      if (idx >= c->slots.size()) {
-        // Unreachable by construction (an unready slot blocks promotion);
-        // defensive against miscounted sequences.
-        CountBucket(BucketFor(completion.result.outcome));
-        continue;
-      }
+      // Unreachable by construction (an unready slot blocks promotion);
+      // defensive against miscounted sequences.
+      if (idx >= c->slots.size()) continue;
       ResponseSlot& slot = c->slots[static_cast<size_t>(idx)];
       if (completion.job.kind == ExecJob::Kind::kCloseSession) {
-        RenderCloseCompletion(&slot, completion);
+        HttpResponse resp;
+        resp.body = "{\"ok\":true,\"outcome\":\"ok\",\"closed\":" +
+                    obs::JsonQuote(completion.job.session_name) + "}";
+        resp.close = completion.job.want_close;
+        slot.close_after = resp.close;
+        slot.bytes = FormatHttpResponse(resp);
       } else {
-        RenderStatementCompletion(&slot, completion);
+        obs::GlobalMetrics()
+            .GetHistogram("server.request.wall_us")
+            ->Observe(completion.envelope.body.wall_us);
+        FillSlot(&slot, completion.envelope, completion.job.format,
+                 completion.job.want_close);
       }
       slot.ready = true;
       --c->in_flight;
@@ -1008,207 +887,50 @@ class Server::Impl {
     }
   }
 
-  void CountBucket(Bucket bucket) {
-    switch (bucket) {
-      case Bucket::kOk: ok_.fetch_add(1); break;
-      case Bucket::kRefused: refused_.fetch_add(1); break;
-      case Bucket::kShed: shed_.fetch_add(1); break;
-      case Bucket::kTripped: tripped_.fetch_add(1); break;
-      case Bucket::kError: errors_.fetch_add(1); break;
+  /// The stats counter of an outcome word: one of the five typed buckets
+  /// of the acceptance contract.
+  std::atomic<uint64_t>& Bucket(std::string_view outcome) {
+    if (outcome == "ok") return ok_;
+    if (outcome == "budget-refused") return refused_;
+    if (outcome == "shed" || outcome == "draining") return shed_;
+    if (outcome == "deadline" || outcome == "memcap" || outcome == "cancel" ||
+        outcome == "fault") {
+      return tripped_;
     }
-  }
-
-  void RenderCloseCompletion(ResponseSlot* slot, Completion& completion) {
-    ok_.fetch_add(1);
-    HttpResponse resp;
-    resp.body = "{\"ok\":true,\"outcome\":\"ok\",\"closed\":" +
-                obs::JsonQuote(completion.job.session_name) + "}";
-    resp.close = completion.job.want_close;
-    slot->close_after = resp.close;
-    slot->bytes = FormatHttpResponse(resp);
-  }
-
-  void RenderStatementCompletion(ResponseSlot* slot,
-                                 Completion& completion) {
-    StatementResult& result = completion.result;
-    CountBucket(BucketFor(result.outcome));
-    obs::GlobalMetrics()
-        .GetHistogram("server.request.wall_us")
-        ->Observe(result.wall_us);
-
-    if (result.status.ok()) {
-      Envelope env;
-      env.http_status = 200;
-      env.ok = true;
-      env.outcome = "ok";
-      env.session = completion.job.session_name;
-      env.output = std::move(result.output);
-      env.wall_us = result.wall_us;
-      if (result.result.has_value()) {
-        env.has_result = true;
-        env.result = std::move(*result.result);
-      }
-      RenderEnvelope(slot, env, completion.job.bag1,
-                     completion.job.want_close);
-      return;
-    }
-    const int http_status =
-        result.outcome == "draining" ? 503
-                                     : HttpStatusForCode(result.status.code());
-    Envelope env = ErrorEnvelope(http_status, result.status, result.outcome,
-                                 result.flight);
-    env.wall_us = result.wall_us;
-    if (IsRetryable(result.status.code())) env.retry_after = "1";
-    RenderEnvelope(slot, env, completion.job.bag1,
-                   completion.job.want_close);
+    return errors_;
   }
 
   // -------------------------------------------------- response rendering
 
-  /// The wire-format-independent shape of a statement response; rendered
-  /// as a JSON envelope, a chunked streamed JSON envelope, or a BAG1
-  /// binary frame depending on size and the request's wire path.
-  struct Envelope {
-    int http_status = 200;
-    bool ok = true;
-    std::string outcome = "ok";
-    std::string session;  // success JSON envelopes include it
-    std::string output;
-    bool has_result = false;
-    Value result;
-    uint64_t wall_us = 0;
-    Status error = Status::Ok();
-    std::string flight;
-    std::string retry_after;  // nonempty → Retry-After header
-  };
-
-  Envelope ErrorEnvelope(int http_status, const Status& status,
-                         std::string_view outcome,
-                         std::string_view flight = "") {
-    Envelope env;
-    env.http_status = http_status;
-    env.ok = false;
-    env.outcome = std::string(outcome);
-    env.error = status;
-    env.flight = std::string(flight);
-    return env;
+  /// Encodes an envelope into a response slot: complete bytes, or a
+  /// chunked head plus the streamer that produces the body.
+  void FillSlot(ResponseSlot* slot, const Envelope& env, WireFormat format,
+                bool close) {
+    EncodedEnvelope encoded = EncodeEnvelope(
+        env, format, close, options_.stream_entries_threshold);
+    if (encoded.stream != nullptr) streamed_responses_.fetch_add(1);
+    slot->bytes = std::move(encoded.bytes);
+    slot->stream = std::move(encoded.stream);
+    slot->close_after = close;
   }
 
-  Envelope ShedEnvelope(int http_status, std::string_view why) {
-    shed_.fetch_add(1);
-    Envelope env = ErrorEnvelope(http_status,
-                                 Status::Unavailable(std::string(why)),
-                                 "shed");
-    env.retry_after = "1";
-    return env;
-  }
-
-  std::string JsonEnvelopeBody(const Envelope& env) {
-    if (env.ok) {
-      std::string body = "{\"ok\":true,\"outcome\":\"ok\",\"session\":" +
-                         obs::JsonQuote(env.session);
-      body += ",\"output\":" + obs::JsonQuote(env.output);
-      if (env.has_result) {
-        body += ",\"result\":" + ValueToWireJson(env.result);
-      }
-      body += ",\"wall_us\":" + std::to_string(env.wall_us) + "}";
-      return body;
-    }
-    std::string body = "{\"ok\":false,\"outcome\":";
-    body += obs::JsonQuote(env.outcome);
-    body += ",\"error\":{\"code\":";
-    body += obs::JsonQuote(StatusCodeName(env.error.code()));
-    body += ",\"message\":";
-    body += obs::JsonQuote(env.error.message());
-    body += ",\"retryable\":";
-    body += IsRetryable(env.error.code()) ? "true" : "false";
-    body += "}";
-    if (!env.flight.empty()) {
-      body += ",\"flight\":" + obs::JsonQuote(env.flight);
-    }
-    body += "}";
-    return body;
-  }
-
-  /// Plain JSON error response for non-statement endpoints (keeps the
-  /// exact envelope the handler-thread server emitted).
-  HttpResponse ErrorResponseBody(int http_status, const Status& status,
-                                 std::string_view outcome,
-                                 std::string_view flight = "") {
-    Envelope env = ErrorEnvelope(http_status, status, outcome, flight);
-    HttpResponse resp;
-    resp.status = http_status;
-    resp.body = JsonEnvelopeBody(env);
-    return resp;
-  }
-
-  bool ShouldStream(const Envelope& env) const {
-    return env.ok && env.has_result && env.result.IsBag() &&
-           options_.stream_entries_threshold > 0 &&
-           env.result.bag().entries().size() >=
-               options_.stream_entries_threshold;
-  }
-
-  /// Renders an envelope into a response slot: a BAG1 binary frame, a
-  /// chunked streamed JSON envelope, or a materialized JSON body.
-  void RenderEnvelope(ResponseSlot* slot, const Envelope& env, bool bag1,
-                      bool want_close) {
-    HttpResponse resp;
-    resp.status = env.http_status;
-    if (!env.retry_after.empty()) {
-      resp.extra_headers.emplace_back("Retry-After", env.retry_after);
-    }
-    if (bag1) {
-      WireStatementResponse wire;
-      wire.ok = env.ok;
-      wire.outcome = env.outcome;
-      wire.output = env.output;
-      wire.wall_us = env.wall_us;
-      wire.has_result = env.has_result;
-      if (env.has_result) wire.result = env.result;
-      if (!env.ok) {
-        wire.error_code = StatusCodeName(env.error.code());
-        wire.error_message = env.error.message();
-        wire.retryable = IsRetryable(env.error.code());
-      }
-      wire.flight = env.flight;
-      resp.content_type = kBag1ContentType;
-      resp.body = EncodeFrame(WireFormat::kBinary,
-                              EncodeStatementResponse(wire));
-      resp.close = want_close;
-      slot->close_after = resp.close;
-      slot->bytes = FormatHttpResponse(resp);
-      return;
-    }
-    if (ShouldStream(env)) {
-      streamed_responses_.fetch_add(1);
-      std::string prefix = "{\"ok\":true,\"outcome\":\"ok\",\"session\":" +
-                           obs::JsonQuote(env.session);
-      prefix += ",\"output\":" + obs::JsonQuote(env.output);
-      prefix += ",\"result\":";
-      std::string suffix =
-          ",\"wall_us\":" + std::to_string(env.wall_us) + "}";
-      resp.close = want_close;
-      slot->close_after = resp.close;
-      slot->bytes = FormatHttpResponseHead(resp, /*chunked=*/true, 0);
-      slot->stream = std::make_unique<WireJsonStreamer>(
-          std::move(prefix), env.result, std::move(suffix));
-      return;
-    }
-    resp.body = JsonEnvelopeBody(env);
-    resp.close = want_close;
-    slot->close_after = resp.close;
-    slot->bytes = FormatHttpResponse(resp);
-  }
-
-  /// Queues a ready (synchronous) envelope response in request order.
-  void QueueEnvelope(Conn* c, const Envelope& env, bool bag1,
-                     bool want_close) {
+  /// Queues a ready (synchronous) envelope response in request order and
+  /// counts its outcome.
+  void QueueEnvelope(Conn* c, const Envelope& env, WireFormat format,
+                     bool close) {
+    Bucket(env.body.outcome).fetch_add(1);
     c->slots.emplace_back();
     ResponseSlot* slot = &c->slots.back();
-    RenderEnvelope(slot, env, bag1, want_close);
+    FillSlot(slot, env, format, close);
     slot->ready = true;
-    if (slot->close_after) c->close_pending = true;
+    if (close) c->close_pending = true;
+  }
+
+  /// Queues a JSON error for a request that names no statement.
+  void QueueError(Conn* c, int http_status, const Status& status,
+                  bool close) {
+    QueueEnvelope(c, ErrorEnvelope(http_status, status), WireFormat::kJson,
+                  close);
   }
 
   /// Queues a ready (synchronous) plain response in request order.

@@ -1,6 +1,7 @@
 #include "src/net/wire.h"
 
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "src/lang/parser.h"
@@ -14,21 +15,34 @@ namespace {
 void AppendValue(const Value& value, const AtomTable& table,
                  std::string* out);
 
-void AppendBag(const Bag& bag, const AtomTable& table, std::string* out) {
+// A bag is its head, its entries comma-separated, and kBagTail; the
+// streamer emits the same three parts in slices.
+constexpr char kBagTail[] = "]}}";
+
+void AppendBagHead(const Bag& bag, std::string* out) {
   out->append("{\"bag\":{\"type\":");
   out->append(obs::JsonQuote(bag.type().ToString()));
   out->append(",\"entries\":[");
+}
+
+void AppendBagEntry(const BagEntry& entry, const AtomTable& table,
+                    std::string* out) {
+  out->append("{\"v\":");
+  AppendValue(entry.value, table, out);
+  out->append(",\"n\":");
+  out->append(obs::JsonQuote(entry.count.ToString()));
+  out->push_back('}');
+}
+
+void AppendBag(const Bag& bag, const AtomTable& table, std::string* out) {
+  AppendBagHead(bag, out);
   bool first = true;
   for (const BagEntry& entry : bag.entries()) {
     if (!first) out->push_back(',');
     first = false;
-    out->append("{\"v\":");
-    AppendValue(entry.value, table, out);
-    out->append(",\"n\":");
-    out->append(obs::JsonQuote(entry.count.ToString()));
-    out->push_back('}');
+    AppendBagEntry(entry, table, out);
   }
-  out->append("]}}");
+  out->append(kBagTail);
 }
 
 void AppendValue(const Value& value, const AtomTable& table,
@@ -323,12 +337,6 @@ std::string ValueToWireJson(const Value& value, const AtomTable* table) {
   return out;
 }
 
-std::string BagToWireJson(const Bag& bag, const AtomTable* table) {
-  std::string out;
-  AppendBag(bag, table != nullptr ? *table : GlobalAtomTable(), &out);
-  return out;
-}
-
 Result<Value> WireJsonToValue(const JsonValue& json, AtomTable* table) {
   return JsonToValue(json, TableOrGlobal(table), 0);
 }
@@ -435,6 +443,78 @@ Result<WireStatementRequest> DecodeStatementRequest(std::string_view bytes) {
   return request;
 }
 
+namespace {
+
+/// A limit field of a JSON request: absent means 0 (server default);
+/// present, it must be a non-negative integer.
+Result<uint64_t> JsonLimitField(const JsonValue& doc, std::string_view key) {
+  const JsonValue* field = doc.Find(key);
+  if (field == nullptr) return uint64_t{0};
+  const std::optional<uint64_t> value = field->AsUint();
+  if (!value.has_value()) {
+    return Status::InvalidArgument("\"" + std::string(key) +
+                                   "\" must be a non-negative integer");
+  }
+  return *value;
+}
+
+Result<WireStatementRequest> DecodeJsonStatementRequest(
+    std::string_view body) {
+  BAGALG_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(body));
+  if (!doc.is_object()) {
+    return Status::InvalidArgument("request body must be a JSON object");
+  }
+  WireStatementRequest request;
+  const JsonValue* statement = doc.Find("statement");
+  if (statement == nullptr || !statement->is_string() ||
+      statement->string.empty()) {
+    return Status::InvalidArgument("missing \"statement\" string");
+  }
+  request.statement = statement->string;
+  request.session = kDefaultSession;
+  if (const JsonValue* session = doc.Find("session"); session != nullptr) {
+    if (!session->is_string()) {
+      return Status::InvalidArgument("\"session\" must be a string");
+    }
+    request.session = session->string;
+  }
+  BAGALG_ASSIGN_OR_RETURN(request.timeout_ms,
+                          JsonLimitField(doc, "timeout_ms"));
+  BAGALG_ASSIGN_OR_RETURN(request.memlimit_bytes,
+                          JsonLimitField(doc, "memlimit_bytes"));
+  return request;
+}
+
+Result<WireStatementRequest> DecodeBag1StatementRequest(
+    std::string_view body) {
+  size_t consumed = 0;
+  auto frame = DecodeFrame(body, &consumed);
+  if (!frame.ok()) {
+    // A body is complete by the time it is decoded: a short frame is
+    // malformed, not a reason to wait for more bytes.
+    if (frame.status().code() == StatusCode::kUnavailable) {
+      return Status::ParseError("wire: truncated BAG1 frame");
+    }
+    return frame.status();
+  }
+  if (frame->format != WireFormat::kBinary) {
+    return Status::ParseError(
+        "wire: BAG1 statement frames use the binary format tag");
+  }
+  BAGALG_ASSIGN_OR_RETURN(WireStatementRequest request,
+                          DecodeStatementRequest(frame->payload));
+  if (request.session.empty()) request.session = kDefaultSession;
+  return request;
+}
+
+}  // namespace
+
+Result<WireStatementRequest> DecodeStatementBody(std::string_view body,
+                                                 WireFormat format) {
+  return format == WireFormat::kBinary ? DecodeBag1StatementRequest(body)
+                                       : DecodeJsonStatementRequest(body);
+}
+
 std::string EncodeStatementResponse(const WireStatementResponse& response,
                                     const AtomTable* table) {
   std::string out;
@@ -495,102 +575,33 @@ WireJsonStreamer::WireJsonStreamer(std::string prefix, Value value,
       suffix_(std::move(suffix)),
       table_(table != nullptr ? table : &GlobalAtomTable()) {}
 
-void WireJsonStreamer::OpenValue(const Value& value, std::string* out) {
-  switch (value.kind()) {
-    case Value::Kind::kAtom:
-      out->append("{\"atom\":");
-      out->append(obs::JsonQuote(table_->NameOf(value.atom_id())));
-      out->push_back('}');
-      return;
-    case Value::Kind::kTuple:
-      out->append("{\"tuple\":[");
-      stack_.push_back(Frame{Frame::Kind::kTuple, &value, nullptr, nullptr, 0});
-      return;
-    case Value::Kind::kBag:
-      out->append("{\"bag\":{\"type\":");
-      out->append(obs::JsonQuote(value.bag().type().ToString()));
-      out->append(",\"entries\":[");
-      stack_.push_back(
-          Frame{Frame::Kind::kBag, nullptr, &value.bag(), nullptr, 0});
-      return;
-  }
-}
-
-bool WireJsonStreamer::Step(std::string* out) {
-  switch (stage_) {
-    case Stage::kPrefix:
-      out->append(prefix_);
-      prefix_.clear();
-      stage_ = Stage::kValue;
-      pending_ = &root_;
-      return true;
-    case Stage::kValue:
-      break;
-    case Stage::kSuffix:
-      out->append(suffix_);
-      suffix_.clear();
-      stage_ = Stage::kDone;
-      return true;
-    case Stage::kDone:
-      return false;
-  }
-
-  if (pending_ != nullptr) {
-    const Value& value = *pending_;
-    pending_ = nullptr;
-    OpenValue(value, out);
-    return true;
-  }
-  if (stack_.empty()) {
-    stage_ = Stage::kSuffix;
-    return true;
-  }
-  Frame& top = stack_.back();
-  switch (top.kind) {
-    case Frame::Kind::kTuple: {
-      const std::vector<Value>& fields = top.container->fields();
-      if (top.index < fields.size()) {
-        if (top.index > 0) out->push_back(',');
-        pending_ = &fields[top.index++];
-      } else {
-        out->append("]}");
-        stack_.pop_back();
-      }
-      return true;
-    }
-    case Frame::Kind::kBag: {
-      const std::vector<BagEntry>& entries = top.bag->entries();
-      if (top.index < entries.size()) {
-        if (top.index > 0) out->push_back(',');
-        const BagEntry& entry = entries[top.index++];
-        out->append("{\"v\":");
-        stack_.push_back(
-            Frame{Frame::Kind::kBagEntry, nullptr, nullptr, &entry, 0});
-        pending_ = &entry.value;
-      } else {
-        out->append("]}}");
-        stack_.pop_back();
-      }
-      return true;
-    }
-    case Frame::Kind::kBagEntry: {
-      out->append(",\"n\":");
-      out->append(obs::JsonQuote(top.entry->count.ToString()));
-      out->push_back('}');
-      stack_.pop_back();
-      return true;
-    }
-  }
-  return true;
-}
-
 bool WireJsonStreamer::Produce(size_t budget, std::string* out) {
   const size_t start = out->size();
-  while (out->size() - start < budget || out->size() == start) {
-    if (!Step(out)) return false;
-    if (stage_ == Stage::kDone) return false;
+  if (stage_ == Stage::kPrefix) {
+    out->append(prefix_);
+    prefix_.clear();
+    stage_ = Stage::kEntries;
+    if (root_.IsBag()) {
+      AppendBagHead(root_.bag(), out);
+    } else {
+      AppendValue(root_, *table_, out);
+    }
   }
-  return true;
+  if (stage_ == Stage::kEntries && root_.IsBag()) {
+    const std::vector<BagEntry>& entries = root_.bag().entries();
+    while (next_entry_ < entries.size()) {
+      if (out->size() - start >= budget && out->size() > start) return true;
+      if (next_entry_ > 0) out->push_back(',');
+      AppendBagEntry(entries[next_entry_++], *table_, out);
+    }
+    out->append(kBagTail);
+  }
+  if (stage_ == Stage::kEntries) {
+    out->append(suffix_);
+    suffix_.clear();
+    stage_ = Stage::kDone;
+  }
+  return false;
 }
 
 }  // namespace bagalg::net

@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/core/value.h"
 #include "src/util/result.h"
@@ -58,9 +57,6 @@ class JsonValue;
 /// atom names (defaults to the global table).
 std::string ValueToWireJson(const Value& value,
                             const AtomTable* table = nullptr);
-
-/// Serializes a bag (the common top-level case) into its wire JSON object.
-std::string BagToWireJson(const Bag& bag, const AtomTable* table = nullptr);
 
 /// Decodes a parsed wire-JSON document back into a Value. Atom names are
 /// interned into `table` (the global table if null). Exact inverse of
@@ -94,6 +90,9 @@ enum class WireFormat : uint8_t {
   kBinary = 2,
 };
 
+/// The Content-Type of a BAG1 request or response body.
+inline constexpr char kBag1ContentType[] = "application/x-bag1";
+
 inline constexpr char kFrameMagic[4] = {'B', 'A', 'G', '1'};
 inline constexpr uint8_t kFrameVersion = 1;
 inline constexpr size_t kFrameHeaderBytes = 12;
@@ -119,10 +118,10 @@ Result<DecodedFrame> DecodeFrame(std::string_view bytes, size_t* consumed);
 
 // ------------------------------------------- binary statement envelopes
 
-/// The binary form of the POST /v1/statement request body (the JSON path's
-/// {"session","statement","timeout_ms","memlimit_bytes"} object). Zero
-/// timeout/memlimit means "server default", exactly like omitting the JSON
-/// field.
+/// The decoded POST /v1/statement request, from either body format: the
+/// JSON {"session","statement","timeout_ms","memlimit_bytes"} object or a
+/// BAG1 frame holding EncodeStatementRequest bytes. Zero timeout/memlimit
+/// means "server default", exactly like omitting the JSON field.
 struct WireStatementRequest {
   std::string session;
   std::string statement;
@@ -130,8 +129,21 @@ struct WireStatementRequest {
   uint64_t memlimit_bytes = 0;
 };
 
+/// The session a request runs in when it names none.
+inline constexpr char kDefaultSession[] = "default";
+
 std::string EncodeStatementRequest(const WireStatementRequest& request);
 Result<WireStatementRequest> DecodeStatementRequest(std::string_view bytes);
+
+/// Decodes a whole POST /v1/statement body. kBinary: one BAG1 frame with the
+/// binary format tag around DecodeStatementRequest bytes; an empty session
+/// means kDefaultSession. kJson: a JSON object; an absent field takes its
+/// default (kDefaultSession, zero limits), but a field present with the
+/// wrong type is an error naming it — "session" must be a string and the
+/// limits non-negative integers. "statement" must be a nonempty string.
+/// Every failure is a ParseError or InvalidArgument for a 400.
+Result<WireStatementRequest> DecodeStatementBody(std::string_view body,
+                                                 WireFormat format);
 
 /// The binary form of the statement response envelope. `result` is
 /// meaningful only when has_result; `error_*` only when !ok. `flight` is
@@ -161,45 +173,37 @@ Result<WireStatementResponse> DecodeStatementResponse(
 ///
 /// A powerset result can serialize to tens of megabytes; materializing that
 /// next to a slow client would let one reader hold the peak. The streamer
-/// instead holds the Value (an O(1) shared-tree copy) plus an explicit
-/// cursor stack, and emits the envelope prefix, the value's wire JSON, and
-/// the suffix in caller-bounded slices — the event loop pulls exactly as
-/// much as its write buffer's low-water mark allows and lets EPOLLOUT
-/// backpressure pace the rest.
+/// instead holds the Value (an O(1) shared-tree copy) and a cursor into a
+/// root bag's entries, and emits the envelope prefix, the value's wire
+/// JSON, and the suffix in caller-bounded slices — the event loop pulls
+/// exactly as much as its write buffer's low-water mark allows and lets
+/// EPOLLOUT backpressure pace the rest. Every byte comes from the encoder
+/// behind ValueToWireJson.
 class WireJsonStreamer {
  public:
   /// Streams `prefix` + ValueToWireJson(value) + `suffix`.
   WireJsonStreamer(std::string prefix, Value value, std::string suffix,
                    const AtomTable* table = nullptr);
 
-  /// Appends at least one serialization step and at most ~`budget` bytes
-  /// (may overshoot by one token: tokens are never split). Returns true
-  /// while more output remains, false once the suffix has been emitted.
+  /// Appends at least one piece and about `budget` bytes. The pieces are
+  /// the prefix with the bag head, each whole top-level bag entry, and the
+  /// bag tail with the suffix; a non-bag root is one piece. A slice may
+  /// therefore overshoot `budget` by one top-level entry, however deeply
+  /// that entry nests. Returns true while more output remains, false once
+  /// the suffix has been emitted.
   bool Produce(size_t budget, std::string* out);
 
   bool done() const { return stage_ == Stage::kDone; }
 
  private:
-  enum class Stage : uint8_t { kPrefix, kValue, kSuffix, kDone };
-  struct Frame {
-    enum class Kind : uint8_t { kTuple, kBag, kBagEntry } kind;
-    const Value* container = nullptr;   // kTuple
-    const Bag* bag = nullptr;           // kBag
-    const BagEntry* entry = nullptr;    // kBagEntry
-    size_t index = 0;
-  };
-
-  /// Emits one token; returns false when everything has been emitted.
-  bool Step(std::string* out);
-  void OpenValue(const Value& value, std::string* out);
+  enum class Stage : uint8_t { kPrefix, kEntries, kDone };
 
   std::string prefix_;
-  Value root_;  // owns the shared tree; Frame pointers alias into it
+  Value root_;
   std::string suffix_;
   const AtomTable* table_;
   Stage stage_ = Stage::kPrefix;
-  const Value* pending_ = nullptr;
-  std::vector<Frame> stack_;
+  size_t next_entry_ = 0;  // next top-level entry of a bag root
 };
 
 }  // namespace bagalg::net

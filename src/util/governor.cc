@@ -42,6 +42,19 @@ const char* TripKindName(TripKind kind) {
   return "none";
 }
 
+const char* StatementOutcome(const Status& status, TripKind trip) {
+  if (status.ok()) return "ok";
+  if (trip != TripKind::kNone) return TripKindName(trip);
+  switch (status.code()) {
+    case StatusCode::kBudgetExceeded:
+      return "budget-refused";
+    case StatusCode::kUnavailable:
+      return "shed";
+    default:
+      return "error";
+  }
+}
+
 Status ResourceGovernor::Trip(Status status, std::atomic<uint64_t>& counter,
                               TripKind kind) {
   std::lock_guard<std::mutex> lock(trip_mu_);

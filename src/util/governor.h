@@ -118,6 +118,14 @@ enum class TripKind {
 /// Human-readable name ("none", "deadline", "memcap", "cancel", "fault").
 const char* TripKindName(TripKind kind);
 
+/// The typed outcome word of a statement that ended with `status` after its
+/// governor tripped `trip` (kNone when nothing tripped, or when no governor
+/// ran): "ok"; the trip's name ("deadline", "memcap", "cancel", "fault");
+/// "budget-refused" for kBudgetExceeded; "shed" for kUnavailable; "error"
+/// for everything else. The journal, the REPL and bagalgd all take the
+/// word from here.
+const char* StatementOutcome(const Status& status, TripKind trip);
+
 /// The per-query governor. Construct one per statement, install it with a
 /// GovernorScope for the duration of evaluation, and let checkpoints do the
 /// rest. Thread-safe: pool workers under the same scope share the instance.

@@ -269,5 +269,43 @@ TEST(ScriptTest, ResetClearsState) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
+TEST(ScriptTest, CountOfANonBagIsAnError) {
+  ScriptRunner runner;
+  auto r = runner.RunLine("count 'a");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "count requires a bag result");
+  EXPECT_STREQ(runner.last_outcome(), "error");
+  // The journal agrees with the returned status.
+  const auto tail = runner.journal().Tail(1);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].outcome, "error");
+  EXPECT_FALSE(runner.last_result().has_value());
+}
+
+TEST(ScriptTest, EveryLineRecordsItsOutcome) {
+  ScriptRunner runner;
+  ASSERT_TRUE(runner.RunLine("let B = {{a, b}}").ok());
+  EXPECT_STREQ(runner.last_outcome(), "ok");
+  EXPECT_FALSE(runner.RunLine("eval nosuch").ok());
+  EXPECT_STREQ(runner.last_outcome(), "error");
+  EXPECT_FALSE(runner.RunLine("frobnicate").ok());  // never journaled
+  EXPECT_STREQ(runner.last_outcome(), "error");
+  ASSERT_TRUE(runner.RunLine("\\budget 1").ok());
+  EXPECT_FALSE(runner.RunLine("exec uplus(B, B)").ok());
+  EXPECT_STREQ(runner.last_outcome(), "budget-refused");
+  ASSERT_TRUE(runner.RunLine("\\budget off").ok());
+  ASSERT_TRUE(runner.RunLine("count B").ok());
+  EXPECT_STREQ(runner.last_outcome(), "ok");
+  // eval, count and exec journal through one bracket, tagged by engine.
+  const auto tail = runner.journal().Tail(4);
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail[0].kind, "eval");
+  EXPECT_EQ(tail[1].kind, "exec");
+  EXPECT_EQ(tail[1].engine, "ir");
+  EXPECT_EQ(tail[1].outcome, "budget-refused");
+  EXPECT_EQ(tail[2].kind, "count");
+  EXPECT_EQ(tail[2].engine, "eval");
+}
+
 }  // namespace
 }  // namespace bagalg

@@ -100,7 +100,7 @@ TEST(WireTest, SerializesNestedValues) {
   EXPECT_EQ(ValueToWireJson(Value::Atom(a)), "{\"atom\":\"wire_a\"}");
   EXPECT_EQ(ValueToWireJson(Value::Tuple({Value::Atom(a), Value::Atom(a)})),
             "{\"tuple\":[{\"atom\":\"wire_a\"},{\"atom\":\"wire_a\"}]}");
-  EXPECT_EQ(BagToWireJson(bag),
+  EXPECT_EQ(ValueToWireJson(Value::FromBag(bag)),
             "{\"bag\":{\"type\":\"{{U}}\",\"entries\":[{\"v\":{\"atom\":"
             "\"wire_a\"},\"n\":\"3\"}]}}");
 }
@@ -109,7 +109,8 @@ TEST(WireTest, HugeMultiplicitiesTravelAsStrings) {
   const AtomId a = GlobalAtomTable().Intern("wire_big");
   Bag::Builder builder(Type::Atom());
   builder.Add(Value::Atom(a), BigNat::TwoPow(100));
-  const std::string json = BagToWireJson(*std::move(builder).Build());
+  const std::string json =
+      ValueToWireJson(Value::FromBag(*std::move(builder).Build()));
   // 2^100 — far past double precision; must appear quoted and exact.
   EXPECT_NE(json.find("\"1267650600228229401496703205376\""),
             std::string::npos)
@@ -172,30 +173,18 @@ TEST(HttpTest, StatusMappingFollowsRetryabilityContract) {
   EXPECT_EQ(HttpStatusForCode(StatusCode::kOk), 200);
 }
 
-// Feeds raw bytes to ReadHttpRequest through a socketpair.
-class HttpParseFixture {
- public:
-  HttpParseFixture() {
-    int fds[2] = {-1, -1};
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    reader_ = Fd(fds[0]);
-    writer_ = Fd(fds[1]);
-  }
-
-  Result<HttpRequest> Feed(std::string_view bytes, HttpLimits limits = {}) {
-    EXPECT_TRUE(WriteAll(writer_.get(), bytes).ok());
-    writer_.Reset();  // EOF after the payload
-    return ReadHttpRequest(reader_.get(), &buffer_, limits, nullptr);
-  }
-
- private:
-  Fd reader_, writer_;
-  std::string buffer_;
-};
+// Parses one complete request out of `bytes`.
+Result<HttpRequest> ParseOne(std::string_view bytes, HttpLimits limits = {}) {
+  HttpReader reader(limits);
+  reader.Feed(bytes);
+  HttpRequest request;
+  BAGALG_ASSIGN_OR_RETURN(bool complete, reader.Next(&request));
+  if (!complete) return Status::Unavailable("incomplete request");
+  return request;
+}
 
 TEST(HttpTest, ParsesRequestWithBody) {
-  HttpParseFixture fixture;
-  auto request = fixture.Feed(
+  auto request = ParseOne(
       "POST /v1/statement?x=1 HTTP/1.1\r\n"
       "Host: localhost\r\n"
       "Content-Length: 5\r\n"
@@ -210,28 +199,18 @@ TEST(HttpTest, ParsesRequestWithBody) {
 }
 
 TEST(HttpTest, RejectsOversizedBody) {
-  HttpParseFixture fixture;
   HttpLimits limits;
   limits.max_body_bytes = 4;
-  auto request = fixture.Feed(
+  auto request = ParseOne(
       "POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\n0123456789", limits);
   ASSERT_FALSE(request.ok());
   EXPECT_EQ(request.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(HttpTest, RejectsMalformedRequestLine) {
-  HttpParseFixture fixture;
-  auto request = fixture.Feed("GARBAGE\r\n\r\n");
+  auto request = ParseOne("GARBAGE\r\n\r\n");
   ASSERT_FALSE(request.ok());
   EXPECT_EQ(request.status().code(), StatusCode::kParseError);
-}
-
-TEST(HttpTest, MidRequestEofIsAnIoError) {
-  HttpParseFixture fixture;
-  auto request = fixture.Feed(
-      "POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort");
-  ASSERT_FALSE(request.ok());
-  EXPECT_EQ(request.status().code(), StatusCode::kUnavailable);
 }
 
 // ---------------------------------------------------------------- server
@@ -793,20 +772,54 @@ TEST(WireBinaryTest, BinaryFramesRoundTrip) {
   EXPECT_EQ(short_frame.status().code(), StatusCode::kUnavailable);
 }
 
+Value AtomBag(const std::string& stem, int entries) {
+  Bag::Builder builder(Type::Atom());
+  for (int i = 0; i < entries; ++i) {
+    builder.Add(Value::Atom(GlobalAtomTable().Intern(stem + std::to_string(i))),
+                static_cast<uint64_t>(i + 1));
+  }
+  return Value::FromBag(*std::move(builder).Build());
+}
+
 TEST(WireStreamerTest, ProducesExactlyTheMaterializedJson) {
   const Value fixture = MakeFixtureBag();
-  const std::string expected =
-      "{\"result\":" + ValueToWireJson(fixture) + ",\"ok\":true}";
-  // Any budget must yield identical bytes — only the slicing differs.
-  for (const size_t budget : {size_t{1}, size_t{7}, size_t{64}, size_t{1 << 20}}) {
-    WireJsonStreamer streamer("{\"result\":", fixture, ",\"ok\":true}");
-    std::string produced;
-    size_t slices = 0;
-    while (streamer.Produce(budget, &produced)) {
-      ASSERT_LT(++slices, size_t{100000});
+  const Value nested = AtomBag("stream_inner_", 500);
+  Bag::Builder one_entry(nested.type());
+  one_entry.Add(nested, BigNat::TwoPow(70));
+  const std::vector<std::pair<std::string, Value>> inputs = {
+      {"fixture", fixture},
+      {"non-bag root", Value::Tuple({Value::Atom(GlobalAtomTable().Intern(
+                                         "stream_a")),
+                                     fixture})},
+      {"empty bag", AtomBag("stream_none_", 0)},
+      {"one large nested entry",
+       Value::FromBag(*std::move(one_entry).Build())},
+      {"many entries", AtomBag("stream_many_", 300)},
+  };
+  for (const auto& [name, value] : inputs) {
+    const std::string expected =
+        "{\"result\":" + ValueToWireJson(value) + ",\"ok\":true}";
+    // Any budget must yield identical bytes — only the slicing differs.
+    for (const size_t budget :
+         {size_t{1}, size_t{7}, size_t{64}, size_t{1 << 20}}) {
+      WireJsonStreamer streamer("{\"result\":", value, ",\"ok\":true}");
+      std::string produced;
+      size_t slices = 1;
+      while (streamer.Produce(budget, &produced)) {
+        ASSERT_LT(++slices, size_t{100000});
+      }
+      EXPECT_TRUE(streamer.done());
+      EXPECT_EQ(produced, expected) << name << " budget=" << budget;
+      if (name == "many entries" && budget <= 7) {
+        // Slices end at entry boundaries: the prefix, then one per entry
+        // (the last one carrying the tail and suffix).
+        EXPECT_EQ(slices, size_t{301}) << budget;
+      } else if (name == "many entries" && budget == 64) {
+        // Each ~40-byte entry fits once or twice into 64 bytes.
+        EXPECT_GE(slices, expected.size() / 128) << budget;
+        EXPECT_LE(slices, expected.size() / 64 + 1) << budget;
+      }
     }
-    EXPECT_TRUE(streamer.done());
-    EXPECT_EQ(produced, expected) << "budget=" << budget;
   }
 }
 
@@ -1003,6 +1016,34 @@ TEST(ServerTest, HalfClosedClientStillGetsItsResponse) {
   (*server)->RequestShutdown();
   (*server)->Wait();
   EXPECT_EQ((*server)->stats().io_errors, 0u);
+}
+
+TEST(HttpTest, MidRequestEofIsAnIoError) {
+  // The reader holds a parsed head that still waits for its body...
+  const std::string torn =
+      "POST /v1/statement HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort";
+  HttpReader reader;
+  reader.Feed(torn);
+  HttpRequest request;
+  auto got = reader.Next(&request);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_FALSE(*got);
+  EXPECT_TRUE(reader.mid_request());
+
+  // ...so bagalgd counts an EOF there as a vanished peer: one io error,
+  // and the connection closes without an answer.
+  ServerOptions options;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  KeepAliveClient client((*server)->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Send(torn));
+  client.HalfClose();
+  ClientResponse r;
+  EXPECT_FALSE(client.ReadResponse(&r)) << r.raw;
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+  EXPECT_EQ((*server)->stats().io_errors, 1u);
 }
 
 TEST(ServerTest, Bag1BinaryStatementsSkipJsonBothWays) {
@@ -1385,11 +1426,29 @@ TEST(GoldenResponseTest, StatementRouteBytesAreStable) {
     exchange(c, "close_missing",
              KeepAliveClient::Request("POST", "/v1/session/close",
                                       R"js({"session":"g"})js"));
+    exchange(c, "count_non_bag",
+             post(R"js({"session":"h","statement":"count 'a"})js"));
+    exchange(c, "timeout_string",
+             post(R"js({"session":"h","statement":"count '{{a}}",)js"
+                  R"js("timeout_ms":"10"})js"));
+    exchange(c, "timeout_negative",
+             post(R"js({"session":"h","statement":"count '{{a}}",)js"
+                  R"js("timeout_ms":-1})js"));
+    exchange(c, "timeout_fraction",
+             post(R"js({"session":"h","statement":"count '{{a}}",)js"
+                  R"js("timeout_ms":10.5})js"));
+    exchange(c, "memlimit_bool",
+             post(R"js({"session":"h","statement":"count '{{a}}",)js"
+                  R"js("memlimit_bytes":true})js"));
+    exchange(c, "session_number",
+             post(R"js({"session":7,"statement":"count '{{a}}"})js"));
     (*server)->RequestShutdown();
     exchange(c, "draining",
              post(R"js({"session":"h","statement":"count '{{a}}"})js"));
     c.Close();
     (*server)->Wait();
+    // The five 200s and close_ok; count_non_bag counts as an error.
+    EXPECT_EQ((*server)->stats().ok, 6u);
   }
   {
     ServerOptions options;
@@ -1544,10 +1603,45 @@ TEST(GoldenResponseTest, StatementRouteBytesAreStable) {
        R"g(on\r\nContent-Length: 114\r\nRetry-After: 1\r\nConnection: close)g"
        R"g(\r\n\r\n{"ok":false,"outcome":"shed","error":{"code":"Unavailabl)g"
        R"g(e","message":"connection limit reached","retryable":true}})g"},
+      // count of a non-bag is an error everywhere, and an ill-typed JSON
+      // field is a 400 naming it instead of silently taking its default.
+      {"count_non_bag",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
+       R"g(ntent-Length: 123\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
+       R"g("code":"InvalidArgument","message":"count requires a bag result")g"
+       R"g(,"retryable":false}})g"},
+      {"timeout_string",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
+       R"g(ntent-Length: 141\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
+       R"g("code":"InvalidArgument","message":"\\"timeout_ms\\" must be a n)g"
+       R"g(on-negative integer","retryable":false}})g"},
+      {"timeout_negative",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
+       R"g(ntent-Length: 141\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
+       R"g("code":"InvalidArgument","message":"\\"timeout_ms\\" must be a n)g"
+       R"g(on-negative integer","retryable":false}})g"},
+      {"timeout_fraction",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
+       R"g(ntent-Length: 141\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
+       R"g("code":"InvalidArgument","message":"\\"timeout_ms\\" must be a n)g"
+       R"g(on-negative integer","retryable":false}})g"},
+      {"memlimit_bool",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
+       R"g(ntent-Length: 145\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
+       R"g("code":"InvalidArgument","message":"\\"memlimit_bytes\\" must be)g"
+       R"g( a non-negative integer","retryable":false}})g"},
+      {"session_number",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
+       R"g(ntent-Length: 124\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
+       R"g("code":"InvalidArgument","message":"\\"session\\" must be a stri)g"
+       R"g(ng","retryable":false}})g"},
   };
   for (const auto& [name, response] : got) {
     const auto it = expected.find(name);
-    ASSERT_NE(it, expected.end()) << name;
+    if (it == expected.end()) {
+      ADD_FAILURE() << "no golden row " << name << ": " << response;
+      continue;
+    }
     EXPECT_EQ(response, it->second) << name;
   }
   EXPECT_EQ(got.size(), expected.size());
