@@ -27,13 +27,13 @@
 ///     request with a typed 429 and a Retry-After derived from queue depth
 ///     — predictable latency for admitted work instead of collapse.
 ///     Connection and session counts are capped the same way (503).
-///     Executors hand results back through a completion queue and an
-///     eventfd wakeup; the loop renders and writes the response.
+///     Executors hand an Envelope back through a completion queue and an
+///     eventfd wakeup; the loop encodes it (net/envelope.h) and writes it.
 ///   * Large results stream: a statement whose result bag has at least
 ///     stream_entries_threshold distinct entries is sent with chunked
-///     transfer-encoding, serialized incrementally against the write
-///     buffer's watermarks, so one slow reader holds bounded memory —
-///     EPOLLOUT backpressure paces the serializer.
+///     transfer-encoding, serialized a top-level entry at a time against
+///     the write buffer's watermarks, so one slow reader holds bounded
+///     memory — EPOLLOUT backpressure paces the serializer.
 ///   * The BAG1 binary protocol (Content-Type: application/x-bag1) skips
 ///     JSON both ways: the request body is one BAG1 frame holding a binary
 ///     statement envelope, the response one frame holding the binary

@@ -758,6 +758,47 @@ TEST(WireBinaryTest, StatementEnvelopesRoundTrip) {
   EXPECT_EQ(error_back->flight, "{\"spans\":[]}");
 }
 
+TEST(WireBinaryTest, StatementBodiesDecodeToOneRequest) {
+  WireStatementRequest sent;
+  sent.session = "env";
+  sent.statement = "count X";
+  sent.timeout_ms = 250;
+  sent.memlimit_bytes = 4096;
+  auto from_bag1 = DecodeStatementBody(
+      EncodeFrame(WireFormat::kBinary, EncodeStatementRequest(sent)),
+      WireFormat::kBinary);
+  auto from_json = DecodeStatementBody(
+      R"js({"session":"env","statement":"count X","timeout_ms":250,)js"
+      R"js("memlimit_bytes":4096})js",
+      WireFormat::kJson);
+  for (const auto* got : {&from_bag1, &from_json}) {
+    ASSERT_TRUE(got->ok()) << got->status();
+    EXPECT_EQ((*got)->session, "env");
+    EXPECT_EQ((*got)->statement, "count X");
+    EXPECT_EQ((*got)->timeout_ms, 250u);
+    EXPECT_EQ((*got)->memlimit_bytes, 4096u);
+  }
+  // Absent fields take their defaults; an empty BAG1 session is absent.
+  sent.session.clear();
+  auto bag1_default = DecodeStatementBody(
+      EncodeFrame(WireFormat::kBinary, EncodeStatementRequest(sent)),
+      WireFormat::kBinary);
+  ASSERT_TRUE(bag1_default.ok()) << bag1_default.status();
+  EXPECT_EQ(bag1_default->session, kDefaultSession);
+  auto json_default =
+      DecodeStatementBody(R"js({"statement":"count X"})js", WireFormat::kJson);
+  ASSERT_TRUE(json_default.ok()) << json_default.status();
+  EXPECT_EQ(json_default->session, kDefaultSession);
+  EXPECT_EQ(json_default->timeout_ms, 0u);
+  EXPECT_EQ(json_default->memlimit_bytes, 0u);
+  // A JSON session that is present but empty stays empty (and is then
+  // refused as a session name): only absence means the default.
+  auto json_empty = DecodeStatementBody(
+      R"js({"session":"","statement":"count X"})js", WireFormat::kJson);
+  ASSERT_TRUE(json_empty.ok()) << json_empty.status();
+  EXPECT_EQ(json_empty->session, "");
+}
+
 TEST(WireBinaryTest, BinaryFramesRoundTrip) {
   const std::string payload = ValueToWireBinary(MakeFixtureBag());
   const std::string frame = EncodeFrame(WireFormat::kBinary, payload);
