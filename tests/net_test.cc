@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
