@@ -103,7 +103,7 @@ Envelope ErrorEnvelope(int http_status, const Status& status) {
   envelope.body.error_code = StatusCodeName(status.code());
   envelope.body.error_message = status.message();
   envelope.body.retryable = IsRetryable(status.code());
-  if (envelope.body.retryable) envelope.retry_after = "1";
+  if (envelope.body.retryable) envelope.retry_after.append("1");
   return envelope;
 }
 
