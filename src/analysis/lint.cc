@@ -117,8 +117,9 @@ void CheckRewriteMissed(const LintContext& ctx, std::vector<LintDiag>* out) {
 
 /// W005: a materializing powerset/powerbag sits in pipeline position — as
 /// the direct source of a streaming operator (MAP, σ, ×, ⊎, ε) — so the
-/// fused IR engine cannot lower the plan and falls back to tuple-at-a-time
-/// execution (src/ir rejects P/P_b; see docs/IR.md legality conditions).
+/// fused IR engine cannot lower the plan: `exec` refuses it with
+/// kUnsupported and only `eval` runs it (src/ir rejects P/P_b; see
+/// docs/IR.md legality conditions).
 void CheckPowersetBlocksFusion(const LintContext& ctx,
                                std::vector<LintDiag>* out) {
   auto is_power = [](const Expr& e) {
@@ -150,8 +151,8 @@ void CheckPowersetBlocksFusion(const LintContext& ctx,
           {LintDiag::Severity::kWarning, "W005", ref.path,
            std::string(ExprKindName(n.children[i]->kind)) +
                " feeds a streaming " + ExprKindName(n.kind) +
-               ": the plan is fusion-ineligible and the IR engine falls "
-               "back to tuple-at-a-time execution; rewrite to push the " +
+               ": the plan is fusion-ineligible, so exec refuses it as "
+               "unsupported and only eval runs it; rewrite to push the " +
                ExprKindName(n.kind) +
                " below the powerset's operand, or hoist the powerset out "
                "of the pipeline"});

@@ -17,8 +17,8 @@
 ///   W004  rewrite-missed — the optimizer still finds applicable rewrites;
 ///         the query is running in unoptimized form.
 ///   W005  powerset-blocks-fusion — a materializing P/P_b feeds a streaming
-///         operator, so the fused IR engine cannot lower the plan and falls
-///         back to tuple-at-a-time execution.
+///         operator, so the fused IR engine cannot lower the plan: `exec`
+///         refuses it with kUnsupported and only `eval` runs it.
 ///   W006  redundant-dup-elim — ε applied to an expression that is already
 ///         provably duplicate-free (a set-like input or literal, another ε,
 ///         a powerset, or an operator that preserves dup-freedom). The IR

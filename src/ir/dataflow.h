@@ -24,8 +24,9 @@
 ///   disjoint     (kUnionAll) children proven pairwise entry-disjoint —
 ///                with dup-free children this makes the union dup-free
 ///   rows         [min, max] interval over *distinct entries* streamed;
-///                max folds in the static_cost annotation (IrNode::est_rows)
-///                when the structural bound is weaker
+///                max folds in the static_cost annotation (IrNode::est_rows,
+///                set only by the explain entry points) when the
+///                structural bound is weaker
 ///
 /// Facts describe the node's *post-stage* output; ApplyStageFacts steps a
 /// fact set through one fused stage, and NodeBaseFacts combines child facts

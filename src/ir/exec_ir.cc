@@ -1,7 +1,8 @@
 #include "src/ir/exec_ir.h"
 
 #include <algorithm>
-#include <memory>
+#include <functional>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -15,10 +16,9 @@ namespace bagalg::ir {
 
 namespace {
 
-/// Per-run executor state shared by all cursors of one ExecuteIr call.
+/// Per-run executor state shared by every producer of one ExecuteIr call.
 struct ExecContext {
   obs::Tracer* tracer;
-  size_t batch_size;
   /// CSE cache: cse_key -> materialized result of the shared subplan
   /// (stages included). Lives for one run only.
   std::map<std::string, Bag> cse_cache;
@@ -27,52 +27,31 @@ struct ExecContext {
   uint64_t pipelines = 0;
 };
 
-/// Batch-at-a-time pull cursor. Next() clears `out` and fills up to
-/// batch_size rows; returns false at end of stream. Cursors may return a
-/// full, partial, or (never) empty batch before EOF.
-class BatchCursor {
- public:
-  virtual ~BatchCursor() = default;
-  virtual Status Open() = 0;
-  virtual Result<bool> Next(RowBatch* out) = 0;
-  virtual void Close() = 0;
-};
+/// Receives each non-empty batch of a stream, in stream order. The sink may
+/// move rows out of the batch; the producer clears it before refilling.
+using Sink = std::function<Status(RowBatch&)>;
 
-using CursorPtr = std::unique_ptr<BatchCursor>;
+/// Pushes a node's output stream into `sink`.
+using Producer = Status (*)(const IrNode&, ExecContext*, const Sink&);
 
-Result<CursorPtr> MakeCursor(const IrNode& node, ExecContext* ctx);
+Status Produce(const IrNode& node, ExecContext* ctx, const Sink& sink);
 
-// ------------------------------------------------------------------ scan
-
-class ScanCursor : public BatchCursor {
- public:
-  ScanCursor(Bag bag, size_t batch_size)
-      : bag_(std::move(bag)), batch_size_(batch_size) {}
-
-  Status Open() override {
-    pos_ = 0;
-    return Status::Ok();
-  }
-
-  Result<bool> Next(RowBatch* out) override {
-    out->Clear();
-    const auto& entries = bag_.entries();
-    if (pos_ >= entries.size()) return false;
-    const size_t end = std::min(entries.size(), pos_ + batch_size_);
-    out->Reserve(end - pos_);
-    for (; pos_ < end; ++pos_) {
-      out->Push(entries[pos_].value, entries[pos_].count);
+/// Emits a materialized bag in kDefaultBatchSize chunks (scans, merge and
+/// ε results, CSE cache entries).
+Status EmitBag(const Bag& bag, const Sink& sink) {
+  const auto& entries = bag.entries();
+  RowBatch batch;
+  for (size_t pos = 0; pos < entries.size();) {
+    const size_t end = std::min(entries.size(), pos + kDefaultBatchSize);
+    batch.Clear();
+    batch.Reserve(end - pos);
+    for (; pos < end; ++pos) {
+      batch.Push(entries[pos].value, entries[pos].count);
     }
-    return true;
+    BAGALG_RETURN_IF_ERROR(sink(batch));
   }
-
-  void Close() override {}
-
- private:
-  Bag bag_;
-  size_t batch_size_;
-  size_t pos_ = 0;
-};
+  return Status::Ok();
+}
 
 // ---------------------------------------------------------- fused stages
 
@@ -155,79 +134,33 @@ Status ApplyStage(const Stage& stage, RowBatch* batch) {
   return Status::Internal("unknown stage kind");
 }
 
-/// Wraps a source cursor and runs the node's fused stage list over every
-/// batch — the vectorized heart of the engine. Loops over fully-filtered
-/// batches so callers never observe an empty non-EOF batch.
-class StagedCursor : public BatchCursor {
- public:
-  StagedCursor(CursorPtr source, const std::vector<Stage>* stages,
-               ExecContext* ctx)
-      : source_(std::move(source)), stages_(stages), ctx_(ctx) {}
-
-  Status Open() override {
-    ticker_ = BatchCheckpointTicker();
-    return source_->Open();
-  }
-
-  Result<bool> Next(RowBatch* out) override {
-    for (;;) {
-      BAGALG_ASSIGN_OR_RETURN(bool more, source_->Next(out));
-      if (!more) {
-        BAGALG_RETURN_IF_ERROR(ticker_.Flush());
-        return false;
-      }
-      const uint64_t in_rows = out->size();
-      for (const Stage& stage : *stages_) {
-        BAGALG_RETURN_IF_ERROR(ApplyStage(stage, out));
-      }
-      ctx_->batches++;
-      ctx_->rows += out->size();
-      BAGALG_RETURN_IF_ERROR(ticker_.OnBatch(in_rows));
-      if (!out->empty()) return true;
-    }
-  }
-
-  void Close() override { source_->Close(); }
-
- private:
-  CursorPtr source_;
-  const std::vector<Stage>* stages_;
-  ExecContext* ctx_;
-  BatchCheckpointTicker ticker_;
-};
-
 // ------------------------------------------------------------- draining
 
-/// Drains a cursor into a canonical bag under a per-pipeline span. The
-/// blocking boundaries (merge kernels, build sides, dup-elim, the root)
-/// all come through here, so each materialization shows up as one
+/// Drains a node's stream into a canonical bag under a per-pipeline span.
+/// The blocking boundaries (merge kernels, build sides, dup-elim, CSE, the
+/// root) all come through here, so each materialization shows up as one
 /// "ir.pipeline.<what>" span with rows/batches attributes.
-Result<Bag> DrainToBag(BatchCursor* cursor, ExecContext* ctx,
-                       const std::string& what) {
+Result<Bag> Drain(Producer produce, const IrNode& node, ExecContext* ctx,
+                  const std::string& what) {
   obs::Span span;
   if (ctx->tracer != nullptr) {
     span = ctx->tracer->StartSpan("ir.pipeline." + what, "ir");
   }
   ctx->pipelines++;
-  BAGALG_RETURN_IF_ERROR(cursor->Open());
   Bag::Builder builder;
-  RowBatch batch;
   BatchCheckpointTicker ticker;
   uint64_t rows = 0;
   uint64_t batches = 0;
-  for (;;) {
-    BAGALG_ASSIGN_OR_RETURN(bool more, cursor->Next(&batch));
-    if (!more) break;
+  BAGALG_RETURN_IF_ERROR(produce(node, ctx, [&](RowBatch& batch) {
     builder.Reserve(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       builder.Add(std::move(batch.values[i]), std::move(batch.counts[i]));
     }
     rows += batch.size();
     batches++;
-    BAGALG_RETURN_IF_ERROR(ticker.OnBatch(batch.size()));
-  }
+    return ticker.OnBatch(batch.size());
+  }));
   BAGALG_RETURN_IF_ERROR(ticker.Flush());
-  cursor->Close();
   if (span.active()) {
     span.AddAttr("rows", rows);
     span.AddAttr("batches", batches);
@@ -237,390 +170,201 @@ Result<Bag> DrainToBag(BatchCursor* cursor, ExecContext* ctx,
 
 // ---------------------------------------------------------------- joins
 
-/// Hash equi-join: build side materialized into a multiplicity-aware hash
-/// table at Open, probe side streamed. Replaces the σ∘× nested loop —
-/// O(|probe| + |build| + |matches|) instead of O(|probe|·|build|).
-class HashJoinCursor : public BatchCursor {
+/// Collects join output rows and passes on only full batches; Finish
+/// passes on the remainder.
+class BatchFiller {
  public:
-  HashJoinCursor(const IrNode& node, CursorPtr probe, CursorPtr build,
-                 ExecContext* ctx)
-      : node_(node),
-        probe_(std::move(probe)),
-        build_(std::move(build)),
-        ctx_(ctx) {}
-
-  Status Open() override {
-    BAGALG_ASSIGN_OR_RETURN(Bag built,
-                            DrainToBag(build_.get(), ctx_, "hash_build"));
-    table_.clear();
-    table_.reserve(built.entries().size());
-    for (const BagEntry& e : built.entries()) {
-      if (!e.value.IsTuple()) {
-        return Status::InvalidArgument("product requires tuple rows");
-      }
-      if (node_.build_key < 1 ||
-          node_.build_key > e.value.fields().size()) {
-        return Status::InvalidArgument(
-            "bad attribute projection in pipeline lambda");
-      }
-      table_[e.value.fields()[node_.build_key - 1]].push_back(
-          {e.value, e.count});
-    }
-    obs::GlobalMetrics().GetCounter("ir.hash_joins")->Increment();
-    probe_batch_.Clear();
-    probe_pos_ = 0;
-    matches_ = nullptr;
-    match_pos_ = 0;
-    return probe_->Open();
+  explicit BatchFiller(const Sink& sink) : sink_(sink) {
+    out_.Reserve(kDefaultBatchSize);
   }
 
-  Result<bool> Next(RowBatch* out) override {
-    out->Clear();
-    out->Reserve(ctx_->batch_size);
-    for (;;) {
-      // Resume emitting matches carried over from the previous call.
-      while (matches_ != nullptr && match_pos_ < matches_->size()) {
-        if (out->size() >= ctx_->batch_size) return true;
-        const auto& [build_row, build_count] = (*matches_)[match_pos_++];
-        out->Push(Concat(probe_batch_.values[probe_pos_], build_row),
-                  probe_batch_.counts[probe_pos_] * build_count);
-      }
-      matches_ = nullptr;
-      if (probe_pos_ + 1 < probe_batch_.size()) {
-        ++probe_pos_;
-      } else {
-        BAGALG_ASSIGN_OR_RETURN(bool more, probe_->Next(&probe_batch_));
-        if (!more) return !out->empty();
-        probe_pos_ = 0;
-      }
-      const Value& row = probe_batch_.values[probe_pos_];
-      if (!row.IsTuple()) {
-        return Status::InvalidArgument("product requires tuple rows");
-      }
-      if (node_.probe_key < 1 || node_.probe_key > row.fields().size()) {
-        return Status::InvalidArgument(
-            "bad attribute projection in pipeline lambda");
-      }
-      auto it = table_.find(row.fields()[node_.probe_key - 1]);
-      if (it != table_.end()) {
-        matches_ = &it->second;
-        match_pos_ = 0;
-      }
-    }
+  Status Push(Value v, Mult c) {
+    out_.Push(std::move(v), std::move(c));
+    if (out_.size() < kDefaultBatchSize) return Status::Ok();
+    return Emit();
   }
 
-  void Close() override {
-    probe_->Close();
-    table_.clear();
-  }
+  Status Finish() { return out_.empty() ? Status::Ok() : Emit(); }
 
  private:
-  static Value Concat(const Value& left, const Value& right) {
-    std::vector<Value> fields = left.fields();
-    fields.insert(fields.end(), right.fields().begin(),
-                  right.fields().end());
-    return Value::Tuple(std::move(fields));
+  Status Emit() {
+    Status status = sink_(out_);
+    out_.Clear();
+    return status;
   }
 
-  struct ValueHasher {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
-
-  const IrNode& node_;
-  CursorPtr probe_;
-  CursorPtr build_;
-  ExecContext* ctx_;
-  std::unordered_map<Value, std::vector<std::pair<Value, Mult>>, ValueHasher>
-      table_;
-  RowBatch probe_batch_;
-  size_t probe_pos_ = 0;
-  const std::vector<std::pair<Value, Mult>>* matches_ = nullptr;
-  size_t match_pos_ = 0;
+  const Sink& sink_;
+  RowBatch out_;
 };
 
-/// Cross join as a fused block-nested loop: build side materialized once,
-/// probe side streamed, output counts multiply.
-class CrossJoinCursor : public BatchCursor {
- public:
-  CrossJoinCursor(CursorPtr probe, CursorPtr build, ExecContext* ctx)
-      : probe_(std::move(probe)), build_(std::move(build)), ctx_(ctx) {}
+Value Concat(const Value& left, const Value& right) {
+  std::vector<Value> fields = left.fields();
+  fields.insert(fields.end(), right.fields().begin(), right.fields().end());
+  return Value::Tuple(std::move(fields));
+}
 
-  Status Open() override {
-    BAGALG_ASSIGN_OR_RETURN(built_,
-                            DrainToBag(build_.get(), ctx_, "cross_build"));
-    for (const BagEntry& e : built_.entries()) {
-      if (!e.value.IsTuple()) {
-        return Status::InvalidArgument("product requires tuple rows");
-      }
+struct ValueHasher {
+  size_t operator()(const Value& v) const { return v.Hash(); }
+};
+
+/// Hash equi-join: the build side drains into a multiplicity-aware hash
+/// table, then the probe side streams through it. Replaces the σ∘× nested
+/// loop — O(|probe| + |build| + |matches|) instead of O(|probe|·|build|).
+Status ProduceHashJoin(const IrNode& node, ExecContext* ctx,
+                       const Sink& sink) {
+  BAGALG_ASSIGN_OR_RETURN(
+      Bag built, Drain(&Produce, *node.children[1], ctx, "hash_build"));
+  std::unordered_map<Value, std::vector<std::pair<Value, Mult>>, ValueHasher>
+      table;
+  table.reserve(built.entries().size());
+  for (const BagEntry& e : built.entries()) {
+    if (!e.value.IsTuple()) {
+      return Status::InvalidArgument("product requires tuple rows");
     }
-    probe_batch_.Clear();
-    probe_pos_ = 0;
-    build_pos_ = 0;
-    ticker_ = BatchCheckpointTicker();
-    return probe_->Open();
+    if (node.build_key < 1 || node.build_key > e.value.fields().size()) {
+      return Status::InvalidArgument(
+          "bad attribute projection in pipeline lambda");
+    }
+    table[e.value.fields()[node.build_key - 1]].push_back({e.value, e.count});
   }
+  obs::GlobalMetrics().GetCounter("ir.hash_joins")->Increment();
+  BatchFiller out(sink);
+  BAGALG_RETURN_IF_ERROR(
+      Produce(*node.children[0], ctx, [&](RowBatch& probe) -> Status {
+        for (size_t i = 0; i < probe.size(); ++i) {
+          const Value& row = probe.values[i];
+          if (!row.IsTuple()) {
+            return Status::InvalidArgument("product requires tuple rows");
+          }
+          if (node.probe_key < 1 || node.probe_key > row.fields().size()) {
+            return Status::InvalidArgument(
+                "bad attribute projection in pipeline lambda");
+          }
+          auto it = table.find(row.fields()[node.probe_key - 1]);
+          if (it == table.end()) continue;
+          for (const auto& [build_row, build_count] : it->second) {
+            BAGALG_RETURN_IF_ERROR(
+                out.Push(Concat(row, build_row), probe.counts[i] * build_count));
+          }
+        }
+        return Status::Ok();
+      }));
+  return out.Finish();
+}
 
-  Result<bool> Next(RowBatch* out) override {
-    out->Clear();
-    out->Reserve(ctx_->batch_size);
-    const auto& build_entries = built_.entries();
-    for (;;) {
-      if (probe_pos_ >= probe_batch_.size()) {
-        BAGALG_ASSIGN_OR_RETURN(bool more, probe_->Next(&probe_batch_));
-        if (!more) return !out->empty();
-        probe_pos_ = 0;
-        build_pos_ = 0;
-        for (const Value& v : probe_batch_.values) {
+/// Cross join as a fused block-nested loop: the build side drains once, the
+/// probe side streams, output counts multiply.
+Status ProduceCrossJoin(const IrNode& node, ExecContext* ctx,
+                        const Sink& sink) {
+  BAGALG_ASSIGN_OR_RETURN(
+      Bag built, Drain(&Produce, *node.children[1], ctx, "cross_build"));
+  const auto& build_entries = built.entries();
+  for (const BagEntry& e : build_entries) {
+    if (!e.value.IsTuple()) {
+      return Status::InvalidArgument("product requires tuple rows");
+    }
+  }
+  BatchFiller out(sink);
+  BatchCheckpointTicker ticker;
+  BAGALG_RETURN_IF_ERROR(
+      Produce(*node.children[0], ctx, [&](RowBatch& probe) -> Status {
+        for (const Value& v : probe.values) {
           if (!v.IsTuple()) {
             return Status::InvalidArgument("product requires tuple rows");
           }
         }
-      }
-      while (probe_pos_ < probe_batch_.size()) {
-        const Value& left = probe_batch_.values[probe_pos_];
-        const Mult& left_count = probe_batch_.counts[probe_pos_];
-        while (build_pos_ < build_entries.size()) {
-          if (out->size() >= ctx_->batch_size) return true;
-          const BagEntry& e = build_entries[build_pos_++];
-          std::vector<Value> fields = left.fields();
-          fields.insert(fields.end(), e.value.fields().begin(),
-                        e.value.fields().end());
-          out->Push(Value::Tuple(std::move(fields)), left_count * e.count);
+        for (size_t i = 0; i < probe.size(); ++i) {
+          for (const BagEntry& e : build_entries) {
+            BAGALG_RETURN_IF_ERROR(out.Push(Concat(probe.values[i], e.value),
+                                            probe.counts[i] * e.count));
+          }
+          BAGALG_RETURN_IF_ERROR(ticker.OnBatch(build_entries.size()));
         }
-        BAGALG_RETURN_IF_ERROR(ticker_.OnBatch(build_entries.size()));
-        build_pos_ = 0;
-        ++probe_pos_;
-      }
-    }
-  }
-
-  void Close() override { probe_->Close(); }
-
- private:
-  CursorPtr probe_;
-  CursorPtr build_;
-  ExecContext* ctx_;
-  Bag built_;
-  RowBatch probe_batch_;
-  size_t probe_pos_ = 0;
-  size_t build_pos_ = 0;
-  BatchCheckpointTicker ticker_;
-};
-
-// ------------------------------------------------- union / merge / eps
-
-class UnionAllCursor : public BatchCursor {
- public:
-  UnionAllCursor(std::vector<CursorPtr> children)
-      : children_(std::move(children)) {}
-
-  Status Open() override {
-    current_ = 0;
-    for (auto& c : children_) BAGALG_RETURN_IF_ERROR(c->Open());
-    return Status::Ok();
-  }
-
-  Result<bool> Next(RowBatch* out) override {
-    while (current_ < children_.size()) {
-      BAGALG_ASSIGN_OR_RETURN(bool more, children_[current_]->Next(out));
-      if (more) return true;
-      ++current_;
-    }
-    out->Clear();
-    return false;
-  }
-
-  void Close() override {
-    for (auto& c : children_) c->Close();
-  }
-
- private:
-  std::vector<CursorPtr> children_;
-  size_t current_ = 0;
-};
-
-/// Blocking cursor over a pre-materialized bag (merge kernels, dup-elim,
-/// CSE cache hits).
-class BagCursor : public BatchCursor {
- public:
-  BagCursor(Bag bag, size_t batch_size)
-      : scan_(std::move(bag), batch_size) {}
-  Status Open() override { return scan_.Open(); }
-  Result<bool> Next(RowBatch* out) override { return scan_.Next(out); }
-  void Close() override { scan_.Close(); }
-
- private:
-  ScanCursor scan_;
-};
-
-class MergeCursor : public BatchCursor {
- public:
-  MergeCursor(MergeKind kind, CursorPtr left, CursorPtr right,
-              ExecContext* ctx)
-      : kind_(kind),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        ctx_(ctx) {}
-
-  Status Open() override {
-    BAGALG_ASSIGN_OR_RETURN(Bag l, DrainToBag(left_.get(), ctx_, "merge"));
-    BAGALG_ASSIGN_OR_RETURN(Bag r, DrainToBag(right_.get(), ctx_, "merge"));
-    Result<Bag> merged = [&]() -> Result<Bag> {
-      switch (kind_) {
-        case MergeKind::kMonus:
-          return Subtract(l, r);
-        case MergeKind::kMaxUnion:
-          return MaxUnion(l, r);
-        case MergeKind::kIntersect:
-          return Intersect(l, r);
-      }
-      return Status::Internal("unknown merge kind");
-    }();
-    BAGALG_RETURN_IF_ERROR(merged.status());
-    out_ = std::make_unique<BagCursor>(std::move(merged).value(),
-                                       ctx_->batch_size);
-    return out_->Open();
-  }
-
-  Result<bool> Next(RowBatch* out) override { return out_->Next(out); }
-
-  void Close() override {
-    if (out_ != nullptr) out_->Close();
-  }
-
- private:
-  MergeKind kind_;
-  CursorPtr left_;
-  CursorPtr right_;
-  ExecContext* ctx_;
-  std::unique_ptr<BagCursor> out_;
-};
-
-class DupElimCursor : public BatchCursor {
- public:
-  DupElimCursor(CursorPtr child, ExecContext* ctx)
-      : child_(std::move(child)), ctx_(ctx) {}
-
-  Status Open() override {
-    BAGALG_ASSIGN_OR_RETURN(Bag in, DrainToBag(child_.get(), ctx_, "eps"));
-    BAGALG_ASSIGN_OR_RETURN(Bag out, DupElim(in));
-    out_ = std::make_unique<BagCursor>(std::move(out), ctx_->batch_size);
-    return out_->Open();
-  }
-
-  Result<bool> Next(RowBatch* out) override { return out_->Next(out); }
-
-  void Close() override {
-    if (out_ != nullptr) out_->Close();
-  }
-
- private:
-  CursorPtr child_;
-  ExecContext* ctx_;
-  std::unique_ptr<BagCursor> out_;
-};
-
-// ------------------------------------------------------------------ CSE
-
-/// Cursor for a cse_shared node: the first occurrence materializes the
-/// full subplan (stages included) into the per-run cache; later
-/// occurrences stream the cached bag.
-class CseCursor : public BatchCursor {
- public:
-  CseCursor(const IrNode& node, ExecContext* ctx) : node_(node), ctx_(ctx) {}
-
-  Status Open() override;
-
-  Result<bool> Next(RowBatch* out) override { return out_->Next(out); }
-
-  void Close() override {
-    if (out_ != nullptr) out_->Close();
-  }
-
- private:
-  const IrNode& node_;
-  ExecContext* ctx_;
-  std::unique_ptr<BagCursor> out_;
-};
+        return Status::Ok();
+      }));
+  return out.Finish();
+}
 
 // ------------------------------------------------------------- assembly
 
-Result<CursorPtr> MakeBase(const IrNode& node, ExecContext* ctx) {
+Result<Bag> Merge(MergeKind kind, const Bag& l, const Bag& r) {
+  switch (kind) {
+    case MergeKind::kMonus:
+      return Subtract(l, r);
+    case MergeKind::kMaxUnion:
+      return MaxUnion(l, r);
+    case MergeKind::kIntersect:
+      return Intersect(l, r);
+  }
+  return Status::Internal("unknown merge kind");
+}
+
+/// The node's source, without its fused stages.
+Status ProduceSource(const IrNode& node, ExecContext* ctx, const Sink& sink) {
   switch (node.kind) {
     case IrKind::kScan:
-      return CursorPtr(
-          std::make_unique<ScanCursor>(node.scan_bag, ctx->batch_size));
-    case IrKind::kUnionAll: {
-      std::vector<CursorPtr> children;
-      children.reserve(node.children.size());
-      for (const auto& c : node.children) {
-        BAGALG_ASSIGN_OR_RETURN(CursorPtr child, MakeCursor(*c, ctx));
-        children.push_back(std::move(child));
+      return EmitBag(node.scan_bag, sink);
+    case IrKind::kUnionAll:
+      for (const auto& child : node.children) {
+        BAGALG_RETURN_IF_ERROR(Produce(*child, ctx, sink));
       }
-      return CursorPtr(
-          std::make_unique<UnionAllCursor>(std::move(children)));
-    }
-    case IrKind::kCrossJoin: {
-      BAGALG_ASSIGN_OR_RETURN(CursorPtr probe,
-                              MakeCursor(*node.children[0], ctx));
-      BAGALG_ASSIGN_OR_RETURN(CursorPtr build,
-                              MakeCursor(*node.children[1], ctx));
-      return CursorPtr(std::make_unique<CrossJoinCursor>(
-          std::move(probe), std::move(build), ctx));
-    }
-    case IrKind::kHashJoin: {
-      BAGALG_ASSIGN_OR_RETURN(CursorPtr probe,
-                              MakeCursor(*node.children[0], ctx));
-      BAGALG_ASSIGN_OR_RETURN(CursorPtr build,
-                              MakeCursor(*node.children[1], ctx));
-      return CursorPtr(std::make_unique<HashJoinCursor>(
-          node, std::move(probe), std::move(build), ctx));
-    }
+      return Status::Ok();
+    case IrKind::kCrossJoin:
+      return ProduceCrossJoin(node, ctx, sink);
+    case IrKind::kHashJoin:
+      return ProduceHashJoin(node, ctx, sink);
     case IrKind::kMerge: {
-      BAGALG_ASSIGN_OR_RETURN(CursorPtr left,
-                              MakeCursor(*node.children[0], ctx));
-      BAGALG_ASSIGN_OR_RETURN(CursorPtr right,
-                              MakeCursor(*node.children[1], ctx));
-      return CursorPtr(std::make_unique<MergeCursor>(
-          node.merge_kind, std::move(left), std::move(right), ctx));
+      BAGALG_ASSIGN_OR_RETURN(
+          Bag l, Drain(&Produce, *node.children[0], ctx, "merge"));
+      BAGALG_ASSIGN_OR_RETURN(
+          Bag r, Drain(&Produce, *node.children[1], ctx, "merge"));
+      BAGALG_ASSIGN_OR_RETURN(Bag merged, Merge(node.merge_kind, l, r));
+      return EmitBag(merged, sink);
     }
     case IrKind::kDupElim: {
-      BAGALG_ASSIGN_OR_RETURN(CursorPtr child,
-                              MakeCursor(*node.children[0], ctx));
-      return CursorPtr(
-          std::make_unique<DupElimCursor>(std::move(child), ctx));
+      BAGALG_ASSIGN_OR_RETURN(
+          Bag in, Drain(&Produce, *node.children[0], ctx, "eps"));
+      BAGALG_ASSIGN_OR_RETURN(Bag out, DupElim(in));
+      return EmitBag(out, sink);
     }
   }
   return Status::Internal("unknown IR node kind");
 }
 
-/// Base cursor plus the node's fused stages (no CSE wrapping).
-Result<CursorPtr> MakeStaged(const IrNode& node, ExecContext* ctx) {
-  BAGALG_ASSIGN_OR_RETURN(CursorPtr base, MakeBase(node, ctx));
-  if (node.stages.empty()) return base;
-  return CursorPtr(
-      std::make_unique<StagedCursor>(std::move(base), &node.stages, ctx));
+/// The node's source with its fused stages run over every batch — the
+/// vectorized heart of the engine. Batches the stages empty are counted
+/// but not passed on.
+Status ProduceStaged(const IrNode& node, ExecContext* ctx, const Sink& sink) {
+  if (node.stages.empty()) return ProduceSource(node, ctx, sink);
+  BatchCheckpointTicker ticker;
+  BAGALG_RETURN_IF_ERROR(
+      ProduceSource(node, ctx, [&](RowBatch& batch) -> Status {
+        const uint64_t in_rows = batch.size();
+        for (const Stage& stage : node.stages) {
+          BAGALG_RETURN_IF_ERROR(ApplyStage(stage, &batch));
+        }
+        ctx->batches++;
+        ctx->rows += batch.size();
+        BAGALG_RETURN_IF_ERROR(ticker.OnBatch(in_rows));
+        return batch.empty() ? Status::Ok() : sink(batch);
+      }));
+  return ticker.Flush();
 }
 
-Status CseCursor::Open() {
-  auto it = ctx_->cse_cache.find(node_.cse_key);
-  if (it == ctx_->cse_cache.end()) {
-    BAGALG_ASSIGN_OR_RETURN(CursorPtr inner, MakeStaged(node_, ctx_));
-    BAGALG_ASSIGN_OR_RETURN(Bag bag,
-                            DrainToBag(inner.get(), ctx_, "cse"));
-    it = ctx_->cse_cache.emplace(node_.cse_key, std::move(bag)).first;
+/// A cse_shared node drains its staged subplan into the per-run cache on
+/// first use; every use emits the cached bag.
+Status Produce(const IrNode& node, ExecContext* ctx, const Sink& sink) {
+  if (!node.cse_shared || node.cse_key.empty()) {
+    return ProduceStaged(node, ctx, sink);
+  }
+  auto it = ctx->cse_cache.find(node.cse_key);
+  if (it == ctx->cse_cache.end()) {
+    BAGALG_ASSIGN_OR_RETURN(Bag bag, Drain(&ProduceStaged, node, ctx, "cse"));
+    it = ctx->cse_cache.emplace(node.cse_key, std::move(bag)).first;
   } else {
     obs::GlobalMetrics().GetCounter("ir.cse_hits")->Increment();
   }
-  out_ = std::make_unique<BagCursor>(it->second, ctx_->batch_size);
-  return out_->Open();
-}
-
-Result<CursorPtr> MakeCursor(const IrNode& node, ExecContext* ctx) {
-  if (node.cse_shared && !node.cse_key.empty()) {
-    return CursorPtr(std::make_unique<CseCursor>(node, ctx));
-  }
-  return MakeStaged(node, ctx);
+  return EmitBag(it->second, sink);
 }
 
 }  // namespace
@@ -634,9 +378,7 @@ Result<Bag> ExecuteIr(const IrPlan& plan, const Database& /*db*/,
   ctx.tracer = options.tracer != nullptr && options.tracer->enabled()
                    ? options.tracer
                    : nullptr;
-  ctx.batch_size = plan.batch_size == 0 ? kDefaultBatchSize : plan.batch_size;
-  BAGALG_ASSIGN_OR_RETURN(CursorPtr root, MakeCursor(*plan.root, &ctx));
-  Result<Bag> out = DrainToBag(root.get(), &ctx, "root");
+  Result<Bag> out = Drain(&Produce, *plan.root, &ctx, "root");
   auto& metrics = obs::GlobalMetrics();
   metrics.GetCounter("ir.batches")->Increment(ctx.batches);
   metrics.GetCounter("ir.rows")->Increment(ctx.rows);

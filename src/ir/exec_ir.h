@@ -2,14 +2,16 @@
 #define BAGALG_IR_EXEC_IR_H_
 
 /// \file exec_ir.h
-/// The vectorized IR interpreter: batch-at-a-time cursors over RowBatch.
+/// The vectorized IR interpreter: push loops over RowBatch.
 ///
-/// Each IrNode becomes a BatchCursor producing up to plan.batch_size rows
-/// per Next() call. Fused stages run inside the producing cursor's loop —
-/// a filter compacts the batch in place with a write index, a projection
-/// rewrites values through the compiled RowProgram (or its gather /
-/// field-ref fast path) — so a scan→σ→MAP chain is literally one pass over
-/// each batch with zero intermediate Bags.
+/// Each IrNode kind has one producer that pushes its output stream, one
+/// batch of up to kDefaultBatchSize rows at a time, into a sink supplied
+/// by its consumer. Fused stages wrap that sink — a filter compacts the
+/// batch in place with a write index, a projection rewrites values through
+/// the compiled RowProgram (or its gather / field-ref fast path) — so a
+/// scan→σ→MAP chain is literally one pass over each batch with zero
+/// intermediate Bags. Blocking nodes (merge, ε, join build sides, shared
+/// CSE subplans, the root) drain their inputs into a Bag first.
 ///
 /// Governor integration is per batch: a BatchCheckpointTicker charges and
 /// checks once per ~kCheckpointStride rows instead of every row, with byte
@@ -33,7 +35,7 @@ namespace bagalg::ir {
 
 struct ExecIrOptions {
   /// When non-null and enabled, per-pipeline spans ("ir.pipeline.<kind>")
-  /// wrap each root-level cursor drain and ir.* metrics are recorded.
+  /// wrap each materializing drain and ir.* metrics are recorded.
   obs::Tracer* tracer = nullptr;
 };
 

@@ -167,7 +167,7 @@ void RenderNode(const IrNode& node, size_t depth, const std::string& role,
 }  // namespace
 
 std::string ExplainIrPlan(const IrPlan& plan, const IrNodeAnnotator& annotate) {
-  std::string out = "ir plan: batch=" + std::to_string(plan.batch_size) +
+  std::string out = "ir plan: batch=" + std::to_string(kDefaultBatchSize) +
                     " fused_stages=" +
                     std::to_string(plan.root ? CountFusedStages(*plan.root)
                                              : 0);

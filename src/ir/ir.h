@@ -20,10 +20,7 @@
 /// object-level lambda bodies only. Lowering anything else returns
 /// kUnsupported, and exec::RunPipeline returns that status as is.
 ///
-/// The tree is deliberately execution-strategy-neutral: ExecuteIr (exec_ir.h)
-/// interprets it batch-at-a-time today, and a codegen backend can walk the
-/// same nodes to emit loops later — nothing in the node structure assumes an
-/// interpreter.
+/// ExecuteIr (exec_ir.h) runs the tree as push loops, one batch at a time.
 
 #include <cstdint>
 #include <functional>
@@ -43,9 +40,9 @@ namespace bagalg::ir {
 inline constexpr size_t kDefaultBatchSize = 1024;
 
 /// A columnar chunk of rows: parallel arrays of values and multiplicities.
-/// The arena the vectorized interpreter streams through; cursors reuse one
-/// batch across Next() calls, so steady-state execution does not allocate
-/// per row.
+/// The unit the push loops hand from producer to sink; each producer
+/// refills one batch for its whole stream, so steady-state execution does
+/// not allocate per row.
 struct RowBatch {
   std::vector<Value> values;
   std::vector<Mult> counts;
@@ -122,7 +119,8 @@ struct IrNode {
   /// Fused per-row stages applied to this node's raw output, in order.
   std::vector<Stage> stages;
 
-  // --- analysis annotations (lower.cc / passes.cc) ---
+  // --- analysis annotations: cost fields set only for explain ir
+  // (lower.cc), CSE marks by passes.cc ---
   std::string cost_note;          ///< static_cost rendering for explain ir
   std::optional<uint64_t> est_rows;  ///< exact-facts row bound when known
   bool cse_shared = false;        ///< materialization reused via the CSE cache
@@ -158,7 +156,6 @@ struct PassStats {
 /// A lowered, pass-processed plan ready for ExecuteIr.
 struct IrPlan {
   std::unique_ptr<IrNode> root;
-  size_t batch_size = kDefaultBatchSize;
   PassStats passes;
   /// Names of algebra-level rewrites applied before lowering (empty when
   /// lowering ran on the raw plan).

@@ -170,10 +170,10 @@ void Annotate(IrNode* node, const analysis::CostAnalysis& costs) {
   for (auto& child : node->children) Annotate(child.get(), costs);
 }
 
-}  // namespace
-
-Result<IrPlan> LowerToIr(const Expr& expr, const Database& db,
-                         const LowerOptions& options) {
+/// LowerToIr; with `annotate_costs` (the explain entry points only) it also
+/// annotates the nodes with static_cost bounds of the rewritten plan.
+Result<IrPlan> LowerPlan(const Expr& expr, const Database& db,
+                         const LowerOptions& options, bool annotate_costs) {
   Expr plan_expr = expr;
   std::vector<std::string> rewrites;
   if (options.optimize_first) {
@@ -200,8 +200,6 @@ Result<IrPlan> LowerToIr(const Expr& expr, const Database& db,
 
   IrPlan plan;
   plan.root = std::move(root);
-  plan.batch_size =
-      options.batch_size == 0 ? kDefaultBatchSize : options.batch_size;
   plan.rewrites = std::move(rewrites);
   PassOptions pass_options;
   pass_options.verify_each =
@@ -210,7 +208,7 @@ Result<IrPlan> LowerToIr(const Expr& expr, const Database& db,
   pass_options.observer = options.observer;
   BAGALG_RETURN_IF_ERROR(RunPasses(&plan, pass_options));
 
-  if (options.annotate_costs) {
+  if (annotate_costs) {
     Result<analysis::CostAnalysis> costs = analysis::AnalyzeCost(
         plan_expr, db.schema(), analysis::CostFacts::Exact(db));
     if (costs.ok()) Annotate(plan.root.get(), costs.value());
@@ -220,15 +218,24 @@ Result<IrPlan> LowerToIr(const Expr& expr, const Database& db,
   return plan;
 }
 
+}  // namespace
+
+Result<IrPlan> LowerToIr(const Expr& expr, const Database& db,
+                         const LowerOptions& options) {
+  return LowerPlan(expr, db, options, /*annotate_costs=*/false);
+}
+
 Result<std::string> ExplainIr(const Expr& expr, const Database& db,
                               const LowerOptions& options) {
-  BAGALG_ASSIGN_OR_RETURN(IrPlan plan, LowerToIr(expr, db, options));
+  BAGALG_ASSIGN_OR_RETURN(
+      IrPlan plan, LowerPlan(expr, db, options, /*annotate_costs=*/true));
   return ExplainIrPlan(plan);
 }
 
 Result<std::string> ExplainIrFacts(const Expr& expr, const Database& db,
                                    const LowerOptions& options) {
-  BAGALG_ASSIGN_OR_RETURN(IrPlan plan, LowerToIr(expr, db, options));
+  BAGALG_ASSIGN_OR_RETURN(
+      IrPlan plan, LowerPlan(expr, db, options, /*annotate_costs=*/true));
   BAGALG_ASSIGN_OR_RETURN(IrFactsMap facts, ComputeIrFacts(plan));
   return ExplainIrPlan(plan, [&facts](const IrNode& node) -> std::string {
     auto it = facts.find(&node);

@@ -9,7 +9,8 @@
 /// IR's common-subexpression pass can key on surface syntax — typechecks the
 /// plan (join lowering needs the probe side's tuple arity), folds every MAP
 /// / σ into fused stages on the producing node, then runs the IR passes
-/// (passes.h) and annotates nodes with static_cost bounds.
+/// (passes.h). Only the explain entry points annotate nodes with
+/// static_cost bounds; execution never reads them.
 ///
 /// The supported fragment is the paper's tractable BALG¹ fragment (§4);
 /// anything outside lowers to kUnsupported, which exec::RunPipeline
@@ -30,12 +31,6 @@ struct LowerOptions {
   /// selection-pushdown wins, this canonicalizes duplicate subplans so the
   /// CSE pass can recognize them.
   bool optimize_first = true;
-  /// Annotate nodes with static_cost exact-facts bounds (cost_note,
-  /// est_rows). Lowering never fails on analysis errors — annotations are
-  /// best-effort.
-  bool annotate_costs = true;
-  /// Rows per batch for the produced plan.
-  size_t batch_size = kDefaultBatchSize;
   /// Per-pass plan verification (verify.h): kAuto follows IrVerifyEnabled()
   /// — on in assert-enabled builds and whenever BAGALG_IR_VERIFY=1 — so
   /// Release builds can opt in without recompiling; kOn/kOff force it.
@@ -52,7 +47,9 @@ struct LowerOptions {
 Result<IrPlan> LowerToIr(const Expr& expr, const Database& db,
                          const LowerOptions& options = {});
 
-/// EXPLAIN IR: lower + render the fused pipeline tree (ExplainIrPlan).
+/// EXPLAIN IR: lower, annotate each node with its static_cost exact-facts
+/// bound (cost_note, est_rows; best-effort — analysis errors leave a node
+/// unannotated), and render the fused pipeline tree (ExplainIrPlan).
 Result<std::string> ExplainIr(const Expr& expr, const Database& db,
                               const LowerOptions& options = {});
 

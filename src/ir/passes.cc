@@ -639,7 +639,6 @@ void WalkLocal(IrNode* node, PassStats* stats,
 IrPlan SnapshotPlan(const IrPlan& plan) {
   IrPlan snapshot;
   snapshot.root = plan.root->Clone();
-  snapshot.batch_size = plan.batch_size;
   snapshot.passes = plan.passes;
   snapshot.rewrites = plan.rewrites;
   return snapshot;

@@ -80,9 +80,8 @@ Status RunPasses(IrPlan* plan, const PassOptions& options = {});
 /// Defensive post-pass validation: every node hosting fused stages must be
 /// in the fusible fragment (no powerset/powerbag origins — those never
 /// lower, but a future lowering bug must fail loudly, not silently drop
-/// multiplicities), hash-join keys must lie inside their sides' arities,
-/// and build-side materialization must not be provably astronomical per
-/// static_cost. Returns kUnsupported / kInternal with a diagnostic.
+/// multiplicities) and hash-join keys must lie inside their sides'
+/// arities. Returns kUnsupported / kInternal with a diagnostic.
 Status CheckFusionLegality(const IrPlan& plan);
 
 /// Seeded pass mutations: intentionally broken pass variants behind a

@@ -135,7 +135,6 @@ void ScriptRunner::FinishStatement(obs::JournalEntry& entry,
 Result<std::string> ScriptRunner::RunStatement(const std::string& kind,
                                                const std::string& text) {
   BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(text));
-  last_result_.reset();
   Status admitted;
   obs::JournalEntry entry = BeginStatement(kind, text, e, &admitted);
   const bool on_ir = kind == "exec";
@@ -196,6 +195,7 @@ Result<std::string> ScriptRunner::RunStatement(const std::string& kind,
 
 Result<std::string> ScriptRunner::RunLine(const std::string& line) {
   last_trip_ = TripKind::kNone;
+  last_result_.reset();
   Result<std::string> out = RunCommand(line);
   last_outcome_ = StatementOutcome(out.status(), last_trip_);
   // Keep the trace file valid after every traced statement, so scripts that

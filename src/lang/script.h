@@ -147,10 +147,10 @@ class ScriptRunner {
     budget_ = std::move(budget);
   }
 
-  /// The structured result of the most recent successful eval/exec
-  /// statement (count results are bags too and land here). Cleared at the
-  /// start of each statement; nullopt after failures and non-result
-  /// commands. bagalgd serializes this through net/wire.h instead of
+  /// The structured result of the most recent RunLine when it was a
+  /// successful eval/count/exec statement (count results are bags too and
+  /// land here). Cleared at the start of every RunLine, so it is nullopt
+  /// after failures and after non-result commands such as `let`. bagalgd serializes this through net/wire.h instead of
   /// re-parsing the printable output.
   const std::optional<Value>& last_result() const { return last_result_; }
 

@@ -21,6 +21,7 @@
 #include "src/ir/ir.h"
 #include "src/ir/program.h"
 #include "src/lang/script.h"
+#include "src/obs/metrics.h"
 #include "src/util/governor.h"
 
 namespace bagalg {
@@ -299,6 +300,32 @@ TEST(ExecIrTest, JoinMatchesTheEvaluator) {
   EXPECT_EQ(out->CountOf(MakeTuple({A("a"), A("a")})), Mult(12));
 }
 
+/// Runs `q` on the IR and checks it against the evaluator, and that the
+/// root pipeline saw exactly `rows` rows in ceil(rows / 1024) batches.
+void ExpectJoinStream(const Expr& q, const Database& db, IrKind kind,
+                      size_t rows) {
+  auto plan = LowerToIr(q, db);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->root->kind, kind) << ir::ExplainIrPlan(*plan);
+  // The root's fused stage makes ir.batches / ir.rows count the join's
+  // output batches.
+  ASSERT_FALSE(plan->root->stages.empty()) << ir::ExplainIrPlan(*plan);
+  obs::Counter* batches = obs::GlobalMetrics().GetCounter("ir.batches");
+  obs::Counter* streamed = obs::GlobalMetrics().GetCounter("ir.rows");
+  const uint64_t batches_before = batches->value();
+  const uint64_t rows_before = streamed->value();
+  auto out = ExecuteIr(*plan, db);
+  ASSERT_TRUE(out.ok()) << out.status();
+  Evaluator eval;
+  auto reference = eval.EvalToBag(q, db);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(*out, *reference) << "rows=" << rows;
+  EXPECT_EQ(out->TotalCount(), Mult(rows)) << "rows=" << rows;
+  EXPECT_EQ(streamed->value() - rows_before, rows);
+  EXPECT_EQ(batches->value() - batches_before,
+            (rows + ir::kDefaultBatchSize - 1) / ir::kDefaultBatchSize);
+}
+
 TEST(ExecIrTest, BatchBoundarySizesRoundTrip) {
   // One row short of a batch, exactly one batch, one row over.
   for (size_t n : {1023u, 1024u, 1025u}) {
@@ -314,6 +341,39 @@ TEST(ExecIrTest, BatchBoundarySizesRoundTrip) {
     ASSERT_TRUE(out.ok()) << out.status();
     EXPECT_EQ(*out, *reference) << "n=" << n;
     EXPECT_EQ(out->TotalCount(), Mult(n)) << "n=" << n;
+  }
+
+  // Hash join: probe [p0, a] matches 1000 build rows, [p1, none] matches
+  // nothing, [p2, b] matches the last n - 1000. So p2's matches end one
+  // short of the batch, exactly at it, or straddle it.
+  for (size_t n : {1023u, 1024u, 1025u}) {
+    Bag probe = MakeBag({{MakeTuple({A("p0"), A("a")}), 1},
+                         {MakeTuple({A("p1"), A("none")}), 1},
+                         {MakeTuple({A("p2"), A("b")}), 1}});
+    Bag::Builder builder;
+    for (size_t i = 0; i < n; ++i) {
+      builder.AddOne(MakeTuple({A(i < 1000 ? "a" : "b"),
+                                MakeAtom("q" + std::to_string(i))}));
+    }
+    auto build = std::move(builder).Build();
+    ASSERT_TRUE(build.ok());
+    Database db = Db({{"P", probe}, {"Q", *build}});
+    const Expr q = ProjectAttrs(Select(Proj(Var(0), 2), Proj(Var(0), 3),
+                                       Product(Input("P"), Input("Q"))),
+                                {1, 4});
+    SCOPED_TRACE("hash join, n=" + std::to_string(n));
+    ExpectJoinStream(q, db, IrKind::kHashJoin, n);
+  }
+  // Cross join of p probe rows by b build rows; for 1025 = 25 x 41 the
+  // boundary falls inside probe row 24's run of matches. Swapping the two
+  // sides' columns keeps the projection on the join node.
+  const std::pair<size_t, size_t> shapes[] = {{33, 31}, {32, 32}, {25, 41}};
+  for (const auto& [p, b] : shapes) {
+    Database db = Db({{"P", DistinctPairs(p)}, {"Q", DistinctPairs(b)}});
+    const Expr q =
+        ProjectAttrs(Product(Input("P"), Input("Q")), {3, 4, 1, 2});
+    SCOPED_TRACE("cross join, rows=" + std::to_string(p * b));
+    ExpectJoinStream(q, db, IrKind::kCrossJoin, p * b);
   }
 }
 

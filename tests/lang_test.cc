@@ -282,6 +282,25 @@ TEST(ScriptTest, CountOfANonBagIsAnError) {
   EXPECT_FALSE(runner.last_result().has_value());
 }
 
+TEST(ScriptTest, NonResultCommandsClearTheLastResult) {
+  ScriptRunner runner;
+  ASSERT_TRUE(runner.RunLine("let B = {{a, b}}").ok());
+  EXPECT_FALSE(runner.last_result().has_value());
+  ASSERT_TRUE(runner.RunLine("eval B").ok());
+  ASSERT_TRUE(runner.last_result().has_value());
+  // A let after an eval answers with its own output only.
+  ASSERT_TRUE(runner.RunLine("let C = {{c}}").ok());
+  EXPECT_FALSE(runner.last_result().has_value());
+  ASSERT_TRUE(runner.RunLine("exec C").ok());
+  ASSERT_TRUE(runner.last_result().has_value());
+  ASSERT_TRUE(runner.RunLine("type C").ok());
+  EXPECT_FALSE(runner.last_result().has_value());
+  ASSERT_TRUE(runner.RunLine("count C").ok());
+  // A statement that fails to parse leaves no result behind either.
+  EXPECT_FALSE(runner.RunLine("eval uplus(").ok());
+  EXPECT_FALSE(runner.last_result().has_value());
+}
+
 TEST(ScriptTest, EveryLineRecordsItsOutcome) {
   ScriptRunner runner;
   ASSERT_TRUE(runner.RunLine("let B = {{a, b}}").ok());

@@ -1399,7 +1399,8 @@ std::string Bag1Body(const std::string& session, const std::string& statement,
 }
 
 // Every statement-route response shape, byte for byte (wall_us and flight
-// dumps masked): success small, streamed and BAG1; every 400 branch; 404,
+// dumps masked): success small, streamed and BAG1; a let after an eval
+// (no stale result); every 400 branch; 404,
 // 405, 429, the 503s, close-session 200/404, and a 504 with a flight dump.
 TEST(GoldenResponseTest, StatementRouteBytesAreStable) {
   std::vector<std::pair<std::string, std::string>> got;
@@ -1440,6 +1441,8 @@ TEST(GoldenResponseTest, StatementRouteBytesAreStable) {
              post(R"js({"session":"g",)js"
                   R"js("statement":"eval uplus(X, '{{c, d, e}})"})js"));
     exchange(c, "bag1_success", post_bag1(Bag1Body("g", "eval X")));
+    exchange(c, "let_after_eval",
+             post(R"js({"session":"g","statement":"let Z = {{z}}"})js"));
     exchange(c, "bad_json", post("{not json"));
     exchange(c, "non_object", post("[1]"));
     exchange(c, "missing_statement", post(R"js({"session":"g"})js"));
@@ -1489,8 +1492,8 @@ TEST(GoldenResponseTest, StatementRouteBytesAreStable) {
              post(R"js({"session":"h","statement":"count '{{a}}"})js"));
     c.Close();
     (*server)->Wait();
-    // The five 200s and close_ok; count_non_bag counts as an error.
-    EXPECT_EQ((*server)->stats().ok, 6u);
+    // The six 200s and close_ok; count_non_bag counts as an error.
+    EXPECT_EQ((*server)->stats().ok, 7u);
   }
   {
     ServerOptions options;
@@ -1554,6 +1557,10 @@ TEST(GoldenResponseTest, StatementRouteBytesAreStable) {
        R"g(x001267650600228229401496703205376\x01\x01\x00\x00\x00b\x00\x01\)g"
        R"g(x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\)g"
        R"g(x00\x00\x00\x00)g"},
+      {"let_after_eval",
+       R"g(HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Len)g"
+       R"g(gth: 73\r\n\r\n{"ok":true,"outcome":"ok","session":"g","output":)g"
+       R"g("Z : {{U}}","wall_us":W})g"},
       {"bad_json",
        R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
        R"g(ntent-Length: 120\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
