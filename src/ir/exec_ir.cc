@@ -171,28 +171,31 @@ Result<Bag> Drain(Producer produce, const IrNode& node, ExecContext* ctx,
 // ---------------------------------------------------------------- joins
 
 /// Collects join output rows and passes on only full batches; Finish
-/// passes on the remainder.
+/// passes on the remainder. Like CheckpointTicker, the per-row call builds
+/// no Status:
+///
+///   if (filler.Push(row, count)) BAGALG_RETURN_IF_ERROR(filler.Emit());
 class BatchFiller {
  public:
   explicit BatchFiller(const Sink& sink) : sink_(sink) {
     out_.Reserve(kDefaultBatchSize);
   }
 
-  Status Push(Value v, Mult c) {
+  /// Appends one row; true when the batch is full and Emit must run.
+  bool Push(Value v, Mult c) {
     out_.Push(std::move(v), std::move(c));
-    if (out_.size() < kDefaultBatchSize) return Status::Ok();
-    return Emit();
+    return out_.size() == kDefaultBatchSize;
   }
 
-  Status Finish() { return out_.empty() ? Status::Ok() : Emit(); }
-
- private:
   Status Emit() {
     Status status = sink_(out_);
     out_.Clear();
     return status;
   }
 
+  Status Finish() { return out_.empty() ? Status::Ok() : Emit(); }
+
+ private:
   const Sink& sink_;
   RowBatch out_;
 };
@@ -243,8 +246,10 @@ Status ProduceHashJoin(const IrNode& node, ExecContext* ctx,
           auto it = table.find(row.fields()[node.probe_key - 1]);
           if (it == table.end()) continue;
           for (const auto& [build_row, build_count] : it->second) {
-            BAGALG_RETURN_IF_ERROR(
-                out.Push(Concat(row, build_row), probe.counts[i] * build_count));
+            if (out.Push(Concat(row, build_row),
+                         probe.counts[i] * build_count)) {
+              BAGALG_RETURN_IF_ERROR(out.Emit());
+            }
           }
         }
         return Status::Ok();
@@ -275,8 +280,10 @@ Status ProduceCrossJoin(const IrNode& node, ExecContext* ctx,
         }
         for (size_t i = 0; i < probe.size(); ++i) {
           for (const BagEntry& e : build_entries) {
-            BAGALG_RETURN_IF_ERROR(out.Push(Concat(probe.values[i], e.value),
-                                            probe.counts[i] * e.count));
+            if (out.Push(Concat(probe.values[i], e.value),
+                         probe.counts[i] * e.count)) {
+              BAGALG_RETURN_IF_ERROR(out.Emit());
+            }
           }
           BAGALG_RETURN_IF_ERROR(ticker.OnBatch(build_entries.size()));
         }
