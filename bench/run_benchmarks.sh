@@ -9,9 +9,10 @@
 # BENCHMARK_MIN_TIME (default 0.05s per benchmark) to trade precision for
 # wall time. Every BENCH_*.json records the thread-pool width it ran at
 # (BAGALG_THREADS, or "unset") as context.bagalg_threads, next to the
-# host_name Google Benchmark already writes. Several benches print human-readable preambles before the JSON
-# document; the preamble goes to stderr (or is stripped here for the ones
-# that still use stdout), so every BENCH_*.json is a valid JSON document.
+# host_name Google Benchmark already writes. Several benches print
+# human-readable preambles before the JSON document; the preamble goes to
+# stderr (or is stripped here for the ones that still use stdout), so every
+# BENCH_*.json is a valid JSON document.
 #
 # With --compare, results go to a temporary directory (unless OUT_DIR is
 # given) and are diffed against the committed bench/results baselines with

@@ -680,8 +680,8 @@ Result<IrFacts> NodeBaseFacts(const IrNode& node,
     }
   }
   // Cardinality tightening from the static_cost annotation (lower.cc's
-  // Annotate, run only for explain ir): est_rows bounds the node source's total multiplicity, hence
-  // its distinct entries.
+  // Annotate, run only for explain ir): est_rows bounds the node source's
+  // total multiplicity, hence its distinct entries.
   if (node.est_rows.has_value()) {
     facts.max_rows = MaxMin(facts.max_rows, node.est_rows);
   }

@@ -150,8 +150,9 @@ class ScriptRunner {
   /// The structured result of the most recent RunLine when it was a
   /// successful eval/count/exec statement (count results are bags too and
   /// land here). Cleared at the start of every RunLine, so it is nullopt
-  /// after failures and after non-result commands such as `let`. bagalgd serializes this through net/wire.h instead of
-  /// re-parsing the printable output.
+  /// after failures and after non-result commands such as `let`. bagalgd
+  /// serializes this through net/wire.h instead of re-parsing the
+  /// printable output.
   const std::optional<Value>& last_result() const { return last_result_; }
 
   /// The typed outcome word of the most recent RunLine, journaled or not:
