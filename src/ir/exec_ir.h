@@ -13,12 +13,11 @@
 /// intermediate Bags. Blocking nodes (merge, ε, join build sides, shared
 /// CSE subplans, the root) drain their inputs into a Bag first.
 ///
-/// Governor integration is per batch: a BatchCheckpointTicker charges and
-/// checks once per ~kCheckpointStride rows instead of every row, with byte
-/// accounting identical to the per-row ticker (paired test in
-/// tests/ir_test.cc). Materialization points (merge kernels, dup-elim,
-/// hash-join build sides) account memory through Bag::Builder exactly as
-/// the evaluator's kernels do, so memory-cap trips match `eval`.
+/// Governor integration is per batch: a BatchCheckpointTicker checks once
+/// per ~kCheckpointStride rows instead of every row; it charges no bytes.
+/// Materialization points (merge kernels, dup-elim, hash-join build sides)
+/// account memory through Bag::Builder exactly as the evaluator's kernels
+/// do, so memory-cap trips match `eval`.
 ///
 /// Non-fusible plans never reach this layer — lowering rejects them.
 

@@ -70,43 +70,42 @@ bool ValidSessionName(const std::string& name) {
   return true;
 }
 
-/// One resident session: the REPL engine behind a mutex. The cancellation
-/// token is a copy of the runner's (they share the flag), kept outside the
-/// mutex so drain can cancel an in-flight statement without blocking on it.
-struct Session {
-  explicit Session(std::string name) : id(std::move(name)) {
-    cancel = runner.cancel_token();
-  }
-  const std::string id;
-  std::mutex mu;
-  lang::ScriptRunner runner;  // guarded by mu
-  CancellationToken cancel;   // lock-free Cancel
-
-  // FIFO turnstile: with parse-ahead, several statements of one session
-  // can sit in the executor queue at once, and two lanes could otherwise
-  // run them out of program order (`let X` racing `eval X`). Tickets are
-  // issued in enqueue order (under the queue mutex), and a lane blocks
-  // until its ticket is served. Deadlock-free because the queue pops
-  // FIFO: the lane holding the now-serving ticket always exists.
-  uint64_t next_ticket = 0;  // guarded by the server's queue mutex
-  std::mutex turn_mu;
-  std::condition_variable turn_cv;
-  uint64_t now_serving = 0;  // guarded by turn_mu
-};
-
 struct ExecJob {
   enum class Kind : uint8_t { kStatement, kCloseSession };
   Kind kind = Kind::kStatement;
   uint64_t conn_id = 0;
-  uint64_t seq = 0;     // response slot on the connection
-  uint64_t ticket = 0;  // session turnstile position
-  std::shared_ptr<Session> session;
-  std::string session_name;
+  uint64_t seq = 0;  // response slot on the connection
   std::string statement;
   uint64_t timeout_ms = 0;
   uint64_t memlimit_bytes = 0;
   WireFormat format = WireFormat::kJson;  // the request's, and the answer's
   bool want_close = false;  // connection closes after the response
+};
+
+/// One resident session: the REPL engine and its run queue. The scheduler
+/// hands a session to one executor lane at a time, and every hand-off
+/// goes through the server's queue mutex, so the runner needs no lock of
+/// its own. The cancellation token is a copy of the runner's (they share
+/// the flag), so drain can cancel an in-flight statement from any thread.
+struct Session {
+  Session(std::string name, const ServerOptions& options)
+      : id(std::move(name)) {
+    runner.set_timeout_ms(options.default_timeout_ms);
+    runner.set_memlimit_bytes(options.default_memlimit_bytes);
+    if (options.cost_budget > 0) {
+      analysis::CostBudget budget;
+      budget.max_estimated_size = BigNat(options.cost_budget);
+      runner.set_budget(budget);
+    }
+    cancel = runner.cancel_token();
+  }
+  const std::string id;
+  lang::ScriptRunner runner;
+  CancellationToken cancel;
+
+  // Guarded by the server's queue mutex.
+  std::deque<ExecJob> pending;  // admitted, not started, in program order
+  bool scheduled = false;       // in the run queue or on a lane
 };
 
 /// What one job produced, shipped from the executor back to the event
@@ -262,7 +261,7 @@ class Server::Impl {
     }
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      s.queue_depth = queue_.size();
+      s.queue_depth = queued_jobs_;
     }
     return s;
   }
@@ -567,17 +566,13 @@ class Server::Impl {
       if (!first_session) body += ",";
       first_session = false;
       body += "{\"id\":" + obs::JsonQuote(session->id) + ",\"entries\":[";
-      // try_lock: a session mid-statement would otherwise park the whole
-      // event loop on its mutex for the statement's duration. Busy
-      // sessions report an empty tail rather than stall every peer.
-      std::unique_lock<std::mutex> lock(session->mu, std::try_to_lock);
-      if (lock.owns_lock()) {
-        bool first_entry = true;
-        for (const auto& entry : session->runner.journal().Tail(8)) {
-          if (!first_entry) body += ",";
-          first_entry = false;
-          body += entry.ToJsonLine();
-        }
+      // The journal locks internally: a session mid-statement shows its
+      // tail too, without the loop waiting on the statement.
+      bool first_entry = true;
+      for (const auto& entry : session->runner.journal().Tail(8)) {
+        if (!first_entry) body += ",";
+        first_entry = false;
+        body += entry.ToJsonLine();
       }
       body += "]}";
     }
@@ -620,8 +615,6 @@ class Server::Impl {
     ExecJob job;
     job.kind = ExecJob::Kind::kStatement;
     job.conn_id = c->id;
-    job.session = *session;
-    job.session_name = std::move(decoded->session);
     job.statement = std::move(decoded->statement);
     job.timeout_ms =
         EffectiveLimit(decoded->timeout_ms, options_.default_timeout_ms);
@@ -629,30 +622,7 @@ class Server::Impl {
                                         options_.default_memlimit_bytes);
     job.format = format;
     job.want_close = want_close;
-
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      if (draining()) {
-        QueueEnvelope(c, Shed(503, "draining for shutdown"), format,
-                      want_close);
-        return;
-      }
-      if (queue_.size() >= options_.queue_capacity) {
-        const size_t depth = queue_.size();
-        const unsigned lanes = std::max(1u, options_.executors);
-        Envelope shed = Shed(429, "admission queue full");
-        shed.retry_after = std::to_string(1 + depth / lanes);
-        QueueEnvelope(c, shed, format, want_close);
-        return;
-      }
-      // Slot seq and session ticket are both issued here, under the queue
-      // mutex that orders the push: queue order == ticket order, which is
-      // what makes the executor turnstile deadlock-free.
-      job.seq = NewAsyncSlot(c, want_close);
-      job.ticket = job.session->next_ticket++;
-      queue_.push_back(std::move(job));
-    }
-    queue_cv_.notify_one();
+    Submit(c, *session, std::move(job));
   }
 
   void CloseSessionRequest(Conn* c, const HttpRequest& request,
@@ -666,7 +636,14 @@ class Server::Impl {
                  want_close);
       return;
     }
-    const std::string session_name = doc->GetString("session", "");
+    const JsonValue* name = doc->Find("session");
+    if (name != nullptr && !name->is_string()) {
+      QueueError(c, 400,
+                 Status::InvalidArgument("\"session\" must be a string"),
+                 want_close);
+      return;
+    }
+    const std::string session_name = name != nullptr ? name->string : "";
     std::shared_ptr<Session> session;
     {
       std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -681,21 +658,42 @@ class Server::Impl {
                  want_close);
       return;
     }
-    // The flush can block on the session mutex behind an in-flight
-    // statement, so it runs on the executor pool, never the loop thread.
+    // The flush runs on the session's run queue, after the statements
+    // admitted before it, never on the loop thread.
     ExecJob job;
     job.kind = ExecJob::Kind::kCloseSession;
     job.conn_id = c->id;
-    job.session = std::move(session);
-    job.session_name = session_name;
     job.want_close = want_close;
+    Submit(c, session, std::move(job));
+  }
+
+  /// Admits a job at the tail of its session's run queue and reserves its
+  /// response slot; a session that was idle joins the run queue. A
+  /// statement is shed while draining or when the queued jobs of all
+  /// sessions fill the admission queue. A close is always admitted: it is
+  /// what relieves pressure, so shedding it would wedge a full server.
+  void Submit(Conn* c, const std::shared_ptr<Session>& session, ExecJob job) {
+    const bool statement = job.kind == ExecJob::Kind::kStatement;
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      // Session closes are admitted even at capacity: the close is what
-      // relieves pressure, shedding it would wedge a full server.
-      job.seq = NewAsyncSlot(c, want_close);
-      job.ticket = job.session->next_ticket++;
-      queue_.push_back(std::move(job));
+      if (statement && draining()) {
+        QueueEnvelope(c, Shed(503, "draining for shutdown"), job.format,
+                      job.want_close);
+        return;
+      }
+      if (statement && queued_jobs_ >= options_.queue_capacity) {
+        const unsigned lanes = std::max(1u, options_.executors);
+        Envelope shed = Shed(429, "admission queue full");
+        shed.retry_after = std::to_string(1 + queued_jobs_ / lanes);
+        QueueEnvelope(c, shed, job.format, job.want_close);
+        return;
+      }
+      job.seq = NewAsyncSlot(c, job.want_close);
+      session->pending.push_back(std::move(job));
+      ++queued_jobs_;
+      if (session->scheduled) return;  // its lane hands it back
+      session->scheduled = true;
+      runnable_.push_back(session);
     }
     queue_cv_.notify_one();
   }
@@ -704,38 +702,23 @@ class Server::Impl {
 
   Result<std::shared_ptr<Session>> GetOrCreateSession(
       const std::string& name) {
-    std::shared_ptr<Session> created;
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      auto it = sessions_.find(name);
-      if (it != sessions_.end()) return it->second;
-      if (sessions_.size() >= options_.max_sessions) {
-        return Status::Unavailable("session limit reached (" +
-                                   std::to_string(options_.max_sessions) +
-                                   ")");
-      }
-      created = std::make_shared<Session>(name);
-      sessions_.emplace(name, created);
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    auto it = sessions_.find(name);
+    if (it != sessions_.end()) return it->second;
+    if (sessions_.size() >= options_.max_sessions) {
+      return Status::Unavailable("session limit reached (" +
+                                 std::to_string(options_.max_sessions) + ")");
     }
+    // The constructor configures the runner before the session is
+    // published, so no lane can see it half set up.
+    auto created = std::make_shared<Session>(name, options_);
+    sessions_.emplace(name, created);
     sessions_created_.fetch_add(1);
-    {
-      // No contention possible yet, but the runner's invariants are "hold
-      // mu"; configure the session defaults under it.
-      std::lock_guard<std::mutex> lock(created->mu);
-      created->runner.set_timeout_ms(options_.default_timeout_ms);
-      created->runner.set_memlimit_bytes(options_.default_memlimit_bytes);
-      if (options_.cost_budget > 0) {
-        analysis::CostBudget budget;
-        budget.max_estimated_size = BigNat(options_.cost_budget);
-        created->runner.set_budget(budget);
-      }
-    }
     return created;
   }
 
   void FlushSessionJournal(Session& session) {
     if (options_.journal_dir.empty()) return;
-    std::lock_guard<std::mutex> lock(session.mu);
     // ValidSessionName guarantees the id is path-metacharacter-free.
     (void)session.runner.journal().ExportJsonl(
         options_.journal_dir + "/session-" + session.id + ".jsonl");
@@ -743,59 +726,45 @@ class Server::Impl {
 
   // --------------------------------------------------------- executors
 
+  /// One lane: take the session at the head of the run queue, run its
+  /// oldest job, then hand the session back — to the tail of the run
+  /// queue while it has jobs left, else unscheduled. A session is on at
+  /// most one lane, so its jobs run one at a time in program order, and a
+  /// lane never waits on another lane: the only wait is for work.
   void ExecutorLoop() {
+    std::unique_lock<std::mutex> lock(queue_mu_);
     while (true) {
-      ExecJob job;
-      {
-        std::unique_lock<std::mutex> lock(queue_mu_);
-        queue_cv_.wait(lock, [this] {
-          return stop_executors_ || !queue_.empty();
-        });
-        if (queue_.empty()) {
-          if (stop_executors_) return;
-          continue;
-        }
-        job = std::move(queue_.front());
-        queue_.pop_front();
-        if (draining() && job.kind == ExecJob::Kind::kStatement) {
-          // Queued-but-not-started work is shed, not run: drain latency
-          // must not depend on queue depth. The turnstile still advances
-          // — later tickets of the session must not wait forever on a
-          // statement that never ran.
-          lock.unlock();
-          WaitTurn(*job.session, job.ticket);
-          AdvanceTurn(*job.session);
-          Envelope shed = Shed(503, "draining for shutdown");
-          shed.body.outcome = "draining";
-          PublishCompletion(std::move(job), std::move(shed));
-          continue;
-        }
-        active_executions_.fetch_add(1);
+      queue_cv_.wait(lock,
+                     [this] { return stop_executors_ || !runnable_.empty(); });
+      if (runnable_.empty()) return;  // stopping
+      std::shared_ptr<Session> session = std::move(runnable_.front());
+      runnable_.pop_front();
+      ExecJob job = std::move(session->pending.front());
+      session->pending.pop_front();
+      --queued_jobs_;
+      ++running_;
+      lock.unlock();
+      Envelope envelope;
+      if (job.kind == ExecJob::Kind::kCloseSession) {
+        envelope = ExecuteClose(*session);
+      } else if (draining()) {
+        // Queued-but-not-started work is shed, not run: drain latency
+        // must not depend on queue depth.
+        envelope = Shed(503, "draining for shutdown");
+        envelope.body.outcome = "draining";
+      } else {
+        envelope = Execute(*session, job);
       }
-      Envelope envelope = job.kind == ExecJob::Kind::kCloseSession
-                              ? ExecuteClose(job)
-                              : Execute(job);
       PublishCompletion(std::move(job), std::move(envelope));
-      active_executions_.fetch_sub(1);
-      idle_cv_.notify_all();
+      lock.lock();
+      --running_;
+      if (!session->pending.empty()) {
+        runnable_.push_back(std::move(session));
+      } else {
+        session->scheduled = false;
+      }
+      if (queued_jobs_ == 0 && running_ == 0) idle_cv_.notify_all();
     }
-  }
-
-  /// Blocks the lane until the session serves this ticket. Safe: tickets
-  /// are issued in queue order and lanes pop FIFO, so the lane holding
-  /// the now-serving ticket is always running (or about to).
-  static void WaitTurn(Session& session, uint64_t ticket) {
-    std::unique_lock<std::mutex> lock(session.turn_mu);
-    session.turn_cv.wait(lock,
-                         [&] { return session.now_serving == ticket; });
-  }
-
-  static void AdvanceTurn(Session& session) {
-    {
-      std::lock_guard<std::mutex> lock(session.turn_mu);
-      ++session.now_serving;
-    }
-    session.turn_cv.notify_all();
   }
 
   void PublishCompletion(ExecJob job, Envelope envelope) {
@@ -807,43 +776,34 @@ class Server::Impl {
     wakeup_.Signal();
   }
 
-  Envelope Execute(ExecJob& job) {
-    Session& session = *job.session;
-    WaitTurn(session, job.ticket);
+  Envelope Execute(Session& session, const ExecJob& job) {
+    session.runner.set_timeout_ms(job.timeout_ms);
+    session.runner.set_memlimit_bytes(job.memlimit_bytes);
+    const auto start = std::chrono::steady_clock::now();
+    Result<std::string> output = session.runner.RunLine(job.statement);
+    const auto wall = std::chrono::steady_clock::now() - start;
+    const auto wall_us = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(wall).count());
+    std::string flight = session.runner.TakeFlightDump();
     Envelope envelope;
-    {
-      std::lock_guard<std::mutex> lock(session.mu);
-      session.runner.set_timeout_ms(job.timeout_ms);
-      session.runner.set_memlimit_bytes(job.memlimit_bytes);
-      const auto start = std::chrono::steady_clock::now();
-      Result<std::string> output = session.runner.RunLine(job.statement);
-      const auto wall = std::chrono::steady_clock::now() - start;
-      const auto wall_us = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(wall)
-              .count());
-      std::string flight = session.runner.TakeFlightDump();
-      if (output.ok()) {
-        envelope = SuccessEnvelope(job.session_name, *std::move(output),
-                                   session.runner.last_result(), wall_us);
-      } else {
-        envelope = ErrorEnvelope(HttpStatusForCode(output.status().code()),
-                                 output.status());
-        envelope.body.outcome = session.runner.last_outcome();
-        envelope.body.flight = std::move(flight);
-        envelope.body.wall_us = wall_us;
-      }
+    if (output.ok()) {
+      envelope = SuccessEnvelope(session.id, *std::move(output),
+                                 session.runner.last_result(), wall_us);
+    } else {
+      envelope = ErrorEnvelope(HttpStatusForCode(output.status().code()),
+                               output.status());
+      envelope.body.outcome = session.runner.last_outcome();
+      envelope.body.flight = std::move(flight);
+      envelope.body.wall_us = wall_us;
     }
-    AdvanceTurn(session);
     obs::MirrorGovernorStats();
     return envelope;
   }
 
-  Envelope ExecuteClose(ExecJob& job) {
-    WaitTurn(*job.session, job.ticket);
-    FlushSessionJournal(*job.session);
-    AdvanceTurn(*job.session);
+  Envelope ExecuteClose(Session& session) {
+    FlushSessionJournal(session);
     sessions_closed_.fetch_add(1);
-    return SuccessEnvelope(job.session_name, "", std::nullopt, 0);
+    return SuccessEnvelope(session.id, "", std::nullopt, 0);
   }
 
   // -------------------------------------------------------- completions
@@ -869,7 +829,7 @@ class Server::Impl {
       if (completion.job.kind == ExecJob::Kind::kCloseSession) {
         HttpResponse resp;
         resp.body = "{\"ok\":true,\"outcome\":\"ok\",\"closed\":" +
-                    obs::JsonQuote(completion.job.session_name) + "}";
+                    obs::JsonQuote(completion.envelope.session) + "}";
         resp.close = completion.job.want_close;
         slot.close_after = resp.close;
         slot.bytes = FormatHttpResponse(resp);
@@ -1062,26 +1022,21 @@ class Server::Impl {
   // ------------------------------------------------------------- drain
 
   void Teardown() {
-    // Phase 1 — run the executor pool dry. Wake the executors so they
-    // shed everything still queued, then keep cancelling in-flight
-    // statements until the pool idles. The repeat matters: RunLine re-arms
-    // the session token at statement start, so a single Cancel can race a
-    // statement that slipped past the drain check; a periodic sweep
-    // always lands.
-    queue_cv_.notify_all();
-    while (true) {
-      {
-        std::unique_lock<std::mutex> lock(queue_mu_);
-        if (queue_.empty() && active_executions_.load() == 0) break;
-      }
-      CancelAllSessions();
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      idle_cv_.wait_for(lock, std::chrono::milliseconds(20), [this] {
-        return queue_.empty() && active_executions_.load() == 0;
-      });
-    }
+    // Phase 1 — run the executor pool dry: the lanes shed every queued
+    // statement, and in-flight ones are cancelled until the pool idles.
+    // The repeat matters: RunLine re-arms the session token at statement
+    // start, so a single Cancel can race a statement that slipped past the
+    // drain check; a periodic sweep always lands.
     {
-      std::lock_guard<std::mutex> lock(queue_mu_);
+      std::unique_lock<std::mutex> lock(queue_mu_);
+      while (queued_jobs_ != 0 || running_ != 0) {
+        lock.unlock();
+        CancelAllSessions();
+        lock.lock();
+        idle_cv_.wait_for(lock, std::chrono::milliseconds(20), [this] {
+          return queued_jobs_ == 0 && running_ == 0;
+        });
+      }
       stop_executors_ = true;
     }
     queue_cv_.notify_all();
@@ -1202,9 +1157,12 @@ class Server::Impl {
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::condition_variable idle_cv_;
-  std::deque<ExecJob> queue_;      // guarded by queue_mu_
-  bool stop_executors_ = false;    // guarded by queue_mu_
-  std::atomic<uint64_t> active_executions_{0};
+  // Sessions with queued jobs and no lane, in the order they became
+  // runnable; a session is here at most once (its `scheduled` flag).
+  std::deque<std::shared_ptr<Session>> runnable_;  // guarded by queue_mu_
+  size_t queued_jobs_ = 0;  // not started, over all sessions; queue_mu_
+  size_t running_ = 0;      // taken by a lane, not finished; queue_mu_
+  bool stop_executors_ = false;  // guarded by queue_mu_
   std::vector<std::thread> executors_;
 
   std::mutex completions_mu_;

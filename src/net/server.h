@@ -20,12 +20,18 @@
 ///     finishes writing. Sessions are *not* connections: a session (named
 ///     by the client) holds a private Database, query journal, flight
 ///     recorder, budget, and governor defaults — the exact REPL engine
-///     (lang::ScriptRunner) behind a mutex — and survives disconnects
-///     until closed or the server drains.
+///     (lang::ScriptRunner) — and survives disconnects until closed or the
+///     server drains.
+///   * Sessions run as serial queues: each session queues its own jobs in
+///     program order, and the executor's run queue holds sessions with
+///     work. A lane runs one job of the session at the head, then hands
+///     the session back, so a session is on at most one lane (its runner
+///     needs no lock) and no lane ever waits on another.
 ///   * Admission control: statement execution happens on a pool of N
-///     executor threads fed by a *bounded* queue. A full queue sheds the
-///     request with a typed 429 and a Retry-After derived from queue depth
-///     — predictable latency for admitted work instead of collapse.
+///     executor threads. The jobs admitted and not yet started, summed
+///     over sessions, are *bounded*: beyond the bound a request is shed
+///     with a typed 429 and a Retry-After derived from that depth —
+///     predictable latency for admitted work instead of collapse.
 ///     Connection and session counts are capped the same way (503).
 ///     Executors hand an Envelope back through a completion queue and an
 ///     eventfd wakeup; the loop encodes it (net/envelope.h) and writes it.
@@ -59,7 +65,7 @@
 ///   POST /v1/session/close  {"session":S} → flush + drop the session
 ///   GET  /healthz           build identity + serving|draining + gauges
 ///   GET  /metrics           Prometheus text exposition (global registry)
-///   GET  /trace             recent journal entries across live sessions
+///   GET  /trace             last 8 journal entries of every live session
 ///
 /// Every terminal request outcome is typed: ok / refused / shed / tripped
 /// (deadline, memcap, cancel, fault) / io-error / error — see docs/SERVER.md.
@@ -79,7 +85,8 @@ struct ServerOptions {
   uint16_t port = 0;
   /// Executor pool width — the statement-level concurrency.
   unsigned executors = 4;
-  /// Admission queue bound; beyond it requests are shed (429).
+  /// Admission bound on queued, not yet started jobs over all sessions;
+  /// beyond it statements are shed (429).
   size_t queue_capacity = 64;
   /// Connection cap; beyond it accepts are answered 503 and closed. Idle
   /// connections are nearly free under the event loop, so the default is
@@ -123,7 +130,7 @@ struct ServerStats {
   uint64_t streamed_responses = 0;  // chunked large-bag responses
   size_t sessions_live = 0;
   size_t connections_live = 0;
-  size_t queue_depth = 0;
+  size_t queue_depth = 0;  // admitted jobs not yet started, all sessions
   size_t epoll_fds = 0;  // fds registered with the event loop
   bool draining = false;
 };

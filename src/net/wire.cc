@@ -293,8 +293,13 @@ Result<Value> JsonToValue(const JsonValue& json, AtomTable* table,
     if (!bag->is_object()) {
       return Status::ParseError("wire: \"bag\" must be an object");
     }
-    const std::string type_text = bag->GetString("type", "{{_}}");
-    BAGALG_ASSIGN_OR_RETURN(Type bag_type, lang::ParseType(type_text));
+    const JsonValue* type = bag->Find("type");
+    if (type != nullptr && !type->is_string()) {
+      return Status::ParseError("wire: bag \"type\" must be a string");
+    }
+    BAGALG_ASSIGN_OR_RETURN(
+        Type bag_type,
+        lang::ParseType(type != nullptr ? type->string : "{{_}}"));
     if (bag_type.kind() != Type::Kind::kBag) {
       return Status::ParseError("wire: bag \"type\" must be a bag type");
     }

@@ -309,24 +309,21 @@ class CheckpointTicker {
 
 /// Batched sibling of CheckpointTicker for batch-at-a-time executors (the
 /// IR engine's vectorized pipelines): one OnBatch(n) call per produced
-/// batch replaces n per-row Due() calls. Byte accounting is *identical* to
-/// per-row ticking followed by a final Flush — every processed item charges
-/// exactly bytes_per_item, no more, no less — a property pinned by a paired
-/// test in tests/ir_test.cc. Amortization works the other way around from
-/// the per-row ticker: instead of counting iterations down to a stride
-/// boundary, items accumulate until at least kCheckpointStride are pending,
-/// then one AccountBytes + Check covers them all. A 1024-row batch
-/// therefore pays at most three branch-predictable compares and one
-/// governor check — the per-row engine pays 1024 decrements for the same
-/// work.
+/// batch replaces n per-row Due() calls. It only checks; it charges no
+/// bytes — the IR's memory is accounted where it materializes, through
+/// Bag::Builder. Amortization works the other way around from the per-row
+/// ticker: instead of counting iterations down to a stride boundary, items
+/// accumulate until at least kCheckpointStride are pending, then one Check
+/// covers them all. A 1024-row batch therefore pays at most three
+/// branch-predictable compares and one governor check — the per-row engine
+/// pays 1024 decrements for the same work.
 class BatchCheckpointTicker {
  public:
-  /// Binds the ambient governor; `bytes_per_item` is charged for every item
-  /// reported through OnBatch.
-  explicit BatchCheckpointTicker(uint64_t bytes_per_item = 0)
-      : BatchCheckpointTicker(internal::g_current_governor, bytes_per_item) {}
-  BatchCheckpointTicker(ResourceGovernor* governor, uint64_t bytes_per_item)
-      : governor_(governor), bytes_per_item_(bytes_per_item) {}
+  /// Binds the ambient governor.
+  BatchCheckpointTicker()
+      : BatchCheckpointTicker(internal::g_current_governor) {}
+  explicit BatchCheckpointTicker(ResourceGovernor* governor)
+      : governor_(governor) {}
 
   /// Records `items` processed iterations; checks the governor once the
   /// accumulated count reaches the stride. The common full-batch case runs
@@ -338,15 +335,11 @@ class BatchCheckpointTicker {
     return Flush();
   }
 
-  /// Charges all pending items and checks immediately (loop epilogues, and
+  /// Clears the pending items and checks immediately (loop epilogues, and
   /// whenever a batch boundary must observe a trip promptly).
   Status Flush() {
     if (governor_ == nullptr) return Status::Ok();
-    const uint64_t items = pending_;
     pending_ = 0;
-    if (items != 0 && bytes_per_item_ != 0) {
-      governor_->AccountBytes(items * bytes_per_item_);
-    }
     return governor_->Check();
   }
 
@@ -354,7 +347,6 @@ class BatchCheckpointTicker {
 
  private:
   ResourceGovernor* governor_;
-  uint64_t bytes_per_item_;
   uint64_t pending_ = 0;
 };
 

@@ -153,68 +153,19 @@ TEST(RowProgramTest, RemapColumnsFollowsGatherPermutation) {
 
 // ------------------------------------------ batched governor checkpoints
 
-/// The satellite's paired property: for any item count and any batch
-/// split, BatchCheckpointTicker must account exactly the bytes the per-row
-/// CheckpointTicker accounts for the same items (both followed by the
-/// mandatory final Flush).
-TEST(BatchTickerTest, ByteAccountingMatchesPerRowTicker) {
-  constexpr uint64_t kBytes = 16;
-  const uint64_t counts[] = {0, 1, 511, 512, 513, 1024, 1025, 5000};
-  for (uint64_t n : counts) {
-    ResourceGovernor per_row{GovernorOptions{}};
-    {
-      CheckpointTicker ticker(&per_row, kBytes);
-      for (uint64_t i = 0; i < n; ++i) {
-        if (ticker.Due()) {
-          ASSERT_TRUE(ticker.Flush().ok());
-        }
-      }
-      ASSERT_TRUE(ticker.Flush().ok());
-    }
-    ResourceGovernor batched{GovernorOptions{}};
-    {
-      BatchCheckpointTicker ticker(&batched, kBytes);
-      // Deliberately ragged batch sizes, including empty batches.
-      const uint64_t splits[] = {1, 7, 0, 511, 1024, 3};
-      uint64_t remaining = n;
-      size_t i = 0;
-      while (remaining > 0) {
-        uint64_t take = splits[i++ % (sizeof(splits) / sizeof(splits[0]))];
-        if (take > remaining) take = remaining;
-        ASSERT_TRUE(ticker.OnBatch(take).ok());
-        remaining -= take;
-      }
-      ASSERT_TRUE(ticker.Flush().ok());
-    }
-    EXPECT_EQ(per_row.bytes_allocated(), batched.bytes_allocated())
-        << "n=" << n;
-    EXPECT_EQ(batched.bytes_allocated(), n * kBytes) << "n=" << n;
-  }
-}
-
 TEST(BatchTickerTest, FullBatchObservesDeadline) {
   GovernorOptions options;
   options.wall_limit_ns = 1;
   ResourceGovernor gov{options};
-  BatchCheckpointTicker ticker(&gov, 8);
+  BatchCheckpointTicker ticker(&gov);
   // A full batch crosses the stride, so the trip lands on this OnBatch.
   Status st = ticker.OnBatch(1024);
   EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(gov.trip_kind(), TripKind::kDeadline);
 }
 
-TEST(BatchTickerTest, MemoryCapTripsOnAccountedBatches) {
-  GovernorOptions options;
-  options.memory_limit_bytes = 4096;
-  ResourceGovernor gov{options};
-  BatchCheckpointTicker ticker(&gov, 64);
-  Status st = ticker.OnBatch(1024);  // accounts 64 KiB, far over the cap
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(gov.trip_kind(), TripKind::kMemcap);
-}
-
 TEST(BatchTickerTest, UngovernedTickerIsANoop) {
-  BatchCheckpointTicker ticker(nullptr, 64);
+  BatchCheckpointTicker ticker(nullptr);
   EXPECT_FALSE(ticker.active());
   EXPECT_TRUE(ticker.OnBatch(1 << 20).ok());
   EXPECT_TRUE(ticker.Flush().ok());

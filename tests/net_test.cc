@@ -8,7 +8,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -116,6 +118,24 @@ TEST(WireTest, HugeMultiplicitiesTravelAsStrings) {
   EXPECT_NE(json.find("\"1267650600228229401496703205376\""),
             std::string::npos)
       << json;
+}
+
+TEST(WireTest, BagTypeMustBeAString) {
+  auto typed = ParseJson(
+      R"js({"bag":{"type":7,"entries":[{"v":{"atom":"a"},"n":"1"}]}})js");
+  ASSERT_TRUE(typed.ok()) << typed.status();
+  auto value = WireJsonToValue(*typed);
+  ASSERT_FALSE(value.ok());
+  EXPECT_EQ(value.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(value.status().message(), "wire: bag \"type\" must be a string");
+
+  // An absent "type" keeps its default: an untyped bag.
+  auto untyped = ParseJson(R"js({"bag":{"entries":[]}})js");
+  ASSERT_TRUE(untyped.ok()) << untyped.status();
+  auto bag = WireJsonToValue(*untyped);
+  ASSERT_TRUE(bag.ok()) << bag.status();
+  ASSERT_TRUE(bag->IsBag());
+  EXPECT_TRUE(bag->bag().entries().empty());
 }
 
 TEST(WireTest, FrameRoundTrips) {
@@ -1316,6 +1336,155 @@ TEST(ServerTest, ConcurrentKeepAliveSessions) {
             static_cast<uint64_t>(kClients * (kPerClient - 1)));
 }
 
+TEST(ServerTest, SlowSessionDoesNotDelayOtherSessions) {
+  ServerOptions options;
+  options.executors = 2;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const uint16_t port = (*server)->port();
+  PostStatement(port,
+                R"js({"session":"s","statement":)js"
+                R"js("let X = {{a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p}}"})js");
+
+  // Connection A pipelines a slow statement (it runs for hundreds of
+  // milliseconds before its deadline or the powerset cap stops it) and a
+  // fast one behind it, both for session s.
+  KeepAliveClient a(port);
+  ASSERT_TRUE(a.connected());
+  ASSERT_TRUE(a.Send(
+      KeepAliveClient::Request(
+          "POST", "/v1/statement",
+          R"js({"session":"s","statement":"eval pow(pow(X))",)js"
+          R"js("timeout_ms":1500})js") +
+      KeepAliveClient::Request(
+          "POST", "/v1/statement",
+          R"js({"session":"s","statement":"eval '{{a}}"})js")));
+  std::chrono::steady_clock::time_point a_first_at;
+  ClientResponse a_first;
+  std::thread a_reader([&] {
+    if (a.ReadResponse(&a_first)) {
+      a_first_at = std::chrono::steady_clock::now();
+    }
+  });
+
+  // Wait until both of A's statements are admitted, then until the
+  // queue depth (the /healthz gauge) reads 0. s's second statement stays
+  // queued behind its session's running one, so the depth need not reach
+  // 0 while the slow statement runs: that wait is bounded.
+  const auto admitted_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((*server)->stats().requests < 3 &&
+         std::chrono::steady_clock::now() < admitted_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ((*server)->stats().requests, 3u);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  while ((*server)->stats().queue_depth != 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Connection B: a fast statement of session t must not wait for s.
+  KeepAliveClient b(port);
+  ClientResponse t_answer;
+  EXPECT_TRUE(b.connected() &&
+              b.Send(KeepAliveClient::Request(
+                  "POST", "/v1/statement",
+                  R"js({"session":"t","statement":"eval '{{b}}"})js")) &&
+              b.ReadResponse(&t_answer));
+  const auto t_at = std::chrono::steady_clock::now();
+  // Outcomes are counted before their responses are written: when t is
+  // answered, s's slow statement must not have finished yet.
+  const ServerStats at_t = (*server)->stats();
+  a_reader.join();
+  EXPECT_EQ(at_t.errors + at_t.tripped, 0u)
+      << "s's slow statement finished before t was answered";
+  EXPECT_EQ(t_answer.status, 200) << t_answer.raw;
+  EXPECT_GE(a_first.status, 400) << a_first.raw;
+  EXPECT_LT(t_at, a_first_at) << "t waited for s's slow statement";
+  ClientResponse a_second;
+  ASSERT_TRUE(a.ReadResponse(&a_second));
+  EXPECT_EQ(a_second.status, 200) << a_second.raw;
+
+  a.Close();
+  b.Close();
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+}
+
+TEST(ServerTest, PipelinedSessionsKeepProgramOrder) {
+  ServerOptions options;
+  options.executors = 4;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const uint16_t port = (*server)->port();
+
+  // 8 sessions over 4 keep-alive connections, two sessions a connection.
+  // Each session writes 50 `let X` / `eval X` pairs, pipelined in bursts
+  // of 10 pairs per session; every eval must see its own preceding let.
+  constexpr int kConns = 4;
+  constexpr int kSessionsPerConn = 2;
+  constexpr int kPairs = 50;
+  constexpr int kBurst = 10;
+  std::vector<std::thread> threads;
+  std::atomic<int> wrong{0}, failed{0};
+  for (int t = 0; t < kConns; ++t) {
+    threads.emplace_back([&, t] {
+      KeepAliveClient client(port);
+      if (!client.connected()) {
+        failed.fetch_add(1);
+        return;
+      }
+      for (int k0 = 0; k0 < kPairs; k0 += kBurst) {
+        std::string burst;
+        std::vector<std::string> want;  // "" for a let's response
+        for (int k = k0; k < k0 + kBurst; ++k) {
+          for (int s = 0; s < kSessionsPerConn; ++s) {
+            const std::string session =
+                "po" + std::to_string(t * kSessionsPerConn + s);
+            const std::string atom = session + "k" + std::to_string(k);
+            burst += KeepAliveClient::Request(
+                "POST", "/v1/statement",
+                "{\"session\":\"" + session +
+                    "\",\"statement\":\"let X = {{" + atom + "}}\"}");
+            burst += KeepAliveClient::Request(
+                "POST", "/v1/statement",
+                "{\"session\":\"" + session +
+                    "\",\"statement\":\"eval X\"}");
+            want.push_back("");
+            want.push_back("\"output\":\"{{" + atom + "}}\"");
+          }
+        }
+        if (!client.Send(burst)) {
+          failed.fetch_add(1);
+          return;
+        }
+        for (const std::string& expected : want) {
+          ClientResponse r;
+          if (!client.ReadResponse(&r) || r.status != 200) {
+            failed.fetch_add(1);
+            return;
+          }
+          if (!expected.empty() && r.body.find(expected) == std::string::npos) {
+            ADD_FAILURE() << "want " << expected << ", got " << r.body;
+            wrong.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+  const ServerStats stats = (*server)->stats();
+  EXPECT_EQ(stats.ok, static_cast<uint64_t>(kConns * kSessionsPerConn *
+                                            kPairs * 2));
+}
+
 // ------------------------------------------------- golden response bytes
 
 // Renders response bytes as one printable line: CR and LF as \r and \n,
@@ -1401,7 +1570,8 @@ std::string Bag1Body(const std::string& session, const std::string& statement,
 // Every statement-route response shape, byte for byte (wall_us and flight
 // dumps masked): success small, streamed and BAG1; a let after an eval
 // (no stale result); every 400 branch; 404,
-// 405, 429, the 503s, close-session 200/404, and a 504 with a flight dump.
+// 405, 429, the 503s, close-session 200/400/404, and a 504 with a flight
+// dump.
 TEST(GoldenResponseTest, StatementRouteBytesAreStable) {
   std::vector<std::pair<std::string, std::string>> got;
   auto exchange = [&](KeepAliveClient& client, const std::string& name,
@@ -1471,6 +1641,9 @@ TEST(GoldenResponseTest, StatementRouteBytesAreStable) {
     exchange(c, "close_missing",
              KeepAliveClient::Request("POST", "/v1/session/close",
                                       R"js({"session":"g"})js"));
+    exchange(c, "close_session_number",
+             KeepAliveClient::Request("POST", "/v1/session/close",
+                                      R"js({"session":7})js"));
     exchange(c, "count_non_bag",
              post(R"js({"session":"h","statement":"count 'a"})js"));
     exchange(c, "timeout_string",
@@ -1632,6 +1805,11 @@ TEST(GoldenResponseTest, StatementRouteBytesAreStable) {
        R"g(ent-Length: 107\r\n\r\n{"ok":false,"outcome":"error","error":{"c)g"
        R"g(ode":"NotFound","message":"no such session: g","retryable":false)g"
        R"g(}})g"},
+      {"close_session_number",
+       R"g(HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nCo)g"
+       R"g(ntent-Length: 124\r\n\r\n{"ok":false,"outcome":"error","error":{)g"
+       R"g("code":"InvalidArgument","message":"\\"session\\" must be a stri)g"
+       R"g(ng","retryable":false}})g"},
       {"draining",
        R"g(HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/js)g"
        R"g(on\r\nContent-Length: 111\r\nRetry-After: 1\r\n\r\n{"ok":false,")g"

@@ -12,6 +12,8 @@ the robustness contract:
     reuses it (per-connection request counts are reported and checked);
   * a BAG1 binary statement frame (built with struct.pack, no C++
     involved) round-trips on the wire path;
+  * one session's statements, pipelined on one connection, run in
+    program order: each `eval X` answers the bag of the `let X` before it;
   * the server process survives the whole run (no crash, no abort);
   * /metrics stays a valid Prometheus exposition (validate_obs.py) and
     exposes the event-loop gauges (bagalg_server_epoll_*);
@@ -143,6 +145,27 @@ class Client(threading.Thread):
         self.drop_conn()
 
 
+def read_response(sock, buf):
+    """Reads one Content-Length response from `sock`, `buf` holding bytes
+    already received. Returns (head, body, leftover bytes); raises OSError
+    on EOF."""
+    while b"\r\n\r\n" not in buf:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise OSError("eof before response head")
+        buf += chunk
+    head, _, rest = buf.partition(b"\r\n\r\n")
+    length = next(int(line.split(b":")[1])
+                  for line in head.split(b"\r\n")
+                  if line.lower().startswith(b"content-length"))
+    while len(rest) < length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise OSError("eof before response body")
+        rest += chunk
+    return head, rest[:length], rest[length:]
+
+
 def bag1_probe(port, failures, fault_armed):
     """Round-trips one BAG1 binary statement built with struct.pack —
     frame: 'BAG1' magic, version 1, format 2 (binary), two reserved
@@ -165,22 +188,7 @@ def bag1_probe(port, failures, fault_armed):
             with socket.create_connection(("127.0.0.1", port),
                                           timeout=30) as sock:
                 sock.sendall(request)
-                buf = b""
-                while b"\r\n\r\n" not in buf:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        raise OSError("eof before response head")
-                    buf += chunk
-                head, _, body = buf.partition(b"\r\n\r\n")
-                length = next(int(line.split(b":")[1])
-                              for line in head.split(b"\r\n")
-                              if line.lower().startswith(b"content-length"))
-                while len(body) < length:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        raise OSError("eof before response body")
-                    body += chunk
-                body = body[:length]
+                head, body, _ = read_response(sock, b"")
         except OSError:
             time.sleep(0.02)  # injected tear; retry
             continue
@@ -199,6 +207,46 @@ def bag1_probe(port, failures, fault_armed):
         return
     if not fault_armed:
         failures.append("bag1: no typed outcome after 10 attempts")
+
+
+def pipeline_probe(port, failures, fault_armed):
+    """Writes 20 `let X = {{pK}}` / `eval X` pairs for one session on one
+    keep-alive connection in a single send; each eval must answer its own
+    let's bag. A torn connection (injected io fault) ends the probe
+    without failing it; a wrong bag always fails it."""
+    pairs = 20
+    request = b""
+    for k in range(pairs):
+        for statement in (f"let X = {{{{p{k}}}}}", "eval X"):
+            body = json.dumps({"session": "smokepipe",
+                               "statement": statement}).encode()
+            request += (b"POST /v1/statement HTTP/1.1\r\nHost: smoke\r\n"
+                        b"Content-Type: application/json\r\n"
+                        b"Content-Length: " + str(len(body)).encode() +
+                        b"\r\n\r\n" + body)
+    try:
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=30) as sock:
+            sock.sendall(request)
+            buf = b""
+            for k in range(pairs):
+                for want in (None, f"{{{{p{k}}}}}"):
+                    head, body, buf = read_response(sock, buf)
+                    status = head.split(b"\r\n", 1)[0]
+                    if b" 200 " not in status:
+                        failures.append(f"pipeline #{k}: {status!r}")
+                        return
+                    if want is not None and \
+                            json.loads(body).get("output") != want:
+                        failures.append(
+                            f"pipeline #{k}: eval X answered {body!r}, "
+                            f"wanted {want}")
+                        return
+    except OSError as e:
+        # Under io fault injection a torn connection is legal: no answer
+        # is not a wrong answer.
+        if not fault_armed:
+            failures.append(f"pipeline: connection torn: {e}")
 
 
 def fetch(port, path, tries=25):
@@ -261,6 +309,7 @@ def main():
             return 1
 
         bag1_probe(port, failures, fault_armed=bool(fault))
+        pipeline_probe(port, failures, fault_armed=bool(fault))
 
         status, metrics = fetch(port, "/metrics")
         if status != 200 or "bagalg_server_requests_total" not in metrics:
