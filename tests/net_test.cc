@@ -138,6 +138,143 @@ TEST(WireTest, BagTypeMustBeAString) {
   EXPECT_TRUE(bag->bag().entries().empty());
 }
 
+// Golden printer bytes. The text renderer, the wire JSON encoder, the
+// chunked streamer and the BAG1 response envelope each print the same
+// fixture: atom names holding a quote, a backslash, a control byte and
+// multi-byte UTF-8; an id the table never interned (printed "#<id>"); a
+// bag of bags; a tuple of arity 0; and counts 1, 2^64-1, 2^64 and 2^100.
+// The bytes were taken from the printers before they learned to append in
+// place; any change to how atoms or counts are printed must keep them.
+struct PrinterFixture {
+  AtomTable table;
+  Value atoms;   // a bag root: the streamer slices it entry by entry
+  Value nested;  // a tuple root holding every other shape
+};
+
+const PrinterFixture& Printers() {
+  static const PrinterFixture* fixture = [] {
+    auto* f = new PrinterFixture();
+    const AtomId quote = f->table.Intern("say \"hi\"");
+    const AtomId slash = f->table.Intern("back\\slash");
+    const AtomId control = f->table.Intern(std::string("bell\x07tab\t", 9));
+    const AtomId utf8 = f->table.Intern("caf\xC3\xA9 \xE2\x9C\x93");
+    const AtomId never = 1000;  // above every id the table handed out
+    Bag::Builder atoms(Type::Atom());
+    atoms.Add(Value::Atom(quote), 1);
+    atoms.Add(Value::Atom(slash), BigNat(~uint64_t{0}));
+    atoms.Add(Value::Atom(control), BigNat::TwoPow(64));
+    atoms.Add(Value::Atom(utf8), BigNat::TwoPow(100));
+    atoms.Add(Value::Atom(never), 2);
+    f->atoms = Value::FromBag(*std::move(atoms).Build());
+
+    Bag::Builder inner(Type::Atom());
+    inner.Add(Value::Atom(utf8), 3);
+    inner.Add(Value::Atom(never), 1);
+    Bag::Builder bags(Type::Bag(Type::Atom()));
+    bags.Add(Value::FromBag(*std::move(inner).Build()), 2);
+    bags.Add(f->atoms, BigNat::TwoPow(64));
+    f->nested = Value::Tuple({Value::Tuple({}), Value::Atom(quote),
+                              Value::FromBag(*std::move(bags).Build())});
+    return f;
+  }();
+  return *fixture;
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+std::string Streamed(const Value& value, const AtomTable& table,
+                     size_t budget) {
+  WireJsonStreamer streamer("{\"result\":", value, ",\"ok\":true}", &table);
+  std::string out;
+  while (streamer.Produce(budget, &out)) {
+  }
+  return out;
+}
+
+TEST(PrinterParityTest, TextRenderingIsByteIdentical) {
+  const PrinterFixture& f = Printers();
+  EXPECT_EQ(f.atoms.ToString(&f.table),
+            "{{say \"hi\", back\\slash*18446744073709551615, bell\x07tab\t*1844"
+            "6744073709551616, caf\xC3\xA9 \xE2\x9C\x93*12676506002282294014967"
+            "03205376, #1000*2}}");
+  EXPECT_EQ(f.nested.ToString(&f.table),
+            "[[], say \"hi\", {{{{say \"hi\", back\\slash*18446744073709551615,"
+            " bell\x07tab\t*18446744073709551616, caf\xC3\xA9 \xE2\x9C\x93*1267"
+            "650600228229401496703205376, #1000*2}}*18446744073709551616, {{caf"
+            "\xC3\xA9 \xE2\x9C\x93*3, #1000}}*2}}]");
+}
+
+TEST(PrinterParityTest, WireJsonAndStreamingAreByteIdentical) {
+  const PrinterFixture& f = Printers();
+  const std::string atoms_json =
+      "{\"bag\":{\"type\":\"{{U}}\",\"entries\":[{\"v\":{\"atom\":\"say "
+      "\\\"hi\\\"\"},\"n\":\"1\"},{\"v\":{\"atom\":\"back\\\\slash\"},\"n"
+      "\":\"18446744073709551615\"},{\"v\":{\"atom\":\"bell\\u0007tab\\t"
+      "\"},\"n\":\"18446744073709551616\"},{\"v\":{\"atom\":\"caf\xC3\xA9"
+      " \xE2\x9C\x93\"},\"n\":\"1267650600228229401496703205376\"},{\"v\""
+      ":{\"atom\":\"#1000\"},\"n\":\"2\"}]}}";
+  const std::string nested_json =
+      "{\"tuple\":[{\"tuple\":[]},{\"atom\":\"say \\\"hi\\\"\"},{\"bag\":"
+      "{\"type\":\"{{{{U}}}}\",\"entries\":[{\"v\":{\"bag\":{\"type\":\"{"
+      "{U}}\",\"entries\":[{\"v\":{\"atom\":\"say \\\"hi\\\"\"},\"n\":\"1"
+      "\"},{\"v\":{\"atom\":\"back\\\\slash\"},\"n\":\"184467440737095516"
+      "15\"},{\"v\":{\"atom\":\"bell\\u0007tab\\t\"},\"n\":\"184467440737"
+      "09551616\"},{\"v\":{\"atom\":\"caf\xC3\xA9 \xE2\x9C\x93\"},\"n\":"
+      "\"1267650600228229401496703205376\"},{\"v\":{\"atom\":\"#1000\"},"
+      "\"n\":\"2\"}]}},\"n\":\"18446744073709551616\"},{\"v\":{\"bag\":{"
+      "\"type\":\"{{U}}\",\"entries\":[{\"v\":{\"atom\":\"caf\xC3\xA9 "
+      "\xE2\x9C\x93\"},\"n\":\"3\"},{\"v\":{\"atom\":\"#1000\"},\"n\":\"1"
+      "\"}]}},\"n\":\"2\"}]}}]}";
+  EXPECT_EQ(ValueToWireJson(f.atoms, &f.table), atoms_json);
+  EXPECT_EQ(ValueToWireJson(f.nested, &f.table), nested_json);
+  for (const size_t budget : {size_t{1}, size_t{64} << 10}) {
+    EXPECT_EQ(Streamed(f.atoms, f.table, budget),
+              "{\"result\":" + atoms_json + ",\"ok\":true}")
+        << budget;
+    EXPECT_EQ(Streamed(f.nested, f.table, budget),
+              "{\"result\":" + nested_json + ",\"ok\":true}")
+        << budget;
+  }
+}
+
+TEST(PrinterParityTest, Bag1ResponseIsByteIdentical) {
+  const PrinterFixture& f = Printers();
+  WireStatementResponse response;
+  response.ok = true;
+  response.outcome = "ok";
+  response.output = f.nested.ToString(&f.table);
+  response.wall_us = 42;
+  response.has_result = true;
+  response.result = f.nested;
+  EXPECT_EQ(Hex(EncodeStatementResponse(response, &f.table)),
+            "01020000006f6bc40000005b5b5d2c2073617920226869222c207b7b7b7b7361"
+            "7920226869222c206261636b5c736c6173682a31383434363734343037333730"
+            "393535313631352c2062656c6c07746162092a31383434363734343037333730"
+            "393535313631362c20636166c3a920e29c932a31323637363530363030323238"
+            "3232393430313439363730333230353337362c2023313030302a327d7d2a3138"
+            "3434363734343037333730393535313631362c207b7b636166c3a920e29c932a"
+            "332c2023313030307d7d2a327d7d5d2a00000000000000010203000000020000"
+            "00000108000000736179202268692203050000007b7b557d7d02000000000000"
+            "0003010000005505000000000000000108000000736179202268692200010000"
+            "0000000000010a0000006261636b5c736c61736800ffffffffffffffff010900"
+            "000062656c6c0774616209011400000031383434363734343037333730393535"
+            "313631360109000000636166c3a920e29c93011f000000313236373635303630"
+            "3032323832323934303134393637303332303533373601050000002331303030"
+            "0002000000000000000114000000313834343637343430373337303935353136"
+            "313603010000005502000000000000000109000000636166c3a920e29c930003"
+            "0000000000000001050000002331303030000100000000000000000200000000"
+            "00000000000000000000000000000000");
+}
+
 TEST(WireTest, FrameRoundTrips) {
   const std::string payload = "{\"atom\":\"x\"}";
   const std::string frame = EncodeFrame(WireFormat::kJson, payload);
