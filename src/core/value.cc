@@ -27,6 +27,52 @@ const Mult& ZeroMult() {
   return *zero;
 }
 
+// The text renderer appends every level into one buffer: an atom is a
+// view of its name, a count is formatted in place.
+void AppendBagText(const Bag& bag, const AtomTable& table, std::string* out);
+
+void AppendText(const Value& value, const AtomTable& table,
+                std::string* out) {
+  switch (value.kind()) {
+    case Value::Kind::kAtom:
+      if (const auto name = table.NameView(value.atom_id())) {
+        out->append(*name);
+      } else {
+        out->append(table.NameOf(value.atom_id()));
+      }
+      return;
+    case Value::Kind::kTuple: {
+      out->push_back('[');
+      bool first = true;
+      for (const Value& field : value.fields()) {
+        if (!first) out->append(", ");
+        first = false;
+        AppendText(field, table, out);
+      }
+      out->push_back(']');
+      return;
+    }
+    case Value::Kind::kBag:
+      AppendBagText(value.bag(), table, out);
+      return;
+  }
+}
+
+void AppendBagText(const Bag& bag, const AtomTable& table, std::string* out) {
+  out->append("{{");
+  bool first = true;
+  for (const BagEntry& e : bag.entries()) {
+    if (!first) out->append(", ");
+    first = false;
+    AppendText(e.value, table, out);
+    if (!e.count.IsOne()) {
+      out->push_back('*');
+      e.count.AppendDecimal(out);
+    }
+  }
+  out->append("}}");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Value::Rep
@@ -383,23 +429,9 @@ bool Value::operator==(const Value& other) const {
 }
 
 std::string Value::ToString(const AtomTable* table) const {
-  const AtomTable& t = table != nullptr ? *table : GlobalAtomTable();
-  switch (kind()) {
-    case Kind::kAtom:
-      return t.NameOf(atom_id());
-    case Kind::kTuple: {
-      std::string out = "[";
-      for (size_t i = 0; i < fields().size(); ++i) {
-        if (i > 0) out += ", ";
-        out += fields()[i].ToString(table);
-      }
-      out += "]";
-      return out;
-    }
-    case Kind::kBag:
-      return bag().ToString(table);
-  }
-  return "?";
+  std::string out;
+  AppendText(*this, table != nullptr ? *table : GlobalAtomTable(), &out);
+  return out;
 }
 
 // ----------------------------------------------------------------------- Bag
@@ -589,18 +621,8 @@ bool Bag::operator==(const Bag& other) const {
 }
 
 std::string Bag::ToString(const AtomTable* table) const {
-  std::string out = "{{";
-  bool first = true;
-  for (const BagEntry& e : entries()) {
-    if (!first) out += ", ";
-    first = false;
-    out += e.value.ToString(table);
-    if (!e.count.IsOne()) {
-      out += "*";
-      out += e.count.ToString();
-    }
-  }
-  out += "}}";
+  std::string out;
+  AppendBagText(*this, table != nullptr ? *table : GlobalAtomTable(), &out);
   return out;
 }
 

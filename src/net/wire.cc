@@ -20,18 +20,18 @@ void AppendValue(const Value& value, const AtomTable& table,
 constexpr char kBagTail[] = "]}}";
 
 void AppendBagHead(const Bag& bag, std::string* out) {
-  out->append("{\"bag\":{\"type\":");
-  out->append(obs::JsonQuote(bag.type().ToString()));
-  out->append(",\"entries\":[");
+  out->append("{\"bag\":{\"type\":\"");
+  obs::AppendJsonEscaped(out, bag.type().ToString());
+  out->append("\",\"entries\":[");
 }
 
 void AppendBagEntry(const BagEntry& entry, const AtomTable& table,
                     std::string* out) {
   out->append("{\"v\":");
   AppendValue(entry.value, table, out);
-  out->append(",\"n\":");
-  out->append(obs::JsonQuote(entry.count.ToString()));
-  out->push_back('}');
+  out->append(",\"n\":\"");
+  entry.count.AppendDecimal(out);
+  out->append("\"}");
 }
 
 void AppendBag(const Bag& bag, const AtomTable& table, std::string* out) {
@@ -49,9 +49,13 @@ void AppendValue(const Value& value, const AtomTable& table,
                  std::string* out) {
   switch (value.kind()) {
     case Value::Kind::kAtom:
-      out->append("{\"atom\":");
-      out->append(obs::JsonQuote(table.NameOf(value.atom_id())));
-      out->push_back('}');
+      out->append("{\"atom\":\"");
+      if (const auto name = table.NameView(value.atom_id())) {
+        obs::AppendJsonEscaped(out, *name);
+      } else {
+        out->append(table.NameOf(value.atom_id()));  // "#<id>": no escapes
+      }
+      out->append("\"}");
       return;
     case Value::Kind::kTuple: {
       out->append("{\"tuple\":[");
@@ -117,7 +121,11 @@ void PutValueBinary(const Value& value, const AtomTable& table,
   switch (value.kind()) {
     case Value::Kind::kAtom:
       out->push_back(static_cast<char>(kTagAtom));
-      PutStr(table.NameOf(value.atom_id()), out);
+      if (const auto name = table.NameView(value.atom_id())) {
+        PutStr(*name, out);
+      } else {
+        PutStr(table.NameOf(value.atom_id()), out);
+      }
       return;
     case Value::Kind::kTuple: {
       out->push_back(static_cast<char>(kTagTuple));

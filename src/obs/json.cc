@@ -7,34 +7,38 @@
 namespace bagalg::obs {
 
 void AppendJsonEscaped(std::string* out, std::string_view text) {
-  for (char c : text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  // Bytes that need no escape are appended a run at a time.
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        *out += "\\\"";
+        out->append("\\\"");
         break;
       case '\\':
-        *out += "\\\\";
+        out->append("\\\\");
         break;
       case '\n':
-        *out += "\\n";
+        out->append("\\n");
         break;
       case '\r':
-        *out += "\\r";
+        out->append("\\r");
         break;
       case '\t':
-        *out += "\\t";
+        out->append("\\t");
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
+  out->append(text.data() + run, text.size() - run);
 }
 
 std::string JsonQuote(std::string_view text) {

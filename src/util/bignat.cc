@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 
 #include "src/util/governor.h"
@@ -235,6 +236,16 @@ std::string BigNat::ToString() const {
   while (digits.size() > 1 && digits.back() == '0') digits.pop_back();
   std::reverse(digits.begin(), digits.end());
   return digits;
+}
+
+void BigNat::AppendDecimal(std::string* out) const {
+  if (!limbs_.empty()) {
+    out->append(ToString());
+    return;
+  }
+  char digits[20];  // 2^64 - 1 has 20 decimal digits
+  const char* end = std::to_chars(digits, digits + sizeof(digits), small_).ptr;
+  out->append(digits, static_cast<size_t>(end - digits));
 }
 
 int BigNat::Compare(const BigNat& other) const {

@@ -71,6 +71,9 @@ class BigNat {
 
   /// Decimal rendering.
   std::string ToString() const;
+  /// Appends the decimal rendering to `out`; a value below 2^64 is
+  /// formatted in place, with no allocation of its own.
+  void AppendDecimal(std::string* out) const;
 
   /// Three-way comparison: negative, zero, positive.
   int Compare(const BigNat& other) const;

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/algebra/database.h"
 #include "src/core/atom.h"
@@ -130,6 +136,103 @@ TEST(AtomTableTest, SeparateTablesAreIndependent) {
   EXPECT_EQ(a1, b2);
   EXPECT_EQ(t1.NameOf(a1), "x");
   EXPECT_EQ(t2.NameOf(b2), "completely-different");
+}
+
+// Segment k starts at id 64·(2^k − 1). A view taken before later segments
+// exist must still hold its name afterwards: segments never move.
+TEST(AtomTableTest, NamesStayPutAcrossSegmentBoundaries) {
+  AtomTable table;
+  std::vector<std::string_view> views;
+  for (size_t i = 0; i < 16384; ++i) {
+    const std::string name = "seg" + std::to_string(i);
+    ASSERT_EQ(table.Intern(name), i);
+    views.push_back(*table.NameView(static_cast<AtomId>(i)));
+  }
+  for (size_t k = 1; k <= 8; ++k) {
+    const size_t boundary = 64 * ((size_t{1} << k) - 1);
+    for (const size_t id : {boundary - 1, boundary}) {
+      const std::string name = "seg" + std::to_string(id);
+      EXPECT_EQ(table.NameView(static_cast<AtomId>(id)), name) << id;
+      EXPECT_EQ(table.NameView(static_cast<AtomId>(id))->data(),
+                views[id].data())
+          << id;
+      EXPECT_EQ(views[id], name) << id;
+      EXPECT_EQ(table.Find(name), id) << id;
+    }
+  }
+  EXPECT_FALSE(table.NameView(16384).has_value());
+  EXPECT_EQ(table.NameOf(16384), "#16384");
+}
+
+// Four writers intern overlapping ranges of names while four readers read
+// the name of every id below size(). Ids come out dense, every name reads
+// back whole, and Find agrees with what Intern returned.
+TEST(AtomTableTest, ConcurrentInternAndReadAgree) {
+  constexpr size_t kWriters = 4;
+  constexpr size_t kReaders = 4;
+  constexpr size_t kPerWriter = 50000;
+  constexpr size_t kStride = 25000;  // writer w covers [w·kStride, +kPerWriter)
+  constexpr size_t kDistinct = (kWriters - 1) * kStride + kPerWriter;
+  AtomTable table;
+  std::vector<std::vector<AtomId>> ids(kWriters);
+  std::atomic<size_t> writers_left{kWriters};
+  std::atomic<size_t> bad_reads{0};
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (size_t i = 0; i < kPerWriter; ++i) {
+        ids[w].push_back(
+            table.Intern("name" + std::to_string(w * kStride + i)));
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (size_t r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      size_t checked = 0;
+      bool last_pass = false;
+      while (!last_pass) {
+        last_pass = writers_left.load() == 0;
+        const size_t size = table.size();
+        for (; checked < size; ++checked) {
+          const auto id = static_cast<AtomId>(checked);
+          const auto name = table.NameView(id);
+          if (!name.has_value() || name->substr(0, 4) != "name") {
+            bad_reads.fetch_add(1);
+            continue;
+          }
+          // The index slot is filled just after the count is published,
+          // so Find may miss a name for the moment its intern finishes.
+          std::optional<AtomId> found = table.Find(*name);
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!found.has_value() &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::yield();
+            found = table.Find(*name);
+          }
+          if (found != id) bad_reads.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(bad_reads.load(), 0u);
+  ASSERT_EQ(table.size(), kDistinct);
+  std::vector<bool> seen(kDistinct, false);
+  for (size_t w = 0; w < kWriters; ++w) {
+    ASSERT_EQ(ids[w].size(), kPerWriter);
+    for (size_t i = 0; i < kPerWriter; ++i) {
+      const std::string name = "name" + std::to_string(w * kStride + i);
+      const AtomId id = ids[w][i];
+      ASSERT_LT(id, kDistinct) << name;
+      seen[id] = true;
+      EXPECT_EQ(table.NameOf(id), name);
+      EXPECT_EQ(table.Find(name), id) << name;
+    }
+  }
+  for (size_t id = 0; id < kDistinct; ++id) EXPECT_TRUE(seen[id]) << id;
 }
 
 }  // namespace

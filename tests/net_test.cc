@@ -143,8 +143,8 @@ TEST(WireTest, BagTypeMustBeAString) {
 // fixture: atom names holding a quote, a backslash, a control byte and
 // multi-byte UTF-8; an id the table never interned (printed "#<id>"); a
 // bag of bags; a tuple of arity 0; and counts 1, 2^64-1, 2^64 and 2^100.
-// The bytes were taken from the printers before they learned to append in
-// place; any change to how atoms or counts are printed must keep them.
+// Every response body, `output` string and BAG1 frame depends on these
+// bytes, so a change to how atoms or counts are printed must keep them.
 struct PrinterFixture {
   AtomTable table;
   Value atoms;   // a bag root: the streamer slices it entry by entry
