@@ -742,7 +742,7 @@ class Server::Impl {
       ExecJob job = std::move(session->pending.front());
       session->pending.pop_front();
       --queued_jobs_;
-      ++running_;
+      running_.push_back(session.get());
       lock.unlock();
       Envelope envelope;
       if (job.kind == ExecJob::Kind::kCloseSession) {
@@ -757,13 +757,14 @@ class Server::Impl {
       }
       PublishCompletion(std::move(job), std::move(envelope));
       lock.lock();
-      --running_;
+      running_.erase(
+          std::find(running_.begin(), running_.end(), session.get()));
       if (!session->pending.empty()) {
         runnable_.push_back(std::move(session));
       } else {
         session->scheduled = false;
       }
-      if (queued_jobs_ == 0 && running_ == 0) idle_cv_.notify_all();
+      if (queued_jobs_ == 0 && running_.empty()) idle_cv_.notify_all();
     }
   }
 
@@ -1029,12 +1030,10 @@ class Server::Impl {
     // drain check; a periodic sweep always lands.
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
-      while (queued_jobs_ != 0 || running_ != 0) {
-        lock.unlock();
-        CancelAllSessions();
-        lock.lock();
+      while (queued_jobs_ != 0 || !running_.empty()) {
+        CancelRunning();
         idle_cv_.wait_for(lock, std::chrono::milliseconds(20), [this] {
-          return queued_jobs_ == 0 && running_ == 0;
+          return queued_jobs_ == 0 && running_.empty();
         });
       }
       stop_executors_ = true;
@@ -1080,11 +1079,12 @@ class Server::Impl {
     listen_fd_raw_.store(-1, std::memory_order_release);
   }
 
-  void CancelAllSessions() {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (const auto& [name, session] : sessions_) {
-      session->cancel.Cancel();
-    }
+  /// Cancels the statement on every lane. The lanes, not `sessions_`,
+  /// know what runs: a closed session leaves `sessions_` at once while
+  /// its jobs still run. Queued jobs need no cancel; the lanes shed them.
+  /// Caller holds queue_mu_.
+  void CancelRunning() {
+    for (Session* session : running_) session->cancel.Cancel();
   }
 
   // ------------------------------------------------------------ shared
@@ -1161,7 +1161,8 @@ class Server::Impl {
   // runnable; a session is here at most once (its `scheduled` flag).
   std::deque<std::shared_ptr<Session>> runnable_;  // guarded by queue_mu_
   size_t queued_jobs_ = 0;  // not started, over all sessions; queue_mu_
-  size_t running_ = 0;      // taken by a lane, not finished; queue_mu_
+  // The session of each job a lane has taken and not finished; queue_mu_.
+  std::vector<Session*> running_;
   bool stop_executors_ = false;  // guarded by queue_mu_
   std::vector<std::thread> executors_;
 

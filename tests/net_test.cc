@@ -629,6 +629,50 @@ TEST(ServerTest, DrainCancelsInFlightAndFlushesJournals) {
   EXPECT_EQ(after.status, 0);
 }
 
+// A close takes the session out of the server's map at once, while its
+// statement still runs on a lane. Drain must cancel that statement too,
+// not wait for it to hit the powerset cap.
+TEST(ServerTest, DrainCancelsAStatementOfAClosedSession) {
+  ServerOptions options;
+  options.executors = 2;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const uint16_t port = (*server)->port();
+
+  const ClientResponse let = PostStatement(
+      port, R"js({"session":"gone","statement":)js"
+            R"js("let X = {{a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p,q}}"})js");
+  ASSERT_EQ(let.status, 200) << let.raw;
+  ClientResponse slow;
+  std::thread in_flight([&] {
+    slow = PostStatement(
+        port, R"js({"session":"gone","statement":"eval pow(pow(X))"})js");
+  });
+  // The close answers only after the statement ahead of it, so it too
+  // runs on a helper thread; the session leaves the map when it arrives.
+  ClientResponse closed;
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    closed = Fetch(port, "POST", "/v1/session/close",
+                   R"js({"session":"gone"})js");
+  });
+  for (int i = 0; i < 500; ++i) {
+    if ((*server)->stats().sessions_live == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ((*server)->stats().sessions_live, 0u);
+
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+  in_flight.join();
+  closer.join();
+
+  EXPECT_EQ(slow.status, 499) << slow.raw;
+  EXPECT_NE(slow.body.find("\"outcome\":\"cancel\""), std::string::npos)
+      << slow.body;
+  EXPECT_EQ(closed.status, 200) << closed.raw;
+}
+
 TEST(ServerTest, ConcurrentSessionsSurviveMixedLoad) {
   ServerOptions options;
   options.executors = 4;
