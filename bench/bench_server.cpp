@@ -23,11 +23,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/core/value.h"
 #include "src/net/http.h"
@@ -92,6 +95,51 @@ void BM_FrameRoundTrip(benchmark::State& state) {
                           static_cast<int64_t>(payload.size()));
 }
 BENCHMARK(BM_FrameRoundTrip)->Arg(8)->Arg(4096);
+
+// A result shaped like perfbench's serve_wide bags: 4096 distinct pairs
+// [a<i>, b<j>] over 200 atoms a side, one count in twenty past 2^64.
+Value WideBag() {
+  constexpr uint64_t kSide = 200;
+  Bag::Builder builder(Type::FlatTuple(2));
+  for (uint64_t k = 0; k < 4096; ++k) {
+    // 9973 is prime to 200^2, so the pairs are distinct.
+    const uint64_t pair = k * 9973 % (kSide * kSide);
+    const Value tuple = Value::Tuple(
+        {Value::Atom(GlobalAtom("a" + std::to_string(pair / kSide))),
+         Value::Atom(GlobalAtom("b" + std::to_string(pair % kSide)))});
+    builder.Add(tuple, k % 20 == 0 ? BigNat::TwoPow(64) + BigNat(k)
+                                   : BigNat(1 + k % 9));
+  }
+  return Value::FromBag(*std::move(builder).Build());
+}
+
+// Wire-JSON encoding of the wide bag while range(0) other threads render
+// it as text, as bagalgd's loop thread encodes while the executor lanes
+// render `output`. cpu_time is the encoding thread's own CPU, so the
+// /2 : /0 ratio measures what printing costs under contention (a lock or
+// a shared cache line per atom), not how the host time-slices threads.
+void BM_WireJsonWhileRendering(benchmark::State& state) {
+  const Value bag = WideBag();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> renderers;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    renderers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        benchmark::DoNotOptimize(bag.ToString());
+      }
+    });
+  }
+  std::string json;
+  for (auto _ : state) {
+    json = ValueToWireJson(bag);
+    benchmark::DoNotOptimize(json);
+  }
+  stop.store(true);
+  for (std::thread& t : renderers) t.join();
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(json.size()));
+}
+BENCHMARK(BM_WireJsonWhileRendering)->Arg(0)->Arg(2);
 
 // ------------------------------------------------------------ loopback
 
