@@ -100,13 +100,17 @@ BENCHMARK(BM_FrameRoundTrip)->Arg(8)->Arg(4096);
 // [a<i>, b<j>] over 200 atoms a side, one count in twenty past 2^64.
 Value WideBag() {
   constexpr uint64_t kSide = 200;
+  const auto atom = [](char prefix, uint64_t i) {
+    std::string name(1, prefix);
+    name += std::to_string(i);
+    return Value::Atom(GlobalAtom(name));
+  };
   Bag::Builder builder(Type::FlatTuple(2));
   for (uint64_t k = 0; k < 4096; ++k) {
     // 9973 is prime to 200^2, so the pairs are distinct.
     const uint64_t pair = k * 9973 % (kSide * kSide);
-    const Value tuple = Value::Tuple(
-        {Value::Atom(GlobalAtom("a" + std::to_string(pair / kSide))),
-         Value::Atom(GlobalAtom("b" + std::to_string(pair % kSide)))});
+    const Value tuple =
+        Value::Tuple({atom('a', pair / kSide), atom('b', pair % kSide)});
     builder.Add(tuple, k % 20 == 0 ? BigNat::TwoPow(64) + BigNat(k)
                                    : BigNat(1 + k % 9));
   }

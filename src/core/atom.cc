@@ -101,7 +101,9 @@ std::optional<std::string_view> AtomTable::NameView(AtomId id) const {
 
 std::string AtomTable::NameOf(AtomId id) const {
   if (const auto name = NameView(id)) return std::string(*name);
-  return "#" + std::to_string(id);
+  std::string placeholder = "#";  // not "#" + ...: GCC 12 -O3 -Wrestrict
+  placeholder += std::to_string(id);
+  return placeholder;
 }
 
 size_t AtomTable::size() const {
