@@ -11,8 +11,9 @@
 //  - event-loop scaling: pipelined bursts on one connection (syscalls
 //    amortized across the batch), a 1000-connection keep-alive fleet with
 //    every outcome typed (ok or shed — an untyped failure aborts the
-//    bench), and the BAG1 binary statement path against its JSON
-//    equivalent on both small and large result bags.
+//    bench), the BAG1 binary statement path against its JSON
+//    equivalent on both small and large result bags, and four wide
+//    results in flight at once on two lanes (serve_wide's shape).
 //
 // Collected by bench/run_benchmarks.sh into BENCH_bench_server.json.
 
@@ -183,9 +184,10 @@ class LoopbackClient {
 
   bool SendRaw(const std::string& bytes) { return WriteAll(fd_, bytes).ok(); }
 
-  // Reads one Content-Length response from the connection's buffer,
-  // refilling from the socket as needed. Returns the HTTP status, with
-  // -1 on connection failure; *bytes (optional) gets the response size.
+  // Reads one Content-Length or chunked response from the connection's
+  // buffer, refilling from the socket as needed. Returns the HTTP status,
+  // with -1 on connection failure; *bytes (optional) gets the response
+  // size.
   int ReadResponseStatus(size_t* bytes = nullptr) {
     // Cursor-based: pipelined responses pile up in buf_ and each call
     // advances pos_ instead of memmoving the tail — the per-response cost
@@ -194,13 +196,31 @@ class LoopbackClient {
     while ((header_end = buf_.find("\r\n\r\n", pos_)) == std::string::npos) {
       if (!Refill()) return -1;
     }
-    const size_t cl = buf_.find("Content-Length: ", pos_);
-    if (cl == std::string::npos || cl > header_end) return -1;
-    const size_t content_length = static_cast<size_t>(
-        std::strtoull(buf_.c_str() + cl + 16, nullptr, 10));
-    const size_t total = header_end + 4 + content_length;
-    while (buf_.size() < total) {
-      if (!Refill()) return -1;
+    size_t total = header_end + 4;
+    const size_t chunked = buf_.find("Transfer-Encoding: chunked", pos_);
+    if (chunked != std::string::npos && chunked < header_end) {
+      // Chunk by chunk up to the zero-length one and its blank line.
+      while (true) {
+        size_t line_end;
+        while ((line_end = buf_.find("\r\n", total)) == std::string::npos) {
+          if (!Refill()) return -1;
+        }
+        const size_t len = static_cast<size_t>(
+            std::strtoull(buf_.c_str() + total, nullptr, 16));
+        total = line_end + 2 + len + 2;
+        while (buf_.size() < total) {
+          if (!Refill()) return -1;
+        }
+        if (len == 0) break;
+      }
+    } else {
+      const size_t cl = buf_.find("Content-Length: ", pos_);
+      if (cl == std::string::npos || cl > header_end) return -1;
+      total += static_cast<size_t>(
+          std::strtoull(buf_.c_str() + cl + 16, nullptr, 10));
+      while (buf_.size() < total) {
+        if (!Refill()) return -1;
+      }
     }
     const int status = std::atoi(buf_.c_str() + pos_ + 9);
     if (bytes != nullptr) *bytes = total - pos_;
@@ -485,6 +505,83 @@ void BM_LoopbackConcurrentKeepAlive(benchmark::State& state) {
 BENCHMARK(BM_LoopbackConcurrentKeepAlive)
     ->Arg(128)
     ->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+
+// serve_wide's shape on two lanes: four keep-alive connections, each with
+// its own session holding a 4096-entry bag of pairs (1 in 20 counts past
+// 2^64), and each with one `eval` of it in flight before any response is
+// read — two as JSON (streamed: past the 512-entry threshold), two as
+// BAG1. What it measures is how much of the encoding runs in parallel.
+void BM_LoopbackWideInFlight(benchmark::State& state) {
+  constexpr int kConns = 4;
+  static const uint16_t port = [] {
+    ServerOptions options;
+    options.executors = 2;
+    auto started = Server::Start(std::move(options));
+    static std::unique_ptr<Server> server = std::move(*started);
+    std::string literal = "let W = {{";
+    for (int i = 0; i < 4096; ++i) {
+      if (i != 0) literal += ", ";
+      literal += "[a" + std::to_string(i / 64) + ", b" +
+                 std::to_string(i % 64) + "]*";
+      literal += i % 20 == 0 ? "18446744073709551616" : std::to_string(i % 9 + 1);
+    }
+    literal += "}}";
+    for (int c = 0; c < kConns; ++c) {
+      LoopbackClient setup(server->port());
+      setup.RoundTrip("POST", "/v1/statement",
+                      "{\"session\":\"wide" + std::to_string(c) +
+                          "\",\"statement\":\"" + literal + "\"}");
+    }
+    return server->port();
+  }();
+  std::vector<std::unique_ptr<LoopbackClient>> clients;
+  std::vector<std::string> requests;
+  for (int c = 0; c < kConns; ++c) {
+    clients.push_back(std::make_unique<LoopbackClient>(port));
+    if (!clients.back()->ok()) {
+      state.SkipWithError("loopback connect failed");
+      return;
+    }
+    const std::string session = "wide" + std::to_string(c);
+    if (c % 2 == 0) {
+      requests.push_back(LoopbackClient::BuildRequest(
+          "POST", "/v1/statement",
+          "{\"session\":\"" + session + "\",\"statement\":\"eval W\"}"));
+    } else {
+      WireStatementRequest statement;
+      statement.session = session;
+      statement.statement = "eval W";
+      requests.push_back(LoopbackClient::BuildRequest(
+          "POST", "/v1/statement",
+          EncodeFrame(WireFormat::kBinary, EncodeStatementRequest(statement)),
+          "application/x-bag1"));
+    }
+  }
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    for (int c = 0; c < kConns; ++c) {
+      if (!clients[static_cast<size_t>(c)]->SendRaw(
+              requests[static_cast<size_t>(c)])) {
+        state.SkipWithError("wide write failed");
+        return;
+      }
+    }
+    for (int c = 0; c < kConns; ++c) {
+      size_t response_bytes = 0;
+      if (clients[static_cast<size_t>(c)]->ReadResponseStatus(
+              &response_bytes) != 200) {
+        state.SkipWithError("wide response not ok");
+        return;
+      }
+      bytes += static_cast<int64_t>(response_bytes);
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kConns);
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_LoopbackWideInFlight)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

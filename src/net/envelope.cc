@@ -114,4 +114,22 @@ EncodedEnvelope EncodeEnvelope(const Envelope& envelope, WireFormat format,
              : EncodeJson(envelope, close, stream_entries_threshold);
 }
 
+bool AppendStreamChunk(WireJsonStreamer& stream, std::string* out) {
+  std::string slice;
+  const bool more = stream.Produce(kStreamSliceBytes, &slice);
+  AppendHttpChunk(slice, out);
+  if (!more) AppendHttpLastChunk(out);
+  return more;
+}
+
+void PrestreamEncoded(EncodedEnvelope* encoded, size_t budget) {
+  const size_t start = encoded->bytes.size();
+  while (encoded->stream != nullptr &&
+         encoded->bytes.size() - start < budget) {
+    if (!AppendStreamChunk(*encoded->stream, &encoded->bytes)) {
+      encoded->stream.reset();
+    }
+  }
+}
+
 }  // namespace bagalg::net

@@ -14,7 +14,9 @@
 ///   BAG1          one binary frame around EncodeStatementResponse(body)
 ///
 /// A JSON success whose result bag reaches the stream threshold is sent
-/// chunked: the same head and tail around a WireJsonStreamer.
+/// chunked: the same head and tail around a WireJsonStreamer. Every chunk
+/// is one Produce(kStreamSliceBytes) call, so the chunk boundaries are the
+/// same whichever thread produces which chunk.
 
 #include <cstddef>
 #include <cstdint>
@@ -52,12 +54,29 @@ struct EncodedEnvelope {
   std::unique_ptr<WireJsonStreamer> stream;
 };
 
+/// Body bytes asked of the streamer per chunk.
+inline constexpr size_t kStreamSliceBytes = 64 * 1024;
+/// How much of a streamed body the executor lane encodes (four chunks)
+/// before it hands the rest to the event loop. It bounds what a queued
+/// response holds, so it is a constant, not an option.
+inline constexpr size_t kLaneEncodeBytes = 4 * kStreamSliceBytes;
+
 /// Encodes `envelope` as BAG1 or JSON. A JSON success whose result bag has
 /// at least `stream_entries_threshold` entries (0 = never) streams.
 /// `close` adds Connection: close.
 EncodedEnvelope EncodeEnvelope(const Envelope& envelope, WireFormat format,
                                bool close,
                                size_t stream_entries_threshold = 0);
+
+/// Appends the next chunk of `stream` to `out`, and the terminating chunk
+/// after the last. Returns true while more of the body remains.
+bool AppendStreamChunk(WireJsonStreamer& stream, std::string* out);
+
+/// Appends chunks of a streamed body to `encoded->bytes` until the body
+/// ends (the streamer is then dropped) or at least `budget` bytes have been
+/// appended. Appending the rest with AppendStreamChunk then gives the same
+/// bytes as appending every chunk that way.
+void PrestreamEncoded(EncodedEnvelope* encoded, size_t budget);
 
 }  // namespace bagalg::net
 

@@ -26,6 +26,7 @@
 #include "src/net/wire.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/util/build_info.h"
 
 namespace bagalg::net {
@@ -39,12 +40,11 @@ constexpr uint64_t kListenerTag = 0;
 constexpr uint64_t kWakeupTag = 1;
 constexpr uint64_t kFirstConnId = 2;
 
-// Write-buffer watermarks: the streamer refills the out buffer when the
-// unwritten remainder drops below the low mark and each refill slice is
-// one stream unit — a slow reader therefore holds at most roughly
-// high-water bytes of serialized response, never the whole body.
+// Write-buffer watermark: the streamer refills the out buffer when the
+// unwritten remainder drops below it, one kStreamSliceBytes chunk at a
+// time — a slow reader therefore holds the lane-encoded prefix plus about
+// two chunks of serialized response, never the whole body.
 constexpr size_t kWriteLowWater = 64 * 1024;
-constexpr size_t kStreamSliceBytes = 64 * 1024;
 // At most this many accepts are drained per listener event, so one
 // connect storm cannot starve live connections of loop time.
 constexpr int kAcceptBatch = 64;
@@ -109,12 +109,15 @@ struct Session {
 };
 
 /// What one job produced, shipped from the executor back to the event
-/// loop through the completion queue. The envelope holds the result as a
-/// Value (an O(1) shared-tree handle), not serialized text: the loop
-/// encodes it per connection.
+/// loop through the completion queue: the response already encoded by the
+/// lane that ran the job. A large JSON body arrives as its first
+/// kLaneEncodeBytes of chunks plus the streamer of the rest.
 struct Completion {
-  ExecJob job;
-  Envelope envelope;
+  uint64_t conn_id = 0;
+  uint64_t seq = 0;
+  bool want_close = false;
+  std::string outcome;  // the typed outcome word, for the stats bucket
+  EncodedEnvelope encoded;
 };
 
 /// A shed envelope: outcome "shed", retryable, Retry-After: 1.
@@ -204,10 +207,13 @@ class Server::Impl {
     BAGALG_RETURN_IF_ERROR(epoll_.Add(wakeup_.fd(), EPOLLIN, kWakeupTag));
     loop_iter_hist_ = obs::GlobalMetrics().GetHistogram(
         "server.epoll.loop_iter_us");
+    request_wall_hist_ = obs::GlobalMetrics().GetHistogram(
+        "server.request.wall_us");
     const unsigned executors = std::max(1u, options_.executors);
+    lane_cpu_ns_ = std::vector<std::atomic<uint64_t>>(executors);
     executors_.reserve(executors);
     for (unsigned i = 0; i < executors; ++i) {
-      executors_.emplace_back([this] { ExecutorLoop(); });
+      executors_.emplace_back([this, i] { ExecutorLoop(&lane_cpu_ns_[i]); });
     }
     loop_thread_ = std::thread([this] { EventLoop(); });
     return Status::Ok();
@@ -299,6 +305,7 @@ class Server::Impl {
         const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - iter_start);
         loop_iter_hist_->Observe(static_cast<uint64_t>(us.count()));
+        loop_cpu_ns_.store(obs::ThreadCpuNowNs(), std::memory_order_relaxed);
       }
     }
     // Loop exit: every remaining connection is torn down (drain already
@@ -730,8 +737,10 @@ class Server::Impl {
   /// oldest job, then hand the session back — to the tail of the run
   /// queue while it has jobs left, else unscheduled. A session is on at
   /// most one lane, so its jobs run one at a time in program order, and a
-  /// lane never waits on another lane: the only wait is for work.
-  void ExecutorLoop() {
+  /// lane never waits on another lane: the only wait is for work. The
+  /// lane encodes each job's response itself and, after every job, stores
+  /// its own CPU clock into `cpu_ns`.
+  void ExecutorLoop(std::atomic<uint64_t>* cpu_ns) {
     std::unique_lock<std::mutex> lock(queue_mu_);
     while (true) {
       queue_cv_.wait(lock,
@@ -755,7 +764,8 @@ class Server::Impl {
       } else {
         envelope = Execute(*session, job);
       }
-      PublishCompletion(std::move(job), std::move(envelope));
+      PublishCompletion(EncodeCompletion(job, envelope));
+      cpu_ns->store(obs::ThreadCpuNowNs(), std::memory_order_relaxed);
       lock.lock();
       running_.erase(
           std::find(running_.begin(), running_.end(), session.get()));
@@ -768,11 +778,37 @@ class Server::Impl {
     }
   }
 
-  void PublishCompletion(ExecJob job, Envelope envelope) {
+  /// Encodes what `job` produced, on the lane that ran it: a close's
+  /// confirmation, or a statement's envelope in the request's format with
+  /// up to kLaneEncodeBytes of a streamed body already chunked.
+  Completion EncodeCompletion(const ExecJob& job, const Envelope& envelope) {
+    Completion done;
+    done.conn_id = job.conn_id;
+    done.seq = job.seq;
+    done.want_close = job.want_close;
+    done.outcome = envelope.body.outcome;
+    if (job.kind == ExecJob::Kind::kCloseSession) {
+      HttpResponse resp;
+      resp.body = "{\"ok\":true,\"outcome\":\"ok\",\"closed\":" +
+                  obs::JsonQuote(envelope.session) + "}";
+      resp.close = job.want_close;
+      done.encoded.bytes = FormatHttpResponse(resp);
+      return done;
+    }
+    request_wall_hist_->Observe(envelope.body.wall_us);
+    done.encoded = EncodeEnvelope(envelope, job.format, job.want_close,
+                                  options_.stream_entries_threshold);
+    if (done.encoded.stream != nullptr) {
+      streamed_responses_.fetch_add(1);
+      PrestreamEncoded(&done.encoded, kLaneEncodeBytes);
+    }
+    return done;
+  }
+
+  void PublishCompletion(Completion completion) {
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(
-          Completion{std::move(job), std::move(envelope)});
+      completions_.push_back(std::move(completion));
     }
     wakeup_.Signal();
   }
@@ -818,29 +854,18 @@ class Server::Impl {
     for (Completion& completion : batch) {
       // The typed outcome counts even when the connection died while the
       // job ran and the bytes have nowhere to go.
-      Bucket(completion.envelope.body.outcome).fetch_add(1);
-      auto it = conns_.find(completion.job.conn_id);
+      Bucket(completion.outcome).fetch_add(1);
+      auto it = conns_.find(completion.conn_id);
       if (it == conns_.end() || it->second->doomed) continue;
       Conn* c = it->second.get();
-      const uint64_t idx = completion.job.seq - c->base_seq;
+      const uint64_t idx = completion.seq - c->base_seq;
       // Unreachable by construction (an unready slot blocks promotion);
       // defensive against miscounted sequences.
       if (idx >= c->slots.size()) continue;
       ResponseSlot& slot = c->slots[static_cast<size_t>(idx)];
-      if (completion.job.kind == ExecJob::Kind::kCloseSession) {
-        HttpResponse resp;
-        resp.body = "{\"ok\":true,\"outcome\":\"ok\",\"closed\":" +
-                    obs::JsonQuote(completion.envelope.session) + "}";
-        resp.close = completion.job.want_close;
-        slot.close_after = resp.close;
-        slot.bytes = FormatHttpResponse(resp);
-      } else {
-        obs::GlobalMetrics()
-            .GetHistogram("server.request.wall_us")
-            ->Observe(completion.envelope.body.wall_us);
-        FillSlot(&slot, completion.envelope, completion.job.format,
-                 completion.job.want_close);
-      }
+      slot.bytes = std::move(completion.encoded.bytes);
+      slot.stream = std::move(completion.encoded.stream);
+      slot.close_after = completion.want_close;
       slot.ready = true;
       --c->in_flight;
       DriveConn(c);
@@ -863,26 +888,16 @@ class Server::Impl {
 
   // -------------------------------------------------- response rendering
 
-  /// Encodes an envelope into a response slot: complete bytes, or a
-  /// chunked head plus the streamer that produces the body.
-  void FillSlot(ResponseSlot* slot, const Envelope& env, WireFormat format,
-                bool close) {
-    EncodedEnvelope encoded = EncodeEnvelope(
-        env, format, close, options_.stream_entries_threshold);
-    if (encoded.stream != nullptr) streamed_responses_.fetch_add(1);
-    slot->bytes = std::move(encoded.bytes);
-    slot->stream = std::move(encoded.stream);
-    slot->close_after = close;
-  }
-
   /// Queues a ready (synchronous) envelope response in request order and
-  /// counts its outcome.
+  /// counts its outcome. These are the loop's own refusals: small, and
+  /// never streamed.
   void QueueEnvelope(Conn* c, const Envelope& env, WireFormat format,
                      bool close) {
     Bucket(env.body.outcome).fetch_add(1);
     c->slots.emplace_back();
     ResponseSlot* slot = &c->slots.back();
-    FillSlot(slot, env, format, close);
+    slot->bytes = EncodeEnvelope(env, format, close).bytes;
+    slot->close_after = close;
     slot->ready = true;
     if (close) c->close_pending = true;
   }
@@ -928,7 +943,11 @@ class Server::Impl {
     while (c->stream == nullptr && !c->slots.empty() &&
            c->slots.front().ready && !c->close_after_write) {
       ResponseSlot& slot = c->slots.front();
-      c->out += slot.bytes;
+      if (c->out.empty()) {
+        c->out.swap(slot.bytes);  // a lane-encoded body is not copied
+      } else {
+        c->out += slot.bytes;
+      }
       c->close_after_write |= slot.close_after;
       if (slot.stream != nullptr) c->stream = std::move(slot.stream);
       c->slots.pop_front();
@@ -943,14 +962,9 @@ class Server::Impl {
   bool FlushConn(Conn* c) {
     while (true) {
       PromoteSlots(c);
-      if (c->stream != nullptr && c->pending_out() < kWriteLowWater) {
-        std::string slice;
-        const bool more = c->stream->Produce(kStreamSliceBytes, &slice);
-        AppendHttpChunk(slice, &c->out);
-        if (!more) {
-          AppendHttpLastChunk(&c->out);
-          c->stream.reset();
-        }
+      if (c->stream != nullptr && c->pending_out() < kWriteLowWater &&
+          !AppendStreamChunk(*c->stream, &c->out)) {
+        c->stream.reset();
       }
       if (c->pending_out() == 0 && c->stream == nullptr) break;
       bool would_block = false;
@@ -1113,6 +1127,22 @@ class Server::Impl {
         ->RaiseTo(s.bag1_requests);
     metrics.GetCounter("server.http.streamed")
         ->RaiseTo(s.streamed_responses);
+    // Each thread publishes its own CPU clock; a joined lane's clock can
+    // no longer be read, its last stored value can. The counters grow by
+    // this server's CPU since the last mirror.
+    const uint64_t loop_cpu_us =
+        loop_cpu_ns_.load(std::memory_order_relaxed) / 1000;
+    uint64_t lane_cpu_ns = 0;
+    for (const auto& ns : lane_cpu_ns_) {
+      lane_cpu_ns += ns.load(std::memory_order_relaxed);
+    }
+    const uint64_t lane_cpu_us = lane_cpu_ns / 1000;
+    metrics.GetCounter("server.thread.loop.cpu_us")
+        ->Increment(loop_cpu_us - mirrored_loop_cpu_us_);
+    metrics.GetCounter("server.thread.lane.cpu_us")
+        ->Increment(lane_cpu_us - mirrored_lane_cpu_us_);
+    mirrored_loop_cpu_us_ = loop_cpu_us;
+    mirrored_lane_cpu_us_ = lane_cpu_us;
     metrics.GetGauge("server.sessions.live")
         ->Set(static_cast<int64_t>(s.sessions_live));
     metrics.GetGauge("server.connections.live")
@@ -1150,6 +1180,7 @@ class Server::Impl {
   uint64_t next_conn_id_ = kFirstConnId;
   uint64_t gauge_iter_ = 0;
   obs::Histogram* loop_iter_hist_ = nullptr;
+  obs::Histogram* request_wall_hist_ = nullptr;  // observed by the lanes
 
   mutable std::mutex sessions_mu_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
@@ -1165,6 +1196,15 @@ class Server::Impl {
   std::vector<Session*> running_;
   bool stop_executors_ = false;  // guarded by queue_mu_
   std::vector<std::thread> executors_;
+
+  // Each thread's own CPU clock, as it last stored it: the loop after each
+  // iteration that handled events, a lane after each job.
+  std::atomic<uint64_t> loop_cpu_ns_{0};
+  std::vector<std::atomic<uint64_t>> lane_cpu_ns_;
+  // The CPU totals at the last MirrorServerStats, which the loop and, once
+  // the loop has been joined, Teardown call.
+  uint64_t mirrored_loop_cpu_us_ = 0;
+  uint64_t mirrored_lane_cpu_us_ = 0;
 
   std::mutex completions_mu_;
   std::vector<Completion> completions_;  // guarded by completions_mu_

@@ -33,20 +33,25 @@
 ///     with a typed 429 and a Retry-After derived from that depth —
 ///     predictable latency for admitted work instead of collapse.
 ///     Connection and session counts are capped the same way (503).
-///     Executors hand an Envelope back through a completion queue and an
-///     eventfd wakeup; the loop encodes it (net/envelope.h) and writes it.
+///     The lane that ran a job also encodes its response (net/envelope.h)
+///     and hands the bytes back through a completion queue and an eventfd
+///     wakeup; the loop only writes them. The loop itself encodes just its
+///     own small refusals and the /healthz, /metrics and /trace bodies.
 ///   * Large results stream: a statement whose result bag has at least
 ///     stream_entries_threshold distinct entries is sent with chunked
-///     transfer-encoding, serialized a top-level entry at a time against
-///     the write buffer's watermarks, so one slow reader holds bounded
-///     memory — EPOLLOUT backpressure paces the serializer.
+///     transfer-encoding, serialized a top-level entry at a time. The lane
+///     encodes the first 256 KiB of chunks (kLaneEncodeBytes); the loop
+///     produces the rest a chunk at a time as the socket drains, so one
+///     slow reader holds bounded memory — EPOLLOUT backpressure paces the
+///     serializer.
 ///   * The BAG1 binary protocol (Content-Type: application/x-bag1) skips
 ///     JSON both ways: the request body is one BAG1 frame holding a binary
 ///     statement envelope, the response one frame holding the binary
 ///     result — exact BigNat multiplicities, no quoting, no re-parse.
 ///   * Cost-budget preflight: when a budget is configured, statements whose
 ///     statically estimated output exceeds it are refused (E001 → 422)
-///     before touching the executor — never executed.
+///     before they are evaluated. The check runs on the executor lane, at
+///     the start of ScriptRunner::RunLine; the statement never executes.
 ///   * Per-request deadlines and memcaps run through the same
 ///     ResourceGovernor as the REPL: a tripped statement returns a typed
 ///     error (504/507/499) with the flight-recorder dump attached, and the

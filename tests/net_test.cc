@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 
 #include "gtest/gtest.h"
 #include "src/core/value.h"
+#include "src/net/envelope.h"
 #include "src/net/http.h"
 #include "src/net/io.h"
 #include "src/net/json_reader.h"
@@ -589,14 +591,23 @@ TEST(ServerTest, DrainCancelsInFlightAndFlushesJournals) {
 
   PostStatement(port,
                 R"js({"session":"drain","statement":)js"
-                R"js("let X = {{a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p}}"})js");
+                R"js("let X = {{[a],[b],[c],[d],[e],[f],[g],[h],[i],[j],)js"
+                R"js([k],[l],[m],[n],[o],[p],[q],[r],[s],[t],[u],[v],[w],)js"
+                R"js([x],[y],[z],[a1],[b1],[c1],[d1]}}"})js");
+  PostStatement(port,
+                R"js({"session":"drain","statement":)js"
+                R"js("let Y = {{y1,y2,y3,y4,y5,y6,y7,y8,y9,y10,y11,y12}}"})js");
 
-  // A statement that would run ~forever, launched from a helper thread;
-  // the drain below must cancel it rather than wait it out.
+  // A statement that runs for many seconds, launched from a helper thread;
+  // the drain below must cancel it rather than wait it out. It builds two
+  // powersets of 2^12 and 2^13 subbags for each of the 900 pairs of X and
+  // keeps none, so it stays far from every kernel cap and holds little
+  // memory.
   ClientResponse slow;
   std::thread in_flight([&] {
     slow = PostStatement(
-        port, R"js({"session":"drain","statement":"eval pow(pow(X))"})js");
+        port, R"js({"session":"drain","statement":"count sel(p -> )js"
+              R"js(pow(uplus(Y, bag(proj(1, p)))) == pow(Y), prod(X, X))"})js");
   });
   // Give it time to pass admission and start executing.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -1066,6 +1077,72 @@ TEST(WireStreamerTest, ProducesExactlyTheMaterializedJson) {
   }
 }
 
+// An executor lane encodes the first kLaneEncodeBytes of a streamed body
+// and the event loop the rest. Whatever the split, the wire bytes must be
+// those the loop alone wrote: one chunk per Produce(kStreamSliceBytes).
+TEST(LaneEncodingTest, LanePrefixPlusLoopRestIsTheLoopOnlyBody) {
+  const Value result = AtomBag("lane_split_", 12000);
+  Envelope envelope =
+      SuccessEnvelope("lane", result.ToString(), result, /*wall_us=*/42);
+  const auto encode = [&] {
+    return EncodeEnvelope(envelope, WireFormat::kJson, /*close=*/false,
+                          /*stream_entries_threshold=*/512);
+  };
+
+  // The loop-only bytes: the head, then one Produce(kStreamSliceBytes) per
+  // chunk, then the last chunk.
+  EncodedEnvelope loop_only = encode();
+  ASSERT_NE(loop_only.stream, nullptr);
+  std::string expected = loop_only.bytes;
+  size_t chunks = 0;
+  while (true) {
+    std::string slice;
+    const bool more = loop_only.stream->Produce(kStreamSliceBytes, &slice);
+    AppendHttpChunk(slice, &expected);
+    ++chunks;
+    if (!more) break;
+  }
+  AppendHttpLastChunk(&expected);
+  // The body spans more chunks than the lane encodes, so every budget
+  // below splits it somewhere else (or not at all).
+  ASSERT_GT(chunks, kLaneEncodeBytes / kStreamSliceBytes + 1);
+
+  // The same body, materialized, is what the chunks carry.
+  const std::string materialized =
+      EncodeEnvelope(envelope, WireFormat::kJson, false).bytes;
+  const std::string body =
+      materialized.substr(materialized.find("\r\n\r\n") + 4);
+  EXPECT_GT(body.size(), kLaneEncodeBytes);
+
+  for (const size_t budget : {size_t{0}, kStreamSliceBytes, kLaneEncodeBytes,
+                              std::numeric_limits<size_t>::max()}) {
+    EncodedEnvelope split = encode();
+    const size_t head = split.bytes.size();
+    PrestreamEncoded(&split, budget);
+    if (budget == 0) {
+      EXPECT_EQ(split.bytes.size(), head);
+    }
+    const bool ended = budget == std::numeric_limits<size_t>::max();
+    EXPECT_EQ(split.stream == nullptr, ended) << budget;
+    std::string wire = std::move(split.bytes);
+    while (split.stream != nullptr) {
+      if (!AppendStreamChunk(*split.stream, &wire)) split.stream.reset();
+    }
+    EXPECT_EQ(wire, expected) << "budget=" << budget;
+
+    std::string dechunked;
+    size_t at = wire.find("\r\n\r\n") + 4;
+    while (true) {
+      const size_t line_end = wire.find("\r\n", at);
+      const size_t len = std::strtoul(wire.c_str() + at, nullptr, 16);
+      if (len == 0) break;
+      dechunked.append(wire, line_end + 2, len);
+      at = line_end + 2 + len + 2;
+    }
+    EXPECT_EQ(dechunked, body) << "budget=" << budget;
+  }
+}
+
 // --------------------------------------------- server: event-loop paths
 
 // A persistent-connection client: sends requests on one socket and parses
@@ -1431,6 +1508,37 @@ TEST(ServerTest, EpollMetricsAreExposed) {
   (*server)->Wait();
 }
 
+// The value of a sample in a Prometheus exposition, or -1 when absent.
+double PromValue(const std::string& text, const std::string& name) {
+  const size_t at = text.find("\n" + name + " ");
+  if (at == std::string::npos) return -1;
+  return std::strtod(text.c_str() + at + name.size() + 2, nullptr);
+}
+
+TEST(ServerTest, ThreadCpuCountersGrowWithWork) {
+  ServerOptions options;
+  options.executors = 2;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const uint16_t port = (*server)->port();
+
+  const char* kLoop = "bagalg_server_thread_loop_cpu_us_total";
+  const char* kLane = "bagalg_server_thread_lane_cpu_us_total";
+  const std::string before = Fetch(port, "GET", "/metrics", "").body;
+  ASSERT_GE(PromValue(before, kLoop), 0) << before;
+  ASSERT_GE(PromValue(before, kLane), 0) << before;
+  const ClientResponse work = PostStatement(
+      port, R"js({"session":"cpu","statement":"count pow('{{a,b,c,d,e,f,)js"
+            R"js(g,h,i,j,k,l}})"})js");
+  EXPECT_EQ(work.status, 200) << work.raw;
+  const std::string after = Fetch(port, "GET", "/metrics", "").body;
+  EXPECT_GT(PromValue(after, kLoop), PromValue(before, kLoop));
+  EXPECT_GT(PromValue(after, kLane), PromValue(before, kLane));
+
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+}
+
 TEST(ServerTest, SurvivesInjectedIoFaults) {
   ServerOptions options;
   auto server = Server::Start(options);
@@ -1691,17 +1799,10 @@ std::string Printable(std::string_view bytes) {
   return out;
 }
 
-// Masks the two fields that legitimately vary between runs — wall_us (JSON
-// digits, or the BAG1 u64) and the flight-recorder dump — and renders the
-// response printable. The received Content-Length must match the received
-// body; the golden shows the length of the masked body. A chunked body
-// (already de-chunked by KeepAliveClient) is shown after "[chunked]".
-std::string MaskResponse(const ClientResponse& r) {
-  const size_t head_end = r.raw.find("\r\n\r\n");
-  if (head_end == std::string::npos) return "no response: " + r.raw;
-  std::string head = r.raw.substr(0, head_end + 4);
-  std::string body = r.body;
-  if (head.find("application/x-bag1") != std::string::npos) {
+// Masks the two body fields that legitimately vary between runs — wall_us
+// (JSON digits, or the BAG1 u64) and the flight-recorder dump.
+std::string MaskBody(std::string body, bool bag1) {
+  if (bag1) {
     // Frame header, ok byte, then the outcome and output strings.
     size_t at = kFrameHeaderBytes + 1;
     for (int i = 0; i < 2 && at + 4 <= body.size(); ++i) {
@@ -1728,6 +1829,19 @@ std::string MaskResponse(const ClientResponse& r) {
       body.replace(at, end - at, "F");
     }
   }
+  return body;
+}
+
+// Masks a response's varying fields (MaskBody) and renders it printable.
+// The received Content-Length must match the received body; the golden
+// shows the length of the masked body. A chunked body (already de-chunked
+// by KeepAliveClient) is shown after "[chunked]".
+std::string MaskResponse(const ClientResponse& r) {
+  const size_t head_end = r.raw.find("\r\n\r\n");
+  if (head_end == std::string::npos) return "no response: " + r.raw;
+  std::string head = r.raw.substr(0, head_end + 4);
+  const std::string body = MaskBody(
+      r.body, head.find("application/x-bag1") != std::string::npos);
   const std::string length = "Content-Length: ";
   if (size_t at = head.find(length); at != std::string::npos) {
     at += length.size();
@@ -2053,6 +2167,90 @@ TEST(GoldenResponseTest, StatementRouteBytesAreStable) {
     EXPECT_EQ(response, it->second) << name;
   }
   EXPECT_EQ(got.size(), expected.size());
+}
+
+// Two lanes encode at once, each for its own connection: a JSON result
+// large enough that the lane encodes its first kLaneEncodeBytes and the
+// loop streams the tail, one just under the stream threshold, and the
+// large one again as BAG1. Every body must be the materialized encoding of
+// the same result (wall_us masked).
+TEST(LaneEncodingTest, ConcurrentLaneEncodedBodiesAreTheMaterializedOnes) {
+  ServerOptions options;
+  options.executors = 2;
+  options.stream_entries_threshold = 512;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const uint16_t port = (*server)->port();
+
+  constexpr int kConns = 2;
+  std::vector<Value> wide, narrow;
+  for (int t = 0; t < kConns; ++t) {
+    const std::string session = "lane" + std::to_string(t);
+    wide.push_back(AtomBag(session + "_wide_", 12000));
+    narrow.push_back(AtomBag(session + "_narrow_", 511));
+    for (const auto& [name, value] :
+         {std::pair{"W", wide.back()}, std::pair{"N", narrow.back()}}) {
+      const ClientResponse let = PostStatement(
+          port, "{\"session\":\"" + session + "\",\"statement\":\"let " +
+                    name + " = " + value.ToString() + "\"}");
+      ASSERT_EQ(let.status, 200) << let.raw.substr(0, 200);
+    }
+  }
+  // The materialized encoding of `value` as session's `eval` answer.
+  const auto materialized = [](const std::string& session, const Value& value,
+                               WireFormat format) {
+    const std::string bytes =
+        EncodeEnvelope(SuccessEnvelope(session, value.ToString(), value, 0),
+                       format, /*close=*/false)
+            .bytes;
+    return MaskBody(bytes.substr(bytes.find("\r\n\r\n") + 4),
+                    format == WireFormat::kBinary);
+  };
+
+  std::vector<KeepAliveClient> clients;
+  clients.reserve(kConns);
+  for (int t = 0; t < kConns; ++t) {
+    clients.emplace_back(port);
+    ASSERT_TRUE(clients.back().connected());
+  }
+  // Every request is sent before any response is read.
+  for (int t = 0; t < kConns; ++t) {
+    const std::string session = "lane" + std::to_string(t);
+    const auto json = [&](const std::string& statement) {
+      return KeepAliveClient::Request(
+          "POST", "/v1/statement",
+          "{\"session\":\"" + session + "\",\"statement\":\"" + statement +
+              "\"}");
+    };
+    ASSERT_TRUE(clients[t].Send(
+        json("eval W") + json("eval N") +
+        KeepAliveClient::Request("POST", "/v1/statement",
+                                 Bag1Body(session, "eval W"),
+                                 "application/x-bag1")));
+  }
+  for (int t = 0; t < kConns; ++t) {
+    const std::string session = "lane" + std::to_string(t);
+    ClientResponse streamed, small, bag1;
+    ASSERT_TRUE(clients[t].ReadResponse(&streamed));
+    ASSERT_TRUE(clients[t].ReadResponse(&small));
+    ASSERT_TRUE(clients[t].ReadResponse(&bag1));
+    EXPECT_NE(streamed.raw.find("Transfer-Encoding: chunked"),
+              std::string::npos);
+    EXPECT_GT(streamed.body.size(), kLaneEncodeBytes);
+    EXPECT_EQ(MaskBody(streamed.body, false),
+              materialized(session, wide[t], WireFormat::kJson));
+    EXPECT_NE(small.raw.find("Content-Length"), std::string::npos);
+    EXPECT_EQ(MaskBody(small.body, false),
+              materialized(session, narrow[t], WireFormat::kJson));
+    EXPECT_EQ(MaskBody(bag1.body, true),
+              materialized(session, wide[t], WireFormat::kBinary));
+  }
+  for (KeepAliveClient& client : clients) client.Close();
+
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+  EXPECT_EQ((*server)->stats().streamed_responses,
+            static_cast<uint64_t>(kConns));
 }
 
 }  // namespace

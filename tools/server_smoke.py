@@ -16,7 +16,8 @@ the robustness contract:
     program order: each `eval X` answers the bag of the `let X` before it;
   * the server process survives the whole run (no crash, no abort);
   * /metrics stays a valid Prometheus exposition (validate_obs.py) and
-    exposes the event-loop gauges (bagalg_server_epoll_*);
+    exposes the event-loop gauges (bagalg_server_epoll_*) and the loop's
+    and lanes' own CPU counters (bagalg_server_thread_*_cpu_us_total);
   * SIGTERM at the end drains cleanly with exit code 0.
 
 (*) When BAGALG_FAULT=io:... is armed, injected disconnects legally tear
@@ -321,7 +322,9 @@ def main():
                        "bagalg_server_epoll_loop_iter_us_bucket",
                        "bagalg_server_conn_state_reading",
                        "bagalg_server_http_keepalive_reuses_total",
-                       "bagalg_server_wire_bag1_requests_total"):
+                       "bagalg_server_wire_bag1_requests_total",
+                       "bagalg_server_thread_loop_cpu_us_total",
+                       "bagalg_server_thread_lane_cpu_us_total"):
             if needed not in metrics:
                 failures.append(f"/metrics missing {needed!r}")
         # The exposition must parse as real Prometheus text, not just
