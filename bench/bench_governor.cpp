@@ -37,7 +37,6 @@
 #include "src/core/bag_ops.h"
 #include "src/stats/sampler.h"
 #include "src/util/governor.h"
-#include "src/util/parallel.h"
 #include "src/util/rng.h"
 
 using namespace bagalg;
@@ -286,9 +285,6 @@ int RunPaired() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The overhead budget is defined at threads=1: serial runs make the
-  // gov_on/gov_off delta attributable to checkpoints alone.
-  ThreadPool::Configure(ParallelOptions::Serial());
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--paired") == 0) return RunPaired();
   }

@@ -7,9 +7,8 @@
 #
 # Defaults: BUILD_DIR=build, OUT_DIR=bench/results. Honors
 # BENCHMARK_MIN_TIME (default 0.05s per benchmark) to trade precision for
-# wall time. Every BENCH_*.json records the thread-pool width it ran at
-# (BAGALG_THREADS, or "unset") as context.bagalg_threads, next to the
-# host_name Google Benchmark already writes. Several benches print
+# wall time. Every BENCH_*.json records the host_name and num_cpus that
+# Google Benchmark writes into its context. Several benches print
 # human-readable preambles before the JSON document; the preamble goes to
 # stderr (or is stripped here for the ones that still use stdout), so every
 # BENCH_*.json is a valid JSON document.
@@ -106,7 +105,6 @@ for bin in "${BUILD_DIR}"/bench/bench_*; do
   echo "== ${name} -> ${out}" >&2
   raw="$(mktemp)"
   if "${bin}" --benchmark_format=json --benchmark_min_time="${MIN_TIME}" \
-      --benchmark_context=bagalg_threads="${BAGALG_THREADS:-unset}" \
       >"${raw}" 2>/dev/null; then
     # Keep everything from the first line that opens the JSON document
     # (benches with custom mains may print a preamble first).

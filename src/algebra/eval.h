@@ -113,9 +113,9 @@ class Evaluator {
   /// Attaches a per-query ResourceGovernor (deadline / memory cap /
   /// cancellation; see util/governor.h). Eval installs it as the ambient
   /// governor for the evaluation's duration, so every kernel checkpoint
-  /// below — including on pool workers — enforces it. The pointer is
-  /// borrowed; the caller keeps it alive across Eval and clears it with
-  /// nullptr (the default: ungoverned, zero overhead).
+  /// below enforces it. The pointer is borrowed; the caller keeps it alive
+  /// across Eval and clears it with nullptr (the default: ungoverned, zero
+  /// overhead).
   void set_governor(ResourceGovernor* governor) { governor_ = governor; }
   ResourceGovernor* governor() const { return governor_; }
 

@@ -10,17 +10,10 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/governor.h"
-#include "src/util/parallel.h"
 
 namespace bagalg {
 
 namespace {
-
-// Task granularity for the parallel kernels. Product pairs and subbag
-// materializations are much heavier than sort comparisons, so the kernels
-// use finer grains than the pool's default sorting grain.
-constexpr size_t kPairGrain = 1024;
-constexpr size_t kSubbagGrain = 256;
 
 // Binomial rows C(m, 0..m) are precomputed per entry for the powerbag; rows
 // for larger m fall back to on-the-fly computation to bound table memory
@@ -35,8 +28,8 @@ constexpr uint64_t kSubbagBytesEstimate = 160;
 
 /// RAII per-kernel scope: opens a span on the ambient tracer (the query
 /// driver's tracer when one is active on this thread, the global tracer
-/// otherwise), and on exit mirrors the cumulative pool / BigNat totals into
-/// the MetricsRegistry so `\metrics` and the bench exports see them.
+/// otherwise), and on exit mirrors the cumulative BigNat total into the
+/// MetricsRegistry so `\metrics` and the bench exports see it.
 class KernelScope {
  public:
   explicit KernelScope(const char* name)
@@ -45,20 +38,10 @@ class KernelScope {
   obs::Span& span() { return span_; }
 
   ~KernelScope() {
-    static obs::Counter* const tasks =
-        obs::GlobalMetrics().GetCounter("kernel.pool_tasks_spawned");
-    static obs::Counter* const parallel =
-        obs::GlobalMetrics().GetCounter("kernel.pool_parallel_dispatches");
-    static obs::Counter* const serial =
-        obs::GlobalMetrics().GetCounter("kernel.pool_serial_dispatches");
     static obs::Counter* const slow =
         obs::GlobalMetrics().GetCounter("kernel.bignat_slow_path_ops");
-    // Counters raised to the monotone process totals (see Counter::RaiseTo)
-    // so Prometheus exposition types them correctly.
-    const ParallelStats stats = ThreadPool::Stats();
-    tasks->RaiseTo(stats.tasks_spawned);
-    parallel->RaiseTo(stats.parallel_dispatches);
-    serial->RaiseTo(stats.serial_dispatches);
+    // Raised to the monotone process total (see Counter::RaiseTo) so
+    // Prometheus exposition types it correctly.
     slow->RaiseTo(BigNat::SlowPathOps());
     // Only governed kernels refresh the governor counters: the check keeps
     // the mirror off ungoverned library-call paths.
@@ -289,69 +272,26 @@ Result<Bag> CartesianProduct(const Bag& a, const Bag& b,
 
   // The double loop over two canonical (strictly value-sorted) operands
   // emits pairs in block-lexicographic order, which for fixed-arity tuples
-  // *is* the canonical value order — so the concatenated chunk outputs are
-  // already sorted and distinct and the sort/merge of Builder is skipped.
-  const auto& ea = a.entries();
-  const auto& eb = b.entries();
-  const size_t nb = eb.size();
-  struct ChunkOut {
-    std::vector<BagEntry> entries;
-    Status status;
-  };
-  const size_t outer_grain = std::max<size_t>(1, kPairGrain / nb);
-  ChunkOut combined = ParallelTransformReduce(
-      ea.size(), outer_grain, ChunkOut{},
-      [&](size_t begin, size_t end, size_t chunk) {
-        // Ambient-context span: on a pool worker the propagated context
-        // parents this chunk under the kernel.product span.
-        obs::Span chunk_span =
-            obs::StartAmbientSpan("kernel.product.chunk", "kernel");
-        chunk_span.AddAttr("chunk", uint64_t{chunk});
-        ChunkOut out;
-        size_t chunk_pairs = 0;
-        if (__builtin_mul_overflow(end - begin, nb, &chunk_pairs)) {
-          // Unreachable given the pre-checked total, but a wrapped reserve
-          // argument would be silent UB-adjacent under-reservation.
-          out.status = Status::ResourceExhausted(
-              "Cartesian product chunk size overflows size_t");
-          return out;
-        }
-        out.entries.reserve(chunk_pairs);
-        CheckpointTicker ticker(sizeof(BagEntry));
-        for (size_t i = begin; i < end; ++i) {
-          for (size_t j = 0; j < nb; ++j) {
-            if (ticker.Due()) {
-              out.status = ticker.Flush();
-              if (!out.status.ok()) return out;
-            }
-            std::vector<Value> fields = ea[i].value.fields();
-            const auto& bf = eb[j].value.fields();
-            fields.insert(fields.end(), bf.begin(), bf.end());
-            Mult count = ea[i].count * eb[j].count;
-            out.status = CheckMultLimit(count, limits);
-            if (!out.status.ok()) return out;
-            out.entries.push_back(
-                {Value::Tuple(std::move(fields)), std::move(count)});
-          }
-        }
-        return out;
-      },
-      [](ChunkOut acc, ChunkOut next) {
-        if (!acc.status.ok()) return acc;
-        if (!next.status.ok()) {
-          next.entries.clear();
-          return next;
-        }
-        if (acc.entries.empty()) return next;
-        acc.entries.insert(acc.entries.end(),
-                           std::make_move_iterator(next.entries.begin()),
-                           std::make_move_iterator(next.entries.end()));
-        return acc;
-      });
-  BAGALG_RETURN_IF_ERROR(combined.status);
+  // *is* the canonical value order — so the output is already sorted and
+  // distinct and the sort/merge of Builder is skipped.
+  std::vector<BagEntry> entries;
+  entries.reserve(pairs);
+  CheckpointTicker ticker(sizeof(BagEntry));
+  for (const BagEntry& x : a.entries()) {
+    for (const BagEntry& y : b.entries()) {
+      if (ticker.Due()) {
+        BAGALG_RETURN_IF_ERROR(ticker.Flush());
+      }
+      std::vector<Value> fields = x.value.fields();
+      const auto& yf = y.value.fields();
+      fields.insert(fields.end(), yf.begin(), yf.end());
+      Mult count = x.count * y.count;
+      BAGALG_RETURN_IF_ERROR(CheckMultLimit(count, limits));
+      entries.push_back({Value::Tuple(std::move(fields)), std::move(count)});
+    }
+  }
   scope.span().AddAttr("pairs", pairs);
-  return Bag::FromCanonicalEntries(std::move(elem),
-                                   std::move(combined.entries));
+  return Bag::FromCanonicalEntries(std::move(elem), std::move(entries));
 }
 
 namespace {
@@ -404,25 +344,17 @@ Result<SubbagEnum> PrepareSubbagEnum(const Bag& bag, const Limits& limits) {
   return en;
 }
 
-/// Enumerates the subbag indices [begin, end) of the mixed-radix odometer
-/// (digit i runs 0..m_i, digit 0 least significant), calling
-/// emit(chosen) for each. Decoding `begin` directly is what lets the
-/// kernels stride-partition the index space across pool tasks. `emit` is a
-/// template parameter so per-subbag dispatch inlines (no std::function).
+/// Enumerates the first `total` subbags of the mixed-radix odometer (digit
+/// i runs 0..m_i, digit 0 least significant), calling emit(chosen) for
+/// each. `emit` is a template parameter so per-subbag dispatch inlines (no
+/// std::function).
 template <typename Emit>
-Status ForEachSubbagRange(const std::vector<uint64_t>& maxima, uint64_t begin,
-                          uint64_t end, Emit&& emit) {
-  if (begin >= end) return Status::Ok();
+Status ForEachSubbag(const std::vector<uint64_t>& maxima, uint64_t total,
+                     Emit&& emit) {
   std::vector<uint64_t> chosen(maxima.size(), 0);
-  uint64_t rem = begin;
-  for (size_t i = 0; i < maxima.size() && rem != 0; ++i) {
-    const uint64_t radix = maxima[i] + 1;
-    chosen[i] = rem % radix;
-    rem /= radix;
-  }
-  for (uint64_t idx = begin;;) {
+  for (uint64_t idx = 0; idx < total;) {
     BAGALG_RETURN_IF_ERROR(emit(chosen));
-    if (++idx == end) return Status::Ok();
+    if (++idx == total) break;
     // Odometer increment; idx < total guarantees a non-maxed digit exists.
     size_t pos = 0;
     while (chosen[pos] == maxima[pos]) {
@@ -431,6 +363,7 @@ Status ForEachSubbagRange(const std::vector<uint64_t>& maxima, uint64_t begin,
     }
     ++chosen[pos];
   }
+  return Status::Ok();
 }
 
 /// Unbounded odometer walk for enumerations whose total exceeds uint64
@@ -466,27 +399,23 @@ Value MaterializeSubbag(const Bag& bag, const std::vector<uint64_t>& chosen) {
       Bag::FromCanonicalEntries(bag.element_type(), std::move(sub)));
 }
 
-/// Shared powerset / powerbag driver: enumerates every subbag, computes its
-/// result multiplicity with make_count(chosen, &mult), and adds it to
-/// `builder`. Enumerable index spaces are stride-partitioned across the
-/// pool; per-chunk outputs are appended in chunk index order, so the
-/// builder sees the exact serial emission order regardless of scheduling
-/// (and Build canonicalizes anyway). The first error in odometer order wins,
-/// matching serial semantics.
+/// Shared powerset / powerbag driver: enumerates every subbag in odometer
+/// order, computes its result multiplicity with make_count(chosen, &mult),
+/// and adds it to `builder`. The first error in odometer order wins.
 template <typename MakeCount>
 Status EnumerateSubbagsInto(const Bag& bag, const SubbagEnum& en,
                             Bag::Builder& builder, MakeCount&& make_count) {
-  CheckpointTicker serial_ticker(kSubbagBytesEstimate);
-  auto serial_emit = [&](const std::vector<uint64_t>& chosen) -> Status {
-    if (serial_ticker.Due()) {
-      BAGALG_RETURN_IF_ERROR(serial_ticker.Flush());
+  CheckpointTicker ticker(kSubbagBytesEstimate);
+  auto emit = [&](const std::vector<uint64_t>& chosen) -> Status {
+    if (ticker.Due()) {
+      BAGALG_RETURN_IF_ERROR(ticker.Flush());
     }
     Mult count;
     BAGALG_RETURN_IF_ERROR(make_count(chosen, &count));
     builder.Add(MaterializeSubbag(bag, chosen), std::move(count));
     return Status::Ok();
   };
-  if (!en.enumerable) return ForEachSubbagAll(en.maxima, serial_emit);
+  if (!en.enumerable) return ForEachSubbagAll(en.maxima, emit);
   // Charge the builder's up-front reservation before making it: an admitted
   // but huge enumeration must trip the memory cap as a typed error, not die
   // inside vector growth. Saturate the estimate if it overflows.
@@ -500,54 +429,7 @@ Status EnumerateSubbagsInto(const Bag& bag, const SubbagEnum& en,
     BAGALG_RETURN_IF_ERROR(GovernorCheckpoint());
   }
   builder.Reserve(en.total);
-  const size_t chunks = ParallelChunkCount(en.total, kSubbagGrain);
-  if (chunks <= 1) {
-    return ForEachSubbagRange(en.maxima, 0, en.total, serial_emit);
-  }
-  struct ChunkOut {
-    std::vector<BagEntry> entries;
-    Status status;
-  };
-  std::vector<ChunkOut> outs(chunks);
-  // Round up without forming total + chunks - 1, which wraps for totals
-  // near UINT64_MAX (reachable with the results cap disabled) and would
-  // silently shrink every chunk.
-  const uint64_t per =
-      en.total / chunks + (en.total % chunks != 0 ? 1 : 0);
-  ThreadPool::Global().Run(chunks, [&](size_t c) {
-    uint64_t lo = 0;
-    if (__builtin_mul_overflow(static_cast<uint64_t>(c), per, &lo) ||
-        lo >= en.total) {
-      return;  // chunk lies entirely beyond the index space
-    }
-    const uint64_t hi = en.total - lo < per ? en.total : lo + per;
-    // Parents under the kernel.powerset / kernel.powerbag span through the
-    // pool's propagated trace context.
-    obs::Span chunk_span =
-        obs::StartAmbientSpan("kernel.subbag.chunk", "kernel");
-    chunk_span.AddAttr("chunk", uint64_t{c});
-    chunk_span.AddAttr("subbags", hi - lo);
-    outs[c].entries.reserve(hi - lo);
-    CheckpointTicker ticker(kSubbagBytesEstimate);
-    outs[c].status = ForEachSubbagRange(
-        en.maxima, lo, hi, [&](const std::vector<uint64_t>& chosen) -> Status {
-          if (ticker.Due()) {
-            BAGALG_RETURN_IF_ERROR(ticker.Flush());
-          }
-          Mult count;
-          BAGALG_RETURN_IF_ERROR(make_count(chosen, &count));
-          outs[c].entries.push_back(
-              {MaterializeSubbag(bag, chosen), std::move(count)});
-          return Status::Ok();
-        });
-  });
-  for (ChunkOut& chunk : outs) {
-    BAGALG_RETURN_IF_ERROR(chunk.status);
-    for (BagEntry& e : chunk.entries) {
-      builder.Add(std::move(e.value), std::move(e.count));
-    }
-  }
-  return Status::Ok();
+  return ForEachSubbag(en.maxima, en.total, emit);
 }
 
 /// Binomial coefficient C(n, k) with BigNat n and machine k.

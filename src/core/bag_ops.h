@@ -21,14 +21,11 @@
 ///   σ_{φ=φ'}        : keeps multiplicity where the test holds
 /// The AST-level evaluator (src/algebra/eval.h) dispatches to these.
 ///
-/// Large products and powerset/powerbag enumerations are partitioned
-/// across the process-wide thread pool (src/util/parallel.h); per-chunk
-/// outputs are combined in chunk index order, so results are identical for
-/// every thread count. Intersect/Subtract probe the lazy hash index of the
-/// larger operand instead of merge-walking when the other side is much
-/// smaller. Kernel counters land in the MetricsRegistry and each kernel
-/// opens a tracer span when the global tracer is enabled (see
-/// docs/PERFORMANCE.md).
+/// Every kernel runs on the calling thread. Intersect/Subtract probe the
+/// lazy hash index of the larger operand instead of merge-walking when the
+/// other side is much smaller. Kernel counters land in the MetricsRegistry
+/// and each kernel opens a tracer span when the global tracer is enabled
+/// (see docs/PERFORMANCE.md).
 
 #include <functional>
 #include <vector>

@@ -10,9 +10,7 @@
 #include <optional>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/util/governor.h"
-#include "src/util/parallel.h"
 
 namespace bagalg {
 
@@ -204,8 +202,6 @@ bool EntryValueLess(const BagEntry& a, const BagEntry& b) {
   return a.value.Compare(b.value) < 0;
 }
 
-/// Inputs of at least twice this many entries sort and merge on the pool.
-constexpr size_t kSortGrain = 4096;
 /// Run detection gives up, and the input is sorted instead, once the
 /// natural runs average fewer than this many entries.
 constexpr size_t kMinMeanRunLength = 16;
@@ -233,10 +229,8 @@ std::optional<Runs> NaturalRuns(const std::vector<BagEntry>& items) {
 }
 
 /// Merges the sorted `runs` of `items` pairwise in index order, halving
-/// the run count each round, so the resulting sequence of (value, count)
-/// contents is independent of the thread count. With `parallel`, the
-/// independent pair merges of a round run on the global pool.
-void MergeRuns(std::vector<BagEntry>& items, Runs runs, bool parallel) {
+/// the run count each round.
+void MergeRuns(std::vector<BagEntry>& items, Runs runs) {
   // The scratch buffer is move-constructed rather than default-constructed,
   // and the first round merges back into `items`.
   std::vector<BagEntry> scratch(std::make_move_iterator(items.begin()),
@@ -245,34 +239,20 @@ void MergeRuns(std::vector<BagEntry>& items, Runs runs, bool parallel) {
   std::vector<BagEntry>* dst = &items;
   while (runs.size() > 1) {
     Runs next;
-    const size_t pairs = runs.size() / 2;
-    for (size_t p = 0; p < pairs; ++p) {
-      next.emplace_back(runs[2 * p].first, runs[2 * p + 1].second);
+    for (size_t p = 0; p + 1 < runs.size(); p += 2) {
+      const auto [lo, mid] = runs[p];
+      const size_t hi = runs[p + 1].second;
+      std::merge(std::make_move_iterator(src->begin() + lo),
+                 std::make_move_iterator(src->begin() + mid),
+                 std::make_move_iterator(src->begin() + mid),
+                 std::make_move_iterator(src->begin() + hi),
+                 dst->begin() + lo, EntryValueLess);
+      next.emplace_back(lo, hi);
     }
-    if (runs.size() % 2 == 1) next.push_back(runs.back());
-    auto merge_pair = [&](size_t p) {
-      if (p < pairs) {
-        const auto [lo, mid] = runs[2 * p];
-        const size_t hi = runs[2 * p + 1].second;
-        std::merge(std::make_move_iterator(src->begin() + lo),
-                   std::make_move_iterator(src->begin() + mid),
-                   std::make_move_iterator(src->begin() + mid),
-                   std::make_move_iterator(src->begin() + hi),
-                   dst->begin() + lo, EntryValueLess);
-      } else {
-        const auto [lo, hi] = runs[2 * p];
-        std::move(src->begin() + lo, src->begin() + hi, dst->begin() + lo);
-      }
-    };
-    if (parallel) {
-      ThreadPool::Global().Run(next.size(), [&](size_t p) {
-        obs::Span merge_span =
-            obs::StartAmbientSpan("kernel.build.sort_merge", "kernel");
-        merge_span.AddAttr("pair", uint64_t{p});
-        merge_pair(p);
-      });
-    } else {
-      for (size_t p = 0; p < next.size(); ++p) merge_pair(p);
+    if (runs.size() % 2 == 1) {
+      const auto [lo, hi] = runs.back();
+      std::move(src->begin() + lo, src->begin() + hi, dst->begin() + lo);
+      next.push_back(runs.back());
     }
     runs = std::move(next);
     std::swap(src, dst);
@@ -281,44 +261,15 @@ void MergeRuns(std::vector<BagEntry>& items, Runs runs, bool parallel) {
 }
 
 /// Puts `items` in value order. Input that is already sorted is left as
-/// is, and a few natural runs (the concatenated canonical streams of a
-/// `⊎`) are merged. Past n / kMinMeanRunLength runs the input is sorted:
-/// large inputs are chunk-sorted on the global pool and the chunks feed
-/// the same merge.
+/// is, a few natural runs (the concatenated canonical streams of a `⊎`)
+/// are merged, and past n / kMinMeanRunLength runs the input is sorted.
 void SortEntriesByValue(std::vector<BagEntry>& items) {
-  const size_t n = items.size();
   std::optional<Runs> runs = NaturalRuns(items);
-  if (runs && runs->empty()) return;
-  const size_t chunks = ParallelChunkCount(n, kSortGrain);
-  if (!runs && chunks <= 1) {
+  if (!runs) {
     std::sort(items.begin(), items.end(), EntryValueLess);
-    return;
+  } else if (!runs->empty()) {
+    MergeRuns(items, std::move(*runs));
   }
-  obs::Span sort_span;
-  if (chunks > 1) {
-    sort_span = obs::StartAmbientSpan("kernel.build.sort", "kernel");
-    sort_span.AddAttr("entries", uint64_t{n});
-  }
-  if (runs) {
-    sort_span.AddAttr("runs", uint64_t{runs->size()});
-  } else {
-    sort_span.AddAttr("chunks", uint64_t{chunks});
-    runs.emplace();
-    const size_t per = (n + chunks - 1) / chunks;
-    for (size_t begin = 0; begin < n; begin += per) {
-      runs->emplace_back(begin, std::min(begin + per, n));
-    }
-    ThreadPool::Global().Run(runs->size(), [&](size_t c) {
-      // Chunk spans land under kernel.build.sort via pool context
-      // propagation.
-      obs::Span chunk_span =
-          obs::StartAmbientSpan("kernel.build.sort_chunk", "kernel");
-      chunk_span.AddAttr("chunk", uint64_t{c});
-      std::sort(items.begin() + (*runs)[c].first,
-                items.begin() + (*runs)[c].second, EntryValueLess);
-    });
-  }
-  MergeRuns(items, std::move(*runs), chunks > 1);
 }
 
 }  // namespace
@@ -479,6 +430,13 @@ Result<Bag> Bag::Builder::Build() && {
     } else {
       rep->entries.push_back(std::move(item));
     }
+  }
+  if (rep->entries.capacity() > 2 * rep->entries.size()) {
+    // Many additions merged into few entries: release the surplus, or the
+    // bag keeps the pre-merge capacity for life.
+    rep->entries = std::vector<BagEntry>(
+        std::make_move_iterator(rep->entries.begin()),
+        std::make_move_iterator(rep->entries.end()));
   }
   for (const BagEntry& e : rep->entries) {
     total += e.count;

@@ -12,6 +12,7 @@
 #include <netinet/tcp.h>
 #include <optional>
 #include <sys/epoll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <thread>
 #include <unordered_map>
@@ -137,6 +138,22 @@ bool IsBag1Request(const HttpRequest& request) {
          it->second.find(kBag1ContentType) != std::string::npos;
 }
 
+/// One thread's own usage, as that thread last stored it. Only the thread
+/// it counts calls StoreOwn; others read the stored values.
+struct ThreadUsage {
+  std::atomic<uint64_t> cpu_ns{0};
+  std::atomic<uint64_t> voluntary_ctx_switches{0};
+
+  void StoreOwn() {
+    cpu_ns.store(obs::ThreadCpuNowNs(), std::memory_order_relaxed);
+    struct rusage ru;
+    if (getrusage(RUSAGE_THREAD, &ru) == 0) {
+      voluntary_ctx_switches.store(static_cast<uint64_t>(ru.ru_nvcsw),
+                                   std::memory_order_relaxed);
+    }
+  }
+};
+
 /// One response owed to a connection, in request order. A slot is either
 /// ready (bytes materialized, or a chunked head plus a streamer) or still
 /// waiting on its statement's completion. Slots only leave the queue from
@@ -210,10 +227,10 @@ class Server::Impl {
     request_wall_hist_ = obs::GlobalMetrics().GetHistogram(
         "server.request.wall_us");
     const unsigned executors = std::max(1u, options_.executors);
-    lane_cpu_ns_ = std::vector<std::atomic<uint64_t>>(executors);
+    lane_usage_ = std::vector<ThreadUsage>(executors);
     executors_.reserve(executors);
     for (unsigned i = 0; i < executors; ++i) {
-      executors_.emplace_back([this, i] { ExecutorLoop(&lane_cpu_ns_[i]); });
+      executors_.emplace_back([this, i] { ExecutorLoop(&lane_usage_[i]); });
     }
     loop_thread_ = std::thread([this] { EventLoop(); });
     return Status::Ok();
@@ -305,7 +322,7 @@ class Server::Impl {
         const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - iter_start);
         loop_iter_hist_->Observe(static_cast<uint64_t>(us.count()));
-        loop_cpu_ns_.store(obs::ThreadCpuNowNs(), std::memory_order_relaxed);
+        loop_usage_.StoreOwn();
       }
     }
     // Loop exit: every remaining connection is torn down (drain already
@@ -739,8 +756,8 @@ class Server::Impl {
   /// most one lane, so its jobs run one at a time in program order, and a
   /// lane never waits on another lane: the only wait is for work. The
   /// lane encodes each job's response itself and, after every job, stores
-  /// its own CPU clock into `cpu_ns`.
-  void ExecutorLoop(std::atomic<uint64_t>* cpu_ns) {
+  /// its own CPU clock and context switches into `usage`.
+  void ExecutorLoop(ThreadUsage* usage) {
     std::unique_lock<std::mutex> lock(queue_mu_);
     while (true) {
       queue_cv_.wait(lock,
@@ -765,7 +782,7 @@ class Server::Impl {
         envelope = Execute(*session, job);
       }
       PublishCompletion(EncodeCompletion(job, envelope));
-      cpu_ns->store(obs::ThreadCpuNowNs(), std::memory_order_relaxed);
+      usage->StoreOwn();
       lock.lock();
       running_.erase(
           std::find(running_.begin(), running_.end(), session.get()));
@@ -1127,22 +1144,33 @@ class Server::Impl {
         ->RaiseTo(s.bag1_requests);
     metrics.GetCounter("server.http.streamed")
         ->RaiseTo(s.streamed_responses);
-    // Each thread publishes its own CPU clock; a joined lane's clock can
-    // no longer be read, its last stored value can. The counters grow by
-    // this server's CPU since the last mirror.
+    // Each thread publishes its own usage; a joined lane's can no longer
+    // be read, its last stored value can. The counters grow by this
+    // server's usage since the last mirror.
     const uint64_t loop_cpu_us =
-        loop_cpu_ns_.load(std::memory_order_relaxed) / 1000;
+        loop_usage_.cpu_ns.load(std::memory_order_relaxed) / 1000;
+    const uint64_t loop_vcsw =
+        loop_usage_.voluntary_ctx_switches.load(std::memory_order_relaxed);
     uint64_t lane_cpu_ns = 0;
-    for (const auto& ns : lane_cpu_ns_) {
-      lane_cpu_ns += ns.load(std::memory_order_relaxed);
+    uint64_t lane_vcsw = 0;
+    for (const ThreadUsage& lane : lane_usage_) {
+      lane_cpu_ns += lane.cpu_ns.load(std::memory_order_relaxed);
+      lane_vcsw +=
+          lane.voluntary_ctx_switches.load(std::memory_order_relaxed);
     }
     const uint64_t lane_cpu_us = lane_cpu_ns / 1000;
     metrics.GetCounter("server.thread.loop.cpu_us")
         ->Increment(loop_cpu_us - mirrored_loop_cpu_us_);
     metrics.GetCounter("server.thread.lane.cpu_us")
         ->Increment(lane_cpu_us - mirrored_lane_cpu_us_);
+    metrics.GetCounter("server.thread.loop.voluntary_ctx_switches")
+        ->Increment(loop_vcsw - mirrored_loop_vcsw_);
+    metrics.GetCounter("server.thread.lane.voluntary_ctx_switches")
+        ->Increment(lane_vcsw - mirrored_lane_vcsw_);
     mirrored_loop_cpu_us_ = loop_cpu_us;
     mirrored_lane_cpu_us_ = lane_cpu_us;
+    mirrored_loop_vcsw_ = loop_vcsw;
+    mirrored_lane_vcsw_ = lane_vcsw;
     metrics.GetGauge("server.sessions.live")
         ->Set(static_cast<int64_t>(s.sessions_live));
     metrics.GetGauge("server.connections.live")
@@ -1197,14 +1225,16 @@ class Server::Impl {
   bool stop_executors_ = false;  // guarded by queue_mu_
   std::vector<std::thread> executors_;
 
-  // Each thread's own CPU clock, as it last stored it: the loop after each
+  // Each thread's own usage, as it last stored it: the loop after each
   // iteration that handled events, a lane after each job.
-  std::atomic<uint64_t> loop_cpu_ns_{0};
-  std::vector<std::atomic<uint64_t>> lane_cpu_ns_;
-  // The CPU totals at the last MirrorServerStats, which the loop and, once
-  // the loop has been joined, Teardown call.
+  ThreadUsage loop_usage_;
+  std::vector<ThreadUsage> lane_usage_;
+  // The totals at the last MirrorServerStats, which the loop and, once the
+  // loop has been joined, Teardown call.
   uint64_t mirrored_loop_cpu_us_ = 0;
   uint64_t mirrored_lane_cpu_us_ = 0;
+  uint64_t mirrored_loop_vcsw_ = 0;
+  uint64_t mirrored_lane_vcsw_ = 0;
 
   std::mutex completions_mu_;
   std::vector<Completion> completions_;  // guarded by completions_mu_

@@ -13,7 +13,7 @@
 /// is guarded by that slot's own mutex, so concurrent writers only contend
 /// when the ring wraps onto the same slot (or with a reader copying it).
 /// There is deliberately no global lock: recording stays cheap and
-/// TSan-clean under the parallel kernels.
+/// TSan-clean under bagalgd's concurrent lanes.
 
 #include <atomic>
 #include <cstdint>

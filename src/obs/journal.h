@@ -46,7 +46,7 @@ struct JournalEntry {
   std::string tractability;
   std::string cost_bound;
   uint64_t wall_ns = 0;
-  /// Driver-thread CPU time (excludes pool workers).
+  /// CPU time of the thread that ran the statement.
   uint64_t cpu_ns = 0;
   /// Evaluator steps consumed (0 for exec statements).
   uint64_t steps = 0;

@@ -30,7 +30,7 @@ class Counter {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   /// Raises the counter to `target` if it is currently below it (CAS max).
-  /// This is how external cumulative totals (GovernorStats, ParallelStats)
+  /// This is how external cumulative totals (GovernorStats, BigNat slow ops)
   /// are mirrored as counters: concurrent mirrors with stale snapshots can
   /// never move the value backwards, preserving monotonicity.
   void RaiseTo(uint64_t target) {

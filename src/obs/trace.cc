@@ -8,7 +8,6 @@
 
 #include "src/obs/flight.h"
 #include "src/obs/json.h"
-#include "src/util/parallel.h"
 
 #if defined(__linux__) || defined(__APPLE__)
 #include <time.h>
@@ -29,42 +28,6 @@ std::atomic<uint64_t> g_next_span_id{1};
 uint64_t CurrentTid() {
   return std::hash<std::thread::id>{}(std::this_thread::get_id());
 }
-
-// ---- thread-pool propagation (see BatchContextHooks in util/parallel.h).
-// Capture the dispatcher's ambient context once per batch; each worker
-// installs it around its share of the tasks, so chunk spans opened inside
-// pool tasks parent to the kernel span that dispatched them.
-
-void* CaptureBatchTraceContext() {
-  if (tls_context.tracer == nullptr) return nullptr;
-  return new TraceContext(tls_context);
-}
-
-void* EnterBatchTraceContext(void* captured) {
-  auto* token = new TraceContext(tls_context);
-  tls_context = *static_cast<const TraceContext*>(captured);
-  return token;
-}
-
-void ExitBatchTraceContext(void* token) {
-  auto* previous = static_cast<TraceContext*>(token);
-  tls_context = *previous;
-  delete previous;
-}
-
-void ReleaseBatchTraceContext(void* captured) {
-  delete static_cast<TraceContext*>(captured);
-}
-
-[[maybe_unused]] const bool g_batch_hooks_registered = [] {
-  BatchContextHooks hooks;
-  hooks.capture = &CaptureBatchTraceContext;
-  hooks.enter = &EnterBatchTraceContext;
-  hooks.exit = &ExitBatchTraceContext;
-  hooks.release = &ReleaseBatchTraceContext;
-  SetBatchContextHooks(hooks);
-  return true;
-}();
 
 }  // namespace
 

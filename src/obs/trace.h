@@ -18,11 +18,9 @@
 ///
 /// Every span carries a process-unique id and the id of the innermost span
 /// open when it started (its parent). The parent link comes from a
-/// thread-local TraceContext that spans maintain automatically; the thread
-/// pool propagates the dispatching caller's context onto its workers (via
-/// the BatchContextHooks registered with util/parallel), so chunk spans
-/// recorded on worker threads parent to the kernel span that dispatched
-/// them instead of showing up as orphaned roots.
+/// thread-local TraceContext that spans maintain automatically; code that
+/// hands work to another thread carries the context over with a
+/// TraceContextScope.
 ///
 /// Thread safety: Tracer is internally synchronized (spans from multiple
 /// threads interleave safely); a Span itself must stay on one thread.
@@ -85,9 +83,8 @@ struct TraceContext {
 /// The ambient context of the calling thread.
 TraceContext CurrentTraceContext();
 
-/// RAII installer for the ambient context — what the thread pool uses (via
-/// the BatchContextHooks registered in trace.cc) to re-parent worker-thread
-/// spans under the dispatching caller's open span.
+/// RAII installer for the ambient context: spans opened under it parent to
+/// the captured context's open span, on whichever thread it is installed.
 class TraceContextScope {
  public:
   explicit TraceContextScope(const TraceContext& context);
@@ -140,7 +137,7 @@ class Span {
 
 /// Opens a span on the ambient context's tracer — the tracer of the
 /// innermost open span on this thread (however it got here: lexical
-/// nesting or pool propagation) — falling back to the global tracer.
+/// nesting or a TraceContextScope) — falling back to the global tracer.
 /// Inactive when neither is enabled. This is how the kernels trace: they
 /// land in whichever trace the query driver is collecting.
 Span StartAmbientSpan(std::string_view name, std::string_view category = "");

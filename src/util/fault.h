@@ -5,7 +5,7 @@
 /// Deterministic fault injection for the runtime resource governor.
 ///
 /// The governor (util/governor.h) turns would-be crashes into typed errors,
-/// but the abort paths it creates — mid-merge, mid-parallel-combine,
+/// but the abort paths it creates — mid-merge, mid-product,
 /// mid-powerset-odometer — are exactly the paths ordinary tests never walk.
 /// This layer forces them deterministically: a process-wide armed fault
 /// fires at the Nth accounting/checkpoint event (or, in probabilistic mode,

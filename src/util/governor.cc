@@ -58,9 +58,8 @@ const char* StatementOutcome(const Status& status, TripKind trip) {
 Status ResourceGovernor::Trip(Status status, std::atomic<uint64_t>& counter,
                               TripKind kind) {
   std::lock_guard<std::mutex> lock(trip_mu_);
-  // First trip wins: a deadline trip on one pool worker and a memcap trip
-  // on another must surface as one coherent error, and re-checks after the
-  // trip must keep reporting it (sticky).
+  // First trip wins: re-checks after the trip keep reporting it (sticky),
+  // even where a later check would have tripped on another limit.
   if (!tripped_.load(std::memory_order_relaxed)) {
     counter.fetch_add(1, std::memory_order_relaxed);
     trip_status_ = std::move(status);

@@ -17,11 +17,9 @@
 ///
 /// Propagation is by thread-local ambient scope rather than parameter
 /// plumbing: the query driver installs the governor with a GovernorScope,
-/// and every kernel below (including ThreadPool workers, which inherit the
-/// dispatching caller's governor — see parallel.cc) reaches it through
-/// CurrentGovernor(). With no governor installed every hook is a
-/// branch-predictable no-op, so library users who never construct one pay
-/// nothing.
+/// and every kernel below reaches it through CurrentGovernor(). With no
+/// governor installed every hook is a branch-predictable no-op, so library
+/// users who never construct one pay nothing.
 ///
 /// Checkpoint discipline (see docs/ROBUSTNESS.md): any new loop whose trip
 /// count scales with bag size must tick a CheckpointTicker once per
@@ -92,7 +90,7 @@ struct GovernorOptions {
 
 /// Process-wide trip/activity counters (cumulative, relaxed atomics).
 /// Mirrored into the MetricsRegistry by obs::MirrorGovernorStats — same
-/// layering as ParallelStats, keeping util free of an obs dependency.
+/// layering as BigNat::SlowPathOps, keeping util free of an obs dependency.
 struct GovernorStats {
   uint64_t deadline_trips = 0;
   uint64_t memcap_trips = 0;
@@ -128,12 +126,13 @@ const char* StatementOutcome(const Status& status, TripKind trip);
 
 /// The per-query governor. Construct one per statement, install it with a
 /// GovernorScope for the duration of evaluation, and let checkpoints do the
-/// rest. Thread-safe: pool workers under the same scope share the instance.
+/// rest. Thread-safe: another thread may cancel its token while the
+/// statement runs.
 ///
 /// Trips are *sticky and first-wins*: the first failing check records its
-/// Status under a mutex and flips an atomic flag; every later checkpoint on
-/// any thread returns that same Status, so a tripped parallel kernel
-/// unwinds all chunks with one coherent error.
+/// Status under a mutex and flips an atomic flag; every later checkpoint
+/// returns that same Status, so a tripped kernel unwinds with one coherent
+/// error.
 class ResourceGovernor {
  public:
   explicit ResourceGovernor(const GovernorOptions& options);
@@ -188,7 +187,7 @@ class ResourceGovernor {
 
 namespace internal {
 /// The ambient governor for this thread (nullptr = ungoverned). Exposed
-/// only for GovernorScope and the thread pool's worker propagation.
+/// only for GovernorScope.
 /// inline+constinit: constant initialization means direct TLS access with
 /// no wrapper function (whose synthesized reference UBSan's null check
 /// flags under GCC) and no per-access init guard on the hot no-op path.
@@ -248,8 +247,7 @@ inline constexpr size_t kGovernorAccountMinEntries = 32;
 /// Per-loop checkpoint helper: call Due() once per iteration and Flush()
 /// when it returns true; every kCheckpointStride-th call charges the
 /// elapsed iterations' bytes to the governor and runs a full Check.
-/// Stack-local, one per loop (or one per pool chunk), never shared between
-/// threads.
+/// Stack-local, one per loop, never shared between threads.
 ///
 /// The hot path is a single decrement-and-branch. Anything more — a null
 /// test, a byte accumulation, let alone constructing an OK Status (with

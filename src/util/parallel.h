@@ -2,164 +2,25 @@
 #define BAGALG_UTIL_PARALLEL_H_
 
 /// \file parallel.h
-/// A small, deterministic thread pool for the bag kernels.
-///
-/// The semantic core parallelizes three index-space shapes: chunked sorts
-/// (Bag::Builder::Build), partitioned double loops (CartesianProduct), and
-/// stride-partitioned odometer enumeration (powerset/powerbag). All of them
-/// reduce to "run `chunks` independent tasks, then combine the per-chunk
-/// results *in chunk index order*" — which is why the pool needs no work
-/// stealing and the output of every kernel is bit-identical across thread
-/// counts: workers produce independent runs and the single-threaded caller
-/// merges them 0,1,2,... regardless of completion order.
-///
-/// The process-wide pool is configured with ParallelOptions (threads=0 →
-/// std::thread::hardware_concurrency(), 1 → fully serial) either in code
-/// via ThreadPool::Configure or with the BAGALG_THREADS environment
-/// variable, read once at first use. Nested parallel sections (a kernel
-/// calling Build inside a pool task) run inline on the worker, so the pool
-/// can never deadlock on itself.
+/// Compatibility stub: every bag kernel runs serially, and there is no
+/// thread pool. This header exists only because perfbench/replay.cc reads
+/// ThreadPool::Stats() for its `kernel.parallel_dispatch_ratio`, which is
+/// therefore always 0. It goes with the next change to the benchmark.
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <functional>
-#include <utility>
-#include <vector>
 
 namespace bagalg {
 
-/// Knobs for the process-wide pool, in the style of core/limits.h.
-struct ParallelOptions {
-  /// Worker threads: 0 = hardware_concurrency, 1 = serial (no threads).
-  unsigned threads = 0;
-  /// Minimum items per task; ParallelFor dispatches serially below 2x this.
-  size_t grain = 4096;
-
-  static ParallelOptions Default() { return ParallelOptions{}; }
-  static ParallelOptions Serial() { return ParallelOptions{1, 4096}; }
-};
-
-/// Cumulative dispatch counters (process-wide, monotonically increasing).
-/// The bag kernels mirror these into the MetricsRegistry after each
-/// operation (see bag_ops.cc), keeping util free of an obs dependency.
+/// Dispatch counters of the removed pool; always zero.
 struct ParallelStats {
-  uint64_t tasks_spawned = 0;
   uint64_t parallel_dispatches = 0;
   uint64_t serial_dispatches = 0;
 };
 
-/// Type-erased propagation of a caller's thread-local ambient context onto
-/// pool workers — the same idea as the governor re-installation in
-/// WorkerLoop, but for layers above util (the tracer's TraceContext lives in
-/// obs, which util must not depend on; obs registers these hooks at load
-/// time — see obs/trace.cc).
-///
-/// Per batch: `capture` runs once on the dispatching thread; a null return
-/// means "nothing to propagate" and the remaining hooks are skipped.
-/// Otherwise every worker brackets its participation with `enter(captured)`
-/// -> token and `exit(token)`, and the dispatcher calls `release(captured)`
-/// after the batch completes.
-struct BatchContextHooks {
-  void* (*capture)() = nullptr;
-  void* (*enter)(void* captured) = nullptr;
-  void (*exit)(void* token) = nullptr;
-  void (*release)(void* captured) = nullptr;
-};
-
-/// Installs the process-wide hooks. Expected to be called once, before the
-/// first parallel dispatch (a namespace-scope registrar in the obs library
-/// does this); later batches pick the new hooks up lock-free.
-void SetBatchContextHooks(const BatchContextHooks& hooks);
-
-/// A fixed-size pool of std::jthread workers executing indexed task batches.
 class ThreadPool {
  public:
-  /// The process-wide instance. First call builds it from BAGALG_THREADS
-  /// (or hardware_concurrency when unset).
-  static ThreadPool& Global();
-
-  /// Reconfigures the global pool (joins old workers, spawns new ones).
-  /// Not safe to call concurrently with running kernels; intended for
-  /// start-up, benches, and the determinism tests.
-  static void Configure(const ParallelOptions& options);
-
-  /// Worker threads available including the calling thread (>= 1).
-  unsigned parallelism() const { return workers_wanted_; }
-  size_t grain() const { return options_.grain; }
-
-  /// Runs task(0) .. task(n-1) and blocks until all complete. The calling
-  /// thread participates. Tasks must be independent; any ordering of
-  /// execution must yield the same combined result (the kernels guarantee
-  /// this by combining per-task outputs in index order afterwards).
-  /// Falls back to a serial in-place loop when the pool is serial, the
-  /// batch is trivial, or the caller is itself a pool worker.
-  void Run(size_t n, const std::function<void(size_t)>& task);
-
-  /// Snapshot of the cumulative dispatch counters.
-  static ParallelStats Stats();
-
-  ~ThreadPool();
-
- private:
-  explicit ThreadPool(const ParallelOptions& options);
-
-  struct Impl;
-  Impl* impl_;
-  ParallelOptions options_;
-  unsigned workers_wanted_ = 1;
+  static ParallelStats Stats() { return ParallelStats{}; }
 };
-
-/// Number of chunks ParallelFor would split `n` items into under the global
-/// pool's configuration (always >= 1; 1 means a serial dispatch).
-size_t ParallelChunkCount(size_t n, size_t grain = 0);
-
-/// Splits [0, n) into contiguous chunks of at least `grain` items (global
-/// pool grain when 0) and invokes body(begin, end, chunk_index) for each,
-/// possibly concurrently. Returns the number of chunks used. Deterministic
-/// chunk boundaries: chunk c covers [c*size, min((c+1)*size, n)).
-template <typename Body>
-size_t ParallelFor(size_t n, size_t grain, Body&& body) {
-  if (n == 0) return 0;
-  const size_t chunks = ParallelChunkCount(n, grain);
-  if (chunks <= 1) {
-    body(size_t{0}, n, size_t{0});
-    return 1;
-  }
-  const size_t per = (n + chunks - 1) / chunks;
-  ThreadPool::Global().Run(chunks, [&](size_t c) {
-    size_t begin = c * per;
-    size_t end = begin + per < n ? begin + per : n;
-    if (begin < end) body(begin, end, c);
-  });
-  return chunks;
-}
-
-/// Maps chunks of [0, n) through `map(begin, end, chunk) -> T` in parallel,
-/// then folds the per-chunk values **in chunk index order** with
-/// `reduce(acc, next) -> T`. Index-ordered reduction is what makes the
-/// result independent of scheduling; it is exact for the kernels' uses
-/// (vector concatenation, sorted-run merging, status collection).
-template <typename T, typename Map, typename Reduce>
-T ParallelTransformReduce(size_t n, size_t grain, T init, Map&& map,
-                          Reduce&& reduce) {
-  if (n == 0) return init;
-  const size_t chunks = ParallelChunkCount(n, grain);
-  const size_t per = (n + chunks - 1) / chunks;
-  std::vector<T> partial(chunks);
-  if (chunks <= 1) {
-    partial[0] = map(size_t{0}, n, size_t{0});
-  } else {
-    ThreadPool::Global().Run(chunks, [&](size_t c) {
-      size_t begin = c * per;
-      size_t end = begin + per < n ? begin + per : n;
-      if (begin < end) partial[c] = map(begin, end, c);
-    });
-  }
-  T acc = std::move(init);
-  for (T& p : partial) acc = reduce(std::move(acc), std::move(p));
-  return acc;
-}
 
 }  // namespace bagalg
 

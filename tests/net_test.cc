@@ -1539,6 +1539,33 @@ TEST(ServerTest, ThreadCpuCountersGrowWithWork) {
   (*server)->Wait();
 }
 
+TEST(ServerTest, ThreadContextSwitchCountersGrowWithWork) {
+  ServerOptions options;
+  options.executors = 2;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const uint16_t port = (*server)->port();
+
+  // The loop blocks in epoll_wait between requests and a lane blocks on
+  // the run queue before its first job: both count voluntary switches.
+  const char* kLoop = "bagalg_server_thread_loop_voluntary_ctx_switches_total";
+  const char* kLane = "bagalg_server_thread_lane_voluntary_ctx_switches_total";
+  const std::string before = Fetch(port, "GET", "/metrics", "").body;
+  ASSERT_GE(PromValue(before, kLoop), 0) << before;
+  ASSERT_GE(PromValue(before, kLane), 0) << before;
+  for (int i = 0; i < 3; ++i) {
+    const ClientResponse work = PostStatement(
+        port, R"js({"session":"csw","statement":"count '{{a, b}}"})js");
+    EXPECT_EQ(work.status, 200) << work.raw;
+  }
+  const std::string after = Fetch(port, "GET", "/metrics", "").body;
+  EXPECT_GT(PromValue(after, kLoop), PromValue(before, kLoop));
+  EXPECT_GT(PromValue(after, kLane), PromValue(before, kLane));
+
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+}
+
 TEST(ServerTest, SurvivesInjectedIoFaults) {
   ServerOptions options;
   auto server = Server::Start(options);

@@ -1,6 +1,4 @@
-// Obs v2 tests: cross-thread trace propagation (worker chunk spans parent
-// to the kernel span that dispatched them, and the non-chunk span tree is
-// identical across thread counts), the flight recorder (ring semantics,
+// Obs v2 tests: tracer atomics, the flight recorder (ring semantics,
 // ancestry dumps on governor trips and injected faults), the query journal
 // (outcomes, analyzer verdicts, JSONL export), histogram percentiles, and
 // the Prometheus text exposition.
@@ -10,50 +8,25 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/core/bag_ops.h"
 #include "src/lang/script.h"
 #include "src/obs/flight.h"
 #include "src/obs/journal.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/fault.h"
-#include "src/util/parallel.h"
 
 namespace bagalg {
 namespace {
-
-Value A(const char* name) { return MakeAtom(name); }
-
-Bag B(std::initializer_list<std::pair<Value, uint64_t>> items) {
-  return MakeBag(items);
-}
-
-/// Restores the default pool configuration when a test exits.
-struct PoolConfigGuard {
-  ~PoolConfigGuard() { ThreadPool::Configure(ParallelOptions::Default()); }
-};
 
 /// Disarms fault injection when a test exits.
 struct FaultDisarmGuard {
   ~FaultDisarmGuard() { fault::Disarm(); }
 };
-
-/// A bag of `n` distinct unary tuples with varying multiplicities.
-Bag WideTupleBag(size_t n, const char* prefix) {
-  Bag::Builder builder;
-  for (size_t i = 0; i < n; ++i) {
-    builder.Add(MakeTuple({MakeAtom(prefix + std::to_string(i))}),
-                Mult(i % 5 + 1));
-  }
-  return std::move(builder).Build().value();
-}
 
 /// A REPL `let` line binding NAME to a bag of n distinct atoms.
 std::string LetAtoms(const std::string& name, size_t n) {
@@ -63,162 +36,6 @@ std::string LetAtoms(const std::string& name, size_t n) {
     line += name + std::to_string(i);
   }
   return line + "}}";
-}
-
-// --------------------------------------------- cross-thread trace parents
-
-/// Runs product + powerset kernels under a root span on `tracer` and
-/// copies the finished events into `events`. The root span installs the
-/// ambient context, so KernelScope spans (and, through pool propagation,
-/// worker chunk spans) land in this tracer.
-void CollectKernelTrace(obs::Tracer& tracer,
-                        std::vector<obs::TraceEvent>& events) {
-  Bag left = WideTupleBag(64, "dl");
-  Bag right = WideTupleBag(64, "dr");
-  Bag multbag = B({{A("p"), 7}, {A("q"), 7}, {A("r"), 7}, {A("s"), 7}});
-  {
-    obs::Span root = tracer.StartSpan("test.root", "test");
-    ASSERT_TRUE(CartesianProduct(left, right).ok());
-    ASSERT_TRUE(Powerset(multbag).ok());
-  }
-  events = tracer.SnapshotEvents();
-}
-
-bool IsChunkSpan(const obs::TraceEvent& e) {
-  return e.name.find(".chunk") != std::string::npos ||
-         e.name == "kernel.build.sort_merge";
-}
-
-TEST(TracePropagationTest, WorkerChunkSpansParentToOwningKernelSpan) {
-  PoolConfigGuard guard;
-  ThreadPool::Configure({8, 16});
-  obs::Tracer tracer;
-  std::vector<obs::TraceEvent> events;
-  ASSERT_NO_FATAL_FAILURE(CollectKernelTrace(tracer, events));
-  std::map<uint64_t, const obs::TraceEvent*> by_id;
-  for (const auto& e : events) by_id[e.id] = &e;
-  size_t chunk_spans = 0;
-  for (const auto& e : events) {
-    if (!IsChunkSpan(e)) continue;
-    ++chunk_spans;
-    // Propagation means no orphaned depth-0 worker spans: every chunk span
-    // parents to a recorded kernel span one level up.
-    EXPECT_NE(e.parent_id, 0u) << e.name;
-    EXPECT_GT(e.depth, 0u) << e.name;
-    auto parent = by_id.find(e.parent_id);
-    ASSERT_NE(parent, by_id.end()) << e.name;
-    EXPECT_EQ(parent->second->name.rfind("kernel.", 0), 0u)
-        << e.name << " parented to " << parent->second->name;
-    EXPECT_EQ(e.depth, parent->second->depth + 1) << e.name;
-  }
-  // Sanity: 64x64 pairs and 8^4 subbags are above the dispatch grains, so
-  // the 8-thread pool really produced worker chunk spans.
-  EXPECT_GT(chunk_spans, 0u);
-}
-
-TEST(TracePropagationTest, ChunkSpansNameTheirDispatchingKernel) {
-  PoolConfigGuard guard;
-  ThreadPool::Configure({8, 16});
-  obs::Tracer tracer;
-  std::vector<obs::TraceEvent> events;
-  ASSERT_NO_FATAL_FAILURE(CollectKernelTrace(tracer, events));
-  std::map<uint64_t, const obs::TraceEvent*> by_id;
-  for (const auto& e : events) by_id[e.id] = &e;
-  for (const auto& e : events) {
-    auto parent = by_id.find(e.parent_id);
-    if (parent == by_id.end()) continue;
-    if (e.name == "kernel.product.chunk") {
-      EXPECT_EQ(parent->second->name, "kernel.product");
-    }
-    if (e.name == "kernel.subbag.chunk") {
-      EXPECT_EQ(parent->second->name, "kernel.powerset");
-    }
-    if (e.name == "kernel.build.sort_chunk" ||
-        e.name == "kernel.build.sort_merge") {
-      EXPECT_EQ(parent->second->name, "kernel.build.sort");
-    }
-  }
-}
-
-/// The multiset of (name, ancestor-name-path) pairs for non-chunk spans.
-/// Chunk spans are excluded because their count tracks the chunking, which
-/// legitimately varies with the pool configuration — the *structural* span
-/// tree must not.
-std::vector<std::string> StructuralSpanPaths(
-    const std::vector<obs::TraceEvent>& events) {
-  std::map<uint64_t, const obs::TraceEvent*> by_id;
-  for (const auto& e : events) by_id[e.id] = &e;
-  std::vector<std::string> paths;
-  for (const auto& e : events) {
-    if (IsChunkSpan(e)) continue;
-    // kernel.build.sort only appears when the sort chunks, which depends on
-    // the pool parallelism; skip it alongside its chunks.
-    if (e.name == "kernel.build.sort") continue;
-    std::string path = e.name;
-    uint64_t parent = e.parent_id;
-    size_t hops = 0;
-    while (parent != 0 && hops++ <= by_id.size()) {
-      auto it = by_id.find(parent);
-      if (it == by_id.end()) break;
-      if (!IsChunkSpan(*it->second) && it->second->name != "kernel.build.sort") {
-        path = it->second->name + "/" + path;
-      }
-      parent = it->second->parent_id;
-    }
-    paths.push_back(path);
-  }
-  std::sort(paths.begin(), paths.end());
-  return paths;
-}
-
-TEST(TracePropagationTest, StructuralSpanTreeIdenticalAcrossThreadCounts) {
-  PoolConfigGuard guard;
-  ThreadPool::Configure({1, 4096});
-  obs::Tracer serial_tracer;
-  std::vector<obs::TraceEvent> serial;
-  ASSERT_NO_FATAL_FAILURE(CollectKernelTrace(serial_tracer, serial));
-  ThreadPool::Configure({2, 64});
-  obs::Tracer two_tracer;
-  std::vector<obs::TraceEvent> two;
-  ASSERT_NO_FATAL_FAILURE(CollectKernelTrace(two_tracer, two));
-  ThreadPool::Configure({8, 16});
-  obs::Tracer eight_tracer;
-  std::vector<obs::TraceEvent> eight;
-  ASSERT_NO_FATAL_FAILURE(CollectKernelTrace(eight_tracer, eight));
-
-  const auto serial_paths = StructuralSpanPaths(serial);
-  EXPECT_FALSE(serial_paths.empty());
-  EXPECT_EQ(serial_paths, StructuralSpanPaths(two));
-  EXPECT_EQ(serial_paths, StructuralSpanPaths(eight));
-}
-
-TEST(TracePropagationTest, ContextSurvivesNestedPoolDispatches) {
-  // A span opened on this thread is the ancestor of every chunk span even
-  // when kernels nest (powerset builds bags whose builders sort in
-  // parallel under the powerset kernel span).
-  PoolConfigGuard guard;
-  ThreadPool::Configure({4, 16});
-  obs::Tracer tracer;
-  std::vector<obs::TraceEvent> events;
-  ASSERT_NO_FATAL_FAILURE(CollectKernelTrace(tracer, events));
-  std::map<uint64_t, const obs::TraceEvent*> by_id;
-  uint64_t root_id = 0;
-  for (const auto& e : events) {
-    by_id[e.id] = &e;
-    if (e.name == "test.root") root_id = e.id;
-  }
-  ASSERT_NE(root_id, 0u);
-  for (const auto& e : events) {
-    // Walk to the root: every span in the trace descends from test.root.
-    uint64_t cursor = e.id;
-    size_t hops = 0;
-    while (cursor != root_id && hops++ <= by_id.size()) {
-      auto it = by_id.find(cursor);
-      ASSERT_NE(it, by_id.end()) << e.name;
-      cursor = it->second->parent_id;
-    }
-    EXPECT_EQ(cursor, root_id) << e.name << " is not rooted at test.root";
-  }
 }
 
 // ------------------------------------------------------- tracer atomics

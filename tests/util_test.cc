@@ -5,11 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <vector>
 
-#include "src/util/parallel.h"
 #include "src/util/result.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
@@ -136,134 +134,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
     if (parent.Next() == child.Next()) ++same;
   }
   EXPECT_LT(same, 5);
-}
-
-// --------------------------------------------------- thread pool / parallel
-
-/// Restores the default pool configuration when a test exits.
-struct PoolConfigGuard {
-  ~PoolConfigGuard() { ThreadPool::Configure(ParallelOptions::Default()); }
-};
-
-TEST(ParallelTest, ParallelForCoversEveryIndexExactlyOnce) {
-  PoolConfigGuard guard;
-  ThreadPool::Configure({4, 8});
-  const size_t n = 1000;
-  // Chunks cover disjoint ranges, so plain ints are race-free.
-  std::vector<int> hits(n, 0);
-  size_t chunks = ParallelFor(n, 8, [&](size_t begin, size_t end, size_t) {
-    for (size_t i = begin; i < end; ++i) ++hits[i];
-  });
-  EXPECT_GE(chunks, 2u);
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], 1) << i;
-}
-
-TEST(ParallelTest, TransformReduceMatchesSerialSum) {
-  PoolConfigGuard guard;
-  ThreadPool::Configure({3, 16});
-  const uint64_t n = 4096;
-  uint64_t total = ParallelTransformReduce<uint64_t>(
-      n, 16, 0,
-      [](size_t begin, size_t end, size_t) {
-        uint64_t s = 0;
-        for (size_t i = begin; i < end; ++i) s += i;
-        return s;
-      },
-      [](uint64_t acc, uint64_t next) { return acc + next; });
-  EXPECT_EQ(total, n * (n - 1) / 2);
-}
-
-TEST(ParallelTest, ReduceFoldsPartialsInChunkIndexOrder) {
-  PoolConfigGuard guard;
-  ThreadPool::Configure({8, 4});
-  const size_t n = 512;
-  std::vector<size_t> order = ParallelTransformReduce<std::vector<size_t>>(
-      n, 4, {},
-      [](size_t, size_t, size_t chunk) {
-        return std::vector<size_t>{chunk};
-      },
-      [](std::vector<size_t> acc, std::vector<size_t> next) {
-        acc.insert(acc.end(), next.begin(), next.end());
-        return acc;
-      });
-  ASSERT_GE(order.size(), 2u);
-  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ParallelTest, SerialConfigurationDispatchesInline) {
-  PoolConfigGuard guard;
-  ThreadPool::Configure(ParallelOptions::Serial());
-  EXPECT_EQ(ThreadPool::Global().parallelism(), 1u);
-  EXPECT_EQ(ParallelChunkCount(size_t{1} << 20), 1u);
-  uint64_t sum = 0;
-  size_t chunks = ParallelFor(100, 0, [&](size_t begin, size_t end, size_t) {
-    for (size_t i = begin; i < end; ++i) sum += i;
-  });
-  EXPECT_EQ(chunks, 1u);
-  EXPECT_EQ(sum, 100u * 99 / 2);
-}
-
-TEST(ParallelTest, SmallBatchesStaySerial) {
-  PoolConfigGuard guard;
-  ThreadPool::Configure({4, 4096});
-  // Below 2x grain there is nothing to split.
-  EXPECT_EQ(ParallelChunkCount(10), 1u);
-  EXPECT_EQ(ParallelChunkCount(0), 1u);
-  size_t calls = 0;
-  ParallelFor(1, 0, [&](size_t begin, size_t end, size_t) {
-    ++calls;
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 1u);
-  });
-  EXPECT_EQ(calls, 1u);
-}
-
-TEST(ParallelTest, NestedParallelSectionsRunInline) {
-  PoolConfigGuard guard;
-  ThreadPool::Configure({4, 8});
-  // A body that itself calls ParallelFor must not deadlock; the inner
-  // dispatch runs serially on the worker.
-  std::vector<int> hits(256, 0);
-  ParallelFor(16, 1, [&](size_t begin, size_t end, size_t) {
-    for (size_t outer = begin; outer < end; ++outer) {
-      ParallelFor(16, 1, [&](size_t b, size_t e, size_t) {
-        for (size_t inner = b; inner < e; ++inner) {
-          ++hits[outer * 16 + inner];
-        }
-      });
-    }
-  });
-  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << i;
-}
-
-TEST(ParallelTest, BackToBackBatchesRunEveryIndexOnce) {
-  // Workers that wake late for a batch must not claim indices of the next
-  // one: every index of every batch runs exactly once, batch after batch,
-  // with more workers than cores so stragglers are common.
-  PoolConfigGuard guard;
-  ThreadPool::Configure({8, 1});
-  const size_t sizes[] = {2, 64, 3, 17};
-  std::vector<std::atomic<int>> hits(64);
-  for (int round = 0; round < 20000; ++round) {
-    const size_t n = sizes[round % 4];
-    for (size_t i = 0; i < n; ++i) hits[i].store(0);
-    ThreadPool::Global().Run(n, [&hits](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
-    }
-  }
-}
-
-TEST(ParallelTest, StatsCountDispatches) {
-  PoolConfigGuard guard;
-  ThreadPool::Configure({4, 8});
-  ParallelStats before = ThreadPool::Stats();
-  ParallelFor(1000, 8, [](size_t, size_t, size_t) {});
-  ThreadPool::Global().Run(1, [](size_t) {});  // trivial batch: serial path
-  ParallelStats after = ThreadPool::Stats();
-  EXPECT_GT(after.parallel_dispatches, before.parallel_dispatches);
-  EXPECT_GT(after.serial_dispatches, before.serial_dispatches);
-  EXPECT_GT(after.tasks_spawned, before.tasks_spawned);
 }
 
 }  // namespace

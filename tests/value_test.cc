@@ -15,7 +15,6 @@
 #include "src/core/encoding.h"
 #include "src/core/iso.h"
 #include "src/stats/sampler.h"
-#include "src/util/parallel.h"
 #include "src/util/rng.h"
 
 namespace bagalg {
@@ -363,11 +362,6 @@ TEST(BagIndexTest, SmallBagsAnswerWithoutIndex) {
 
 // ------------------------------------ Builder vs sort-and-combine reference
 
-/// Restores the default pool configuration when a test exits.
-struct PoolConfigGuard {
-  ~PoolConfigGuard() { ThreadPool::Configure(ParallelOptions::Default()); }
-};
-
 /// What Build must return: drop zero counts, std::sort by value, combine
 /// equal neighbours and join the element types.
 Result<Bag> ReferenceBuild(std::vector<BagEntry> items) {
@@ -472,7 +466,7 @@ std::vector<BuildCase> BuildCases() {
   Rng rng(16);
   const std::vector<Value> flat = FlatPool();
   const std::vector<Value> nested = NestedPool(rng);
-  // Large enough that the merge and the sort run on the pool.
+  // Large enough for many merge rounds and a large sort.
   const size_t n = 9000;
   std::vector<BuildCase> cases;
   for (size_t runs : {1, 2, 3, 7, 64}) {
@@ -498,33 +492,29 @@ std::vector<BuildCase> BuildCases() {
 }
 
 TEST(BuilderDifferentialTest, MatchesSortAndCombineAtOneTwoAndEightThreads) {
-  PoolConfigGuard guard;
+  // Build runs on one thread (the name keeps the test id stable).
   for (const BuildCase& c : BuildCases()) {
     SCOPED_TRACE(c.name);
     auto want = ReferenceBuild(c.items);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    for (unsigned threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(threads);
-      ThreadPool::Configure({threads, 4096});
-      auto got = BuildInOrder(c.items);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ASSERT_EQ(got->DistinctCount(), want->DistinctCount());
-      for (size_t i = 0; i < want->DistinctCount(); ++i) {
-        const BagEntry& g = got->entries()[i];
-        const BagEntry& w = want->entries()[i];
-        ASSERT_EQ(g.value, w.value) << i;
-        ASSERT_EQ(g.count, w.count) << i;
-      }
-      EXPECT_EQ(got->element_type(), want->element_type());
-      EXPECT_EQ(got->TotalCount(), want->TotalCount());
-      EXPECT_EQ(got->Hash(), want->Hash());
-      EXPECT_EQ(*got, *want);
+    auto got = BuildInOrder(c.items);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->DistinctCount(), want->DistinctCount());
+    for (size_t i = 0; i < want->DistinctCount(); ++i) {
+      const BagEntry& g = got->entries()[i];
+      const BagEntry& w = want->entries()[i];
+      ASSERT_EQ(g.value, w.value) << i;
+      ASSERT_EQ(g.count, w.count) << i;
     }
+    EXPECT_EQ(got->element_type(), want->element_type());
+    EXPECT_EQ(got->TotalCount(), want->TotalCount());
+    EXPECT_EQ(got->Hash(), want->Hash());
+    EXPECT_EQ(*got, *want);
+    EXPECT_LE(got->entries().capacity(), 2 * got->entries().size());
   }
 }
 
 TEST(BuilderDifferentialTest, MixedArityRunsAreATypeError) {
-  PoolConfigGuard guard;
   const std::vector<Value> atoms = AtomPool(40, "bld");
   std::vector<Value> unary;
   for (const Value& a : atoms) unary.push_back(Value::Tuple({a}));
@@ -535,13 +525,24 @@ TEST(BuilderDifferentialTest, MixedArityRunsAreATypeError) {
     std::vector<BagEntry> items = SortedRuns(rng, FlatPool(), 1, n / 2);
     std::vector<BagEntry> tail = SortedRuns(rng, unary, 1, n / 2);
     items.insert(items.end(), tail.begin(), tail.end());
-    for (unsigned threads : {1u, 2u, 8u}) {
-      ThreadPool::Configure({threads, 4096});
-      auto got = BuildInOrder(items);
-      ASSERT_FALSE(got.ok());
-      EXPECT_EQ(got.status().code(), StatusCode::kTypeError);
-    }
+    auto got = BuildInOrder(items);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kTypeError);
   }
+}
+
+TEST(BuilderDifferentialTest, DuplicateAdditionsDoNotKeepPreMergeCapacity) {
+  // 52,000 additions of 13 values, as when flattening a powerset: the
+  // built bag's entry array is sized from the merged count.
+  const std::vector<Value> atoms = AtomPool(13, "dup");
+  Bag::Builder builder;
+  for (size_t i = 0; i < 52000; ++i) builder.AddOne(atoms[i % atoms.size()]);
+  auto got = std::move(builder).Build();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->DistinctCount(), 13u);
+  EXPECT_LE(got->entries().capacity(), 2 * got->entries().size());
+  EXPECT_EQ(got->TotalCount(), Mult(52000));
+  for (const BagEntry& e : got->entries()) EXPECT_EQ(e.count, Mult(4000));
 }
 
 }  // namespace

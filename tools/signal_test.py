@@ -10,8 +10,7 @@ processes receiving real signals:
    flushes the session journal (header line included), and that the
    in-flight request ended in a typed outcome rather than vanishing.
 
-2. REPL SIGINT cancel: run the interactive REPL (under BAGALG_THREADS=8
-   when the caller sets it — the ctest registration does), start a
+2. REPL SIGINT cancel: run the interactive REPL, start a
    hyperexponential statement, SIGINT mid-flight, and assert the
    statement returns Cancelled while the session survives and answers
    the next statement; EOF then exits 0.
@@ -149,8 +148,7 @@ def test_repl_sigint(binary):
         # The session survived: the post-cancel statement still answered.
         if "21" not in out.split("Cancelled", 1)[1]:
             fail(f"session did not answer after cancel: {out[-500:]!r}")
-        print("ok: REPL SIGINT cancels the statement, session survives "
-              f"(BAGALG_THREADS={os.environ.get('BAGALG_THREADS', 'unset')})")
+        print("ok: REPL SIGINT cancels the statement, session survives")
     finally:
         if proc.poll() is None:
             proc.kill()
