@@ -24,6 +24,7 @@
 #include "src/util/fault.h"
 #include "src/util/governor.h"
 #include "src/util/rng.h"
+#include "tests/flat_model.h"
 
 namespace bagalg {
 namespace {
@@ -175,6 +176,88 @@ TEST_P(IrDiffFuzzTest, StrictIrAgreesWithEvaluatorOnBalg1) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IrDiffFuzzTest,
                          ::testing::Values(91, 92, 93, 94));
+
+// ------------------------------------------------ the reference model
+
+/// `bag` with every count c replaced by c + k·2^100, k drawn from {0, 1, 2}:
+/// counts past 2^64 reach every count path of the kernels.
+Bag Inflate(const Bag& bag, Rng& rng) {
+  const BigNat big = BigNat::TwoPow(100);
+  Bag::Builder builder;
+  for (const BagEntry& e : bag.entries()) {
+    builder.Add(e.value, e.count + big * BigNat(rng.Below(3)));
+  }
+  auto out = std::move(builder).Build();
+  EXPECT_TRUE(out.ok());
+  return *out;
+}
+
+Database BigCountCorpusDb() {
+  Rng rng(2100);
+  Database small = CorpusDb();
+  Database db;
+  for (const char* name : {"R", "R2", "S"}) {
+    EXPECT_TRUE(db.Put(name, Inflate(*small.Get(name), rng)).ok());
+  }
+  return db;
+}
+
+/// exec against the flat model, which shares no kernel with either
+/// engine; eval against it too, so a bug in a kernel the two engines
+/// share cannot hide.
+void ExpectModelAgrees(const Expr& q, const Database& db) {
+  auto want = model::Eval(q, db);
+  ASSERT_TRUE(want.ok()) << q.ToString() << "\n" << want.status();
+  auto fused = RunPipeline(q, db);
+  ASSERT_TRUE(fused.ok()) << q.ToString() << "\n" << fused.status();
+  EXPECT_EQ(model::Diff(*fused, *want), "") << "exec: " << q.ToString();
+  Evaluator eval;
+  auto reference = eval.EvalToBag(q, db);
+  ASSERT_TRUE(reference.ok()) << q.ToString() << "\n" << reference.status();
+  EXPECT_EQ(model::Diff(*reference, *want, /*empty_is_bottom=*/false), "")
+      << "eval: " << q.ToString();
+}
+
+TEST(IrModelTest, CorpusAgreesWithTheModel) {
+  for (const Database& db : {CorpusDb(), BigCountCorpusDb()}) {
+    for (const Expr& q : Corpus()) {
+      ExpectModelAgrees(q, db);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+class IrModelFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+/// The expr_gen fuzz at nesting 1, counts up to 2^101: exec and eval
+/// must both equal the model on every generated query.
+TEST_P(IrModelFuzzTest, ExecAgreesWithTheModelOnBalg1) {
+  Rng rng(GetParam());
+  Type tup1 = Type::Tuple({Type::Atom()});
+  Type tup2 = Type::Tuple({Type::Atom(), Type::Atom()});
+  Schema schema{{"R", Type::Bag(tup1)}, {"S", Type::Bag(tup2)}};
+  ExprGenOptions options;
+  options.max_bag_nesting = 1;
+  options.allow_powerset = false;
+  options.growth_rounds = 14;
+  for (int i = 0; i < 60; ++i) {
+    auto e = RandomExpr(rng, schema, options);
+    ASSERT_TRUE(e.ok());
+    FlatBagSpec spec1;
+    spec1.arity = 1;
+    spec1.num_elements = 4;
+    FlatBagSpec spec2 = spec1;
+    spec2.arity = 2;
+    Database db;
+    ASSERT_TRUE(db.Put("R", Inflate(RandomFlatBag(rng, spec1), rng)).ok());
+    ASSERT_TRUE(db.Put("S", Inflate(RandomFlatBag(rng, spec2), rng)).ok());
+    ExpectModelAgrees(*e, db);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IrModelFuzzTest,
+                         ::testing::Values(191, 192, 193, 194));
 
 // ---------------------------------------------------------- abort paths
 
