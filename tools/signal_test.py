@@ -20,6 +20,7 @@ import argparse
 import http.client
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -121,6 +122,8 @@ def test_bagalgd_sigterm(binary):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        # After the journal checks above have read it.
+        shutil.rmtree(journal_dir, ignore_errors=True)
 
 
 def test_repl_sigint(binary):
