@@ -76,6 +76,10 @@ void AppendBagText(const Bag& bag, const AtomTable& table, std::string* out) {
 // ---------------------------------------------------------------- Value::Rep
 
 struct Value::Rep {
+  // Takes the type up front: a default-constructed (Bottom) type would
+  // cost two more reference-count updates per value.
+  Rep(Value::Kind k, Type t) : kind(k), type(std::move(t)) {}
+
   Value::Kind kind;
   AtomId atom = 0;
   std::vector<Value> fields;
@@ -89,6 +93,8 @@ struct Value::Rep {
 // ------------------------------------------------------------------ Bag::Rep
 
 struct Bag::Rep {
+  struct FlatImage;
+
   Type element_type = Type::Bottom();
   std::vector<BagEntry> entries;
   Mult total;
@@ -103,9 +109,17 @@ struct Bag::Rep {
   // function of `entries`, so racing first callers store the same value.
   static constexpr uint8_t kSetLikeUnknown = 2;
   mutable std::atomic<uint8_t> set_like{kSetLikeUnknown};
-  // Lazy Bag::column_facts(), built at most once under `column_facts_once`.
-  mutable std::once_flag column_facts_once;
-  mutable std::unique_ptr<const Bag::ColumnFacts> column_facts;
+  // Lazy Bag::flat_cells() and Bag::column_facts(), built together at most
+  // once under `flat_once`.
+  mutable std::once_flag flat_once;
+  mutable std::unique_ptr<const FlatImage> flat;
+};
+
+/// A stored bag's cells (absent when its elements hold a bag) and the
+/// column facts derived from them.
+struct Bag::Rep::FlatImage {
+  std::optional<Bag::FlatCells> cells;
+  Bag::ColumnFacts facts;
 };
 
 namespace {
@@ -168,32 +182,71 @@ const BagEntry* IndexedFind(const Bag::Rep& rep, const Value& value) {
   }
 }
 
-// ------------------------------------------------------ lazy column facts
+// ------------------------------------------------ lazy cells and facts
 
-/// Computes Bag::column_facts() for `rep`: per column, one pass against
-/// the first entry decides constancy, and a sort of the column's values
-/// decides uniqueness.
-std::unique_ptr<const Bag::ColumnFacts> BuildColumnFacts(
+void AppendCells(const Value& v, std::vector<AtomId>* out) {
+  if (v.IsAtom()) {
+    out->push_back(v.atom_id());
+    return;
+  }
+  for (const Value& f : v.fields()) AppendCells(f, out);
+}
+
+/// True when cell rows a and b agree on [begin, end).
+bool SameCells(const AtomId* a, const AtomId* b, size_t begin, size_t end) {
+  return std::equal(a + begin, a + end, b + begin);
+}
+
+/// Builds Bag::flat_cells() and Bag::column_facts() for `rep`. A column is
+/// a field's cell range: constant when every row matches the first on it,
+/// unique when no two rows match on it after sorting the rows by it.
+std::unique_ptr<const Bag::Rep::FlatImage> BuildFlatImage(
     const Bag::Rep& rep) {
-  auto facts = std::make_unique<Bag::ColumnFacts>();
+  auto image = std::make_unique<Bag::Rep::FlatImage>();
+  obs::GlobalMetrics().GetCounter("kernel.column_facts_builds")->Increment();
+  if (rep.element_type.BagNesting() > 0) return image;
+  Bag::FlatCells flat;
+  flat.width = CellWidth(rep.element_type);
+  flat.cells.reserve(rep.entries.size() * flat.width);
+  for (const BagEntry& e : rep.entries) AppendCells(e.value, &flat.cells);
+  if (rep.entries.size() >= kGovernorAccountMinEntries) {
+    GovernorAccountBytes(flat.cells.capacity() * sizeof(AtomId));
+  }
+  const size_t n = rep.entries.size();
   const size_t arity =
       rep.element_type.IsTuple() ? rep.element_type.fields().size() : 0;
-  facts->constant.assign(arity, true);
-  facts->unique.assign(arity, true);
-  std::vector<const Value*> column(rep.entries.size());
+  Bag::ColumnFacts& facts = image->facts;
+  facts.constant.assign(arity, true);
+  facts.unique.assign(arity, true);
+  const size_t w = flat.width;
+  const AtomId* cells = flat.cells.data();
+  std::vector<size_t> order(n);
+  size_t begin = 0;
   for (size_t c = 0; c < arity; ++c) {
-    for (size_t i = 0; i < column.size(); ++i) {
-      column[i] = &rep.entries[i].value.fields()[c];
-      if (!(*column[i] == *column[0])) facts->constant[c] = false;
+    const size_t end = begin + CellWidth(rep.element_type.fields()[c]);
+    for (size_t i = 1; i < n; ++i) {
+      if (!SameCells(cells, cells + i * w, begin, end)) {
+        facts.constant[c] = false;
+        break;
+      }
     }
-    std::sort(column.begin(), column.end(),
-              [](const Value* a, const Value* b) { return *a < *b; });
-    for (size_t i = 1; i < column.size(); ++i) {
-      if (*column[i - 1] == *column[i]) facts->unique[c] = false;
+    for (size_t i = 0; i < n; ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return std::lexicographical_compare(
+          cells + a * w + begin, cells + a * w + end, cells + b * w + begin,
+          cells + b * w + end);
+    });
+    for (size_t i = 1; i < n; ++i) {
+      if (SameCells(cells + order[i - 1] * w, cells + order[i] * w, begin,
+                    end)) {
+        facts.unique[c] = false;
+        break;
+      }
     }
+    begin = end;
   }
-  obs::GlobalMetrics().GetCounter("kernel.column_facts_builds")->Increment();
-  return facts;
+  image->cells = std::move(flat);
+  return image;
 }
 
 // ------------------------------------------------------- canonical order
@@ -284,42 +337,35 @@ Value::Value() {
 }
 
 Value Value::Atom(AtomId id) {
-  auto rep = std::make_shared<Rep>();
-  rep->kind = Kind::kAtom;
+  auto rep = std::make_shared<Rep>(Kind::kAtom, Type::Atom());
   rep->atom = id;
-  rep->type = Type::Atom();
   rep->hash = CombineHash(0xa70u, id);
   return Value(std::move(rep));
 }
 
 Value Value::Tuple(std::vector<Value> fields) {
-  auto rep = std::make_shared<Rep>();
-  rep->kind = Kind::kTuple;
   size_t h = 0x70u;
   bool flat = true;
   for (const Value& f : fields) {
     h = CombineHash(h, f.Hash());
     flat = flat && f.IsAtom();
   }
-  if (flat) {
-    // A row of atoms takes the shared flat tuple type: no Type allocated.
-    rep->type = Type::FlatTuple(fields.size());
-  } else {
-    std::vector<Type> field_types;
-    field_types.reserve(fields.size());
-    for (const Value& f : fields) field_types.push_back(f.type());
-    rep->type = Type::Tuple(std::move(field_types));
-  }
+  // A row of atoms takes the shared flat tuple type: no Type allocated.
+  auto rep = std::make_shared<Rep>(
+      Kind::kTuple, flat ? Type::FlatTuple(fields.size()) : [&fields] {
+        std::vector<Type> field_types;
+        field_types.reserve(fields.size());
+        for (const Value& f : fields) field_types.push_back(f.type());
+        return Type::Tuple(std::move(field_types));
+      }());
   rep->fields = std::move(fields);
   rep->hash = h;
   return Value(std::move(rep));
 }
 
 Value Value::FromBag(Bag bag) {
-  auto rep = std::make_shared<Rep>();
-  rep->kind = Kind::kBag;
+  auto rep = std::make_shared<Rep>(Kind::kBag, bag.type());
   rep->hash = CombineHash(0xb0u, bag.Hash());
-  rep->type = bag.type();
   rep->bag = std::make_shared<const Bag>(std::move(bag));
   return Value(std::move(rep));
 }
@@ -504,10 +550,16 @@ bool Bag::IsSetLike() const {
   return cached == 1;
 }
 
+const Bag::FlatCells* Bag::flat_cells() const {
+  std::call_once(rep_->flat_once,
+                 [this] { rep_->flat = BuildFlatImage(*rep_); });
+  return rep_->flat->cells ? &*rep_->flat->cells : nullptr;
+}
+
 const Bag::ColumnFacts& Bag::column_facts() const {
-  std::call_once(rep_->column_facts_once,
-                 [this] { rep_->column_facts = BuildColumnFacts(*rep_); });
-  return *rep_->column_facts;
+  std::call_once(rep_->flat_once,
+                 [this] { rep_->flat = BuildFlatImage(*rep_); });
+  return rep_->flat->facts;
 }
 
 Mult Bag::CountOf(const Value& value) const {
@@ -593,6 +645,14 @@ std::ostream& operator<<(std::ostream& os, const Bag& bag) {
 }
 
 // -------------------------------------------------------------- Convenience
+
+size_t CellWidth(const Type& type) {
+  if (type.IsAtom()) return 1;
+  if (!type.IsTuple()) return 0;
+  size_t width = 0;
+  for (const Type& field : type.fields()) width += CellWidth(field);
+  return width;
+}
 
 Value MakeAtom(std::string_view name, AtomTable* table) {
   AtomTable& t = table != nullptr ? *table : GlobalAtomTable();

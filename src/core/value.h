@@ -183,6 +183,19 @@ class Bag {
   /// entries on the first call only; the answer is cached on the bag.
   bool IsSetLike() const;
 
+  /// The entries of a bag whose elements hold no bag, as row-major atom
+  /// ids: entry i's atom leaves, left to right, are cells[i · width, (i +
+  /// 1) · width). All elements share one shape, so the canonical entry
+  /// order is the lexicographic order of these cell rows.
+  struct FlatCells {
+    size_t width = 0;
+    std::vector<AtomId> cells;
+  };
+  /// The bag's cells; nullptr when its elements hold a bag. Built with the
+  /// column facts on the first call of either, and charged to the ambient
+  /// governor.
+  const FlatCells* flat_cells() const;
+
   /// Per-column facts of a bag of tuples, indexed by 0-based column.
   struct ColumnFacts {
     /// Every entry holds the same value in this column.
@@ -191,11 +204,11 @@ class Bag {
     std::vector<bool> unique;
   };
   /// The column facts of this bag: one slot per field of a tuple element
-  /// type, none otherwise. Built on the first call (once, thread-safely,
-  /// like the hash index) and shared by every copy of the bag, so plan-time
-  /// analyses that read them on each lowering pay the O(distinct · arity ·
-  /// log distinct) walk once per stored bag (counter
-  /// `kernel.column_facts_builds`).
+  /// type whose elements hold no bag, none otherwise. Built from the
+  /// cells on the first call (once, thread-safely, like the hash index)
+  /// and shared by every copy of the bag, so plan-time analyses that read
+  /// them on each lowering pay the O(distinct · width · log distinct)
+  /// walk once per stored bag (counter `kernel.column_facts_builds`).
   const ColumnFacts& column_facts() const;
 
   /// Multiplicity of `value` in this bag (zero if absent). Bags with at
@@ -246,6 +259,10 @@ Value MakeTuple(std::initializer_list<Value> fields);
 /// Bag from (value, small multiplicity) pairs; dies on type error (test
 /// convenience only — library code uses Bag::Builder).
 Bag MakeBag(std::initializer_list<std::pair<Value, uint64_t>> items);
+
+/// Number of atom leaves in a value of `type`: 1 for an atom, the sum over
+/// the fields for a tuple, 0 for Bottom and for a bag.
+size_t CellWidth(const Type& type);
 
 /// Bag of values, each with multiplicity 1.
 Bag MakeBagOf(std::initializer_list<Value> values);

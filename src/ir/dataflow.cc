@@ -161,7 +161,8 @@ IrFacts ScanFacts(const IrNode& node) {
   facts.max_rows = distinct;
   if (distinct <= kSetLikeEntryCap) facts.dup_free = bag.IsSetLike();
   if (facts.shape == IrFacts::Shape::kTuple && facts.arity > 0 &&
-      distinct > 0 && distinct <= kScanFactEntryCap) {
+      distinct > 0 && distinct <= kScanFactEntryCap &&
+      bag.column_facts().constant.size() == facts.arity) {
     const Bag::ColumnFacts& columns = bag.column_facts();
     const Value& first = bag.entries()[0].value;
     for (size_t c = 1; c <= facts.arity; ++c) {
@@ -713,6 +714,147 @@ Result<IrFactsMap> ComputeIrFacts(const IrPlan& plan) {
   }
   IrFactsMap map;
   BAGALG_RETURN_IF_ERROR(ComputeNode(*plan.root, &map));
+  return map;
+}
+
+bool IsVoidRow(const Type& type) {
+  if (type.IsBottom()) return true;
+  if (!type.IsTuple()) return false;
+  for (const Type& field : type.fields()) {
+    if (IsVoidRow(field)) return true;
+  }
+  return false;
+}
+
+std::pair<size_t, size_t> FieldCells(const Type& row, size_t field) {
+  size_t begin = 0;
+  for (size_t i = 0; i + 1 < field; ++i) {
+    begin += CellWidth(row.fields()[i]);
+  }
+  return {begin, begin + CellWidth(row.fields()[field - 1])};
+}
+
+namespace {
+
+Status LayoutError(const std::string& what) {
+  return Status::Internal("ir verify: " + what);
+}
+
+/// The source row type of `node` from its children's output row types.
+Result<Type> SourceRowType(const IrNode& node,
+                           const std::vector<const Type*>& children) {
+  const size_t want = node.kind == IrKind::kScan       ? 0
+                      : node.kind == IrKind::kDupElim  ? 1
+                      : node.kind == IrKind::kUnionAll ? children.size()
+                                                       : 2;
+  if (children.size() != want) {
+    return LayoutError(std::string(IrKindName(node.kind)) +
+                       " has wrong child count");
+  }
+  switch (node.kind) {
+    case IrKind::kScan: {
+      const Type& element = node.scan_bag.element_type();
+      if (element.BagNesting() > 0) {
+        return LayoutError("scan " + node.scan_name + " rows hold a bag");
+      }
+      return element;
+    }
+    case IrKind::kUnionAll:
+    case IrKind::kMerge: {
+      Type joined = Type::Bottom();
+      for (const Type* child : children) {
+        Result<Type> next = Type::Join(joined, *child);
+        if (!next.ok()) {
+          return LayoutError(std::string(IrKindName(node.kind)) +
+                             " children disagree on row layout: " +
+                             joined.ToString() + " vs " + child->ToString());
+        }
+        joined = std::move(next).value();
+      }
+      return joined;
+    }
+    case IrKind::kCrossJoin:
+    case IrKind::kHashJoin: {
+      const Type& probe = *children[0];
+      const Type& build = *children[1];
+      if (probe.IsBottom() || build.IsBottom()) return Type::Bottom();
+      if (!probe.IsTuple() || !build.IsTuple()) {
+        return LayoutError("join over non-tuple rows");
+      }
+      if (node.kind == IrKind::kHashJoin &&
+          (node.probe_key < 1 || node.probe_key > probe.fields().size() ||
+           node.build_key < 1 || node.build_key > build.fields().size())) {
+        return LayoutError("hash join keys a" +
+                           std::to_string(node.probe_key) + " = b" +
+                           std::to_string(node.build_key) +
+                           " outside the cells of " + probe.ToString() +
+                           " x " + build.ToString());
+      }
+      std::vector<Type> fields = probe.fields();
+      fields.insert(fields.end(), build.fields().begin(),
+                    build.fields().end());
+      return Type::Tuple(std::move(fields));
+    }
+    case IrKind::kDupElim:
+      return *children[0];
+  }
+  return Status::Internal("unknown IR node kind");
+}
+
+Result<StageLayout> CompileStage(const Stage& stage, const Type& in) {
+  StageLayout out;
+  if (IsVoidRow(in)) {
+    out.out = stage.kind == StageKind::kFilter ? in : Type::Bottom();
+    out.dead = true;
+    return out;
+  }
+  if (stage.kind == StageKind::kFilter) {
+    Result<CellFilter> filter =
+        RowProgram::CompileFilter(stage.program, stage.rhs, in);
+    if (!filter.ok()) {
+      return LayoutError("filter " + stage.ToString() + " over rows " +
+                         in.ToString() + ": " + filter.status().message());
+    }
+    out.out = in;
+    out.filter = std::move(filter).value();
+    return out;
+  }
+  Result<CellMap> map = stage.program.CompileCells(in);
+  if (!map.ok()) {
+    return LayoutError("projection " + stage.ToString() + " over rows " +
+                       in.ToString() + ": " + map.status().message());
+  }
+  out.out = map.value().type;
+  out.project = std::move(map).value();
+  return out;
+}
+
+Status LayoutNode(const IrNode& node, RowLayoutMap* map) {
+  std::vector<const Type*> children;
+  children.reserve(node.children.size());
+  for (const auto& child : node.children) {
+    BAGALG_RETURN_IF_ERROR(LayoutNode(*child, map));
+    children.push_back(&(*map)[child.get()].out());
+  }
+  RowLayout layout;
+  BAGALG_ASSIGN_OR_RETURN(layout.source, SourceRowType(node, children));
+  for (const Stage& stage : node.stages) {
+    BAGALG_ASSIGN_OR_RETURN(StageLayout compiled,
+                            CompileStage(stage, layout.out()));
+    layout.stages.push_back(std::move(compiled));
+  }
+  (*map)[&node] = std::move(layout);
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<RowLayoutMap> ComputeRowLayouts(const IrPlan& plan) {
+  if (plan.root == nullptr) {
+    return Status::Internal("ir verify: plan without a root");
+  }
+  RowLayoutMap map;
+  BAGALG_RETURN_IF_ERROR(LayoutNode(*plan.root, &map));
   return map;
 }
 

@@ -37,6 +37,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/value.h"
@@ -97,6 +98,52 @@ Result<IrFacts> NodeBaseFacts(const IrNode& node,
 /// Bottom-up facts for every node (post-stage). Fails on the first
 /// structural inconsistency — the error doubles as the verifier's finding.
 Result<IrFactsMap> ComputeIrFacts(const IrPlan& plan);
+
+// ------------------------------------------------------------ row layout
+//
+// Every row of a BALG¹ plan is a fixed-shape tree of atoms (rows hold no
+// bag), so a node's rows are fully described by one row type, and a row
+// is its atom ids, leaves left to right: CellWidth(type) cells. Rows of a
+// type that holds Bottom never exist — only an empty bag has a Bottom
+// element type — so a stage over such rows produces Bottom and never runs.
+
+/// One fused stage compiled against the row type it reads.
+struct StageLayout {
+  Type out;           ///< the row type the stage produces
+  CellMap project;    ///< kProject: the output cells
+  CellFilter filter;  ///< kFilter: the cells that must match
+  bool dead = false;  ///< reads rows that never exist (a Bottom-typed input)
+};
+
+/// A node's row types: its source's, then after each fused stage.
+struct RowLayout {
+  Type source;
+  std::vector<StageLayout> stages;
+  const Type& out() const {
+    return stages.empty() ? source : stages.back().out;
+  }
+};
+
+using RowLayoutMap = std::map<const IrNode*, RowLayout>;
+
+/// True when no row of `type` can exist: the type holds Bottom.
+bool IsVoidRow(const Type& type);
+
+/// The cells [begin, end) of 1-based field `field` in rows of tuple type
+/// `row`; requires 1 <= field <= row.fields().size().
+std::pair<size_t, size_t> FieldCells(const Type& row, size_t field);
+
+/// Derives every node's row types bottom-up and compiles every stage
+/// against the rows it reads: a scan's rows are its bag's element type;
+/// ⊎ and merges join their children's types (Type::Join); joins
+/// concatenate their sides' fields; ε keeps its child's; a stage yields
+/// its program's output type. Fails (kInternal, "ir verify: ...") on a
+/// layout the executor cannot run: a scan of bags of bags, union or merge
+/// children whose row types do not join (so their cells disagree), a join
+/// side that is not a tuple, a hash key outside its side's fields, or a
+/// stage program that does not type over its rows. ExecuteIr runs it once
+/// per run; VerifyIr after every pass.
+Result<RowLayoutMap> ComputeRowLayouts(const IrPlan& plan);
 
 }  // namespace bagalg::ir
 

@@ -2,22 +2,29 @@
 #define BAGALG_IR_EXEC_IR_H_
 
 /// \file exec_ir.h
-/// The vectorized IR interpreter: push loops over RowBatch.
+/// The vectorized IR interpreter: push loops over flat RowBatch rows.
 ///
+/// ExecuteIr first derives every node's row type (dataflow.h's
+/// ComputeRowLayouts) and compiles each fused stage against the rows it
+/// reads: a projection becomes a cell map (every output cell is an input
+/// cell or a constant atom), a filter a list of cell pairs that must match.
 /// Each IrNode kind has one producer that pushes its output stream, one
-/// batch of up to kDefaultBatchSize rows at a time, into a sink supplied
-/// by its consumer. Fused stages wrap that sink — a filter compacts the
-/// batch in place with a write index, a projection rewrites values through
-/// the compiled RowProgram (or its gather / field-ref fast path) — so a
-/// scan→σ→MAP chain is literally one pass over each batch with zero
-/// intermediate Bags. Blocking nodes (merge, ε, join build sides, shared
-/// CSE subplans, the root) drain their inputs into a Bag first.
+/// batch of up to kDefaultBatchSize rows at a time, into a sink supplied by
+/// its consumer. Fused stages wrap that sink — a filter compacts the batch
+/// in place with a write index, a projection rewrites its cells — so a
+/// scan→σ→MAP chain is one pass over integer cells. Blocking nodes (merge,
+/// ε, join build sides, shared CSE subplans) drain their inputs into
+/// canonical rows first: natural runs are merged or the rows sorted by
+/// their cells, then equal rows are combined. ∸, ∪ and ∩ are one merge
+/// walk over two canonical inputs; the hash join keys on the cell range
+/// of its key field. Values are built only by the root drain, which reuses
+/// a scanned bag's stored element where the row is one of its rows.
 ///
 /// Governor integration is per batch: a BatchCheckpointTicker checks once
 /// per ~kCheckpointStride rows instead of every row; it charges no bytes.
-/// Materialization points (merge kernels, dup-elim, hash-join build sides)
-/// account memory through Bag::Builder exactly as the evaluator's kernels
-/// do, so memory-cap trips match `eval`.
+/// Every drain charges the canonical rows it keeps, a scanned bag's cells
+/// are charged once when first built, and the result bag is charged like
+/// any other, so memory-cap trips keep their typed code.
 ///
 /// Non-fusible plans never reach this layer — lowering rejects them.
 

@@ -11,14 +11,15 @@
 /// the rows. An IrNode is therefore a pipeline: a source (scan, join,
 /// union, merge) plus zero or more fused stages applied to each batch in
 /// one pass, with no intermediate Bag materialized between them. Batches
-/// are columnar (values ∥ counts) and default to kDefaultBatchSize rows, so
-/// per-row costs — virtual dispatch, governor ticking, span bookkeeping —
-/// amortize across the batch.
+/// hold rows as flat atom ids beside their counts and default to
+/// kDefaultBatchSize rows, so per-row costs — dispatch, governor ticking,
+/// span bookkeeping — amortize across the batch.
 ///
 /// The supported fragment is the paper's tractable BALG¹ fragment (§4): no
-/// powerset / bag-destroy / fixpoints / nested-bag construction,
-/// object-level lambda bodies only. Lowering anything else returns
-/// kUnsupported, and exec::RunPipeline returns that status as is.
+/// powerset / bag-destroy / fixpoints, no type of bag nesting above 1 (so
+/// rows hold no bag), object-level lambda bodies only. Lowering anything
+/// else returns kUnsupported, and exec::RunPipeline returns that status as
+/// is.
 ///
 /// ExecuteIr (exec_ir.h) runs the tree as push loops, one batch at a time.
 
@@ -35,30 +36,35 @@
 
 namespace bagalg::ir {
 
-/// Rows per batch. 1024 keeps a batch's value handles + counts comfortably
-/// in L2 while amortizing per-batch overhead to noise.
+/// Rows per batch. 1024 keeps a batch's cells + counts comfortably in L2
+/// while amortizing per-batch overhead to noise.
 inline constexpr size_t kDefaultBatchSize = 1024;
 
-/// A columnar chunk of rows: parallel arrays of values and multiplicities.
-/// The unit the push loops hand from producer to sink; each producer
-/// refills one batch for its whole stream, so steady-state execution does
-/// not allocate per row.
+/// A chunk of rows, row-major: row i's atom ids (its leaves, left to
+/// right) are cells[i · width, (i + 1) · width) and its multiplicity is
+/// counts[i]. BALG¹ rows hold no bag, so every row of a node has the same
+/// width (dataflow.h derives it from the node's row type). The unit the
+/// push loops hand from producer to sink; each producer refills one batch
+/// for its whole stream, so steady-state execution does not allocate per
+/// row. A drained stream is one large RowBatch in canonical order.
 struct RowBatch {
-  std::vector<Value> values;
+  size_t width = 0;
+  std::vector<AtomId> cells;
   std::vector<Mult> counts;
 
-  size_t size() const { return values.size(); }
-  bool empty() const { return values.empty(); }
+  size_t size() const { return counts.size(); }
+  bool empty() const { return counts.empty(); }
+  const AtomId* row(size_t i) const { return cells.data() + i * width; }
   void Clear() {
-    values.clear();
+    cells.clear();
     counts.clear();
   }
   void Reserve(size_t n) {
-    values.reserve(n);
+    cells.reserve(n * width);
     counts.reserve(n);
   }
-  void Push(Value v, Mult c) {
-    values.push_back(std::move(v));
+  void Push(const AtomId* row, Mult c) {
+    cells.insert(cells.end(), row, row + width);
     counts.push_back(std::move(c));
   }
 };

@@ -197,6 +197,16 @@ Result<IrPlan> LowerPlan(const Expr& expr, const Database& db,
 
   Lowerer lowerer{db, node_types};
   BAGALG_ASSIGN_OR_RETURN(NodePtr root, lowerer.Lower(plan_expr));
+  // BALG¹ rows hold no bag, so every IR row is a fixed-shape tree of atoms
+  // (the executor's flat cells). A bag of bags anywhere in the plan is
+  // outside the fragment; `eval` still runs it.
+  for (const auto& [node, type] : node_types) {
+    if (type.BagNesting() > 1) {
+      return Status::Unsupported(
+          "bag nesting " + std::to_string(type.BagNesting()) + " (" +
+          type.ToString() + ") is outside the BALG^1 pipeline fragment");
+    }
+  }
 
   IrPlan plan;
   plan.root = std::move(root);

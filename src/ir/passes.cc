@@ -91,6 +91,15 @@ void PushIntoUnion(IrNode* node, PassStats* stats) {
   for (auto& child : node->children) {
     for (const Stage& stage : node->stages) {
       child->stages.push_back(stage);
+      const auto& gather = stage.program.Gather();
+      if (g_mutation == PassMutation::kUnionGatherDropsNestedCells &&
+          child == node->children.back() && gather.has_value() &&
+          gather->size() > 1) {
+        // Mutation: the first field reads the last column instead.
+        std::vector<size_t> remapped = *gather;
+        remapped.front() = remapped.back();
+        child->stages.back().program = RowProgram::GatherOf(remapped);
+      }
     }
   }
   node->stages.clear();

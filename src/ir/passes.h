@@ -111,6 +111,9 @@ enum class PassMutation {
   kDeadColumnDropsLive,
   /// CSE keys ignore fused stages, conflating distinct pipelines.
   kCseKeyIgnoresStages,
+  /// Union pushdown hands the last input a gather whose first field reads
+  /// the last column: the arity stays, but a nested field loses cells.
+  kUnionGatherDropsNestedCells,
 };
 
 /// Installs `mutation` process-globally for subsequent RunPasses calls.

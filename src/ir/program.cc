@@ -1,6 +1,7 @@
 #include "src/ir/program.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 namespace bagalg::ir {
@@ -43,7 +44,173 @@ Status CompileInto(const Expr& body, std::vector<RowProgram::Insn>* insns,
   }
 }
 
+/// A program's result traced over a row type: a tuple of traces, a cell
+/// of the input row, or a constant that is not a tuple (an atom or a bag).
+struct Trace {
+  enum class Kind : uint8_t { kTuple, kCell, kConst };
+  Kind kind = Kind::kTuple;
+  std::vector<Trace> fields;  ///< kTuple
+  uint32_t cell = 0;          ///< kCell
+  Value constant;             ///< kConst
+};
+
+/// The trace of an input row of `type`, numbering its cells from *next.
+Result<Trace> RowTrace(const Type& type, uint32_t* next) {
+  Trace t;
+  if (type.IsAtom()) {
+    t.kind = Trace::Kind::kCell;
+    t.cell = (*next)++;
+    return t;
+  }
+  if (!type.IsTuple()) {
+    return Status::Unsupported(
+        "pipeline rows hold only atoms and tuples, not " + type.ToString());
+  }
+  for (const Type& field : type.fields()) {
+    BAGALG_ASSIGN_OR_RETURN(Trace f, RowTrace(field, next));
+    t.fields.push_back(std::move(f));
+  }
+  return t;
+}
+
+Trace ConstTrace(const Value& v) {
+  Trace t;
+  if (v.IsTuple()) {
+    for (const Value& f : v.fields()) t.fields.push_back(ConstTrace(f));
+    return t;
+  }
+  t.kind = Trace::Kind::kConst;
+  t.constant = v;
+  return t;
+}
+
+/// Runs the program symbolically over rows of `row_type`.
+Result<Trace> TraceProgram(const std::vector<RowProgram::Insn>& insns,
+                           const std::vector<Value>& consts,
+                           const Type& row_type) {
+  std::optional<Trace> row;
+  std::vector<Trace> stack;
+  for (const RowProgram::Insn& insn : insns) {
+    switch (insn.op) {
+      case RowProgram::OpCode::kLoadRow:
+        if (!row.has_value()) {
+          uint32_t next = 0;
+          BAGALG_ASSIGN_OR_RETURN(row, RowTrace(row_type, &next));
+        }
+        stack.push_back(*row);
+        break;
+      case RowProgram::OpCode::kLoadConst:
+        stack.push_back(ConstTrace(consts[insn.arg]));
+        break;
+      case RowProgram::OpCode::kProjField: {
+        Trace t = std::move(stack.back());
+        stack.pop_back();
+        if (t.kind != Trace::Kind::kTuple || insn.arg < 1 ||
+            insn.arg > t.fields.size()) {
+          return Status::InvalidArgument(
+              "bad attribute projection in pipeline lambda");
+        }
+        stack.push_back(std::move(t.fields[insn.arg - 1]));
+        break;
+      }
+      case RowProgram::OpCode::kMakeTuple: {
+        Trace t;
+        t.fields.resize(insn.arg);
+        for (size_t i = insn.arg; i > 0; --i) {
+          t.fields[i - 1] = std::move(stack.back());
+          stack.pop_back();
+        }
+        stack.push_back(std::move(t));
+        break;
+      }
+    }
+  }
+  if (stack.size() != 1) return Status::Internal("malformed row program");
+  return std::move(stack.back());
+}
+
+/// Appends the cells of `t` to `map`, and returns its type.
+Result<Type> FlattenTrace(const Trace& t, std::vector<CellSource>* cells) {
+  switch (t.kind) {
+    case Trace::Kind::kCell:
+      cells->push_back({false, t.cell});
+      return Type::Atom();
+    case Trace::Kind::kConst:
+      if (!t.constant.IsAtom()) {
+        return Status::Unsupported("a bag inside a pipeline row");
+      }
+      cells->push_back({true, t.constant.atom_id()});
+      return Type::Atom();
+    case Trace::Kind::kTuple: {
+      std::vector<Type> fields;
+      fields.reserve(t.fields.size());
+      for (const Trace& f : t.fields) {
+        BAGALG_ASSIGN_OR_RETURN(Type type, FlattenTrace(f, cells));
+        fields.push_back(std::move(type));
+      }
+      return Type::Tuple(std::move(fields));
+    }
+  }
+  return Status::Internal("unknown trace kind");
+}
+
+CellSource SourceOf(const Trace& t) {
+  return t.kind == Trace::Kind::kCell ? CellSource{false, t.cell}
+                                      : CellSource{true, t.constant.atom_id()};
+}
+
+/// Adds to `filter` the cell pairs on which `a` and `b` must agree; false
+/// when they can never be equal (their shapes differ, or two constants do).
+bool MatchTraces(const Trace& a, const Trace& b, CellFilter* filter) {
+  using Kind = Trace::Kind;
+  if (a.kind == Kind::kTuple || b.kind == Kind::kTuple) {
+    if (a.kind != b.kind || a.fields.size() != b.fields.size()) return false;
+    for (size_t i = 0; i < a.fields.size(); ++i) {
+      if (!MatchTraces(a.fields[i], b.fields[i], filter)) return false;
+    }
+    return true;
+  }
+  if (a.kind == Kind::kConst && b.kind == Kind::kConst) {
+    return a.constant == b.constant;
+  }
+  // A cell holds an atom, which never equals a bag.
+  if ((a.kind == Kind::kConst && !a.constant.IsAtom()) ||
+      (b.kind == Kind::kConst && !b.constant.IsAtom())) {
+    return false;
+  }
+  if (a.kind == Kind::kCell && b.kind == Kind::kCell && a.cell == b.cell) {
+    return true;
+  }
+  filter->pairs.emplace_back(SourceOf(a), SourceOf(b));
+  return true;
+}
+
 }  // namespace
+
+Result<CellMap> RowProgram::CompileCells(const Type& row_type) const {
+  BAGALG_ASSIGN_OR_RETURN(Trace trace, TraceProgram(insns_, consts_, row_type));
+  CellMap map;
+  BAGALG_ASSIGN_OR_RETURN(map.type, FlattenTrace(trace, &map.cells));
+  return map;
+}
+
+Result<CellFilter> RowProgram::CompileFilter(const RowProgram& lhs,
+                                             const RowProgram& rhs,
+                                             const Type& row_type) {
+  BAGALG_ASSIGN_OR_RETURN(Trace l,
+                          TraceProgram(lhs.insns_, lhs.consts_, row_type));
+  BAGALG_ASSIGN_OR_RETURN(Trace r,
+                          TraceProgram(rhs.insns_, rhs.consts_, row_type));
+  CellFilter filter;
+  if (!MatchTraces(l, r, &filter)) {
+    filter.kind = CellFilter::Kind::kDropAll;
+    filter.pairs.clear();
+  } else {
+    filter.kind = filter.pairs.empty() ? CellFilter::Kind::kKeepAll
+                                       : CellFilter::Kind::kCompare;
+  }
+  return filter;
+}
 
 Result<RowProgram> RowProgram::Compile(const Expr& body) {
   RowProgram program;

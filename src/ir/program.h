@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/algebra/expr.h"
@@ -33,6 +34,32 @@
 #include "src/util/result.h"
 
 namespace bagalg::ir {
+
+/// Where one output cell of a compiled row program comes from: a cell of
+/// the input row, or a constant atom.
+struct CellSource {
+  bool constant = false;
+  uint32_t value = 0;  ///< the input cell's index, or the constant's AtomId
+
+  /// The cell's atom in the row starting at `row`.
+  AtomId Read(const AtomId* row) const { return constant ? value : row[value]; }
+};
+
+/// A projection compiled against its input row type: the output row type
+/// and, per output cell, where it comes from.
+struct CellMap {
+  Type type;
+  std::vector<CellSource> cells;
+};
+
+/// A filter compiled against its input row type. Its two sides are equal
+/// on a row iff every pair of cells matches; a side that differs in shape
+/// from the other, or two constant sides, decide every row at once.
+struct CellFilter {
+  enum class Kind : uint8_t { kKeepAll, kDropAll, kCompare };
+  Kind kind = Kind::kKeepAll;
+  std::vector<std::pair<CellSource, CellSource>> pairs;  ///< kCompare
+};
 
 /// A compiled object-level lambda body.
 class RowProgram {
@@ -96,8 +123,20 @@ class RowProgram {
   bool RemapColumns(const std::vector<size_t>& map);
 
   /// Executes the program on one row. InvalidArgument on a bad attribute
-  /// projection (non-tuple operand or out-of-range field).
+  /// projection (non-tuple operand or out-of-range field). Only plan-time
+  /// constant folding runs programs on values; execution uses CompileCells.
   Result<Value> Run(const Value& row) const;
+
+  /// Compiles the program against rows of `row_type` (a tree of atoms and
+  /// tuples): every output cell is an input cell or a constant atom.
+  /// InvalidArgument on a bad attribute projection, Unsupported when the
+  /// output holds a bag.
+  Result<CellMap> CompileCells(const Type& row_type) const;
+
+  /// Compiles the filter `lhs == rhs` against rows of `row_type`.
+  static Result<CellFilter> CompileFilter(const RowProgram& lhs,
+                                          const RowProgram& rhs,
+                                          const Type& row_type);
 
   /// Compact rendering for explain ir, e.g. "x", "a2", "t(a1, a4)", "'k".
   std::string ToString() const;

@@ -39,7 +39,11 @@ Status VerifyIr(const IrPlan& plan) {
   // transfer rules fail on exactly the structural inconsistencies a buggy
   // pass introduces (dangling column references, bad gathers, key bounds,
   // probe_arity drift, shape-mismatched unions/merges).
-  return ComputeIrFacts(plan).status();
+  BAGALG_RETURN_IF_ERROR(ComputeIrFacts(plan).status());
+  // The row layout the executor runs on: every node's row type, so union
+  // and merge children agree cell for cell (not only on their arity) and
+  // hash keys lie inside their side's cells.
+  return ComputeRowLayouts(plan).status();
 }
 
 Status ValidateTranslation(const Expr& expr, const Database& db,

@@ -11,8 +11,11 @@
 /// of a known row shape, gather lists naming nonexistent columns, hash-join
 /// keys outside their side's arity, joins whose probe_arity disagrees with
 /// the probe child's actual output, and union children of conflicting
-/// shapes. A pass that corrupts a plan structurally fails at the pass that
-/// broke it, with the pass named in the error.
+/// shapes, plus the row-layout derivation, which rejects union and merge
+/// children whose row types differ below the top level (so their cells
+/// disagree) and stages that do not type over their rows. A pass that
+/// corrupts a plan structurally fails at the pass that broke it, with the
+/// pass named in the error.
 ///
 /// ValidateTranslation is the semantic net for bugs verification cannot see
 /// (a dropped filter is a perfectly well-formed plan): it lowers with a
@@ -43,9 +46,10 @@ namespace bagalg::ir {
 /// and off with NDEBUG. Read once per process.
 bool IrVerifyEnabled();
 
-/// Structural verification of a plan: CheckFusionLegality plus the strict
-/// dataflow walk (ComputeIrFacts). kInternal / kUnsupported with an
-/// "ir verify" diagnostic on the first inconsistency.
+/// Structural verification of a plan: CheckFusionLegality, the strict
+/// dataflow walk (ComputeIrFacts) and the row layout (ComputeRowLayouts).
+/// kInternal / kUnsupported with an "ir verify" diagnostic on the first
+/// inconsistency.
 Status VerifyIr(const IrPlan& plan);
 
 /// What ValidateTranslation observed across the pass pipeline.

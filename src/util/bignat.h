@@ -89,7 +89,17 @@ class BigNat {
   struct DivModResult;
   Result<DivModResult> DivMod(const BigNat& divisor) const;
 
-  BigNat& operator+=(const BigNat& other) { return *this = *this + other; }
+  /// Adds in place; two inline values whose sum fits stay inline without
+  /// building a temporary (the combine step of every canonicalizing drain).
+  BigNat& operator+=(const BigNat& other) {
+    uint64_t sum;
+    if (limbs_.empty() && other.limbs_.empty() &&
+        !__builtin_add_overflow(small_, other.small_, &sum)) {
+      small_ = sum;
+      return *this;
+    }
+    return *this = *this + other;
+  }
   BigNat& operator*=(const BigNat& other) { return *this = *this * other; }
 
   bool operator==(const BigNat& o) const {

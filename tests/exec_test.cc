@@ -14,6 +14,7 @@
 #include "src/stats/expr_gen.h"
 #include "src/stats/sampler.h"
 #include "src/util/rng.h"
+#include "tests/flat_model.h"
 
 namespace bagalg {
 namespace {
@@ -132,6 +133,117 @@ TEST(ExecTest, EmptyInputsFlowThrough) {
       Product(Input("E"), Uplus(Input("E"), Input("E"))), db);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->empty());
+}
+
+/// exec, eval and the flat model on one query: exec equals the model
+/// exactly (element type included), and eval equals exec as a bag.
+void ExpectThreeWayAgreement(const Expr& q, const Database& db) {
+  auto want = model::Eval(q, db);
+  ASSERT_TRUE(want.ok()) << q.ToString() << ": " << want.status();
+  auto out = RunPipeline(q, db);
+  ASSERT_TRUE(out.ok()) << q.ToString() << ": " << out.status();
+  EXPECT_EQ(model::Diff(*out, *want), "") << q.ToString();
+  Evaluator eval;
+  auto reference = eval.EvalToBag(q, db);
+  ASSERT_TRUE(reference.ok()) << q.ToString() << ": " << reference.status();
+  EXPECT_EQ(*out, *reference) << q.ToString();
+}
+
+TEST(ExecTest, AtomRowsAgreeWithEvalAndTheModel) {
+  Database db = Db({{"A", MakeBag({{A("a"), 2}, {A("b"), 1}, {A("c"), 3}})},
+                    {"B", MakeBag({{A("a"), 1}, {A("c"), 5}})},
+                    {"R", MakeBag({{MakeTuple({A("a"), A("b")}), 2},
+                                   {MakeTuple({A("c"), A("b")}), 1}})}});
+  for (const Expr& q :
+       {Uplus(Input("A"), Input("B")), Monus(Input("A"), Input("B")),
+        Umax(Input("A"), Input("B")), Inter(Input("A"), Input("B")),
+        Eps(Input("A")), Select(Var(0), ConstExpr(A("c")), Input("A")),
+        Map(Tup({Var(0), Var(0)}), Input("A")),
+        Map(Proj(Var(0), 2), Input("R")),
+        Map(ConstExpr(A("k")), Input("R"))}) {
+    ExpectThreeWayAgreement(q, db);
+  }
+}
+
+TEST(ExecTest, NestedTupleRowsAgreeWithEvalAndTheModel) {
+  Database db = Db({{"R", MakeBag({{MakeTuple({A("a"), A("b")}), 2},
+                                   {MakeTuple({A("b"), A("a")}), 1},
+                                   {MakeTuple({A("c"), A("a")}), 4}})}});
+  // [[b, a], a]-shaped rows: the first field spans two cells.
+  const Expr nested = Map(
+      Tup({Tup({Proj(Var(0), 2), Proj(Var(0), 1)}), Proj(Var(0), 1)}),
+      Input("R"));
+  ExpectThreeWayAgreement(nested, db);
+  ExpectThreeWayAgreement(Uplus(nested, nested), db);
+  ExpectThreeWayAgreement(Monus(Uplus(nested, nested), nested), db);
+  ExpectThreeWayAgreement(Eps(nested), db);
+  ExpectThreeWayAgreement(Map(Proj(Var(0), 1), nested), db);
+  ExpectThreeWayAgreement(
+      Select(Proj(Proj(Var(0), 1), 1), Proj(Var(0), 2), nested), db);
+  // A hash join keyed on the nested field (a two-cell key).
+  ExpectThreeWayAgreement(
+      Select(Proj(Var(0), 1), Proj(Var(0), 3), Product(nested, nested)), db);
+  auto out = RunPipeline(nested, db);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->element_type().ToString(), "[[U, U], U]");
+}
+
+TEST(ExecTest, EmptyResultsHaveTheBottomElementType) {
+  Database db = Db({{"R", MakeBag({{MakeTuple({A("a"), A("b")}), 2}})}});
+  for (const Expr& q : {Monus(Input("R"), Input("R")),
+                        Select(Proj(Var(0), 1), ConstExpr(A("z")), Input("R")),
+                        Inter(Input("R"), Map(Tup({Proj(Var(0), 2),
+                                                   Proj(Var(0), 1)}),
+                                              Input("R")))}) {
+    auto out = RunPipeline(q, db);
+    ASSERT_TRUE(out.ok()) << q.ToString() << ": " << out.status();
+    EXPECT_TRUE(out->empty()) << q.ToString();
+    EXPECT_TRUE(out->element_type().IsBottom()) << q.ToString();
+    ExpectThreeWayAgreement(q, db);
+  }
+}
+
+TEST(ExecTest, HashJoinCountsPastTwoToThe64AgreeWithEvalAndTheModel) {
+  const Mult big = Mult::TwoPow(40) + Mult(3);
+  Bag::Builder r;
+  Bag::Builder s;
+  for (int i = 0; i < 40; ++i) {
+    const Value k = A(("k" + std::to_string(i % 7)).c_str());
+    r.Add(MakeTuple({A(("r" + std::to_string(i)).c_str()), k}), big);
+    s.Add(MakeTuple({k, A(("s" + std::to_string(i)).c_str())}),
+          big * Mult(static_cast<uint64_t>(i + 1)));
+  }
+  Database db = Db({{"R", std::move(r).Build().value()},
+                    {"S", std::move(s).Build().value()}});
+  const Expr q = ProjectAttrs(Select(Proj(Var(0), 2), Proj(Var(0), 3),
+                                     Product(Input("R"), Input("S"))),
+                              {1, 4});
+  auto plan = ir::LowerToIr(q, db);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_NE(ir::ExplainIrPlan(*plan).find("hash_join"), std::string::npos)
+      << ir::ExplainIrPlan(*plan);
+  ExpectThreeWayAgreement(q, db);
+  auto out = RunPipeline(q, db);
+  ASSERT_TRUE(out.ok());
+  EXPECT_GT(out->TotalCount().BitLength(), 64u);
+}
+
+TEST(ExecTest, BagsOfBagsAreUnsupportedUnderExecAndRunUnderEval) {
+  Database db = Db({{"N", MakeBag({{Value::FromBag(MakeBagOf({A("a")})), 2},
+                                   {Value::FromBag(MakeBagOf({A("b")})), 1}})},
+                    {"R", MakeBagOf({MakeTuple({A("a")})})}});
+  Evaluator eval;
+  for (const Expr& q : {Input("N"), Eps(Input("N")),
+                        Uplus(Input("N"), Input("N"))}) {
+    auto out = RunPipeline(q, db);
+    ASSERT_FALSE(out.ok()) << q.ToString();
+    EXPECT_EQ(out.status().code(), StatusCode::kUnsupported)
+        << q.ToString() << ": " << out.status();
+    EXPECT_NE(out.status().message().find("bag nesting 2"),
+              std::string::npos)
+        << out.status();
+    EXPECT_TRUE(eval.EvalToBag(q, db).ok()) << q.ToString();
+  }
 }
 
 class ExecFuzzTest : public ::testing::TestWithParam<uint64_t> {};

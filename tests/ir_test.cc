@@ -151,6 +151,51 @@ TEST(RowProgramTest, RemapColumnsFollowsGatherPermutation) {
   EXPECT_FALSE(q->RemapColumns({3, 1}));
 }
 
+TEST(RowProgramTest, CompileCellsMapsEveryOutputCell) {
+  // Rows [[U, U], U]: cells 0 and 1 are field 1, cell 2 is field 2.
+  const Type row = Type::Tuple(
+      {Type::Tuple({Type::Atom(), Type::Atom()}), Type::Atom()});
+  auto p = RowProgram::Compile(
+      Tup({Proj(Var(0), 2), ConstExpr(A("k")), Proj(Var(0), 1)}));
+  ASSERT_TRUE(p.ok());
+  auto map = p->CompileCells(row);
+  ASSERT_TRUE(map.ok()) << map.status();
+  EXPECT_EQ(map->type.ToString(), "[U, U, [U, U]]");
+  ASSERT_EQ(map->cells.size(), 4u);
+  const AtomId cells[] = {10, 11, 12};
+  std::vector<AtomId> out;
+  for (const ir::CellSource& c : map->cells) out.push_back(c.Read(cells));
+  EXPECT_EQ(out, (std::vector<AtomId>{12, A("k").atom_id(), 10, 11}));
+  EXPECT_EQ(p->CompileCells(Type::Atom()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(RowProgramTest, CompileFilterComparesCellsOrDecidesAtOnce) {
+  const Type row = Type::Tuple(
+      {Type::Tuple({Type::Atom(), Type::Atom()}), Type::Atom()});
+  auto filter = [&row](const Expr& l, const Expr& r) {
+    auto lp = RowProgram::Compile(l);
+    auto rp = RowProgram::Compile(r);
+    EXPECT_TRUE(lp.ok() && rp.ok());
+    auto f = RowProgram::CompileFilter(*lp, *rp, row);
+    EXPECT_TRUE(f.ok()) << f.status();
+    return *f;
+  };
+  // A nested field never equals an atom field.
+  EXPECT_EQ(filter(Proj(Var(0), 1), Proj(Var(0), 2)).kind,
+            ir::CellFilter::Kind::kDropAll);
+  // Two constants decide every row.
+  EXPECT_EQ(filter(ConstExpr(A("k")), ConstExpr(A("k"))).kind,
+            ir::CellFilter::Kind::kKeepAll);
+  EXPECT_EQ(filter(ConstExpr(A("k")), ConstExpr(A("j"))).kind,
+            ir::CellFilter::Kind::kDropAll);
+  // Field 1 against a nested constant: one pair per cell.
+  const ir::CellFilter f = filter(
+      Proj(Var(0), 1), ConstExpr(MakeTuple({A("a"), A("b")})));
+  EXPECT_EQ(f.kind, ir::CellFilter::Kind::kCompare);
+  EXPECT_EQ(f.pairs.size(), 2u);
+}
+
 // ------------------------------------------ batched governor checkpoints
 
 TEST(BatchTickerTest, FullBatchObservesDeadline) {

@@ -452,6 +452,40 @@ TEST(ServerTest, StatementsRunAndSessionsAreIsolated) {
   EXPECT_EQ(stats.errors, 1u);
 }
 
+TEST(ServerTest, ExecResultTypeHeadersFollowTheRows) {
+  ServerOptions options;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const uint16_t port = (*server)->port();
+  auto let = PostStatement(port, R"js({"session":"t","statement":)js"
+                                 R"js("let R = {{[a, b]*2, [b, c]}}"})js");
+  EXPECT_EQ(let.status, 200) << let.raw;
+  // An empty exec result is typed Bottom on the wire.
+  auto empty = PostStatement(
+      port, R"js({"session":"t","statement":"exec monus(R, R)"})js");
+  EXPECT_EQ(empty.status, 200) << empty.raw;
+  EXPECT_NE(empty.body.find(R"js("result":{"bag":{"type":"{{_}}",)js"
+                            R"js("entries":[]})js"),
+            std::string::npos)
+      << empty.body;
+  // Nested-tuple and atom rows carry their own element types.
+  auto nested = PostStatement(
+      port, R"js({"session":"t","statement":"exec map(x -> )js"
+            R"js(tup(tup(proj(2, x), proj(1, x)), proj(1, x)), R)"})js");
+  EXPECT_EQ(nested.status, 200) << nested.raw;
+  EXPECT_NE(nested.body.find(R"js("type":"{{[[U, U], U]}}")js"),
+            std::string::npos)
+      << nested.body;
+  auto atoms = PostStatement(port, R"js({"session":"t",)js"
+                                   R"js("statement":"exec map(x -> )js"
+                                   R"js(proj(1, x), R)"})js");
+  EXPECT_EQ(atoms.status, 200) << atoms.raw;
+  EXPECT_NE(atoms.body.find(R"js("type":"{{U}}")js"), std::string::npos)
+      << atoms.body;
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+}
+
 TEST(ServerTest, BudgetRefusalIsTypedAndPermanent) {
   ServerOptions options;
   options.cost_budget = 1000;  // pow({{..16 atoms..}}) estimates 2^16 >> 1000

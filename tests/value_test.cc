@@ -156,6 +156,28 @@ TEST(BagTest, ColumnFactsMatchABruteForceScan) {
   EXPECT_TRUE(Bag().column_facts().unique.empty());
 }
 
+TEST(BagTest, FlatCellsHoldTheAtomsOfEveryEntryInOrder) {
+  Bag bag = MakeBag({{MakeTuple({MakeTuple({A("b"), A("a")}), A("c")}), 2},
+                     {MakeTuple({MakeTuple({A("a"), A("c")}), A("b")}), 1}});
+  const Bag::FlatCells* flat = bag.flat_cells();
+  ASSERT_NE(flat, nullptr);
+  EXPECT_EQ(flat->width, 3u);
+  std::vector<AtomId> want;
+  for (const BagEntry& e : bag.entries()) {
+    const Value& inner = e.value.fields()[0];
+    want.push_back(inner.fields()[0].atom_id());
+    want.push_back(inner.fields()[1].atom_id());
+    want.push_back(e.value.fields()[1].atom_id());
+  }
+  EXPECT_EQ(flat->cells, want);
+  // Field 1 spans two cells; neither column repeats.
+  EXPECT_EQ(bag.column_facts().unique, (std::vector<bool>{true, true}));
+  EXPECT_EQ(Bag().flat_cells()->width, 0u);
+  const Bag nested = MakeBagOf({Value::FromBag(MakeBagOf({A("a")}))});
+  EXPECT_EQ(nested.flat_cells(), nullptr);
+  EXPECT_TRUE(nested.column_facts().constant.empty());
+}
+
 TEST(BagTest, SubBagRelation) {
   Bag big = MakeBag({{A("a"), 3}, {A("b"), 1}});
   EXPECT_TRUE(MakeBag({{A("a"), 2}}).SubBagOf(big));

@@ -72,6 +72,18 @@ Database CorpusDb() {
                                    {MakeTuple({A("y")}), 2},
                                    {MakeTuple({A("z")}), 1}}))
                   .ok());
+  // N, N2: rows [[a, b], c] whose first field is a nested tuple.
+  EXPECT_TRUE(db.Put("N", MakeBag({{MakeTuple({MakeTuple({A("a"), A("b")}),
+                                               A("c")}),
+                                    2},
+                                   {MakeTuple({MakeTuple({A("b"), A("a")}),
+                                               A("c")}),
+                                    1}}))
+                  .ok());
+  EXPECT_TRUE(db.Put("N2", MakeBag({{MakeTuple({MakeTuple({A("a"), A("b")}),
+                                                A("d")}),
+                                     3}}))
+                  .ok());
   return db;
 }
 
@@ -337,6 +349,13 @@ struct MutationCase {
   Expr expr;
 };
 
+/// τ(α1(x), α2(x)) over N ⊎ N2: union pushdown clones the gather into
+/// both inputs, whose first field is a nested tuple.
+Expr NestedUnionTrigger() {
+  return Map(Tup({Proj(Var(0), 1), Proj(Var(0), 2)}),
+             Uplus(Input("N"), Input("N2")));
+}
+
 std::vector<MutationCase> MutationCorpus() {
   Expr reorder_trigger =
       Select(Proj(Var(0), 1), ConstExpr(A("v0")),
@@ -369,6 +388,8 @@ std::vector<MutationCase> MutationCorpus() {
       {PassMutation::kCseKeyIgnoresStages, "cse-key-ignores-stages",
        Uplus(Map(Tup({ConstExpr(A("q"))}), Eps(Input("S"))),
              Eps(Input("S")))},
+      {PassMutation::kUnionGatherDropsNestedCells,
+       "union-gather-drops-nested-cells", NestedUnionTrigger()},
   };
 }
 
@@ -405,6 +426,8 @@ TEST(MutationCorpusTest, StructuralMutantsAreCaughtByTheVerifierAlone) {
               Product(Input("R"), Input("R2")))},
       {PassMutation::kUnionPushdownDropsChild, "union-drops-child",
        Map(Tup({Proj(Var(0), 1)}), Uplus(Input("R"), Input("R2")))},
+      {PassMutation::kUnionGatherDropsNestedCells,
+       "union-gather-drops-nested-cells", NestedUnionTrigger()},
   };
   for (const MutationCase& c : structural) {
     MutationGuard guard(c.mutation);
@@ -418,6 +441,25 @@ TEST(MutationCorpusTest, StructuralMutantsAreCaughtByTheVerifierAlone) {
           << c.name << ": " << plan.status();
     }
   }
+}
+
+TEST(MutationCorpusTest, NestedCellMutantIsCaughtOnlyByTheLayoutCheck) {
+  // The mutated gather keeps both union inputs at arity 2, so the
+  // dataflow facts accept the plan; only the row layout sees that the
+  // last input's rows are [c, c] where the first input's are [[a, b], c].
+  Database db = CorpusDb();
+  MutationGuard guard(PassMutation::kUnionGatherDropsNestedCells);
+  LowerOptions options = NoRewrite();
+  options.verify = LowerOptions::Verify::kOff;
+  auto plan = LowerToIr(NestedUnionTrigger(), db, options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_TRUE(ComputeIrFacts(*plan).ok());
+  Status verified = VerifyIr(*plan);
+  ASSERT_FALSE(verified.ok());
+  EXPECT_NE(verified.message().find("disagree on row layout"),
+            std::string::npos)
+      << verified;
+  EXPECT_FALSE(ir::ExecuteIr(*plan, db).ok());
 }
 
 // ------------------------------------------------------------ fuzzing
