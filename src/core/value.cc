@@ -325,6 +325,16 @@ void SortEntriesByValue(std::vector<BagEntry>& items) {
   }
 }
 
+/// The type of a tuple of `fields`. A row of atoms (`flat`) takes the
+/// shared flat tuple type: no Type allocated.
+Type TupleTypeOf(const std::vector<Value>& fields, bool flat) {
+  if (flat) return Type::FlatTuple(fields.size());
+  std::vector<Type> field_types;
+  field_types.reserve(fields.size());
+  for (const Value& f : fields) field_types.push_back(f.type());
+  return Type::Tuple(std::move(field_types));
+}
+
 }  // namespace
 
 // --------------------------------------------------------------------- Value
@@ -350,14 +360,7 @@ Value Value::Tuple(std::vector<Value> fields) {
     h = CombineHash(h, f.Hash());
     flat = flat && f.IsAtom();
   }
-  // A row of atoms takes the shared flat tuple type: no Type allocated.
-  auto rep = std::make_shared<Rep>(
-      Kind::kTuple, flat ? Type::FlatTuple(fields.size()) : [&fields] {
-        std::vector<Type> field_types;
-        field_types.reserve(fields.size());
-        for (const Value& f : fields) field_types.push_back(f.type());
-        return Type::Tuple(std::move(field_types));
-      }());
+  auto rep = std::make_shared<Rep>(Kind::kTuple, TupleTypeOf(fields, flat));
   rep->fields = std::move(fields);
   rep->hash = h;
   return Value(std::move(rep));

@@ -743,10 +743,10 @@ Status LayoutError(const std::string& what) {
 /// The source row type of `node` from its children's output row types.
 Result<Type> SourceRowType(const IrNode& node,
                            const std::vector<const Type*>& children) {
-  const size_t want = node.kind == IrKind::kScan       ? 0
-                      : node.kind == IrKind::kDupElim  ? 1
-                      : node.kind == IrKind::kUnionAll ? children.size()
-                                                       : 2;
+  size_t want = 2;
+  if (node.kind == IrKind::kScan) want = 0;
+  if (node.kind == IrKind::kDupElim) want = 1;
+  if (node.kind == IrKind::kUnionAll) want = children.size();
   if (children.size() != want) {
     return LayoutError(std::string(IrKindName(node.kind)) +
                        " has wrong child count");
@@ -805,7 +805,6 @@ Result<StageLayout> CompileStage(const Stage& stage, const Type& in) {
   StageLayout out;
   if (IsVoidRow(in)) {
     out.out = stage.kind == StageKind::kFilter ? in : Type::Bottom();
-    out.dead = true;
     return out;
   }
   if (stage.kind == StageKind::kFilter) {

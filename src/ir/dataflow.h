@@ -107,12 +107,12 @@ Result<IrFactsMap> ComputeIrFacts(const IrPlan& plan);
 // type that holds Bottom never exist — only an empty bag has a Bottom
 // element type — so a stage over such rows produces Bottom and never runs.
 
-/// One fused stage compiled against the row type it reads.
+/// One fused stage compiled against the row type it reads (left empty
+/// when no row of that type can exist).
 struct StageLayout {
   Type out;           ///< the row type the stage produces
   CellMap project;    ///< kProject: the output cells
   CellFilter filter;  ///< kFilter: the cells that must match
-  bool dead = false;  ///< reads rows that never exist (a Bottom-typed input)
 };
 
 /// A node's row types: its source's, then after each fused stage.

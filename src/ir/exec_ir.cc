@@ -81,19 +81,16 @@ Status EmitRows(const RowBatch& rows, const Sink& sink) {
 
 /// Applies one compiled stage to a batch in place. Filters compact with a
 /// write index; projections rewrite every row through the cell map.
-Status ApplyStage(const StageLayout& stage, StageKind kind, RowBatch* batch) {
-  if (stage.dead) {
-    return Status::Internal("rows reached a stage over Bottom-typed rows");
-  }
+void ApplyStage(const StageLayout& stage, StageKind kind, RowBatch* batch) {
   const size_t n = batch->size();
   const size_t width = batch->width;
   if (kind == StageKind::kFilter) {
     switch (stage.filter.kind) {
       case CellFilter::Kind::kKeepAll:
-        return Status::Ok();
+        return;
       case CellFilter::Kind::kDropAll:
         batch->Clear();
-        return Status::Ok();
+        return;
       case CellFilter::Kind::kCompare:
         break;
     }
@@ -118,14 +115,14 @@ Status ApplyStage(const StageLayout& stage, StageKind kind, RowBatch* batch) {
     }
     batch->cells.resize(w * width);
     batch->counts.resize(w);
-    return Status::Ok();
+    return;
   }
   const auto& map = stage.project.cells;
   bool identity = map.size() == width;
   for (size_t k = 0; identity && k < map.size(); ++k) {
     identity = !map[k].constant && map[k].value == k;
   }
-  if (identity) return Status::Ok();
+  if (identity) return;
   std::vector<AtomId> out(n * map.size());
   AtomId* o = out.data();
   for (size_t i = 0; i < n; ++i) {
@@ -134,7 +131,6 @@ Status ApplyStage(const StageLayout& stage, StageKind kind, RowBatch* batch) {
   }
   batch->cells = std::move(out);
   batch->width = map.size();
-  return Status::Ok();
 }
 
 // ------------------------------------------------------- canonical order
@@ -338,11 +334,12 @@ class StoredRows {
 void FindStoredRows(const IrNode& node, const Type& type,
                     std::vector<StoredRows>* out) {
   const Bag& bag = node.scan_bag;
+  const auto same = [&bag](const StoredRows& s) {
+    return s.entries() == &bag.entries();
+  };
   if (node.kind == IrKind::kScan && !bag.empty() &&
       bag.element_type() == type &&
-      std::none_of(out->begin(), out->end(), [&bag](const StoredRows& s) {
-        return s.entries() == &bag.entries();
-      })) {
+      std::none_of(out->begin(), out->end(), same)) {
     out->emplace_back(bag);
   }
   for (const auto& child : node.children) FindStoredRows(*child, type, out);
@@ -699,8 +696,7 @@ Status ProduceStaged(const IrNode& node, ExecContext* ctx, const Sink& sink) {
       ProduceSource(node, ctx, [&](RowBatch& batch) -> Status {
         const uint64_t in_rows = batch.size();
         for (size_t k = 0; k < node.stages.size() && !batch.empty(); ++k) {
-          BAGALG_RETURN_IF_ERROR(
-              ApplyStage(layout.stages[k], node.stages[k].kind, &batch));
+          ApplyStage(layout.stages[k], node.stages[k].kind, &batch);
         }
         ctx->batches++;
         ctx->rows += batch.size();
