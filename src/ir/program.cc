@@ -49,9 +49,9 @@ Status CompileInto(const Expr& body, std::vector<RowProgram::Insn>* insns,
 struct Trace {
   enum class Kind : uint8_t { kTuple, kCell, kConst };
   Kind kind = Kind::kTuple;
-  std::vector<Trace> fields;  ///< kTuple
-  uint32_t cell = 0;          ///< kCell
-  Value constant;             ///< kConst
+  std::vector<Trace> fields;        ///< kTuple
+  uint32_t cell = 0;                ///< kCell
+  const Value* constant = nullptr;  ///< kConst: owned by the program
 };
 
 /// The trace of an input row of `type`, numbering its cells from *next.
@@ -80,7 +80,7 @@ Trace ConstTrace(const Value& v) {
     return t;
   }
   t.kind = Trace::Kind::kConst;
-  t.constant = v;
+  t.constant = &v;
   return t;
 }
 
@@ -136,10 +136,10 @@ Result<Type> FlattenTrace(const Trace& t, std::vector<CellSource>* cells) {
       cells->push_back({false, t.cell});
       return Type::Atom();
     case Trace::Kind::kConst:
-      if (!t.constant.IsAtom()) {
+      if (!t.constant->IsAtom()) {
         return Status::Unsupported("a bag inside a pipeline row");
       }
-      cells->push_back({true, t.constant.atom_id()});
+      cells->push_back({true, t.constant->atom_id()});
       return Type::Atom();
     case Trace::Kind::kTuple: {
       std::vector<Type> fields;
@@ -155,8 +155,8 @@ Result<Type> FlattenTrace(const Trace& t, std::vector<CellSource>* cells) {
 }
 
 CellSource SourceOf(const Trace& t) {
-  return t.kind == Trace::Kind::kCell ? CellSource{false, t.cell}
-                                      : CellSource{true, t.constant.atom_id()};
+  if (t.kind == Trace::Kind::kCell) return {false, t.cell};
+  return {true, t.constant->atom_id()};
 }
 
 /// Adds to `filter` the cell pairs on which `a` and `b` must agree; false
@@ -171,11 +171,11 @@ bool MatchTraces(const Trace& a, const Trace& b, CellFilter* filter) {
     return true;
   }
   if (a.kind == Kind::kConst && b.kind == Kind::kConst) {
-    return a.constant == b.constant;
+    return *a.constant == *b.constant;
   }
   // A cell holds an atom, which never equals a bag.
-  if ((a.kind == Kind::kConst && !a.constant.IsAtom()) ||
-      (b.kind == Kind::kConst && !b.constant.IsAtom())) {
+  if ((a.kind == Kind::kConst && !a.constant->IsAtom()) ||
+      (b.kind == Kind::kConst && !b.constant->IsAtom())) {
     return false;
   }
   if (a.kind == Kind::kCell && b.kind == Kind::kCell && a.cell == b.cell) {
