@@ -1561,9 +1561,11 @@ TEST(ServerTest, ThreadCpuCountersGrowWithWork) {
   const std::string before = Fetch(port, "GET", "/metrics", "").body;
   ASSERT_GE(PromValue(before, kLoop), 0) << before;
   ASSERT_GE(PromValue(before, kLane), 0) << before;
+  // getrusage(RUSAGE_THREAD) may advance in whole scheduler ticks (4 ms
+  // on a 250 Hz kernel), so the statement must use several of them.
   const ClientResponse work = PostStatement(
       port, R"js({"session":"cpu","statement":"count pow('{{a,b,c,d,e,f,)js"
-            R"js(g,h,i,j,k,l}})"})js");
+            R"js(g,h,i,j,k,l,m,n}})"})js");
   EXPECT_EQ(work.status, 200) << work.raw;
   const std::string after = Fetch(port, "GET", "/metrics", "").body;
   EXPECT_GT(PromValue(after, kLoop), PromValue(before, kLoop));
