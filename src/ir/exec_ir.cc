@@ -155,13 +155,12 @@ uint64_t PrefixKey(const AtomId* row, size_t width) {
 }
 
 /// Puts a drained stream, held as whole batches of `width`-cell rows, in
-/// canonical order and combines equal rows by adding their counts; calls
-/// emit(row, count) once per distinct row, in order. Rows already in
-/// order are only combined; a few sorted runs (the concatenated canonical
-/// streams of a ⊎) are merged pairwise; anything else is sorted.
-template <typename Emit>
-void Canonicalize(std::vector<RowBatch>& parts, size_t width,
-                  const Emit& emit) {
+/// canonical order and combines equal rows, adding their counts into the
+/// first one's: returns one entry per distinct row, in order. Rows already
+/// in order are only combined; a few sorted runs (the concatenated
+/// canonical streams of a ⊎) are merged pairwise; anything else is sorted.
+std::vector<KeyedRow> Canonicalize(std::vector<RowBatch>& parts,
+                                   size_t width) {
   size_t n = 0;
   for (const RowBatch& part : parts) n += part.size();
   std::vector<KeyedRow> order;
@@ -174,8 +173,7 @@ void Canonicalize(std::vector<RowBatch>& parts, size_t width,
   }
   const auto less = [width](const KeyedRow& a, const KeyedRow& b) {
     if (a.key != b.key) return a.key < b.key;
-    return width > 2 &&
-           CompareRows(a.row + 2, b.row + 2, width - 2) < 0;
+    return width > 2 && CompareRows(a.row + 2, b.row + 2, width - 2) < 0;
   };
   // The natural runs, as [begin, end) ranges of `order`.
   std::vector<std::pair<size_t, size_t>> runs;
@@ -211,17 +209,18 @@ void Canonicalize(std::vector<RowBatch>& parts, size_t width,
       runs = std::move(next);
     }
   }
-  for (size_t i = 0; i < n;) {
-    Mult count = std::move(*order[i].count);
-    size_t j = i + 1;
-    for (; j < n && order[j].key == order[i].key &&
-           CompareRows(order[j].row, order[i].row, width) == 0;
-         ++j) {
-      count += *order[j].count;
+  size_t distinct = 0;
+  for (size_t i = 0; i < n; ++i) {
+    KeyedRow& last = order[distinct == 0 ? 0 : distinct - 1];
+    if (distinct > 0 && order[i].key == last.key &&
+        CompareRows(order[i].row, last.row, width) == 0) {
+      *last.count += *order[i].count;
+    } else {
+      order[distinct++] = order[i];
     }
-    emit(order[i].row, std::move(count));
-    i = j;
   }
+  order.resize(distinct);
+  return order;
 }
 
 // ------------------------------------------------------------- draining
@@ -269,12 +268,9 @@ Result<RowBatch> Drain(Producer produce, const IrNode& node, ExecContext* ctx,
                           Collect(produce, node, ctx, &span));
   RowBatch rows;
   rows.width = CellWidth(ctx->Layout(node).out());
-  size_t n = 0;
-  for (const RowBatch& part : parts) n += part.size();
-  rows.Reserve(n);
-  Canonicalize(parts, rows.width, [&rows](const AtomId* row, Mult count) {
-    rows.Push(row, std::move(count));
-  });
+  const std::vector<KeyedRow> order = Canonicalize(parts, rows.width);
+  rows.Reserve(order.size());
+  for (const KeyedRow& k : order) rows.Push(k.row, std::move(*k.count));
   if (rows.size() >= kGovernorAccountMinEntries) {
     GovernorAccountBytes(rows.cells.size() * sizeof(AtomId) +
                          rows.counts.size() * sizeof(Mult));
@@ -375,17 +371,19 @@ Result<Bag> DrainRoot(const IrNode& root, ExecContext* ctx) {
     if (fresh) it->second = Value::Atom(id);
     return it->second;
   };
+  const std::vector<KeyedRow> order = Canonicalize(parts, CellWidth(type));
   std::vector<BagEntry> entries;
-  Canonicalize(parts, CellWidth(type), [&](const AtomId* row, Mult count) {
+  entries.reserve(order.size());
+  for (const KeyedRow& k : order) {
     const Value* found = nullptr;
     for (size_t s = 0; s < stored.size() && found == nullptr; ++s) {
-      found = stored[s].Find(row);
+      found = stored[s].Find(k.row);
     }
     size_t pos = 0;
     entries.push_back(
-        {found != nullptr ? *found : RowValue(type, row, &pos, atom_of),
-         std::move(count)});
-  });
+        {found != nullptr ? *found : RowValue(type, k.row, &pos, atom_of),
+         std::move(*k.count)});
+  }
   Type element = entries.empty() ? Type::Bottom() : entries[0].value.type();
   return Bag::FromCanonicalEntries(std::move(element), std::move(entries));
 }
