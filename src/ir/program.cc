@@ -188,8 +188,30 @@ bool MatchTraces(const Trace& a, const Trace& b, CellFilter* filter) {
 }  // namespace
 
 Result<CellMap> RowProgram::CompileCells(const Type& row_type) const {
-  BAGALG_ASSIGN_OR_RETURN(Trace trace, TraceProgram(insns_, consts_, row_type));
   CellMap map;
+  if (gather_.has_value() && row_type.IsTuple()) {
+    // The common projection: copy whole fields, no trace needed.
+    const auto& fields = row_type.fields();
+    std::vector<uint32_t> begin(fields.size() + 1, 0);
+    for (size_t f = 0; f < fields.size(); ++f) {
+      begin[f + 1] = begin[f] + static_cast<uint32_t>(CellWidth(fields[f]));
+    }
+    std::vector<Type> types;
+    types.reserve(gather_->size());
+    for (size_t f : *gather_) {
+      if (f < 1 || f > fields.size()) {
+        return Status::InvalidArgument(
+            "bad attribute projection in pipeline lambda");
+      }
+      for (uint32_t c = begin[f - 1]; c < begin[f]; ++c) {
+        map.cells.push_back({false, c});
+      }
+      types.push_back(fields[f - 1]);
+    }
+    map.type = Type::Tuple(std::move(types));
+    return map;
+  }
+  BAGALG_ASSIGN_OR_RETURN(Trace trace, TraceProgram(insns_, consts_, row_type));
   BAGALG_ASSIGN_OR_RETURN(map.type, FlattenTrace(trace, &map.cells));
   return map;
 }
