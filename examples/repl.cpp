@@ -72,16 +72,18 @@ int main(int argc, char** argv) {
     }
     std::ostringstream text;
     text << file.rdbuf();
-    auto result = runner.RunScript(text.str());
-    if (!result.ok()) {
-      std::cerr << result.status() << "\n";
+    // Each command's output is printed as it completes, so a failing
+    // script still shows what ran before the error.
+    Status status = runner.RunScript(text.str(), std::cout);
+    if (!status.ok()) {
+      std::cout.flush();
+      std::cerr << status << "\n";
       // A governor trip leaves a flight-recorder dump behind — the black
       // box of the aborted statement. Surface it next to the error.
       std::string dump = runner.TakeFlightDump();
       if (!dump.empty()) std::cerr << dump << "\n";
       return 1;
     }
-    std::cout << *result;
     return 0;
   }
 

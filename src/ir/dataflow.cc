@@ -57,14 +57,13 @@ std::optional<uint64_t> MaxMin(const std::optional<uint64_t>& a,
   return std::min(*a, *b);
 }
 
-void AddKey(IrFacts* facts, std::vector<size_t> key) {
+/// Records `key` for rows of type `row`, unless it is the implicit
+/// full-column key.
+void AddKey(IrFacts* facts, std::vector<size_t> key, const Type& row) {
   std::sort(key.begin(), key.end());
   key.erase(std::unique(key.begin(), key.end()), key.end());
   if (key.empty()) return;
-  // The implicit full-column key is never stored.
-  if (facts->shape == IrFacts::Shape::kTuple && key.size() == facts->arity) {
-    return;
-  }
+  if (row.IsTuple() && key.size() == row.fields().size()) return;
   for (const auto& existing : facts->keys) {
     if (existing == key) return;
   }
@@ -77,72 +76,6 @@ bool IsSubset(const std::vector<size_t>& sub, const std::vector<size_t>& sup) {
   return std::includes(sup.begin(), sup.end(), sub.begin(), sub.end());
 }
 
-/// The node's per-row "row shape error" helper: every referenced column
-/// must exist under the incoming shape.
-Status CheckRefs(const std::optional<std::vector<size_t>>& refs,
-                 const IrFacts& in, const char* what) {
-  if (!refs.has_value() || refs->empty()) return Status::Ok();
-  if (in.shape == IrFacts::Shape::kNonTuple) {
-    return Status::Internal(std::string("ir verify: ") + what +
-                            " projects a column out of non-tuple rows");
-  }
-  if (in.shape == IrFacts::Shape::kTuple) {
-    for (size_t c : *refs) {
-      if (c < 1 || c > in.arity) {
-        return Status::Internal(
-            std::string("ir verify: ") + what + " references column " +
-            std::to_string(c) + " of " + std::to_string(in.arity) +
-            "-column rows");
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-/// A general projection program decomposed into per-output-field sources,
-/// when its top level is one MakeTuple of flat fields.
-struct TupleField {
-  enum class Kind : uint8_t { kConst, kColumn, kOpaque };
-  Kind kind = Kind::kOpaque;
-  size_t column = 0;  ///< kColumn: 1-based source column
-  std::optional<Value> constant;
-};
-
-/// Decomposes `t(f1, ..., fk)`-shaped programs where every field is a
-/// constant or a single column copy. nullopt when the program has any
-/// other shape.
-std::optional<std::vector<TupleField>> DecomposeTupleProgram(
-    const RowProgram& program) {
-  const auto& insns = program.insns();
-  if (insns.empty() ||
-      insns.back().op != RowProgram::OpCode::kMakeTuple) {
-    return std::nullopt;
-  }
-  const size_t want = insns.back().arg;
-  std::vector<TupleField> fields;
-  size_t i = 0;
-  while (i + 1 < insns.size()) {
-    TupleField field;
-    if (insns[i].op == RowProgram::OpCode::kLoadRow &&
-        i + 2 < insns.size() &&
-        insns[i + 1].op == RowProgram::OpCode::kProjField) {
-      field.kind = TupleField::Kind::kColumn;
-      field.column = insns[i + 1].arg;
-      i += 2;
-    } else if (insns[i].op == RowProgram::OpCode::kLoadConst) {
-      // The constant pool is private to RowProgram; the caller recovers the
-      // value by running the whole program on a probe row.
-      field.kind = TupleField::Kind::kConst;
-      i += 1;
-    } else {
-      return std::nullopt;
-    }
-    fields.push_back(field);
-  }
-  if (fields.size() != want) return std::nullopt;
-  return fields;
-}
-
 /// Facts for a scan's bound bag. Exact where the bag is small enough to
 /// inspect; conservative (unknown) beyond the caps. The data-dependent
 /// parts are cached on the bag, so re-lowering over it reads them for free.
@@ -150,40 +83,35 @@ IrFacts ScanFacts(const IrNode& node) {
   IrFacts facts;
   const Bag& bag = node.scan_bag;
   const Type& element = bag.element_type();
-  if (element.IsTuple()) {
-    facts.shape = IrFacts::Shape::kTuple;
-    facts.arity = element.fields().size();
-  } else if (!element.IsBottom()) {
-    facts.shape = IrFacts::Shape::kNonTuple;
-  }
+  const size_t arity = element.IsTuple() ? element.fields().size() : 0;
   const size_t distinct = bag.DistinctCount();
   facts.min_rows = distinct;
   facts.max_rows = distinct;
   if (distinct <= kSetLikeEntryCap) facts.dup_free = bag.IsSetLike();
-  if (facts.shape == IrFacts::Shape::kTuple && facts.arity > 0 &&
-      distinct > 0 && distinct <= kScanFactEntryCap &&
-      bag.column_facts().constant.size() == facts.arity) {
+  if (arity > 0 && distinct > 0 && distinct <= kScanFactEntryCap &&
+      bag.column_facts().constant.size() == arity) {
     const Bag::ColumnFacts& columns = bag.column_facts();
     const Value& first = bag.entries()[0].value;
-    for (size_t c = 1; c <= facts.arity; ++c) {
+    for (size_t c = 1; c <= arity; ++c) {
       if (columns.constant[c - 1]) {
         facts.const_cols.emplace(c, first.fields()[c - 1]);
       }
-      if (columns.unique[c - 1] && facts.arity > 1) AddKey(&facts, {c});
+      if (columns.unique[c - 1] && arity > 1) AddKey(&facts, {c}, element);
     }
   }
   return facts;
 }
 
-/// Remaps an old key through a gather list when the gather covers it; the
-/// witness picks the first gather position for each key column.
+/// Remaps an old key through a field-source list (the 1-based input column
+/// each output field copies, 0 for none) when the copies cover it; the
+/// witness picks the first output field for each key column.
 std::optional<std::vector<size_t>> RemapKeyThrough(
-    const std::vector<size_t>& key, const std::vector<size_t>& gather) {
+    const std::vector<size_t>& key, const std::vector<size_t>& sources) {
   std::vector<size_t> remapped;
   for (size_t k : key) {
     bool found = false;
-    for (size_t j = 0; j < gather.size(); ++j) {
-      if (gather[j] == k) {
+    for (size_t j = 0; j < sources.size(); ++j) {
+      if (sources[j] == k) {
         remapped.push_back(j + 1);
         found = true;
         break;
@@ -194,68 +122,138 @@ std::optional<std::vector<size_t>> RemapKeyThrough(
   return remapped;
 }
 
-IrFacts GatherFacts(const std::vector<size_t>& gather, const IrFacts& in) {
+/// The input column whose cells the output cells [begin, end), of type
+/// `type`, copy in order, or 0 when they copy no whole column of `in_row`.
+/// The column's type must equal `type`: equal widths do not make equal
+/// shapes (an atom and a 1-tuple are both one cell wide).
+size_t CopiedColumn(const std::vector<CellSource>& cells, size_t begin,
+                    size_t end, const Type& type, const Type& in_row) {
+  if (!in_row.IsTuple() || begin == end || cells[begin].constant) return 0;
+  const size_t first = cells[begin].value;
+  size_t column_begin = 0;
+  for (size_t c = 1; c <= in_row.fields().size(); ++c) {
+    const size_t width = CellWidth(in_row.fields()[c - 1]);
+    if (column_begin == first && width == end - begin) {
+      if (!(in_row.fields()[c - 1] == type)) return 0;
+      for (size_t i = begin; i < end; ++i) {
+        if (cells[i].constant || cells[i].value != first + (i - begin)) {
+          return 0;
+        }
+      }
+      return c;
+    }
+    column_begin += width;
+  }
+  return 0;
+}
+
+/// The value of type `type` held by the constant cells from *pos on.
+Value ConstantCells(const Type& type, const std::vector<CellSource>& cells,
+                    size_t* pos) {
+  if (type.IsAtom()) return Value::Atom(cells[(*pos)++].value);
+  std::vector<Value> fields;
+  fields.reserve(type.fields().size());
+  for (const Type& field : type.fields()) {
+    fields.push_back(ConstantCells(field, cells, pos));
+  }
+  return Value::Tuple(std::move(fields));
+}
+
+bool AllConstant(const std::vector<CellSource>& cells, size_t begin,
+                 size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    if (!cells[i].constant) return false;
+  }
+  return true;
+}
+
+/// Facts of a projection compiled to `compiled` over rows of type `in_row`.
+/// An output field whose cells are all constant is a constant column; one
+/// whose cells are a whole input column, in order, is a copy of it. The
+/// projection is injective when the copied columns — of the fields, or of
+/// the whole output row — contain a key.
+IrFacts ProjectionFacts(const Type& in_row, const StageLayout& compiled,
+                        const IrFacts& in) {
   IrFacts out;
-  out.shape = IrFacts::Shape::kTuple;
-  out.arity = gather.size();
-  const bool injective = in.HasKeyWithin(gather);
-  out.dup_free = in.dup_free && injective;
+  out.min_rows = in.min_rows > 0 ? 1 : 0;
+  out.max_rows = in.max_rows;
+  if (IsVoidRow(in_row)) return out;  // no row ever reaches the stage
+  const Type& row = compiled.out;
+  const std::vector<CellSource>& cells = compiled.project.cells;
+  std::vector<size_t> copied;
+  if (const size_t whole =
+          CopiedColumn(cells, 0, cells.size(), row, in_row)) {
+    copied.push_back(whole);
+  }
+  std::vector<size_t> sources;  // per output field, the column it copies
+  if (row.IsTuple()) {
+    size_t begin = 0;
+    for (size_t j = 1; j <= row.fields().size(); ++j) {
+      const size_t end = begin + CellWidth(row.fields()[j - 1]);
+      const size_t column =
+          CopiedColumn(cells, begin, end, row.fields()[j - 1], in_row);
+      sources.push_back(column);
+      if (column != 0) {
+        copied.push_back(column);
+        auto it = in.const_cols.find(column);
+        if (it != in.const_cols.end()) out.const_cols.emplace(j, it->second);
+      } else if (AllConstant(cells, begin, end)) {
+        size_t pos = begin;
+        out.const_cols.emplace(j, ConstantCells(row.fields()[j - 1], cells,
+                                                &pos));
+      }
+      begin = end;
+    }
+  }
   for (const auto& key : in.keys) {
-    if (auto remapped = RemapKeyThrough(key, gather)) {
-      AddKey(&out, *std::move(remapped));
+    if (auto remapped = RemapKeyThrough(key, sources)) {
+      AddKey(&out, *std::move(remapped), row);
     }
   }
-  // The source's implicit full-column key survives when the gather covers
-  // every column.
-  if (in.shape == IrFacts::Shape::kTuple && in.arity > 0) {
-    std::vector<size_t> full(in.arity);
-    for (size_t c = 0; c < in.arity; ++c) full[c] = c + 1;
-    if (auto remapped = RemapKeyThrough(full, gather)) {
-      AddKey(&out, *std::move(remapped));
+  // The input's implicit full-column key survives when every input column
+  // is copied to a field.
+  if (in_row.IsTuple() && !in_row.fields().empty()) {
+    std::vector<size_t> full(in_row.fields().size());
+    for (size_t c = 0; c < full.size(); ++c) full[c] = c + 1;
+    if (auto remapped = RemapKeyThrough(full, sources)) {
+      AddKey(&out, *std::move(remapped), row);
     }
   }
-  for (size_t j = 0; j < gather.size(); ++j) {
-    auto it = in.const_cols.find(gather[j]);
-    if (it != in.const_cols.end()) out.const_cols.emplace(j + 1, it->second);
-  }
-  if (injective) {
+  if (AllConstant(cells, 0, cells.size())) {
+    // Every input row maps to the one constant row; counts of merged
+    // entries sum, so dup-freedom needs a singleton input.
+    out.max_rows = MaxMin(in.max_rows, std::optional<uint64_t>(1));
+    out.dup_free = in.dup_free && in.max_rows.has_value() && *in.max_rows <= 1;
+  } else if (in.HasKeyWithin(copied, in_row)) {
+    out.dup_free = in.dup_free;
     out.min_rows = in.min_rows;
-    out.max_rows = in.max_rows;
-  } else {
-    out.min_rows = in.min_rows > 0 ? 1 : 0;
-    out.max_rows = in.max_rows;
   }
   return out;
 }
 
 }  // namespace
 
-bool IrFacts::HasKeyWithin(const std::vector<size_t>& cols) const {
+bool IrFacts::HasKeyWithin(const std::vector<size_t>& cols,
+                           const Type& row) const {
   std::vector<size_t> sorted = cols;
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   for (const auto& key : keys) {
     if (IsSubset(key, sorted)) return true;
   }
-  if (shape == Shape::kTuple) {
-    // Implicit key: canonical entries are pairwise distinct values, so the
-    // full column set always separates them.
-    bool covers_all = true;
-    for (size_t c = 1; c <= arity; ++c) {
-      if (!std::binary_search(sorted.begin(), sorted.end(), c)) {
-        covers_all = false;
-        break;
-      }
-    }
-    if (covers_all) return true;
+  if (!row.IsTuple()) return false;
+  // Implicit key: canonical entries are pairwise distinct values, so the
+  // full column set always separates them.
+  for (size_t c = 1; c <= row.fields().size(); ++c) {
+    if (!std::binary_search(sorted.begin(), sorted.end(), c)) return false;
   }
-  return false;
+  return true;
 }
 
-std::string IrFacts::ToString() const {
+std::string IrFacts::ToString(const Type& row) const {
   std::vector<std::string> parts;
-  if (shape == Shape::kTuple) {
-    parts.push_back("arity=" + std::to_string(arity));
+  if (row.IsTuple()) {
+    parts.push_back("arity=" + std::to_string(row.fields().size()));
   }
   if (dup_free) parts.push_back("dup_free");
   if (disjoint_children) parts.push_back("disjoint");
@@ -284,17 +282,9 @@ std::string IrFacts::ToString() const {
   return out + "]";
 }
 
-Result<IrFacts> ApplyStageFacts(const Stage& stage, const IrFacts& in) {
-  if (stage.program.insns().empty()) {
-    return Status::Internal("ir verify: empty stage program");
-  }
+IrFacts ApplyStageFacts(const Stage& stage, const Type& in_row,
+                        const StageLayout& compiled, const IrFacts& in) {
   if (stage.kind == StageKind::kFilter) {
-    if (stage.rhs.insns().empty()) {
-      return Status::Internal("ir verify: empty filter rhs program");
-    }
-    BAGALG_RETURN_IF_ERROR(
-        CheckRefs(stage.program.ColumnRefs(), in, "filter"));
-    BAGALG_RETURN_IF_ERROR(CheckRefs(stage.rhs.ColumnRefs(), in, "filter"));
     IrFacts out = in;
     out.min_rows = 0;
     out.disjoint_children = false;
@@ -306,147 +296,19 @@ Result<IrFacts> ApplyStageFacts(const Stage& stage, const IrFacts& in) {
     }
     return out;
   }
-
-  // kProject.
-  const RowProgram& program = stage.program;
-  if (program.IsIdentity()) return in;
-  BAGALG_RETURN_IF_ERROR(CheckRefs(program.ColumnRefs(), in, "projection"));
-  if (const auto& constant = program.ConstantValue(); constant.has_value()) {
-    IrFacts out;
-    if (constant->IsTuple()) {
-      out.shape = IrFacts::Shape::kTuple;
-      out.arity = constant->fields().size();
-      for (size_t c = 0; c < out.arity; ++c) {
-        out.const_cols.emplace(c + 1, constant->fields()[c]);
-      }
-    } else {
-      out.shape = IrFacts::Shape::kNonTuple;
-    }
-    out.min_rows = in.min_rows > 0 ? 1 : 0;
-    out.max_rows = MaxMin(in.max_rows, std::optional<uint64_t>(1));
-    // Counts of merged entries sum, so dup-freedom needs a singleton input.
-    out.dup_free =
-        in.dup_free && in.max_rows.has_value() && *in.max_rows <= 1;
-    return out;
-  }
-  if (const auto field = program.FieldRef(); field.has_value()) {
-    IrFacts out;
-    const bool injective = in.HasKeyWithin({*field});
-    out.dup_free = in.dup_free && injective;
-    if (injective) {
-      out.min_rows = in.min_rows;
-      out.max_rows = in.max_rows;
-    } else {
-      out.min_rows = in.min_rows > 0 ? 1 : 0;
-      out.max_rows = in.max_rows;
-    }
-    return out;
-  }
-  if (const auto& gather = program.Gather(); gather.has_value()) {
-    return GatherFacts(*gather, in);
-  }
-  if (auto fields = DecomposeTupleProgram(program)) {
-    // t(...)-shaped with constant and column-copy fields: behave like a
-    // gather over the copied columns, with the constant fields recovered by
-    // running the program on one representative row (all-constant fields
-    // are handled by the ConstantValue branch above, so a probe row built
-    // from the incoming const facts is only needed per-field).
-    IrFacts out;
-    out.shape = IrFacts::Shape::kTuple;
-    out.arity = fields->size();
-    std::vector<size_t> copied;
-    for (size_t j = 0; j < fields->size(); ++j) {
-      const TupleField& field = (*fields)[j];
-      if (field.kind == TupleField::Kind::kColumn) {
-        copied.push_back(field.column);
-        auto it = in.const_cols.find(field.column);
-        if (it != in.const_cols.end()) {
-          out.const_cols.emplace(j + 1, it->second);
-        }
-      }
-    }
-    // Constant fields: recover values by evaluating the program on a probe
-    // row whose copied columns are filled with placeholders. Sound because
-    // a kConst field ignores the row entirely.
-    if (in.shape == IrFacts::Shape::kTuple) {
-      std::vector<Value> probe_fields(in.arity, MakeAtom("_"));
-      Result<Value> probe = program.Run(Value::Tuple(std::move(probe_fields)));
-      if (probe.ok() && probe.value().IsTuple() &&
-          probe.value().fields().size() == fields->size()) {
-        for (size_t j = 0; j < fields->size(); ++j) {
-          if ((*fields)[j].kind == TupleField::Kind::kConst) {
-            out.const_cols.emplace(j + 1, probe.value().fields()[j]);
-          }
-        }
-      }
-    }
-    const bool injective = !copied.empty() && in.HasKeyWithin(copied);
-    out.dup_free = in.dup_free && injective;
-    for (const auto& key : in.keys) {
-      // A key survives when every key column is among the copied fields.
-      std::vector<size_t> remapped;
-      bool ok = true;
-      for (size_t k : key) {
-        bool found = false;
-        for (size_t j = 0; j < fields->size(); ++j) {
-          if ((*fields)[j].kind == TupleField::Kind::kColumn &&
-              (*fields)[j].column == k) {
-            remapped.push_back(j + 1);
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) AddKey(&out, std::move(remapped));
-    }
-    if (injective) {
-      out.min_rows = in.min_rows;
-      out.max_rows = in.max_rows;
-    } else {
-      out.min_rows = in.min_rows > 0 ? 1 : 0;
-      out.max_rows = in.max_rows;
-    }
-    return out;
-  }
-  // Opaque projection: nothing survives but a coarse row interval.
-  IrFacts out;
-  out.min_rows = in.min_rows > 0 ? 1 : 0;
-  out.max_rows = in.max_rows;
-  return out;
+  if (stage.program.IsIdentity()) return in;
+  return ProjectionFacts(in_row, compiled, in);
 }
 
-Result<IrFacts> NodeBaseFacts(const IrNode& node,
-                              const std::vector<const IrFacts*>& children) {
+IrFacts NodeBaseFacts(const IrNode& node, const RowLayoutMap& layouts,
+                      const std::vector<const IrFacts*>& children) {
+  const Type& row = layouts.at(&node).source;
   IrFacts facts;
   switch (node.kind) {
     case IrKind::kScan:
-      if (!children.empty()) {
-        return Status::Internal("ir verify: scan with children");
-      }
       facts = ScanFacts(node);
       break;
     case IrKind::kUnionAll: {
-      if (children.size() < 2) {
-        return Status::Internal("ir verify: union with fewer than two inputs");
-      }
-      // Shape join: known tuple arities must agree.
-      for (const IrFacts* child : children) {
-        if (child->shape == IrFacts::Shape::kUnknown) continue;
-        if (facts.shape == IrFacts::Shape::kUnknown) {
-          facts.shape = child->shape;
-          facts.arity = child->arity;
-        } else if (facts.shape != child->shape ||
-                   facts.arity != child->arity) {
-          return Status::Internal(
-              "ir verify: union children disagree on row shape");
-        }
-      }
-      // Unknown children widen facts, not shapes: the known arity stands,
-      // and a real mismatch surfaces when the unknown side becomes known.
       // Constant columns common to every child (same value everywhere).
       facts.const_cols = children[0]->const_cols;
       for (size_t i = 1; i < children.size() && !facts.const_cols.empty();
@@ -518,7 +380,7 @@ Result<IrFacts> NodeBaseFacts(const IrNode& node,
           if (shared) {
             std::vector<size_t> extended = key;
             extended.push_back(tag_col);
-            AddKey(&facts, std::move(extended));
+            AddKey(&facts, std::move(extended), row);
           }
         }
       }
@@ -536,47 +398,18 @@ Result<IrFacts> NodeBaseFacts(const IrNode& node,
     }
     case IrKind::kCrossJoin:
     case IrKind::kHashJoin: {
-      if (children.size() != 2) {
-        return Status::Internal("ir verify: join without two inputs");
-      }
       const IrFacts& probe = *children[0];
       const IrFacts& build = *children[1];
-      if (probe.shape == IrFacts::Shape::kNonTuple ||
-          build.shape == IrFacts::Shape::kNonTuple) {
-        return Status::Internal("ir verify: join over non-tuple rows");
-      }
-      if (probe.shape == IrFacts::Shape::kTuple &&
-          probe.arity != node.probe_arity) {
-        return Status::Internal(
-            "ir verify: join probe_arity " + std::to_string(node.probe_arity) +
-            " disagrees with probe rows of arity " +
-            std::to_string(probe.arity));
-      }
-      const bool build_known = build.shape == IrFacts::Shape::kTuple;
-      if (build_known) {
-        facts.shape = IrFacts::Shape::kTuple;
-        facts.arity = node.probe_arity + build.arity;
-      }
-      if (node.kind == IrKind::kHashJoin) {
-        if (node.probe_key < 1 || node.probe_key > node.probe_arity) {
-          return Status::Internal(
-              "ir verify: hash join probe key a" +
-              std::to_string(node.probe_key) + " outside probe arity " +
-              std::to_string(node.probe_arity));
-        }
-        if (build_known &&
-            (node.build_key < 1 || node.build_key > build.arity)) {
-          return Status::Internal(
-              "ir verify: hash join build key b" +
-              std::to_string(node.build_key) + " outside build arity " +
-              std::to_string(build.arity));
-        }
-      }
+      const Type& probe_row = layouts.at(node.children[0].get()).out();
+      const Type& build_row = layouts.at(node.children[1].get()).out();
       facts.dup_free = probe.dup_free && build.dup_free;
-      // Keys combine across sides: (probe key) ∪ (build key shifted). The
-      // implicit full-column keys participate when the side's arity is
-      // known.
-      if (build_known) {
+      facts.const_cols = probe.const_cols;
+      // A joined row is the probe's fields, then the build's. A side whose
+      // rows cannot exist leaves the joined columns unknown.
+      if (row.IsTuple()) {
+        const size_t build_arity = row.fields().size() - node.probe_arity;
+        // Keys combine across sides: (probe key) ∪ (build key shifted),
+        // the implicit full-column keys included.
         auto keys_of = [](const IrFacts& side,
                           size_t arity) -> std::vector<std::vector<size_t>> {
           std::vector<std::vector<size_t>> out = side.keys;
@@ -588,15 +421,12 @@ Result<IrFacts> NodeBaseFacts(const IrNode& node,
           return out;
         };
         for (const auto& lk : keys_of(probe, node.probe_arity)) {
-          for (const auto& rk : keys_of(build, build.arity)) {
+          for (const auto& rk : keys_of(build, build_arity)) {
             std::vector<size_t> combined = lk;
             for (size_t c : rk) combined.push_back(c + node.probe_arity);
-            AddKey(&facts, std::move(combined));
+            AddKey(&facts, std::move(combined), row);
           }
         }
-      }
-      facts.const_cols = probe.const_cols;
-      if (build_known) {
         for (const auto& [col, value] : build.const_cols) {
           facts.const_cols.emplace(col + node.probe_arity, value);
         }
@@ -608,31 +438,18 @@ Result<IrFacts> NodeBaseFacts(const IrNode& node,
         facts.min_rows = 0;
         facts.max_rows = MaxMul(probe.max_rows, build.max_rows);
         // A keyed side caps the join at the other side's cardinality.
-        if (probe.HasKeyWithin({node.probe_key})) {
+        if (probe.HasKeyWithin({node.probe_key}, probe_row)) {
           facts.max_rows = MaxMin(facts.max_rows, build.max_rows);
         }
-        if (build_known && build.HasKeyWithin({node.build_key})) {
+        if (build.HasKeyWithin({node.build_key}, build_row)) {
           facts.max_rows = MaxMin(facts.max_rows, probe.max_rows);
         }
       }
       break;
     }
     case IrKind::kMerge: {
-      if (children.size() != 2) {
-        return Status::Internal("ir verify: merge without two inputs");
-      }
       const IrFacts& left = *children[0];
       const IrFacts& right = *children[1];
-      if (left.shape != IrFacts::Shape::kUnknown &&
-          right.shape != IrFacts::Shape::kUnknown &&
-          (left.shape != right.shape || left.arity != right.arity)) {
-        return Status::Internal(
-            "ir verify: merge inputs disagree on row shape");
-      }
-      facts.shape =
-          left.shape != IrFacts::Shape::kUnknown ? left.shape : right.shape;
-      facts.arity = left.shape != IrFacts::Shape::kUnknown ? left.arity
-                                                           : right.arity;
       switch (node.merge_kind) {
         case MergeKind::kMonus:
           // Entries ⊆ left's, counts ≤ left's.
@@ -669,9 +486,6 @@ Result<IrFacts> NodeBaseFacts(const IrNode& node,
       break;
     }
     case IrKind::kDupElim: {
-      if (children.size() != 1) {
-        return Status::Internal("ir verify: dup-elim without one input");
-      }
       // ε keeps the entry set and squashes counts: every entry-level fact
       // survives, and the output is dup-free by construction.
       facts = *children[0];
@@ -691,29 +505,29 @@ Result<IrFacts> NodeBaseFacts(const IrNode& node,
 
 namespace {
 
-Status ComputeNode(const IrNode& node, IrFactsMap* map) {
+void ComputeNode(const IrNode& node, const RowLayoutMap& layouts,
+                 IrFactsMap* map) {
   std::vector<const IrFacts*> children;
   children.reserve(node.children.size());
   for (const auto& child : node.children) {
-    BAGALG_RETURN_IF_ERROR(ComputeNode(*child, map));
+    ComputeNode(*child, layouts, map);
     children.push_back(&(*map)[child.get()]);
   }
-  BAGALG_ASSIGN_OR_RETURN(IrFacts facts, NodeBaseFacts(node, children));
-  for (const Stage& stage : node.stages) {
-    BAGALG_ASSIGN_OR_RETURN(facts, ApplyStageFacts(stage, facts));
+  IrFacts facts = NodeBaseFacts(node, layouts, children);
+  const RowLayout& layout = layouts.at(&node);
+  const Type* row = &layout.source;
+  for (size_t i = 0; i < node.stages.size(); ++i) {
+    facts = ApplyStageFacts(node.stages[i], *row, layout.stages[i], facts);
+    row = &layout.stages[i].out;
   }
   (*map)[&node] = std::move(facts);
-  return Status::Ok();
 }
 
 }  // namespace
 
-Result<IrFactsMap> ComputeIrFacts(const IrPlan& plan) {
-  if (plan.root == nullptr) {
-    return Status::Internal("ir verify: plan without a root");
-  }
+IrFactsMap ComputeIrFacts(const IrPlan& plan, const RowLayoutMap& layouts) {
   IrFactsMap map;
-  BAGALG_RETURN_IF_ERROR(ComputeNode(*plan.root, &map));
+  if (plan.root != nullptr) ComputeNode(*plan.root, layouts, &map);
   return map;
 }
 
@@ -743,6 +557,9 @@ Status LayoutError(const std::string& what) {
 /// The source row type of `node` from its children's output row types.
 Result<Type> SourceRowType(const IrNode& node,
                            const std::vector<const Type*>& children) {
+  if (node.kind == IrKind::kUnionAll && children.size() < 2) {
+    return LayoutError("union with fewer than two inputs");
+  }
   size_t want = 2;
   if (node.kind == IrKind::kScan) want = 0;
   if (node.kind == IrKind::kDupElim) want = 1;
@@ -781,6 +598,11 @@ Result<Type> SourceRowType(const IrNode& node,
       if (!probe.IsTuple() || !build.IsTuple()) {
         return LayoutError("join over non-tuple rows");
       }
+      if (node.probe_arity != probe.fields().size()) {
+        return LayoutError("join probe_arity " +
+                           std::to_string(node.probe_arity) +
+                           " disagrees with probe rows " + probe.ToString());
+      }
       if (node.kind == IrKind::kHashJoin &&
           (node.probe_key < 1 || node.probe_key > probe.fields().size() ||
            node.build_key < 1 || node.build_key > build.fields().size())) {
@@ -801,7 +623,13 @@ Result<Type> SourceRowType(const IrNode& node,
   return Status::Internal("unknown IR node kind");
 }
 
+}  // namespace
+
 Result<StageLayout> CompileStage(const Stage& stage, const Type& in) {
+  if (stage.program.insns().empty() ||
+      (stage.kind == StageKind::kFilter && stage.rhs.insns().empty())) {
+    return LayoutError("empty program in stage " + stage.ToString());
+  }
   StageLayout out;
   if (IsVoidRow(in)) {
     out.out = stage.kind == StageKind::kFilter ? in : Type::Bottom();
@@ -827,6 +655,8 @@ Result<StageLayout> CompileStage(const Stage& stage, const Type& in) {
   out.project = std::move(map).value();
   return out;
 }
+
+namespace {
 
 Status LayoutNode(const IrNode& node, RowLayoutMap* map) {
   std::vector<const Type*> children;

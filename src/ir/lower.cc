@@ -246,11 +246,10 @@ Result<std::string> ExplainIrFacts(const Expr& expr, const Database& db,
                                    const LowerOptions& options) {
   BAGALG_ASSIGN_OR_RETURN(
       IrPlan plan, LowerPlan(expr, db, options, /*annotate_costs=*/true));
-  BAGALG_ASSIGN_OR_RETURN(IrFactsMap facts, ComputeIrFacts(plan));
-  return ExplainIrPlan(plan, [&facts](const IrNode& node) -> std::string {
-    auto it = facts.find(&node);
-    if (it == facts.end()) return std::string();
-    return it->second.ToString();
+  BAGALG_ASSIGN_OR_RETURN(const RowLayoutMap layouts, ComputeRowLayouts(plan));
+  const IrFactsMap facts = ComputeIrFacts(plan, layouts);
+  return ExplainIrPlan(plan, [&](const IrNode& node) {
+    return facts.at(&node).ToString(layouts.at(&node).out());
   });
 }
 

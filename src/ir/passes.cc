@@ -288,14 +288,12 @@ std::optional<std::vector<size_t>> StageListDemand(
 /// Narrows one join's sides to the demanded columns: appends narrowing
 /// gathers to the children, remaps the join's raw-space stage prefix, and
 /// rebases probe_arity and the hash keys.
-Status NarrowJoin(IrNode* node, const IrFactsMap& facts, PassStats* stats) {
-  auto build_it = facts.find(node->children[1].get());
-  if (build_it == facts.end() ||
-      build_it->second.shape != IrFacts::Shape::kTuple) {
-    return Status::Ok();  // build arity unknown: nothing provable
-  }
+Status NarrowJoin(IrNode* node, const RowLayoutMap& layouts,
+                  PassStats* stats) {
+  const Type& build_row = layouts.at(node->children[1].get()).out();
+  if (!build_row.IsTuple()) return Status::Ok();  // no build row exists
   const size_t pa = node->probe_arity;
-  const size_t ba = build_it->second.arity;
+  const size_t ba = build_row.fields().size();
   auto demand_opt = StageListDemand(node->stages);
   if (!demand_opt.has_value()) return Status::Ok();
   std::vector<size_t> demand = *std::move(demand_opt);
@@ -310,8 +308,9 @@ Status NarrowJoin(IrNode* node, const IrFactsMap& facts, PassStats* stats) {
   for (size_t c : demand) {
     if (c < 1 || c > pa + ba) {
       return Status::Internal(
-          "ir verify: join stage references column " + std::to_string(c) +
-          " of " + std::to_string(pa + ba) + "-column joined rows");
+          "dead-column-elim: join stage references column " +
+          std::to_string(c) + " of " + std::to_string(pa + ba) +
+          "-column joined rows");
     }
   }
   std::vector<size_t> probe_keep;
@@ -340,7 +339,7 @@ Status NarrowJoin(IrNode* node, const IrFactsMap& facts, PassStats* stats) {
       if (!stage.program.RemapColumns(remap) ||
           !stage.rhs.RemapColumns(remap)) {
         return Status::Internal(
-            "ir verify: join filter references a column outside the "
+            "dead-column-elim: join filter references a column outside the "
             "demand set");
       }
       continue;
@@ -348,8 +347,8 @@ Status NarrowJoin(IrNode* node, const IrFactsMap& facts, PassStats* stats) {
     if (stage.program.IsIdentity()) continue;
     if (!stage.program.RemapColumns(remap)) {
       return Status::Internal(
-          "ir verify: join projection references a column outside the "
-          "demand set");
+          "dead-column-elim: join projection references a column outside "
+          "the demand set");
     }
     break;
   }
@@ -390,43 +389,50 @@ Status NarrowJoin(IrNode* node, const IrFactsMap& facts, PassStats* stats) {
 
 /// Pass 5: dead-column elimination. Top-down so a parent's narrowing
 /// gathers land on the children before those are considered; the
-/// pre-pass facts stay valid because stage-list edits never change any
+/// pre-pass layouts stay valid because stage-list edits never change any
 /// *descendant's* raw output.
-Status DeadColumnWalk(IrNode* node, const IrFactsMap& facts,
+Status DeadColumnWalk(IrNode* node, const RowLayoutMap& layouts,
                       PassStats* stats) {
   ComposeGathers(node, stats);
   if (node->kind == IrKind::kCrossJoin || node->kind == IrKind::kHashJoin) {
-    BAGALG_RETURN_IF_ERROR(NarrowJoin(node, facts, stats));
+    BAGALG_RETURN_IF_ERROR(NarrowJoin(node, layouts, stats));
   }
   for (auto& child : node->children) {
-    BAGALG_RETURN_IF_ERROR(DeadColumnWalk(child.get(), facts, stats));
+    BAGALG_RETURN_IF_ERROR(DeadColumnWalk(child.get(), layouts, stats));
   }
   return Status::Ok();
 }
 
 Status DeadColumnElim(IrPlan* plan) {
-  BAGALG_ASSIGN_OR_RETURN(IrFactsMap facts, ComputeIrFacts(*plan));
-  return DeadColumnWalk(plan->root.get(), facts, &plan->passes);
+  BAGALG_ASSIGN_OR_RETURN(const RowLayoutMap layouts, ComputeRowLayouts(*plan));
+  return DeadColumnWalk(plan->root.get(), layouts, &plan->passes);
 }
 
 /// Pass 6: constant folding. Walks each node's stage list with live facts:
 /// stage sides that read proven-constant columns become constants, a
 /// constant==constant filter is erased (equal) or empties the pipeline
-/// (unequal — no row can ever pass).
-Status ConstFoldNode(IrNode* node, PassStats* stats, IrFacts* out) {
+/// (unequal — no row can ever pass). Folding keeps every row type, so the
+/// pre-pass layouts stay exact; only a folded projection is compiled
+/// again, because its cells change.
+Status ConstFoldNode(IrNode* node, const RowLayoutMap& layouts,
+                     PassStats* stats, IrFacts* out) {
   std::vector<IrFacts> child_facts(node->children.size());
   std::vector<const IrFacts*> child_ptrs;
   child_ptrs.reserve(node->children.size());
   for (size_t i = 0; i < node->children.size(); ++i) {
-    BAGALG_RETURN_IF_ERROR(
-        ConstFoldNode(node->children[i].get(), stats, &child_facts[i]));
+    BAGALG_RETURN_IF_ERROR(ConstFoldNode(node->children[i].get(), layouts,
+                                         stats, &child_facts[i]));
     child_ptrs.push_back(&child_facts[i]);
   }
-  BAGALG_ASSIGN_OR_RETURN(IrFacts facts, NodeBaseFacts(*node, child_ptrs));
+  const RowLayout& layout = layouts.at(node);
+  IrFacts facts = NodeBaseFacts(*node, layouts, child_ptrs);
+  const Type* row = &layout.source;
   bool provably_empty = false;
-  size_t i = 0;
-  while (i < node->stages.size()) {
+  size_t i = 0;  // the stage `compiled` was compiled from
+  for (const StageLayout& compiled : layout.stages) {
     Stage& stage = node->stages[i];
+    const StageLayout* current = &compiled;
+    StageLayout refolded;
     if (stage.kind == StageKind::kFilter) {
       const auto lfield = stage.program.FieldRef();
       if (lfield.has_value()) {
@@ -466,10 +472,13 @@ Status ConstFoldNode(IrNode* node, PassStats* stats, IrFacts* out) {
         if (it != facts.const_cols.end()) {
           stage.program = RowProgram::Constant(it->second);
           stats->const_folds++;
+          BAGALG_ASSIGN_OR_RETURN(refolded, CompileStage(stage, *row));
+          current = &refolded;
         }
       }
     }
-    BAGALG_ASSIGN_OR_RETURN(facts, ApplyStageFacts(stage, facts));
+    facts = ApplyStageFacts(stage, *row, *current, facts);
+    row = &compiled.out;
     ++i;
   }
   if (provably_empty) {
@@ -477,20 +486,23 @@ Status ConstFoldNode(IrNode* node, PassStats* stats, IrFacts* out) {
     node->children.clear();
     node->stages.clear();
     node->scan_name = "empty";
-    node->scan_bag = Bag();
+    // The empty bag keeps the pipeline's row type, so no ancestor's row
+    // type changes.
+    node->scan_bag = Bag(layout.out());
     node->probe_arity = 0;
     node->probe_key = 0;
     node->build_key = 0;
     stats->const_folds++;
-    BAGALG_ASSIGN_OR_RETURN(facts, NodeBaseFacts(*node, {}));
+    facts = NodeBaseFacts(*node, layouts, {});
   }
   *out = std::move(facts);
   return Status::Ok();
 }
 
 Status ConstFold(IrPlan* plan) {
+  BAGALG_ASSIGN_OR_RETURN(const RowLayoutMap layouts, ComputeRowLayouts(*plan));
   IrFacts root_facts;
-  return ConstFoldNode(plan->root.get(), &plan->passes, &root_facts);
+  return ConstFoldNode(plan->root.get(), layouts, &plan->passes, &root_facts);
 }
 
 /// Pass 7: ε over a provably dup-free pipeline is the identity — splice
@@ -516,8 +528,18 @@ void DropDupElims(std::unique_ptr<IrNode>* slot, IrFactsMap* facts,
   stats->dup_elims_removed++;
 }
 
+bool HasDupElim(const IrNode& node) {
+  if (node.kind == IrKind::kDupElim) return true;
+  for (const auto& child : node.children) {
+    if (HasDupElim(*child)) return true;
+  }
+  return false;
+}
+
 Status DropRedundantDupElim(IrPlan* plan) {
-  BAGALG_ASSIGN_OR_RETURN(IrFactsMap facts, ComputeIrFacts(*plan));
+  if (!HasDupElim(*plan->root)) return Status::Ok();
+  BAGALG_ASSIGN_OR_RETURN(const RowLayoutMap layouts, ComputeRowLayouts(*plan));
+  IrFactsMap facts = ComputeIrFacts(*plan, layouts);
   DropDupElims(&plan->root, &facts, &plan->passes);
   return Status::Ok();
 }
@@ -564,7 +586,7 @@ void MarkCse(IrPlan* plan) {
 }
 
 // ------------------------------------------------------------------
-// Legality check (unchanged contract; see passes.h).
+// Legality check (see passes.h).
 
 /// True iff the expression subtree contains an operator whose output can be
 /// astronomically larger than its input — the same syntactic criterion
@@ -582,37 +604,6 @@ bool ContainsIntractable(const Expr& e) {
 }
 
 Status CheckNode(const IrNode& node) {
-  // Child arity per kind.
-  size_t want_children = 0;
-  switch (node.kind) {
-    case IrKind::kScan:
-      want_children = 0;
-      break;
-    case IrKind::kUnionAll:
-      if (node.children.size() < 2) {
-        return Status::Internal("IR union with fewer than two inputs");
-      }
-      want_children = node.children.size();
-      break;
-    case IrKind::kCrossJoin:
-    case IrKind::kHashJoin:
-    case IrKind::kMerge:
-      want_children = 2;
-      break;
-    case IrKind::kDupElim:
-      want_children = 1;
-      break;
-  }
-  if (node.children.size() != want_children) {
-    return Status::Internal(std::string("IR node ") + IrKindName(node.kind) +
-                            " has wrong child count");
-  }
-  if (node.kind == IrKind::kHashJoin) {
-    if (node.probe_key < 1 || node.probe_key > node.probe_arity ||
-        node.build_key < 1) {
-      return Status::Internal("hash join key outside its side's arity");
-    }
-  }
   // Fused stages are only legal over tractable producers: a materializing
   // powerset/powerbag in pipeline position must never silently stream
   // through a fused loop (it cannot lower today; this guards future
@@ -621,14 +612,6 @@ Status CheckNode(const IrNode& node) {
   if (!node.stages.empty() && ContainsIntractable(node.origin)) {
     return Status::Unsupported(
         "powerset/powerbag below a fused pipeline is not fusible");
-  }
-  for (const Stage& stage : node.stages) {
-    if (stage.program.insns().empty()) {
-      return Status::Internal("empty stage program in IR plan");
-    }
-    if (stage.kind == StageKind::kFilter && stage.rhs.insns().empty()) {
-      return Status::Internal("empty filter rhs program in IR plan");
-    }
   }
   for (const auto& child : node.children) {
     BAGALG_RETURN_IF_ERROR(CheckNode(*child));

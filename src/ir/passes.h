@@ -6,8 +6,9 @@
 ///
 /// RunPasses drives a whole-plan pass pipeline. The local rewrites iterate
 /// to a fixpoint (each one no-ops — and stops counting — once the plan
-/// stabilizes), then the fact-driven passes consume the dataflow.h facts,
-/// and CSE marking runs last so its keys see final stage lists:
+/// stabilizes), then the fact-driven passes consume the dataflow.h row
+/// layouts and facts, and CSE marking runs last so its keys see final
+/// stage lists:
 ///
 ///  1. stage reordering — bubble filters leftwards: past other filters
 ///     freely, past gather-shaped projections by remapping their column
@@ -28,8 +29,9 @@
 ///     children and remapping the join's stages. PassStats::dead_columns.
 ///  6. constant folding — stage programs reading proven-constant columns
 ///     fold to constants; a filter whose two sides are both constants is
-///     erased (equal) or empties the whole pipeline into an empty scan
-///     (unequal). PassStats::const_folds.
+///     erased (equal) or empties the whole pipeline into a scan of an
+///     empty bag of the pipeline's row type (unequal).
+///     PassStats::const_folds.
 ///  7. redundant dup-elim removal — a kDupElim whose input is provably
 ///     dup-free (dataflow.h) is spliced out, its stages appended to the
 ///     child. PassStats::dup_elims_removed.
@@ -72,16 +74,17 @@ struct PassOptions {
 };
 
 /// Runs all passes over the plan in place, accumulating plan.passes.
-/// Fails when a fact-driven pass hits a structurally inconsistent plan,
-/// when per-pass verification rejects a pass's output, or when the
-/// observer does.
+/// Fails when a fact-driven pass meets a plan whose row layout does not
+/// derive (the layout's error), when per-pass verification rejects a
+/// pass's output, or when the observer does.
 Status RunPasses(IrPlan* plan, const PassOptions& options = {});
 
-/// Defensive post-pass validation: every node hosting fused stages must be
-/// in the fusible fragment (no powerset/powerbag origins — those never
-/// lower, but a future lowering bug must fail loudly, not silently drop
-/// multiplicities) and hash-join keys must lie inside their sides'
-/// arities. Returns kUnsupported / kInternal with a diagnostic.
+/// The tractability guard: every node hosting fused stages must be in the
+/// fusible fragment (no powerset/powerbag origins — those never lower, but
+/// a future lowering bug must fail loudly, not silently drop
+/// multiplicities). Returns kUnsupported with a diagnostic; kInternal for
+/// a rootless plan. The structure of a plan is the row layout's to check
+/// (dataflow.h's ComputeRowLayouts).
 Status CheckFusionLegality(const IrPlan& plan);
 
 /// Seeded pass mutations: intentionally broken pass variants behind a

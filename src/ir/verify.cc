@@ -35,14 +35,9 @@ bool IrVerifyEnabled() {
 
 Status VerifyIr(const IrPlan& plan) {
   BAGALG_RETURN_IF_ERROR(CheckFusionLegality(plan));
-  // The strict dataflow walk doubles as the shape/arity verifier: its
-  // transfer rules fail on exactly the structural inconsistencies a buggy
-  // pass introduces (dangling column references, bad gathers, key bounds,
-  // probe_arity drift, shape-mismatched unions/merges).
-  BAGALG_RETURN_IF_ERROR(ComputeIrFacts(plan).status());
-  // The row layout the executor runs on: every node's row type, so union
-  // and merge children agree cell for cell (not only on their arity) and
-  // hash keys lie inside their side's cells.
+  // The row layout the executor runs on is the structural check: every
+  // node's row type, so child counts, union and merge children, join
+  // arities and keys, and every stage program agree cell for cell.
   return ComputeRowLayouts(plan).status();
 }
 
@@ -55,7 +50,7 @@ Status ValidateTranslation(const Expr& expr, const Database& db,
                                    const IrPlan& before,
                                    const IrPlan& after) -> Status {
     if (before.root == nullptr || after.root == nullptr) {
-      return Status::Internal("ir verify: pass " + pass +
+      return Status::Internal("translation validation: pass " + pass +
                               " observed a rootless plan");
     }
     if (IrEquals(*before.root, *after.root)) return Status::Ok();

@@ -5,17 +5,16 @@
 /// The IR verifier and the translation-validation harness.
 ///
 /// VerifyIr is the structural checker run after *every* pass (not just once
-/// post-lowering): pipeline well-formedness (child counts, non-empty stage
-/// programs, the tractability guard of CheckFusionLegality) plus the strict
-/// dataflow walk of dataflow.h, which rejects column references off the end
-/// of a known row shape, gather lists naming nonexistent columns, hash-join
-/// keys outside their side's arity, joins whose probe_arity disagrees with
-/// the probe child's actual output, and union children of conflicting
-/// shapes, plus the row-layout derivation, which rejects union and merge
-/// children whose row types differ below the top level (so their cells
-/// disagree) and stages that do not type over their rows. A pass that
-/// corrupts a plan structurally fails at the pass that broke it, with the
-/// pass named in the error.
+/// post-lowering): the tractability guard of CheckFusionLegality plus one
+/// row-layout derivation (dataflow.h's ComputeRowLayouts), the walk the
+/// executor runs on. The layout rejects wrong child counts (a union needs
+/// two inputs or more), union and merge children whose row types do not
+/// join (so their cells disagree), joins over non-tuple rows or with a
+/// probe_arity other than the probe row's field count, hash keys outside
+/// their side's fields, and stage programs that are empty or do not type
+/// over their rows — a column reference off the row, a gather naming a
+/// missing column. A pass that corrupts a plan structurally fails at the
+/// pass that broke it, with the pass named in the error.
 ///
 /// ValidateTranslation is the semantic net for bugs verification cannot see
 /// (a dropped filter is a perfectly well-formed plan): it lowers with a
@@ -46,9 +45,9 @@ namespace bagalg::ir {
 /// and off with NDEBUG. Read once per process.
 bool IrVerifyEnabled();
 
-/// Structural verification of a plan: CheckFusionLegality, the strict
-/// dataflow walk (ComputeIrFacts) and the row layout (ComputeRowLayouts).
-/// kInternal / kUnsupported with an "ir verify" diagnostic on the first
+/// Structural verification of a plan: CheckFusionLegality and the row
+/// layout (ComputeRowLayouts). kUnsupported from the tractability guard,
+/// kInternal with an "ir verify" diagnostic on the first structural
 /// inconsistency.
 Status VerifyIr(const IrPlan& plan);
 

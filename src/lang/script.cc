@@ -533,8 +533,7 @@ int BracketBalance(const std::string& line) {
 
 }  // namespace
 
-Result<std::string> ScriptRunner::RunScript(const std::string& text) {
-  std::ostringstream out;
+Status ScriptRunner::RunScript(const std::string& text, std::ostream& out) {
   size_t line_no = 0;
   size_t command_start = 0;
   std::string pending;
@@ -562,7 +561,7 @@ Result<std::string> ScriptRunner::RunScript(const std::string& text) {
     return Status::ParseError("line " + std::to_string(command_start) +
                               ": unbalanced brackets at end of script");
   }
-  return out.str();
+  return Status::Ok();
 }
 
 }  // namespace bagalg::lang

@@ -69,6 +69,7 @@
 ///                             FILE)
 
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 
@@ -91,9 +92,11 @@ class ScriptRunner {
   /// Executes one line; returns its printable output (possibly empty).
   Result<std::string> RunLine(const std::string& line);
 
-  /// Executes a whole script, concatenating per-line outputs. Stops at the
-  /// first error, which is returned annotated with its line number.
-  Result<std::string> RunScript(const std::string& text);
+  /// Executes a whole script, writing each command's output to `out` as
+  /// the command completes. Stops at the first error, which is returned
+  /// annotated with its line number; the output of the commands before it
+  /// has been written by then.
+  Status RunScript(const std::string& text, std::ostream& out);
 
   /// The accumulated database (for tests).
   const Database& database() const { return db_; }

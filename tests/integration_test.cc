@@ -42,32 +42,47 @@ TEST(IntegrationTest, TourScriptRunsEndToEnd) {
     GTEST_SKIP() << "tour.bag not found from the test working directory";
   }
   ScriptRunner runner;
-  auto out = runner.RunScript(content);
-  ASSERT_TRUE(out.ok()) << out.status();
+  std::ostringstream text;
+  Status st = runner.RunScript(content, text);
+  ASSERT_TRUE(st.ok()) << st;
+  const std::string out = text.str();
   // Spot-check the §4 worked numbers surface in the output.
-  EXPECT_NE(out->find("49"), std::string::npos);          // |B×B| = (4+3)^2
-  EXPECT_NE(out->find("[a, a]*12"), std::string::npos);   // nm = 12
-  EXPECT_NE(out->find("{{[c]}}"), std::string::npos);     // Example 4.1
-  EXPECT_NE(out->find("within BALG^1"), std::string::npos);
-  EXPECT_NE(out->find("[n1, n4]"), std::string::npos);    // TC reached 4
+  EXPECT_NE(out.find("49"), std::string::npos);          // |B×B| = (4+3)^2
+  EXPECT_NE(out.find("[a, a]*12"), std::string::npos);   // nm = 12
+  EXPECT_NE(out.find("{{[c]}}"), std::string::npos);     // Example 4.1
+  EXPECT_NE(out.find("within BALG^1"), std::string::npos);
+  EXPECT_NE(out.find("[n1, n4]"), std::string::npos);    // TC reached 4
 }
 
 TEST(IntegrationTest, MultiLineCommandsJoinOnBrackets) {
   ScriptRunner runner;
-  auto out = runner.RunScript(
+  std::ostringstream out;
+  Status st = runner.RunScript(
       "let B = {{[a, b]*2,\n"
       "          [b, a]}}\n"
       "count prod(B,\n"
-      "           B)   # comment with ) inside is ignored\n");
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_NE(out->find("9"), std::string::npos);
+      "           B)   # comment with ) inside is ignored\n",
+      out);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_NE(out.str().find("9"), std::string::npos);
 }
 
 TEST(IntegrationTest, UnbalancedScriptReportsStartLine) {
   ScriptRunner runner;
-  auto out = runner.RunScript("let B = {{a}}\ncount prod(B,\n");
-  ASSERT_FALSE(out.ok());
-  EXPECT_NE(out.status().message().find("line 2"), std::string::npos);
+  std::ostringstream out;
+  Status st = runner.RunScript("let B = {{a}}\ncount prod(B,\n", out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("line 2"), std::string::npos);
+}
+
+TEST(IntegrationTest, FailingScriptKeepsTheOutputBeforeTheError) {
+  ScriptRunner runner;
+  std::ostringstream out;
+  Status st = runner.RunScript("let B = {{a}}\neval B\nexec pow(B)\n", out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kUnsupported) << st;
+  EXPECT_NE(st.message().find("line 3"), std::string::npos) << st;
+  EXPECT_EQ(out.str(), "B : {{U}}\n{{a}}\n");
 }
 
 // --------------------------------------------------- database edge cases

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "src/algebra/builder.h"
 #include "src/algebra/derived.h"
 #include "src/algebra/eval.h"
@@ -232,20 +234,23 @@ TEST(ScriptTest, OptimizeCommand) {
 
 TEST(ScriptTest, ErrorsCarryLineNumbers) {
   ScriptRunner runner;
-  auto r = runner.RunScript("let B = {{a}}\neval flat(B)\n");
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("line 2"), std::string::npos);
+  std::ostringstream out;
+  Status st = runner.RunScript("let B = {{a}}\neval flat(B)\n", out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("line 2"), std::string::npos);
 }
 
 TEST(ScriptTest, FullScriptProducesOutput) {
   ScriptRunner runner;
-  auto r = runner.RunScript(
+  std::ostringstream out;
+  Status st = runner.RunScript(
       "# Example 4.1\n"
       "let G = {{[u1, c], [u2, c], [c, w1]}}\n"
       "eval monus(map(x -> tup(proj(2, x)), sel(x -> proj(2, x) == 'c, G)),"
-      " map(x -> tup(proj(1, x)), sel(x -> proj(1, x) == 'c, G)))\n");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_NE(r->find("{{[c]}}"), std::string::npos);
+      " map(x -> tup(proj(1, x)), sel(x -> proj(1, x) == 'c, G)))\n",
+      out);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_NE(out.str().find("{{[c]}}"), std::string::npos);
 }
 
 TEST(ScriptTest, DumpRoundTripsTheDatabase) {
@@ -256,7 +261,8 @@ TEST(ScriptTest, DumpRoundTripsTheDatabase) {
   ASSERT_TRUE(dump.ok());
   // Replaying the dump in a fresh runner reproduces the instances.
   ScriptRunner replay;
-  ASSERT_TRUE(replay.RunScript(*dump + "\n").ok());
+  std::ostringstream out;
+  ASSERT_TRUE(replay.RunScript(*dump + "\n", out).ok());
   EXPECT_EQ(replay.database().instances(), runner.database().instances());
 }
 

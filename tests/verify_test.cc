@@ -36,6 +36,7 @@ using analysis::LintRule;
 using analysis::LintRuleRegistry;
 using analysis::RunLint;
 using ir::ComputeIrFacts;
+using ir::ComputeRowLayouts;
 using ir::IrFacts;
 using ir::IrKind;
 using ir::IrNode;
@@ -196,6 +197,28 @@ TEST(VerifyIrTest, RejectsUnionOfConflictingShapes) {
   EXPECT_FALSE(VerifyIr(plan).ok());
 }
 
+TEST(VerifyIrTest, RejectsUnionWithOneInput) {
+  IrPlan plan;
+  auto u = std::make_unique<IrNode>(IrKind::kUnionAll);
+  u->children.push_back(ScanOf("B", TwoColBag()));
+  plan.root = std::move(u);
+  Status st = VerifyIr(plan);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("ir verify: union with fewer than two inputs"),
+            std::string::npos)
+      << st;
+}
+
+TEST(VerifyIrTest, RejectsUnionWithNoInputs) {
+  IrPlan plan;
+  plan.root = std::make_unique<IrNode>(IrKind::kUnionAll);
+  Status st = VerifyIr(plan);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("ir verify: union with fewer than two inputs"),
+            std::string::npos)
+      << st;
+}
+
 TEST(VerifyIrTest, EnvOverrideParsesBothDirections) {
   // Can only observe the process's cached value; assert it is consistent
   // with the environment contract rather than flipping it mid-process.
@@ -217,13 +240,14 @@ TEST(IrFactsTest, ScanFactsCoverShapeDupFreedomKeysAndInterval) {
   Database db = CorpusDb();
   auto plan = LowerToIr(Input("R"), db, NoRewrite());
   ASSERT_TRUE(plan.ok()) << plan.status();
-  auto facts = ComputeIrFacts(*plan);
-  ASSERT_TRUE(facts.ok()) << facts.status();
-  const IrFacts& root = facts->at(plan->root.get());
-  EXPECT_EQ(root.shape, IrFacts::Shape::kTuple);
-  EXPECT_EQ(root.arity, 2u);
+  auto layouts = ComputeRowLayouts(*plan);
+  ASSERT_TRUE(layouts.ok()) << layouts.status();
+  const Type& row = layouts->at(plan->root.get()).out();
+  ASSERT_TRUE(row.IsTuple()) << row.ToString();
+  EXPECT_EQ(row.fields().size(), 2u);
+  const IrFacts root = ComputeIrFacts(*plan, *layouts).at(plan->root.get());
   EXPECT_TRUE(root.dup_free);  // R is set-like
-  EXPECT_TRUE(root.HasKeyWithin({1}));  // k0..k3 are distinct
+  EXPECT_TRUE(root.HasKeyWithin({1}, row));  // k0..k3 are distinct
   EXPECT_EQ(root.min_rows, 4u);
   EXPECT_EQ(root.max_rows, 4u);
 }
@@ -232,10 +256,84 @@ TEST(IrFactsTest, DupElimProvesDupFreedomOverADupHeavyScan) {
   Database db = CorpusDb();
   auto plan = LowerToIr(Eps(Input("S")), db, NoRewrite());
   ASSERT_TRUE(plan.ok()) << plan.status();
-  auto facts = ComputeIrFacts(*plan);
-  ASSERT_TRUE(facts.ok()) << facts.status();
-  const IrFacts& root = facts->at(plan->root.get());
-  EXPECT_TRUE(root.dup_free);
+  auto layouts = ComputeRowLayouts(*plan);
+  ASSERT_TRUE(layouts.ok()) << layouts.status();
+  EXPECT_TRUE(ComputeIrFacts(*plan, *layouts).at(plan->root.get()).dup_free);
+}
+
+/// The rendered facts of the root of `q` over R (verification on).
+std::string RootFacts(const Expr& q) {
+  LowerOptions options = NoRewrite();
+  options.verify = LowerOptions::Verify::kOn;
+  auto out = ir::ExplainIrFacts(q, CorpusDb(), options);
+  EXPECT_TRUE(out.ok()) << out.status();
+  if (!out.ok()) return std::string();
+  // The root is the plan's second line.
+  const size_t begin = out->find('\n') + 1;
+  return out->substr(begin, out->find('\n', begin) - begin);
+}
+
+TEST(IrFactsTest, MixedProjectionKeepsItsKeyAndProvesItsConstant) {
+  // t(a1, 'k') over R: field 1 copies R's key column, field 2 is constant.
+  const std::string root =
+      RootFacts(Map(Tup({Proj(Var(0), 1), ConstExpr(A("k"))}), Input("R")));
+  EXPECT_NE(root.find("[arity=2 dup_free key{1} const{2=k} rows=4..4]"),
+            std::string::npos)
+      << root;
+}
+
+TEST(IrFactsTest, NestedProjectionFieldCopiesTheKeyColumn) {
+  // t(a1, t(a2, 'k')) over R: field 2 mixes a copied cell and a constant,
+  // so it is neither a column copy nor a constant; field 1 keeps the key.
+  const std::string root = RootFacts(Map(
+      Tup({Proj(Var(0), 1), Tup({Proj(Var(0), 2), ConstExpr(A("k"))})}),
+      Input("R")));
+  EXPECT_NE(root.find("[arity=2 dup_free key{1} rows=4..4]"),
+            std::string::npos)
+      << root;
+}
+
+/// Lowers `q` over the corpus (verification on) and expects ExecuteIr to
+/// return the evaluator's bag, which is non-empty.
+void ExpectExecMatchesEval(const Expr& q) {
+  Database db = CorpusDb();
+  LowerOptions options = NoRewrite();
+  options.verify = LowerOptions::Verify::kOn;
+  auto plan = LowerToIr(q, db, options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto got = ExecuteIr(*plan, db);
+  Evaluator eval;
+  auto want = eval.EvalToBag(q, db);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_TRUE(want.ok()) << want.status();
+  EXPECT_GT(want->DistinctCount(), 0u);
+  EXPECT_TRUE(*got == *want) << got->ToString() << " vs " << want->ToString();
+}
+
+TEST(IrFactsTest, OneTupleWrapOfAConstantColumnIsNotThatConstant) {
+  // Column 1 is the constant k0 after the filter; t(t(a1), a2) puts the
+  // same single cell in field 1, but as the 1-tuple [k0], not the atom.
+  const Expr wrap =
+      Map(Tup({Tup({Proj(Var(0), 1)}), Proj(Var(0), 2)}),
+          Select(Proj(Var(0), 1), ConstExpr(A("k0")), Input("R")));
+  const std::string root = RootFacts(wrap);
+  EXPECT_EQ(root.find("const"), std::string::npos) << root;
+  ExpectExecMatchesEval(Select(Proj(Var(0), 1),
+                               ConstExpr(MakeTuple({A("k0")})), wrap));
+}
+
+TEST(IrFactsTest, ReNestedFieldOfAConstantColumnIsNotThatConstant) {
+  // N2's column 1 is the constant [a, b]; t(t(t(a1.1), a1.2), a2) keeps
+  // its two cells in order but re-nests them as [[a], b].
+  const Expr renest = Map(
+      Tup({Tup({Tup({Proj(Proj(Var(0), 1), 1)}), Proj(Proj(Var(0), 1), 2)}),
+           Proj(Var(0), 2)}),
+      Input("N2"));
+  const std::string root = RootFacts(renest);
+  EXPECT_EQ(root.find("const{1="), std::string::npos) << root;
+  ExpectExecMatchesEval(
+      Select(Proj(Var(0), 1),
+             ConstExpr(MakeTuple({MakeTuple({A("a")}), A("b")})), renest));
 }
 
 TEST(IrFactsTest, ExplainIrFactsRendersTheAnnotations) {
@@ -444,22 +542,35 @@ TEST(MutationCorpusTest, StructuralMutantsAreCaughtByTheVerifierAlone) {
 }
 
 TEST(MutationCorpusTest, NestedCellMutantIsCaughtOnlyByTheLayoutCheck) {
-  // The mutated gather keeps both union inputs at arity 2, so the
-  // dataflow facts accept the plan; only the row layout sees that the
-  // last input's rows are [c, c] where the first input's are [[a, b], c].
+  // The mutated gather keeps both union inputs at arity 2; the row layout
+  // sees that the last input's rows are [c, c] where the first input's
+  // are [[a, b], c]. With per-pass verification off, the plan the mutated
+  // pass leaves is taken from the observer.
   Database db = CorpusDb();
   MutationGuard guard(PassMutation::kUnionGatherDropsNestedCells);
   LowerOptions options = NoRewrite();
   options.verify = LowerOptions::Verify::kOff;
-  auto plan = LowerToIr(NestedUnionTrigger(), db, options);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_TRUE(ComputeIrFacts(*plan).ok());
-  Status verified = VerifyIr(*plan);
+  IrPlan plan;
+  options.observer = [&plan](const std::string& pass, const IrPlan&,
+                             const IrPlan& after) {
+    if (pass == "union-pushdown" && plan.root == nullptr) {
+      plan.root = after.root->Clone();
+    }
+    return Status::Ok();
+  };
+  // The next fact-driven pass derives the layout and fails on it too.
+  auto lowered = LowerToIr(NestedUnionTrigger(), db, options);
+  ASSERT_FALSE(lowered.ok());
+  EXPECT_NE(lowered.status().message().find("disagree on row layout"),
+            std::string::npos)
+      << lowered.status();
+  ASSERT_NE(plan.root, nullptr);
+  Status verified = VerifyIr(plan);
   ASSERT_FALSE(verified.ok());
   EXPECT_NE(verified.message().find("disagree on row layout"),
             std::string::npos)
       << verified;
-  EXPECT_FALSE(ir::ExecuteIr(*plan, db).ok());
+  EXPECT_FALSE(ir::ExecuteIr(plan, db).ok());
 }
 
 // ------------------------------------------------------------ fuzzing
