@@ -10,7 +10,9 @@
 // both engines as the inputs grow — the BM_EvaluatorJoin / BM_IrJoin pair
 // is the 2x gate of CI's bench-exec-smoke job, BM_IrLowerOnly/{64,4096}
 // its plan-time gate, and BM_IrUnionChain / BM_EvaluatorUnionChain at
-// 16384 and at distinct/4096 its union-chain gates.
+// 16384 and at distinct/4096 its union-chain gates. BM_EvaluatorHeavy /
+// BM_IrHeavy time the perfbench exec_heavy templates the evaluator serves,
+// on data of that workload's shape.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +24,7 @@
 #include "src/algebra/eval.h"
 #include "src/exec/compile.h"
 #include "src/ir/lower.h"
+#include "src/lang/parser.h"
 #include "src/obs/trace.h"
 #include "src/stats/expr_gen.h"
 #include "src/stats/sampler.h"
@@ -222,11 +225,87 @@ void BM_BuilderRuns(benchmark::State& state) {
 }
 BENCHMARK(BM_BuilderRuns)->Arg(1)->Arg(4)->Arg(64)->Arg(0);
 
+// perfbench's exec_heavy data: R, S, T and D of 1500, 1200, 1000 and 250
+// distinct pairs [c<0..199>, k<0..999>], counts 1-3.
+Database MakeHeavyDb() {
+  Rng rng(26);
+  const std::vector<Value> groups = AtomPool(200, "c");
+  const std::vector<Value> keys = AtomPool(1000, "k");
+  Database db;
+  for (const auto& [name, size] : {std::pair<const char*, size_t>{"R", 1500},
+                                   {"S", 1200},
+                                   {"T", 1000},
+                                   {"D", 250}}) {
+    Bag::Builder builder;
+    std::vector<bool> used(200 * 1000, false);
+    for (size_t n = 0; n < size;) {
+      const size_t g = rng.Below(200);
+      const size_t k = rng.Below(1000);
+      if (used[g * 1000 + k]) continue;
+      used[g * 1000 + k] = true;
+      builder.Add(Value::Tuple({groups[g], keys[k]}), Mult(rng.Range(1, 3)));
+      ++n;
+    }
+    (void)db.Put(name, *std::move(builder).Build());
+  }
+  return db;
+}
+
+// The exec_heavy templates the evaluator runs in server time.
+struct HeavyTemplate {
+  const char* name;
+  const char* text;
+};
+constexpr HeavyTemplate kHeavyTemplates[] = {
+    {"union_chain",
+     "map(x -> tup(proj(1, x)), uplus(uplus(R, S), uplus(T, D)))"},
+    {"monus", "map(x -> tup(proj(1, x)), monus(uplus(R, D), S))"},
+    {"eps_inter",
+     "dedup(map(x -> tup(proj(1, x)), inter(uplus(R, S), uplus(T, D))))"},
+    {"select_const",
+     "map(x -> tup(proj(2, x)), sel(x -> proj(1, x) == 'c7, uplus(R, T)))"},
+    {"mix",
+     "dedup(map(x -> tup(proj(1, x)), uplus(monus(S, D), inter(T, R))))"},
+};
+
+void EvaluatorHeavy(benchmark::State& state, const Expr& q) {
+  static const Database db = MakeHeavyDb();
+  Evaluator eval;
+  for (auto _ : state) {
+    auto r = eval.EvalToBag(q, db);
+    benchmark::DoNotOptimize(r);
+  }
+}
+
+void IrHeavy(benchmark::State& state, const Expr& q) {
+  static const Database db = MakeHeavyDb();
+  for (auto _ : state) {
+    auto r = exec::RunPipeline(q, db);
+    benchmark::DoNotOptimize(r);
+  }
+}
+
+void RegisterHeavyBenchmarks() {
+  for (const HeavyTemplate& t : kHeavyTemplates) {
+    auto q = lang::ParseExpr(t.text);
+    if (!q.ok()) {
+      std::fprintf(stderr, "bad template %s\n", t.text);
+      continue;
+    }
+    benchmark::RegisterBenchmark(
+        (std::string("BM_EvaluatorHeavy/") + t.name).c_str(), EvaluatorHeavy,
+        *q);
+    benchmark::RegisterBenchmark((std::string("BM_IrHeavy/") + t.name).c_str(),
+                                 IrHeavy, *q);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   obs::EnableGlobalTraceFromArgs(&argc, argv);
   PrintAgreementSweep();
+  RegisterHeavyBenchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

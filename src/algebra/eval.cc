@@ -3,6 +3,7 @@
 #include <sstream>
 #include <vector>
 
+#include "src/algebra/row_program.h"
 #include "src/core/encoding.h"
 #include "src/obs/metrics.h"
 
@@ -210,6 +211,9 @@ class Walker {
       }
       case ExprKind::kMap: {
         BAGALG_ASSIGN_OR_RETURN(Bag src, EvalBag(n.children[1]));
+        if (const CompiledBody* body = Compiled(expr, src)) {
+          return MapRows(*src.flat_rows(), *body);
+        }
         Bag::Builder builder;
         for (const BagEntry& e : src.entries()) {
           if (ticker_.Due()) {
@@ -225,6 +229,9 @@ class Walker {
       }
       case ExprKind::kSelect: {
         BAGALG_ASSIGN_OR_RETURN(Bag src, EvalBag(n.children[2]));
+        if (const CompiledBody* body = Compiled(expr, src)) {
+          return SelectRows(src, *body);
+        }
         Bag::Builder builder(src.element_type());
         for (const BagEntry& e : src.entries()) {
           if (ticker_.Due()) {
@@ -320,13 +327,14 @@ class Walker {
     BAGALG_RETURN_IF_ERROR(CheckDistinctLimit(bag.DistinctCount(), limits_));
     stats_->max_distinct =
         std::max(stats_->max_distinct, uint64_t{bag.DistinctCount()});
-    for (const BagEntry& e : bag.entries()) {
+    for (size_t i = 0; i < bag.DistinctCount(); ++i) {
       if (ticker_.Due()) {
         BAGALG_RETURN_IF_ERROR(ticker_.Flush());
       }
-      uint64_t bits = e.count.BitLength();
+      const Mult& count = bag.CountAt(i);
+      uint64_t bits = count.BitLength();
       stats_->max_mult_bits = std::max(stats_->max_mult_bits, bits);
-      BAGALG_RETURN_IF_ERROR(CheckMultLimit(e.count, limits_));
+      BAGALG_RETURN_IF_ERROR(CheckMultLimit(count, limits_));
     }
     if (track_sizes_) {
       BigNat size = StandardEncodingSize(bag);
@@ -345,6 +353,121 @@ class Walker {
     return Value::FromBag(std::move(bag).value());
   }
 
+  // ------------------------------------------- compiled MAP / σ bodies
+
+  /// A MAP or σ body compiled against the rows of a flat bag (row_program.h),
+  /// with the kinds of the Expr nodes it replaces in the order the tree
+  /// walk visits them for one row.
+  struct CompiledBody {
+    Type row_type;
+    bool ok = false;  ///< false: the body is outside the row fragment
+    CellMap map;      ///< kMap
+    CellFilter filter;  ///< kSelect
+    std::vector<ExprKind> visits;
+  };
+
+  /// Appends the kinds of `expr`'s nodes in tree-walk (pre)order.
+  static void AppendVisits(const Expr& expr, std::vector<ExprKind>* out) {
+    out->push_back(expr->kind);
+    for (const Expr& c : expr->children) AppendVisits(c, out);
+  }
+
+  /// The compiled body of the MAP or σ node `expr` over `src`'s rows;
+  /// nullptr when the tree walk must run it instead: `src` holds bags, the
+  /// body leaves the row fragment (an outer binder, a bag operator, a
+  /// bag-valued image, a projection the rows do not have), or explain
+  /// analyze is profiling every body node. Compiled once per node and row
+  /// type for the whole walk.
+  const CompiledBody* Compiled(const Expr& expr, const Bag& src) {
+    if (src.flat_rows() == nullptr || profiles_ != nullptr) return nullptr;
+    const Type& row_type = src.element_type();
+    auto [it, fresh] = compiled_.try_emplace(expr.raw());
+    CompiledBody& body = it->second;
+    if (!fresh && body.row_type == row_type) return body.ok ? &body : nullptr;
+    body = CompiledBody{};
+    body.row_type = row_type;
+    const ExprNode& n = expr.node();
+    Result<RowProgram> lhs = RowProgram::Compile(n.children[0]);
+    AppendVisits(n.children[0], &body.visits);
+    if (n.kind == ExprKind::kMap) {
+      if (lhs.ok()) {
+        Result<CellMap> map = lhs->CompileCells(row_type);
+        body.ok = map.ok();
+        if (body.ok) body.map = std::move(map).value();
+      }
+    } else {
+      Result<RowProgram> rhs = RowProgram::Compile(n.children[1]);
+      AppendVisits(n.children[1], &body.visits);
+      if (lhs.ok() && rhs.ok()) {
+        Result<CellFilter> filter =
+            RowProgram::CompileFilter(*lhs, *rhs, row_type);
+        body.ok = filter.ok();
+        if (body.ok) body.filter = std::move(filter).value();
+      }
+    }
+    return body.ok ? &body : nullptr;
+  }
+
+  /// Records `rows` applications of a compiled body as the tree walk would
+  /// have: one step and one op count per replaced node per row. When the
+  /// step budget runs out, the counts stop at the node where the walk would
+  /// have stopped, and the walk's error is returned.
+  Status ChargeBody(const std::vector<ExprKind>& visits, uint64_t rows) {
+    const uint64_t per_row = visits.size();
+    uint64_t full_rows = rows;
+    uint64_t partial = 0;  // nodes of the row the budget stops in
+    bool exhausted = false;
+    if (limits_.max_eval_steps != 0) {
+      const uint64_t left = limits_.max_eval_steps > stats_->steps
+                                ? limits_.max_eval_steps - stats_->steps
+                                : 0;
+      if (rows * per_row > left) {
+        full_rows = left / per_row;
+        partial = left % per_row;
+        exhausted = true;
+      }
+    }
+    stats_->steps += full_rows * per_row + partial;
+    for (ExprKind kind : visits) {
+      stats_->op_counts[static_cast<size_t>(kind)] += full_rows;
+    }
+    for (uint64_t k = 0; k < partial; ++k) {
+      stats_->op_counts[static_cast<size_t>(visits[k])] += 1;
+    }
+    if (exhausted) {
+      stats_->steps += 1;
+      return Status::ResourceExhausted("evaluation step budget exhausted");
+    }
+    return ticker_.Flush();
+  }
+
+  /// MAP over flat rows: every row goes through the cell map, then equal
+  /// images combine. An empty source keeps the tree walk's Bottom type.
+  Result<Value> MapRows(const FlatRows& src, const CompiledBody& body) {
+    BAGALG_RETURN_IF_ERROR(ChargeBody(body.visits, src.size()));
+    std::vector<FlatRows> parts(1);
+    parts[0].width = body.map.cells.size();
+    parts[0].cells = body.map.Project(src);
+    parts[0].counts = src.counts;
+    return Finish(Bag::FromRows(src.empty() ? Type::Bottom() : body.map.type,
+                                std::move(parts)));
+  }
+
+  /// σ over flat rows: the rows the filter keeps, in order, under the
+  /// source's element type.
+  Result<Value> SelectRows(const Bag& src, const CompiledBody& body) {
+    BAGALG_RETURN_IF_ERROR(ChargeBody(body.visits, src.DistinctCount()));
+    if (body.filter.kind == CellFilter::Kind::kKeepAll) return Finish(src);
+    FlatRows rows;
+    if (body.filter.kind == CellFilter::Kind::kCompare) {
+      rows = *src.flat_rows();
+      body.filter.Apply(&rows);
+    } else {
+      rows.width = src.flat_rows()->width;
+    }
+    return Finish(Bag::FromCanonicalRows(src.element_type(), std::move(rows)));
+  }
+
   const Limits& limits_;
   bool track_sizes_;
   EvalStats* stats_;
@@ -352,6 +475,8 @@ class Walker {
   obs::Tracer* tracer_;
   NodeProfileMap* profiles_;
   std::vector<Value> binders_;
+  // Compiled MAP / σ bodies, by node (see Compiled).
+  std::unordered_map<const ExprNode*, CompiledBody> compiled_;
   // MAP / σ bodies currently being applied (see SpanTracer).
   size_t lambda_depth_ = 0;
   // Bound to the governor installed by Evaluator::Eval (inert when none).

@@ -5,7 +5,10 @@
 /// The BALG evaluator.
 ///
 /// A tree-walking interpreter over canonical bags, dispatching every
-/// operator to src/core/bag_ops.h and enforcing a Limits budget. The
+/// operator to src/core/bag_ops.h and enforcing a Limits budget. A MAP or
+/// σ over a flat bag whose body compiles to a row program (row_program.h)
+/// runs on the bag's rows instead of walking the body per element; it
+/// records the steps and op counts the walk would have. The
 /// evaluator is *instrumented*: it records operator applications, the
 /// largest intermediate bag (distinct elements, multiplicity bit-length, and
 /// optionally the paper's standard-encoding size), and fixpoint iteration

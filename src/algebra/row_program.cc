@@ -1,10 +1,62 @@
-#include "src/ir/program.h"
+#include "src/algebra/row_program.h"
 
 #include <algorithm>
 #include <optional>
 #include <utility>
 
-namespace bagalg::ir {
+namespace bagalg {
+
+bool CellMap::IsIdentity(size_t width) const {
+  if (cells.size() != width) return false;
+  for (size_t k = 0; k < width; ++k) {
+    if (cells[k].constant || cells[k].value != k) return false;
+  }
+  return true;
+}
+
+std::vector<AtomId> CellMap::Project(const FlatRows& rows) const {
+  std::vector<AtomId> out(rows.size() * cells.size());
+  AtomId* o = out.data();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const AtomId* row = rows.row(i);
+    for (const CellSource& source : cells) *o++ = source.Read(row);
+  }
+  return out;
+}
+
+void CellFilter::Apply(FlatRows* rows) const {
+  switch (kind) {
+    case Kind::kKeepAll:
+      return;
+    case Kind::kDropAll:
+      rows->Clear();
+      return;
+    case Kind::kCompare:
+      break;
+  }
+  const size_t n = rows->size();
+  const size_t width = rows->width;
+  AtomId* cells = rows->cells.data();
+  size_t w = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const AtomId* row = cells + i * width;
+    bool keep = true;
+    for (const auto& [l, r] : pairs) {
+      if (l.Read(row) != r.Read(row)) {
+        keep = false;
+        break;
+      }
+    }
+    if (!keep) continue;
+    if (w != i) {
+      std::copy(row, row + width, cells + w * width);
+      rows->counts[w] = std::move(rows->counts[i]);
+    }
+    ++w;
+  }
+  rows->cells.resize(w * width);
+  rows->counts.resize(w);
+}
 
 namespace {
 
@@ -425,4 +477,4 @@ std::string RowProgram::ToString() const {
   return stack.empty() ? std::string("?") : stack.back();
 }
 
-}  // namespace bagalg::ir
+}  // namespace bagalg

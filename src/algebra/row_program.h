@@ -1,18 +1,19 @@
-#ifndef BAGALG_IR_PROGRAM_H_
-#define BAGALG_IR_PROGRAM_H_
+#ifndef BAGALG_ALGEBRA_ROW_PROGRAM_H_
+#define BAGALG_ALGEBRA_ROW_PROGRAM_H_
 
-/// \file program.h
-/// Compiled row programs: the IR engine's replacement for per-row AST
-/// walking.
+/// \file row_program.h
+/// Compiled row programs: the engines' replacement for per-row AST walking.
 ///
 /// Rather than recursively walk a MAP image's or σ side's Expr tree for
-/// every row, the IR engine compiles each object-level lambda body once,
-/// into a flat postorder instruction sequence executed by a tiny stack
-/// machine — no recursion, no per-node switch re-dispatch through
-/// shared_ptr indirections, and the constants pre-resolved into a pool.
+/// every row, each object-level lambda body is compiled once, into a flat
+/// postorder instruction sequence, and then against the row type it reads:
+/// a projection becomes a cell map (every output cell is an input cell or
+/// a constant atom), a filter a list of cell pairs that must match. The
+/// IR's fused stages (exec_ir.h) and the evaluator's MAP and σ over flat
+/// bags (eval.h) both run these on flat rows (flat_rows.h).
 ///
 /// Three shapes cover almost every real pipeline and get dedicated fast
-/// paths that skip the stack machine entirely:
+/// paths:
 ///
 ///   identity      λx. x                      (pass-through)
 ///   field-ref     λx. α_i(x)                 (join keys, filter sides)
@@ -20,8 +21,8 @@
 ///
 /// The supported fragment is the object-level lambda bodies of BALG¹:
 /// Var(0) / constants / tupling / attribute projection. Anything else fails
-/// to compile with kUnsupported; such plans run only on the tree-walking
-/// evaluator (`eval`).
+/// to compile with kUnsupported; the IR rejects such plans, and the
+/// evaluator walks such bodies as Expr trees.
 
 #include <cstdint>
 #include <optional>
@@ -30,10 +31,11 @@
 #include <vector>
 
 #include "src/algebra/expr.h"
+#include "src/core/flat_rows.h"
 #include "src/core/value.h"
 #include "src/util/result.h"
 
-namespace bagalg::ir {
+namespace bagalg {
 
 /// Where one output cell of a compiled row program comes from: a cell of
 /// the input row, or a constant atom.
@@ -50,6 +52,12 @@ struct CellSource {
 struct CellMap {
   Type type;
   std::vector<CellSource> cells;
+
+  /// True when the map copies rows of `width` cells unchanged.
+  bool IsIdentity(size_t width) const;
+  /// The cells of every row of `rows` mapped through this map, row-major
+  /// (cells.size() per row); the counts are the caller's to carry over.
+  std::vector<AtomId> Project(const FlatRows& rows) const;
 };
 
 /// A filter compiled against its input row type. Its two sides are equal
@@ -59,6 +67,10 @@ struct CellFilter {
   enum class Kind : uint8_t { kKeepAll, kDropAll, kCompare };
   Kind kind = Kind::kKeepAll;
   std::vector<std::pair<CellSource, CellSource>> pairs;  ///< kCompare
+
+  /// Keeps the rows of `rows` on which the filter holds, in order,
+  /// compacting in place.
+  void Apply(FlatRows* rows) const;
 };
 
 /// A compiled object-level lambda body.
@@ -154,6 +166,6 @@ class RowProgram {
   std::optional<Value> const_val_;
 };
 
-}  // namespace bagalg::ir
+}  // namespace bagalg
 
-#endif  // BAGALG_IR_PROGRAM_H_
+#endif  // BAGALG_ALGEBRA_ROW_PROGRAM_H_

@@ -58,14 +58,51 @@ obs::Counter* MergeIndexedCounter() {
   return c;
 }
 
-/// Merge-walks two canonical entry lists, combining multiplicities with
-/// `combine` (absent elements contribute multiplicity 0) and keeping only
-/// positive results. The walk visits both lists in value order, so the
-/// output is canonical by construction and skips Builder's sort entirely.
-Result<Bag> MergeCombine(const Bag& a, const Bag& b,
+/// True when bags of element type `type` are stored as flat rows.
+bool IsFlat(const Type& type) { return type.BagNesting() == 0; }
+
+/// ⊎, ∸, ∪ or ∩ of two flat bags whose joined element type is `elem`: one
+/// merge walk over their rows (flat_rows.h), canonical by construction.
+Result<Bag> MergeRows(MergeKind kind, const Bag& a, const Bag& b, Type elem) {
+  const FlatRows& l = *a.flat_rows();
+  const FlatRows& r = *b.flat_rows();
+  FlatRows out;
+  out.width = CellWidth(elem);
+  switch (kind) {
+    case MergeKind::kMonus:
+      out.Reserve(l.size());
+      break;
+    case MergeKind::kIntersect:
+      out.Reserve(std::min(l.size(), r.size()));
+      break;
+    case MergeKind::kMaxUnion:
+    case MergeKind::kAdditive:
+      out.Reserve(l.size() + r.size());
+      break;
+  }
+  RowCollector collect(&out);
+  BAGALG_RETURN_IF_ERROR(MergeWalk(kind, l, r, out.width, &collect));
+  return Bag::FromCanonicalRows(std::move(elem), std::move(out));
+}
+
+/// `bag` with its element type widened to `elem` (which accepts it).
+Bag WithElementType(const Bag& bag, Type elem) {
+  if (elem == bag.element_type()) return bag;
+  if (bag.empty()) return Bag(std::move(elem));
+  if (const FlatRows* rows = bag.flat_rows()) {
+    return Bag::FromCanonicalRows(std::move(elem), *rows);
+  }
+  std::vector<BagEntry> out = bag.entries();
+  return Bag::FromCanonicalEntries(std::move(elem), std::move(out));
+}
+
+/// Merge-walks two canonical entry lists of bags of bags, combining
+/// multiplicities with `combine` (absent elements contribute multiplicity
+/// 0) and keeping only positive results. The walk visits both lists in
+/// value order, so the output is canonical by construction and skips
+/// Builder's sort entirely.
+Result<Bag> MergeCombine(const Bag& a, const Bag& b, Type elem,
                          Mult (*combine)(const Mult&, const Mult&)) {
-  BAGALG_ASSIGN_OR_RETURN(Type elem,
-                          Type::Join(a.element_type(), b.element_type()));
   const auto& ea = a.entries();
   const auto& eb = b.entries();
   std::vector<BagEntry> out;
@@ -123,13 +160,7 @@ bool ProbeBeatsMerge(const Bag& small, const Bag& large) {
 bool UnionEmptyIdentity(const Bag& a, const Bag& b, const Type& elem,
                         Result<Bag>* result) {
   if (!a.empty() && !b.empty()) return false;
-  const Bag& keep = a.empty() ? b : a;
-  if (elem == keep.element_type()) {
-    *result = keep;
-  } else {
-    std::vector<BagEntry> out = keep.entries();
-    *result = Bag::FromCanonicalEntries(elem, std::move(out));
-  }
+  *result = WithElementType(a.empty() ? b : a, elem);
   return true;
 }
 
@@ -161,7 +192,10 @@ Result<Bag> AdditiveUnion(const Bag& a, const Bag& b) {
                           Type::Join(a.element_type(), b.element_type()));
   Result<Bag> identity = Bag();
   if (UnionEmptyIdentity(a, b, elem, &identity)) return identity;
-  return MergeCombine(a, b, &CombineAdd);
+  if (IsFlat(elem)) {
+    return MergeRows(MergeKind::kAdditive, a, b, std::move(elem));
+  }
+  return MergeCombine(a, b, std::move(elem), &CombineAdd);
 }
 
 Result<Bag> Subtract(const Bag& a, const Bag& b) {
@@ -169,10 +203,9 @@ Result<Bag> Subtract(const Bag& a, const Bag& b) {
   BAGALG_ASSIGN_OR_RETURN(Type elem,
                           Type::Join(a.element_type(), b.element_type()));
   if (a.empty()) return Bag(std::move(elem));
-  if (b.empty()) {
-    if (elem == a.element_type()) return a;
-    std::vector<BagEntry> out = a.entries();
-    return Bag::FromCanonicalEntries(std::move(elem), std::move(out));
+  if (b.empty()) return WithElementType(a, std::move(elem));
+  if (IsFlat(elem)) {
+    return MergeRows(MergeKind::kMonus, a, b, std::move(elem));
   }
   if (ProbeBeatsMerge(a, b)) {
     // a is a fraction of b: walk a, probe b's hash index, skip the merge
@@ -191,7 +224,7 @@ Result<Bag> Subtract(const Bag& a, const Bag& b) {
     }
     return Bag::FromCanonicalEntries(std::move(elem), std::move(out));
   }
-  return MergeCombine(a, b, &CombineMonus);
+  return MergeCombine(a, b, std::move(elem), &CombineMonus);
 }
 
 Result<Bag> MaxUnion(const Bag& a, const Bag& b) {
@@ -200,7 +233,10 @@ Result<Bag> MaxUnion(const Bag& a, const Bag& b) {
                           Type::Join(a.element_type(), b.element_type()));
   Result<Bag> identity = Bag();
   if (UnionEmptyIdentity(a, b, elem, &identity)) return identity;
-  return MergeCombine(a, b, &CombineMax);
+  if (IsFlat(elem)) {
+    return MergeRows(MergeKind::kMaxUnion, a, b, std::move(elem));
+  }
+  return MergeCombine(a, b, std::move(elem), &CombineMax);
 }
 
 Result<Bag> Intersect(const Bag& a, const Bag& b) {
@@ -208,6 +244,9 @@ Result<Bag> Intersect(const Bag& a, const Bag& b) {
   BAGALG_ASSIGN_OR_RETURN(Type elem,
                           Type::Join(a.element_type(), b.element_type()));
   if (a.empty() || b.empty()) return Bag(std::move(elem));
+  if (IsFlat(elem)) {
+    return MergeRows(MergeKind::kIntersect, a, b, std::move(elem));
+  }
   const Bag& small = a.DistinctCount() <= b.DistinctCount() ? a : b;
   const Bag& large = &small == &a ? b : a;
   if (ProbeBeatsMerge(small, large)) {
@@ -228,7 +267,7 @@ Result<Bag> Intersect(const Bag& a, const Bag& b) {
     }
     return Bag::FromCanonicalEntries(std::move(elem), std::move(out));
   }
-  return MergeCombine(a, b, &CombineMin);
+  return MergeCombine(a, b, std::move(elem), &CombineMin);
 }
 
 Result<Bag> CartesianProduct(const Bag& a, const Bag& b,
@@ -269,6 +308,31 @@ Result<Bag> CartesianProduct(const Bag& a, const Bag& b,
     field_types.insert(field_types.end(), bf.begin(), bf.end());
   }
   Type elem = Type::Tuple(std::move(field_types));
+  scope.span().AddAttr("pairs", pairs);
+
+  if (a.flat_rows() != nullptr && b.flat_rows() != nullptr) {
+    // Each output row is a left row followed by a right row; the double
+    // loop over canonical operands emits them in row order.
+    const FlatRows& l = *a.flat_rows();
+    const FlatRows& r = *b.flat_rows();
+    FlatRows out;
+    out.width = l.width + r.width;
+    out.Reserve(pairs);
+    CheckpointTicker ticker(sizeof(Mult) + out.width * sizeof(AtomId));
+    for (size_t i = 0; i < l.size(); ++i) {
+      for (size_t j = 0; j < r.size(); ++j) {
+        if (ticker.Due()) {
+          BAGALG_RETURN_IF_ERROR(ticker.Flush());
+        }
+        Mult count = l.counts[i] * r.counts[j];
+        BAGALG_RETURN_IF_ERROR(CheckMultLimit(count, limits));
+        out.cells.insert(out.cells.end(), l.row(i), l.row(i) + l.width);
+        out.cells.insert(out.cells.end(), r.row(j), r.row(j) + r.width);
+        out.counts.push_back(std::move(count));
+      }
+    }
+    return Bag::FromCanonicalRows(std::move(elem), std::move(out));
+  }
 
   // The double loop over two canonical (strictly value-sorted) operands
   // emits pairs in block-lexicographic order, which for fixed-arity tuples
@@ -290,7 +354,6 @@ Result<Bag> CartesianProduct(const Bag& a, const Bag& b,
       entries.push_back({Value::Tuple(std::move(fields)), std::move(count)});
     }
   }
-  scope.span().AddAttr("pairs", pairs);
   return Bag::FromCanonicalEntries(std::move(elem), std::move(entries));
 }
 
@@ -307,13 +370,13 @@ struct SubbagEnum {
 };
 
 Result<SubbagEnum> PrepareSubbagEnum(const Bag& bag, const Limits& limits) {
-  const auto& entries = bag.entries();
+  const size_t n = bag.DistinctCount();
   // Pre-check the number of distinct subbags: Π (m_i + 1).
   if (limits.max_powerset_results != 0) {
     Mult total(1);
     const Mult cap(limits.max_powerset_results);
-    for (const BagEntry& e : entries) {
-      total = total * (e.count + Mult(1));
+    for (size_t i = 0; i < n; ++i) {
+      total = total * (bag.CountAt(i) + Mult(1));
       if (total > cap) {
         return Status::ResourceExhausted(
             "powerset would enumerate more than " +
@@ -323,9 +386,9 @@ Result<SubbagEnum> PrepareSubbagEnum(const Bag& bag, const Limits& limits) {
     }
   }
   SubbagEnum en;
-  en.maxima.resize(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    auto m = entries[i].count.ToUint64();
+  en.maxima.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    auto m = bag.CountAt(i).ToUint64();
     if (!m.ok()) {
       return Status::ResourceExhausted(
           "powerset operand multiplicity exceeds enumerable range");
@@ -384,12 +447,23 @@ Status ForEachSubbagAll(const std::vector<uint64_t>& maxima, Emit&& emit) {
 }
 
 /// Materializes a subbag from per-entry chosen multiplicities. The kept
-/// entries are a subsequence of the parent's canonical entries, so the
-/// result is canonical by construction — no Builder needed.
+/// entries (or rows, of a flat parent) are a subsequence of the parent's
+/// canonical ones, so the result is canonical by construction — no Builder
+/// needed.
 Value MaterializeSubbag(const Bag& bag, const std::vector<uint64_t>& chosen) {
-  const auto& entries = bag.entries();
   size_t kept = 0;
   for (uint64_t c : chosen) kept += c != 0 ? 1 : 0;
+  if (const FlatRows* rows = bag.flat_rows()) {
+    FlatRows sub;
+    sub.width = rows->width;
+    sub.Reserve(kept);
+    for (size_t i = 0; i < rows->size(); ++i) {
+      if (chosen[i] != 0) sub.Push(rows->row(i), Mult(chosen[i]));
+    }
+    return Value::FromBag(
+        Bag::FromCanonicalRows(bag.element_type(), std::move(sub)));
+  }
+  const auto& entries = bag.entries();
   std::vector<BagEntry> sub;
   sub.reserve(kept);
   for (size_t i = 0; i < entries.size(); ++i) {
@@ -468,14 +542,14 @@ Result<Bag> Powerbag(const Bag& bag, const Limits& limits) {
   KernelScope scope("kernel.powerbag");
   BAGALG_ASSIGN_OR_RETURN(SubbagEnum en, PrepareSubbagEnum(bag, limits));
   if (en.enumerable) scope.span().AddAttr("subbags", en.total);
-  const auto& entries = bag.entries();
+  const size_t n = bag.DistinctCount();
   // Per-entry binomial rows C(m_i, 0..m_i) via the incremental recurrence
   // C(m, k) = C(m, k-1) · (m - k + 1) / k — O(m_i) big-number operations
   // per entry instead of O(k) per *subbag*. Rows beyond the size bound stay
   // empty and fall back to on-the-fly Binomial.
-  std::vector<std::vector<Mult>> rows(entries.size());
+  std::vector<std::vector<Mult>> rows(n);
   CheckpointTicker row_ticker(sizeof(Mult));
-  for (size_t i = 0; i < entries.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const uint64_t m = en.maxima[i];
     if (m > kBinomialRowMaxM) continue;
     auto& row = rows[i];
@@ -499,7 +573,7 @@ Result<Bag> Powerbag(const Bag& bag, const Limits& limits) {
           const uint64_t k = chosen[i];
           if (k == 0) continue;
           Mult f = !rows[i].empty() ? rows[i][k]
-                                    : Binomial(entries[i].count, k);
+                                    : Binomial(bag.CountAt(i), k);
           if (f.IsOne()) continue;  // covers C(m, m) = 1 too
           occ = occ.IsOne() ? std::move(f) : occ * f;
         }
@@ -520,7 +594,9 @@ Result<Bag> BagDestroy(const Bag& bag, const Limits& limits) {
   Type inner_elem = bag.element_type().IsBag()
                         ? bag.element_type().element()
                         : Type::Bottom();
+  const bool flat = IsFlat(inner_elem);
   Bag::Builder builder(inner_elem);
+  std::vector<FlatRows> parts;  // flat inner bags: their rows, scaled
   uint64_t distinct_bound = 0;
   CheckpointTicker ticker(sizeof(BagEntry));
   for (const BagEntry& e : bag.entries()) {
@@ -530,6 +606,23 @@ Result<Bag> BagDestroy(const Bag& bag, const Limits& limits) {
           "bag-destroy distinct-element bound overflows uint64");
     }
     BAGALG_RETURN_IF_ERROR(CheckDistinctLimit(distinct_bound, limits));
+    if (flat) {
+      const FlatRows& inner = *e.value.bag().flat_rows();
+      if (inner.empty()) continue;
+      FlatRows& part = parts.emplace_back();
+      part.width = inner.width;
+      part.cells = inner.cells;
+      part.counts.reserve(inner.size());
+      for (const Mult& c : inner.counts) {
+        if (ticker.Due()) {
+          BAGALG_RETURN_IF_ERROR(ticker.Flush());
+        }
+        Mult count = c * e.count;
+        BAGALG_RETURN_IF_ERROR(CheckMultLimit(count, limits));
+        part.counts.push_back(std::move(count));
+      }
+      continue;
+    }
     builder.Reserve(e.value.bag().DistinctCount());
     for (const BagEntry& inner : e.value.bag().entries()) {
       if (ticker.Due()) {
@@ -540,12 +633,20 @@ Result<Bag> BagDestroy(const Bag& bag, const Limits& limits) {
       builder.Add(inner.value, std::move(count));
     }
   }
+  if (flat) return Bag::FromRows(std::move(inner_elem), std::move(parts));
   return std::move(builder).Build();
 }
 
 Result<Bag> DupElim(const Bag& bag) {
   // The distinct values with multiplicity 1 each: the entry list already is
   // the answer, in canonical order.
+  if (const FlatRows* rows = bag.flat_rows()) {
+    FlatRows out;
+    out.width = rows->width;
+    out.cells = rows->cells;
+    out.counts.assign(rows->size(), Mult(1));
+    return Bag::FromCanonicalRows(bag.element_type(), std::move(out));
+  }
   std::vector<BagEntry> out;
   out.reserve(bag.DistinctCount());
   for (const BagEntry& e : bag.entries()) {
@@ -648,16 +749,16 @@ Result<Bag> Unnest(const Bag& bag, size_t attr, const Limits& limits) {
     }
     BAGALG_RETURN_IF_ERROR(CheckDistinctLimit(distinct_bound, limits));
     out.Reserve(inner.DistinctCount());
-    for (const BagEntry& ie : inner.entries()) {
+    for (size_t k = 0; k < inner.DistinctCount(); ++k) {
       if (ticker.Due()) {
         BAGALG_RETURN_IF_ERROR(ticker.Flush());
       }
       std::vector<Value> new_fields;
       new_fields.reserve(fields.size());
       for (size_t i = 0; i < fields.size(); ++i) {
-        new_fields.push_back(i == attr ? ie.value : fields[i]);
+        new_fields.push_back(i == attr ? inner.ElementAt(k) : fields[i]);
       }
-      Mult count = e.count * ie.count;
+      Mult count = e.count * inner.CountAt(k);
       BAGALG_RETURN_IF_ERROR(CheckMultLimit(count, limits));
       out.Add(Value::Tuple(std::move(new_fields)), std::move(count));
     }

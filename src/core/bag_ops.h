@@ -21,11 +21,15 @@
 ///   σ_{φ=φ'}        : keeps multiplicity where the test holds
 /// The AST-level evaluator (src/algebra/eval.h) dispatches to these.
 ///
-/// Every kernel runs on the calling thread. Intersect/Subtract probe the
-/// lazy hash index of the larger operand instead of merge-walking when the
-/// other side is much smaller. Kernel counters land in the MetricsRegistry
-/// and each kernel opens a tracer span when the global tracer is enabled
-/// (see docs/PERFORMANCE.md).
+/// Every kernel runs on the calling thread. Over flat bags (element types
+/// that hold no bag) ⊎, ∸, ∪ and ∩ are one merge walk over the operands'
+/// rows (flat_rows.h, the IR's kernel too), × concatenates rows, ε resets
+/// counts, and powerset subbags and bag-destroy copy rows; no Value is
+/// built. Over bags of bags, Intersect/Subtract probe the lazy hash index
+/// of the larger operand instead of merge-walking when the other side is
+/// much smaller. Kernel counters land in the MetricsRegistry and each
+/// kernel opens a tracer span when the global tracer is enabled (see
+/// docs/PERFORMANCE.md).
 
 #include <functional>
 #include <vector>

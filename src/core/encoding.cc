@@ -2,6 +2,19 @@
 
 namespace bagalg {
 
+namespace {
+
+/// Encoding size of every value of a type that holds no bag: one symbol
+/// per atom and per tuple constructor.
+uint64_t FlatValueSize(const Type& type) {
+  if (!type.IsTuple()) return 1;
+  uint64_t total = 1;
+  for (const Type& f : type.fields()) total += FlatValueSize(f);
+  return total;
+}
+
+}  // namespace
+
 BigNat StandardEncodingSize(const Value& value) {
   switch (value.kind()) {
     case Value::Kind::kAtom:
@@ -18,6 +31,10 @@ BigNat StandardEncodingSize(const Value& value) {
 }
 
 BigNat StandardEncodingSize(const Bag& bag) {
+  if (bag.flat_rows() != nullptr) {
+    if (bag.empty()) return BigNat();
+    return bag.TotalCount() * BigNat(FlatValueSize(bag.element_type()));
+  }
   BigNat total;
   for (const BagEntry& e : bag.entries()) {
     total += e.count * StandardEncodingSize(e.value);
@@ -42,6 +59,15 @@ uint64_t CountedEncodingSize(const Value& value) {
 
 uint64_t CountedEncodingSize(const Bag& bag) {
   uint64_t total = 0;
+  if (const FlatRows* rows = bag.flat_rows()) {
+    const uint64_t value_size =
+        rows->empty() ? 0 : FlatValueSize(bag.element_type());
+    for (const Mult& count : rows->counts) {
+      total += value_size;
+      total += count.LimbCount() == 0 ? 1 : count.LimbCount();
+    }
+    return total;
+  }
   for (const BagEntry& e : bag.entries()) {
     total += CountedEncodingSize(e.value);
     total += e.count.LimbCount() == 0 ? 1 : e.count.LimbCount();
@@ -69,6 +95,12 @@ BigNat MaxMultiplicity(const Value& value) {
 
 BigNat MaxMultiplicity(const Bag& bag) {
   BigNat best;
+  if (const FlatRows* rows = bag.flat_rows()) {
+    for (const Mult& count : rows->counts) {
+      if (count > best) best = count;
+    }
+    return best;
+  }
   for (const BagEntry& e : bag.entries()) {
     if (e.count > best) best = e.count;
     BigNat inner = MaxMultiplicity(e.value);

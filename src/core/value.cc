@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 
 #include "src/obs/metrics.h"
 #include "src/util/governor.h"
@@ -20,24 +21,72 @@ size_t CombineHash(size_t seed, size_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
 }
 
+// Hash seeds of the three value kinds and of a bag's entry list.
+constexpr size_t kAtomSeed = 0xa70u;
+constexpr size_t kTupleSeed = 0x70u;
+constexpr size_t kBagValueSeed = 0xb0u;
+constexpr size_t kEntriesSeed = 0x90u;
+
 const Mult& ZeroMult() {
   static const Mult* zero = new Mult();
   return *zero;
+}
+
+// ------------------------------------------------------------- flat rows
+
+/// True when values of `type` are stored as flat rows in a bag: the type
+/// holds no bag (Bottom included: an empty bag's rows).
+bool IsFlat(const Type& type) { return type.BagNesting() == 0; }
+
+/// Appends the atom leaves of `v`, left to right.
+void AppendCells(const Value& v, std::vector<AtomId>* out) {
+  if (v.IsAtom()) {
+    out->push_back(v.atom_id());
+    return;
+  }
+  for (const Value& f : v.fields()) AppendCells(f, out);
+}
+
+/// Value::Hash of the value of type `type` whose atoms are row[*pos...].
+size_t RowHash(const Type& type, const AtomId* row, size_t* pos) {
+  if (type.IsAtom()) return CombineHash(kAtomSeed, row[(*pos)++]);
+  size_t h = kTupleSeed;
+  for (const Type& field : type.fields()) {
+    h = CombineHash(h, RowHash(field, row, pos));
+  }
+  return h;
+}
+
+/// Builds the value of type `type` whose atoms are row[*pos...].
+template <typename AtomOf>
+Value RowValue(const Type& type, const AtomId* row, size_t* pos,
+               const AtomOf& atom_of) {
+  if (type.IsAtom()) return atom_of(row[(*pos)++]);
+  std::vector<Value> fields;
+  fields.reserve(type.fields().size());
+  for (const Type& field : type.fields()) {
+    fields.push_back(RowValue(field, row, pos, atom_of));
+  }
+  return Value::Tuple(std::move(fields));
 }
 
 // The text renderer appends every level into one buffer: an atom is a
 // view of its name, a count is formatted in place.
 void AppendBagText(const Bag& bag, const AtomTable& table, std::string* out);
 
+void AppendAtomText(AtomId id, const AtomTable& table, std::string* out) {
+  if (const auto name = table.NameView(id)) {
+    out->append(*name);
+  } else {
+    out->append(table.NameOf(id));
+  }
+}
+
 void AppendText(const Value& value, const AtomTable& table,
                 std::string* out) {
   switch (value.kind()) {
     case Value::Kind::kAtom:
-      if (const auto name = table.NameView(value.atom_id())) {
-        out->append(*name);
-      } else {
-        out->append(table.NameOf(value.atom_id()));
-      }
+      AppendAtomText(value.atom_id(), table, out);
       return;
     case Value::Kind::kTuple: {
       out->push_back('[');
@@ -56,16 +105,39 @@ void AppendText(const Value& value, const AtomTable& table,
   }
 }
 
-void AppendBagText(const Bag& bag, const AtomTable& table, std::string* out) {
-  out->append("{{");
+/// The text of the value of type `type` whose atoms are row[*pos...]: the
+/// same bytes AppendText writes for that value.
+void AppendRowText(const Type& type, const AtomId* row, size_t* pos,
+                   const AtomTable& table, std::string* out) {
+  if (type.IsAtom()) {
+    AppendAtomText(row[(*pos)++], table, out);
+    return;
+  }
+  out->push_back('[');
   bool first = true;
-  for (const BagEntry& e : bag.entries()) {
+  for (const Type& field : type.fields()) {
     if (!first) out->append(", ");
     first = false;
-    AppendText(e.value, table, out);
-    if (!e.count.IsOne()) {
+    AppendRowText(field, row, pos, table, out);
+  }
+  out->push_back(']');
+}
+
+void AppendBagText(const Bag& bag, const AtomTable& table, std::string* out) {
+  out->append("{{");
+  const FlatRows* rows = bag.flat_rows();
+  for (size_t i = 0; i < bag.DistinctCount(); ++i) {
+    if (i != 0) out->append(", ");
+    if (rows != nullptr) {
+      size_t pos = 0;
+      AppendRowText(bag.element_type(), rows->row(i), &pos, table, out);
+    } else {
+      AppendText(bag.entries()[i].value, table, out);
+    }
+    const Mult& count = bag.CountAt(i);
+    if (!count.IsOne()) {
       out->push_back('*');
-      e.count.AppendDecimal(out);
+      count.AppendDecimal(out);
     }
   }
   out->append("}}");
@@ -93,44 +165,147 @@ struct Value::Rep {
 // ------------------------------------------------------------------ Bag::Rep
 
 struct Bag::Rep {
-  struct FlatImage;
-
   Type element_type = Type::Bottom();
+  // The canonical storage: `rows` when the element type holds no bag
+  // (`flat`), `entries` otherwise.
+  bool flat = true;
+  FlatRows rows;
   std::vector<BagEntry> entries;
   Mult total;
-  size_t hash = 0;
-  // Lazy open-addressing hash index over `entries` (slot holds entry index
-  // + 1; 0 means empty). Built at most once, under `index_once`, when a
-  // membership probe hits a bag with >= Bag::kIndexThreshold distinct
-  // elements. Mutable because the index is a cache on an immutable Rep.
+  // The entry hash: set at construction for a bag of bags; for a flat bag
+  // computed from the rows on first use (a kernel's intermediate results
+  // never need it). Racing first callers store the same value.
+  mutable std::atomic<bool> hashed{false};
+  mutable std::atomic<size_t> hash{kEntriesSeed};
+  // Flat bags only: the entries() view, built at most once under
+  // `view_once`. Mutable because the view is a cache on an immutable Rep.
+  mutable std::once_flag view_once;
+  mutable std::vector<BagEntry> view;
+  // Lazy open-addressing hash index over `entries` of a bag of bags (slot
+  // holds entry index + 1; 0 means empty). Built at most once, under
+  // `index_once`, when a membership probe hits a bag with >=
+  // Bag::kIndexThreshold distinct elements.
   mutable std::once_flag index_once;
   mutable std::vector<uint32_t> index;
   // Cached IsSetLike answer: kSetLikeUnknown until the first call. A pure
-  // function of `entries`, so racing first callers store the same value.
+  // function of the counts, so racing first callers store the same value.
   static constexpr uint8_t kSetLikeUnknown = 2;
   mutable std::atomic<uint8_t> set_like{kSetLikeUnknown};
-  // Lazy Bag::flat_cells() and Bag::column_facts(), built together at most
-  // once under `flat_once`.
-  mutable std::once_flag flat_once;
-  mutable std::unique_ptr<const FlatImage> flat;
-};
-
-/// A stored bag's cells (absent when its elements hold a bag) and the
-/// column facts derived from them.
-struct Bag::Rep::FlatImage {
-  std::optional<Bag::FlatCells> cells;
-  Bag::ColumnFacts facts;
+  // Lazy Bag::column_facts(), built at most once under `facts_once`.
+  mutable std::once_flag facts_once;
+  mutable std::unique_ptr<const Bag::ColumnFacts> facts;
 };
 
 namespace {
 
 const std::shared_ptr<const Bag::Rep>& EmptyBagRep() {
-  static auto rep = [] {
-    auto r = std::make_shared<Bag::Rep>();
-    r->hash = 0x90u;
-    return std::shared_ptr<const Bag::Rep>(std::move(r));
-  }();
+  static auto rep = std::shared_ptr<const Bag::Rep>(
+      std::make_shared<Bag::Rep>());
   return rep;
+}
+
+/// The entry hash of a flat bag's rows: the hash of the same entries held
+/// as Values.
+size_t HashRows(const Bag::Rep& rep) {
+  const FlatRows& rows = rep.rows;
+  size_t h = kEntriesSeed;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    size_t pos = 0;
+    const size_t value_hash = RowHash(rep.element_type, rows.row(i), &pos);
+    h = CombineHash(h, CombineHash(value_hash, rows.counts[i].Hash()));
+  }
+  return h;
+}
+
+/// The sum of `counts`, adding in a machine word while no sum wraps.
+Mult SumCounts(const std::vector<Mult>& counts) {
+  Mult total;
+  uint64_t small_total = 0;
+  for (const Mult& count : counts) {
+    uint64_t sum = 0;
+    if (count.FitsUint64() &&
+        !__builtin_add_overflow(small_total, *count.ToUint64(), &sum)) {
+      small_total = sum;
+    } else {
+      total += count;
+    }
+  }
+  total += Mult(small_total);
+  return total;
+}
+
+/// The rep of a flat bag holding `rows` (canonical, width
+/// CellWidth(element_type)). Charges the rows to the governor.
+std::shared_ptr<const Bag::Rep> FlatRep(Type element_type, FlatRows rows) {
+  auto rep = std::make_shared<Bag::Rep>();
+  rep->total = SumCounts(rows.counts);
+  rep->element_type = std::move(element_type);
+  rep->rows = std::move(rows);
+  // Tiny bags (per-subbag results inside powerset enumeration) are not
+  // charged: their enclosing loop is already checkpointed, and charging
+  // them here would put an atomic on the kernels' hottest path.
+  if (rep->rows.size() >= kGovernorAccountMinEntries) {
+    GovernorAccountBytes(rep->rows.Bytes());
+  }
+  return rep;
+}
+
+/// The rep of a bag of bags holding canonical `entries`.
+std::shared_ptr<const Bag::Rep> EntriesRep(Type element_type,
+                                           std::vector<BagEntry> entries) {
+  auto rep = std::make_shared<Bag::Rep>();
+  size_t h = kEntriesSeed;
+  for (const BagEntry& e : entries) {
+    rep->total += e.count;
+    h = CombineHash(h, CombineHash(e.value.Hash(), e.count.Hash()));
+  }
+  rep->flat = false;
+  rep->hash.store(h, std::memory_order_relaxed);
+  rep->hashed.store(true, std::memory_order_relaxed);
+  rep->element_type = std::move(element_type);
+  rep->entries = std::move(entries);
+  if (rep->entries.size() >= kGovernorAccountMinEntries) {
+    GovernorAccountBytes(rep->entries.capacity() * sizeof(BagEntry));
+  }
+  return rep;
+}
+
+/// Builds the entries() view of a flat bag: one Value per row, the atoms
+/// shared between rows.
+void BuildEntriesView(const Bag::Rep& rep) {
+  const FlatRows& rows = rep.rows;
+  std::unordered_map<AtomId, Value> atoms;
+  const auto atom_of = [&atoms](AtomId id) -> const Value& {
+    auto [it, fresh] = atoms.try_emplace(id);
+    if (fresh) it->second = Value::Atom(id);
+    return it->second;
+  };
+  rep.view.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    size_t pos = 0;
+    rep.view.push_back(
+        {RowValue(rep.element_type, rows.row(i), &pos, atom_of),
+         rows.counts[i]});
+  }
+  obs::GlobalMetrics().GetCounter("kernel.entries_views")->Increment();
+  if (rows.size() >= kGovernorAccountMinEntries) {
+    GovernorAccountBytes(rep.view.capacity() * sizeof(BagEntry));
+  }
+}
+
+/// The index of the first row of `rows` not below `row`.
+size_t LowerBoundRow(const FlatRows& rows, const AtomId* row) {
+  size_t lo = 0;
+  size_t hi = rows.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (CompareRows(rows.row(mid), row, rows.width) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 // ------------------------------------------------------ lazy hash index
@@ -182,51 +357,34 @@ const BagEntry* IndexedFind(const Bag::Rep& rep, const Value& value) {
   }
 }
 
-// ------------------------------------------------ lazy cells and facts
-
-void AppendCells(const Value& v, std::vector<AtomId>* out) {
-  if (v.IsAtom()) {
-    out->push_back(v.atom_id());
-    return;
-  }
-  for (const Value& f : v.fields()) AppendCells(f, out);
-}
+// ---------------------------------------------------------- column facts
 
 /// True when cell rows a and b agree on [begin, end).
 bool SameCells(const AtomId* a, const AtomId* b, size_t begin, size_t end) {
   return std::equal(a + begin, a + end, b + begin);
 }
 
-/// Builds Bag::flat_cells() and Bag::column_facts() for `rep`. A column is
-/// a field's cell range: constant when every row matches the first on it,
-/// unique when no two rows match on it after sorting the rows by it.
-std::unique_ptr<const Bag::Rep::FlatImage> BuildFlatImage(
-    const Bag::Rep& rep) {
-  auto image = std::make_unique<Bag::Rep::FlatImage>();
+/// Builds Bag::column_facts() for `rep`. A column is a field's cell range:
+/// constant when every row matches the first on it, unique when no two
+/// rows match on it after sorting the rows by it.
+std::unique_ptr<const Bag::ColumnFacts> BuildColumnFacts(const Bag::Rep& rep) {
+  auto facts = std::make_unique<Bag::ColumnFacts>();
   obs::GlobalMetrics().GetCounter("kernel.column_facts_builds")->Increment();
-  if (rep.element_type.BagNesting() > 0) return image;
-  Bag::FlatCells flat;
-  flat.width = CellWidth(rep.element_type);
-  flat.cells.reserve(rep.entries.size() * flat.width);
-  for (const BagEntry& e : rep.entries) AppendCells(e.value, &flat.cells);
-  if (rep.entries.size() >= kGovernorAccountMinEntries) {
-    GovernorAccountBytes(flat.cells.capacity() * sizeof(AtomId));
-  }
-  const size_t n = rep.entries.size();
+  if (!rep.flat) return facts;
+  const size_t n = rep.rows.size();
   const size_t arity =
       rep.element_type.IsTuple() ? rep.element_type.fields().size() : 0;
-  Bag::ColumnFacts& facts = image->facts;
-  facts.constant.assign(arity, true);
-  facts.unique.assign(arity, true);
-  const size_t w = flat.width;
-  const AtomId* cells = flat.cells.data();
+  facts->constant.assign(arity, true);
+  facts->unique.assign(arity, true);
+  const size_t w = rep.rows.width;
+  const AtomId* cells = rep.rows.cells.data();
   std::vector<size_t> order(n);
   size_t begin = 0;
   for (size_t c = 0; c < arity; ++c) {
     const size_t end = begin + CellWidth(rep.element_type.fields()[c]);
     for (size_t i = 1; i < n; ++i) {
       if (!SameCells(cells, cells + i * w, begin, end)) {
-        facts.constant[c] = false;
+        facts->constant[c] = false;
         break;
       }
     }
@@ -239,14 +397,13 @@ std::unique_ptr<const Bag::Rep::FlatImage> BuildFlatImage(
     for (size_t i = 1; i < n; ++i) {
       if (SameCells(cells + order[i - 1] * w, cells + order[i] * w, begin,
                     end)) {
-        facts.unique[c] = false;
+        facts->unique[c] = false;
         break;
       }
     }
     begin = end;
   }
-  image->cells = std::move(flat);
-  return image;
+  return facts;
 }
 
 // ------------------------------------------------------- canonical order
@@ -349,12 +506,12 @@ Value::Value() {
 Value Value::Atom(AtomId id) {
   auto rep = std::make_shared<Rep>(Kind::kAtom, Type::Atom());
   rep->atom = id;
-  rep->hash = CombineHash(0xa70u, id);
+  rep->hash = CombineHash(kAtomSeed, id);
   return Value(std::move(rep));
 }
 
 Value Value::Tuple(std::vector<Value> fields) {
-  size_t h = 0x70u;
+  size_t h = kTupleSeed;
   bool flat = true;
   for (const Value& f : fields) {
     h = CombineHash(h, f.Hash());
@@ -368,7 +525,8 @@ Value Value::Tuple(std::vector<Value> fields) {
 
 Value Value::FromBag(Bag bag) {
   auto rep = std::make_shared<Rep>(Kind::kBag, bag.type());
-  rep->hash = CombineHash(0xb0u, bag.Hash());
+  // The hash is the bag's, read through Hash(): a flat bag computes it
+  // only when asked.
   rep->bag = std::make_shared<const Bag>(std::move(bag));
   return Value(std::move(rep));
 }
@@ -392,7 +550,12 @@ const Bag& Value::bag() const {
 
 const Type& Value::type() const { return rep_->type; }
 
-size_t Value::Hash() const { return rep_->hash; }
+size_t Value::Hash() const {
+  if (rep_->kind == Kind::kBag) {
+    return CombineHash(kBagValueSeed, rep_->bag->Hash());
+  }
+  return rep_->hash;
+}
 
 int Value::Compare(const Value& other) const {
   if (rep_ == other.rep_) return 0;
@@ -424,7 +587,7 @@ int Value::Compare(const Value& other) const {
 
 bool Value::operator==(const Value& other) const {
   if (rep_ == other.rep_) return true;
-  if (rep_->hash != other.rep_->hash) return false;
+  if (Hash() != other.Hash()) return false;
   return Compare(other) == 0;
 }
 
@@ -440,8 +603,9 @@ Bag::Bag() : rep_(EmptyBagRep()) {}
 
 Bag::Bag(Type element_type) {
   auto rep = std::make_shared<Rep>();
+  rep->flat = IsFlat(element_type);
+  rep->rows.width = rep->flat ? CellWidth(element_type) : 0;
   rep->element_type = std::move(element_type);
-  rep->hash = 0x90u;
   rep_ = std::move(rep);
 }
 
@@ -452,57 +616,67 @@ void Bag::Builder::Add(Value value, Mult count) {
 
 void Bag::Builder::AddBag(const Bag& bag, const Mult& factor) {
   if (factor.IsZero()) return;
-  Reserve(bag.entries().size());
+  Reserve(bag.DistinctCount());
   for (const BagEntry& e : bag.entries()) {
     Add(e.value, e.count * factor);
   }
 }
 
 Result<Bag> Bag::Builder::Build() && {
+  // Join the element types in arrival order; Join allocates, so skip it
+  // when the item's type is already subsumed — the overwhelmingly common
+  // case of homogeneous additions. A failed join falls through to the
+  // value path, which reports it in value order.
+  Type elem = declared_;
+  bool joined = true;
+  for (const BagEntry& item : items_) {
+    if (item.value.type() == elem) continue;
+    Result<Type> next = Type::Join(elem, item.value.type());
+    if (!next.ok()) {
+      joined = false;
+      break;
+    }
+    elem = std::move(next).value();
+  }
+  if (joined && IsFlat(elem)) {
+    // Flatten to rows and free the Values; the rows are then ordered and
+    // combined by their cells.
+    std::vector<FlatRows> parts(1);
+    FlatRows& rows = parts[0];
+    rows.width = CellWidth(elem);
+    rows.Reserve(items_.size());
+    for (BagEntry& item : items_) {
+      AppendCells(item.value, &rows.cells);
+      rows.counts.push_back(std::move(item.count));
+    }
+    std::vector<BagEntry>().swap(items_);
+    return FromRows(std::move(elem), std::move(parts));
+  }
   // Kernels that emit in canonical order (merge walks, products of
   // canonical operands, subbag materialization) skip the sort entirely,
   // and concatenated canonical streams are merged, not re-sorted.
   SortEntriesByValue(items_);
-  auto rep = std::make_shared<Rep>();
-  rep->entries.reserve(items_.size());
-  Type elem = declared_;
-  Mult total;
-  size_t h = 0x90u;
+  std::vector<BagEntry> entries;
+  entries.reserve(items_.size());
+  elem = declared_;
   for (BagEntry& item : items_) {
-    // Join allocates; skip it when the item's type is already subsumed —
-    // the overwhelmingly common case of homogeneous additions.
     if (!(item.value.type() == elem)) {
       BAGALG_ASSIGN_OR_RETURN(elem, Type::Join(elem, item.value.type()));
     }
-    if (!rep->entries.empty() && rep->entries.back().value == item.value) {
-      rep->entries.back().count += item.count;
+    if (!entries.empty() && entries.back().value == item.value) {
+      entries.back().count += item.count;
     } else {
-      rep->entries.push_back(std::move(item));
+      entries.push_back(std::move(item));
     }
   }
-  if (rep->entries.capacity() > 2 * rep->entries.size()) {
+  if (entries.capacity() > 2 * entries.size()) {
     // Many additions merged into few entries: release the surplus, or the
     // bag keeps the pre-merge capacity for life.
-    rep->entries = std::vector<BagEntry>(
-        std::make_move_iterator(rep->entries.begin()),
-        std::make_move_iterator(rep->entries.end()));
+    entries = std::vector<BagEntry>(std::make_move_iterator(entries.begin()),
+                                    std::make_move_iterator(entries.end()));
   }
-  for (const BagEntry& e : rep->entries) {
-    total += e.count;
-    h = CombineHash(h, CombineHash(e.value.Hash(), e.count.Hash()));
-  }
-  rep->element_type = std::move(elem);
-  rep->total = std::move(total);
-  rep->hash = h;
   items_.clear();
-  // Charge the canonical entry array to the ambient governor's memory cap.
-  // Tiny bags (per-subbag results inside powerset enumeration) are skipped:
-  // their enclosing loop is already checkpointed, and charging them here
-  // would put an atomic on the kernels' hottest path.
-  if (rep->entries.size() >= kGovernorAccountMinEntries) {
-    GovernorAccountBytes(rep->entries.capacity() * sizeof(BagEntry));
-  }
-  return Bag(std::move(rep));
+  return Bag(EntriesRep(std::move(elem), std::move(entries)));
 }
 
 Bag Bag::FromCanonicalEntries(Type element_type,
@@ -515,26 +689,67 @@ Bag Bag::FromCanonicalEntries(Type element_type,
            "FromCanonicalEntries: entries not strictly sorted");
   }
 #endif
-  auto rep = std::make_shared<Rep>();
-  Mult total;
-  size_t h = 0x90u;
-  for (const BagEntry& e : entries) {
-    total += e.count;
-    h = CombineHash(h, CombineHash(e.value.Hash(), e.count.Hash()));
+  if (!IsFlat(element_type)) {
+    return Bag(EntriesRep(std::move(element_type), std::move(entries)));
   }
-  rep->element_type = std::move(element_type);
-  rep->entries = std::move(entries);
-  rep->total = std::move(total);
-  rep->hash = h;
-  if (rep->entries.size() >= kGovernorAccountMinEntries) {
-    GovernorAccountBytes(rep->entries.capacity() * sizeof(BagEntry));
+  FlatRows rows;
+  rows.width = CellWidth(element_type);
+  rows.Reserve(entries.size());
+  for (BagEntry& e : entries) {
+    AppendCells(e.value, &rows.cells);
+    rows.counts.push_back(std::move(e.count));
   }
-  return Bag(std::move(rep));
+  return FromCanonicalRows(std::move(element_type), std::move(rows));
+}
+
+Bag Bag::FromCanonicalRows(Type element_type, FlatRows rows) {
+  assert(IsFlat(element_type) && "FromCanonicalRows: elements hold a bag");
+  assert(rows.width == CellWidth(element_type) &&
+         "FromCanonicalRows: row width differs from the element type's");
+#ifndef NDEBUG
+  for (size_t i = 0; i < rows.size(); ++i) {
+    assert(!rows.counts[i].IsZero() &&
+           "FromCanonicalRows: zero multiplicity");
+    assert((i == 0 ||
+            CompareRows(rows.row(i - 1), rows.row(i), rows.width) < 0) &&
+           "FromCanonicalRows: rows not strictly increasing");
+  }
+#endif
+  return Bag(FlatRep(std::move(element_type), std::move(rows)));
+}
+
+Bag Bag::FromRows(Type element_type, std::vector<FlatRows> parts) {
+  const size_t width = CellWidth(element_type);
+  return FromCanonicalRows(std::move(element_type),
+                           Canonicalize(parts, width));
 }
 
 const Type& Bag::element_type() const { return rep_->element_type; }
 
-const std::vector<BagEntry>& Bag::entries() const { return rep_->entries; }
+const FlatRows* Bag::flat_rows() const {
+  return rep_->flat ? &rep_->rows : nullptr;
+}
+
+const std::vector<BagEntry>& Bag::entries() const {
+  if (!rep_->flat) return rep_->entries;
+  if (rep_->rows.empty()) return rep_->entries;  // empty: nothing to view
+  std::call_once(rep_->view_once, [this] { BuildEntriesView(*rep_); });
+  return rep_->view;
+}
+
+size_t Bag::DistinctCount() const {
+  return rep_->flat ? rep_->rows.size() : rep_->entries.size();
+}
+
+Value Bag::ElementAt(size_t i) const {
+  if (!rep_->flat) return rep_->entries[i].value;
+  size_t pos = 0;
+  return RowValue(rep_->element_type, rep_->rows.row(i), &pos, &Value::Atom);
+}
+
+const Mult& Bag::CountAt(size_t i) const {
+  return rep_->flat ? rep_->rows.counts[i] : rep_->entries[i].count;
+}
 
 const Mult& Bag::TotalCount() const { return rep_->total; }
 
@@ -542,8 +757,8 @@ bool Bag::IsSetLike() const {
   uint8_t cached = rep_->set_like.load(std::memory_order_relaxed);
   if (cached == Rep::kSetLikeUnknown) {
     cached = 1;
-    for (const BagEntry& e : entries()) {
-      if (!e.count.IsOne()) {
+    for (size_t i = 0; i < DistinctCount(); ++i) {
+      if (!CountAt(i).IsOne()) {
         cached = 0;
         break;
       }
@@ -553,24 +768,34 @@ bool Bag::IsSetLike() const {
   return cached == 1;
 }
 
-const Bag::FlatCells* Bag::flat_cells() const {
-  std::call_once(rep_->flat_once,
-                 [this] { rep_->flat = BuildFlatImage(*rep_); });
-  return rep_->flat->cells ? &*rep_->flat->cells : nullptr;
-}
-
 const Bag::ColumnFacts& Bag::column_facts() const {
-  std::call_once(rep_->flat_once,
-                 [this] { rep_->flat = BuildFlatImage(*rep_); });
-  return rep_->flat->facts;
+  std::call_once(rep_->facts_once,
+                 [this] { rep_->facts = BuildColumnFacts(*rep_); });
+  return *rep_->facts;
 }
 
 Mult Bag::CountOf(const Value& value) const {
+  if (rep_->flat) {
+    const FlatRows& rows = rep_->rows;
+    // Only a value of the rows' own shape can be one of them.
+    if (rows.empty() || !(value.type() == rep_->element_type)) {
+      return ZeroMult();
+    }
+    std::vector<AtomId> cells;
+    cells.reserve(rows.width);
+    AppendCells(value, &cells);
+    const size_t i = LowerBoundRow(rows, cells.data());
+    if (i < rows.size() &&
+        CompareRows(rows.row(i), cells.data(), rows.width) == 0) {
+      return rows.counts[i];
+    }
+    return ZeroMult();
+  }
   if (IndexEligible(*rep_)) {
     const BagEntry* e = IndexedFind(*rep_, value);
     return e != nullptr ? e->count : ZeroMult();
   }
-  const auto& es = entries();
+  const auto& es = rep_->entries;
   auto it = std::lower_bound(es.begin(), es.end(), value,
                              [](const BagEntry& e, const Value& v) {
                                return e.value.Compare(v) < 0;
@@ -580,8 +805,33 @@ Mult Bag::CountOf(const Value& value) const {
 }
 
 bool Bag::SubBagOf(const Bag& other) const {
-  const auto& a = entries();
-  const auto& b = other.entries();
+  if (empty()) return true;
+  if (rep_->flat || other.rep_->flat) {
+    // Rows of two shapes share no element, and neither do rows and values
+    // that hold a bag.
+    if (!rep_->flat || !other.rep_->flat ||
+        !(rep_->element_type == other.rep_->element_type)) {
+      return false;
+    }
+    const FlatRows& a = rep_->rows;
+    const FlatRows& b = other.rep_->rows;
+    if (a.size() > b.size()) return false;
+    size_t j = 0;
+    for (size_t i = 0; i < a.size(); ++i) {
+      // Every row of a must be in b, with a count at least as large.
+      while (j < b.size() && CompareRows(b.row(j), a.row(i), a.width) < 0) {
+        ++j;
+      }
+      if (j == b.size() || CompareRows(b.row(j), a.row(i), a.width) != 0 ||
+          a.counts[i] > b.counts[j]) {
+        return false;
+      }
+      ++j;
+    }
+    return true;
+  }
+  const auto& a = rep_->entries;
+  const auto& b = other.rep_->entries;
   // Every distinct element here must also be distinct there.
   if (a.size() > b.size()) return false;
   // When this bag is much smaller, probe the other side's hash index
@@ -610,10 +860,35 @@ bool Bag::SubBagOf(const Bag& other) const {
   return true;
 }
 
-size_t Bag::Hash() const { return rep_->hash; }
+size_t Bag::Hash() const {
+  if (!rep_->hashed.load(std::memory_order_acquire)) {
+    rep_->hash.store(HashRows(*rep_), std::memory_order_relaxed);
+    rep_->hashed.store(true, std::memory_order_release);
+  }
+  return rep_->hash.load(std::memory_order_relaxed);
+}
 
 int Bag::Compare(const Bag& other) const {
   if (rep_ == other.rep_) return 0;
+  const size_t na = DistinctCount();
+  const size_t nb = other.DistinctCount();
+  if (na == 0 || nb == 0) return na == nb ? 0 : (na < nb ? -1 : 1);
+  if (rep_->flat && other.rep_->flat &&
+      rep_->element_type == other.rep_->element_type) {
+    // One shape: the value order is the row order.
+    const FlatRows& a = rep_->rows;
+    const FlatRows& b = other.rep_->rows;
+    const size_t n = std::min(na, nb);
+    for (size_t i = 0; i < n; ++i) {
+      int c = CompareRows(a.row(i), b.row(i), a.width);
+      if (c != 0) return c;
+      c = a.counts[i].Compare(b.counts[i]);
+      if (c != 0) return c;
+    }
+    if (na != nb) return na < nb ? -1 : 1;
+    return 0;
+  }
+  // Elements of different shapes differ at the first entry already.
   const auto& a = entries();
   const auto& b = other.entries();
   size_t n = std::min(a.size(), b.size());
@@ -629,7 +904,7 @@ int Bag::Compare(const Bag& other) const {
 
 bool Bag::operator==(const Bag& other) const {
   if (rep_ == other.rep_) return true;
-  if (rep_->hash != other.rep_->hash) return false;
+  if (Hash() != other.Hash()) return false;
   return Compare(other) == 0;
 }
 

@@ -10,13 +10,19 @@
 /// structurally shared — essential for powerset outputs where the 2^n
 /// subbags share all their elements.
 ///
-/// Bags are stored in *canonical counted form*: a sorted vector of
-/// (value, multiplicity) entries with distinct values and nonzero BigNat
-/// multiplicities. An element "n-belongs" to the bag (paper's term) iff its
-/// entry carries multiplicity n. The paper's standard encoding — duplicates
-/// written out explicitly — is reproduced by the size accounting in
-/// encoding.h, not by the storage; the counted/explicit distinction is
-/// itself one of the experiments (E19).
+/// Bags are stored in *canonical counted form*: distinct elements in
+/// canonical value order, each with a nonzero BigNat multiplicity. An
+/// element "n-belongs" to the bag (paper's term) iff its entry carries
+/// multiplicity n. A bag whose element type holds no bag (every bag of
+/// BALG¹, and the inner bags of a powerset) stores its elements as flat
+/// rows (flat_rows.h): one row of atom ids per distinct element, row-major,
+/// beside a count array; no Value tree is kept. Any other bag stores a
+/// sorted vector of (value, multiplicity) entries. `entries()` answers for
+/// both: for a flat bag it is a view built from the rows on first use,
+/// cached on the bag and charged to the governor. The paper's standard
+/// encoding — duplicates written out explicitly — is reproduced by the
+/// size accounting in encoding.h, not by the storage; the counted/explicit
+/// distinction is itself one of the experiments (E19).
 
 #include <algorithm>
 #include <cstdint>
@@ -28,15 +34,16 @@
 #include <vector>
 
 #include "src/core/atom.h"
+#include "src/core/flat_rows.h"
 #include "src/core/type.h"
 #include "src/util/bignat.h"
 #include "src/util/result.h"
 
 namespace bagalg {
 
-/// Multiplicity of a bag element. Arbitrary precision: Proposition 3.2 shows
-/// iterated powerset/bag-destroy chains reach hyperexponential counts.
-using Mult = BigNat;
+// Mult (flat_rows.h) is the multiplicity of a bag element: a BigNat, since
+// Proposition 3.2 shows iterated powerset/bag-destroy chains reach
+// hyperexponential counts.
 
 class Bag;
 
@@ -71,7 +78,8 @@ class Value {
   /// Bottom element type unless built with an explicit one.
   const Type& type() const;
 
-  /// Precomputed structural hash.
+  /// Structural hash: precomputed for atoms and tuples, the bag's own for
+  /// a bag.
   size_t Hash() const;
 
   /// Total order over all values: atoms (by id) < tuples (lex) < bags (lex
@@ -146,7 +154,9 @@ class Bag {
     /// duplicates, joins element types. Additions that arrived in order
     /// (kernels that emit canonically) are not sorted at all; a few sorted
     /// runs (concatenated canonical streams) are merged; anything else is
-    /// sorted, in parallel for large pending sets.
+    /// sorted. When the joined element type holds no bag, the additions
+    /// are flattened to rows first (and their Values freed), and the rows
+    /// are ordered instead.
     Result<Bag> Build() &&;
 
    private:
@@ -158,11 +168,21 @@ class Bag {
   /// strictly sorted by Value order, distinct, positive counts, every value
   /// acceptable by `element_type`. Skips the sort / duplicate-merge / type
   /// join work of Builder; the kernels use it for outputs whose
-  /// canonicality is structural (merge walks, products of canonical
-  /// operands, subbag materialization). Preconditions are assert-checked in
-  /// debug builds only.
+  /// canonicality is structural (merge walks, subbag materialization).
+  /// When `element_type` holds no bag the entries are flattened to rows.
+  /// Preconditions are assert-checked in debug builds only.
   static Bag FromCanonicalEntries(Type element_type,
                                   std::vector<BagEntry> entries);
+
+  /// Constructs a bag whose element type holds no bag from rows already in
+  /// canonical form: width CellWidth(element_type), strictly increasing,
+  /// positive counts (Bottom only when there are none). Preconditions are
+  /// assert-checked in debug builds only.
+  static Bag FromCanonicalRows(Type element_type, FlatRows rows);
+
+  /// Like FromCanonicalRows, for rows in any order and with repeats: the
+  /// parts are put in canonical order and equal rows combined first.
+  static Bag FromRows(Type element_type, std::vector<FlatRows> parts);
 
   /// The joined element type of the bag's members (Bottom if empty and
   /// undeclared).
@@ -170,31 +190,30 @@ class Bag {
   /// The bag's own type: {{element_type}}.
   Type type() const { return Type::Bag(element_type()); }
 
-  /// Canonical entries: sorted by value, distinct, positive counts.
+  /// The canonical rows of a bag whose element type holds no bag: its
+  /// storage. nullptr when the elements hold a bag.
+  const FlatRows* flat_rows() const;
+
+  /// Canonical entries: sorted by value, distinct, positive counts. For a
+  /// flat bag this is a view built from the rows on the first call, cached
+  /// on the bag and charged to the ambient governor (counter
+  /// `kernel.entries_views`); hot paths read flat_rows() instead.
   const std::vector<BagEntry>& entries() const;
 
   /// Number of distinct elements.
-  size_t DistinctCount() const { return entries().size(); }
+  size_t DistinctCount() const;
+  /// The i-th distinct element in canonical order, i < DistinctCount().
+  /// A flat bag builds it from its row on every call.
+  Value ElementAt(size_t i) const;
+  /// The multiplicity of the i-th distinct element.
+  const Mult& CountAt(size_t i) const;
   /// Total number of occurrences (the paper's bag cardinality).
   const Mult& TotalCount() const;
   /// True iff the bag has no occurrences.
-  bool empty() const { return entries().empty(); }
+  bool empty() const { return DistinctCount() == 0; }
   /// True iff every multiplicity is 1 (the bag "is a set"). Walks the
-  /// entries on the first call only; the answer is cached on the bag.
+  /// counts on the first call only; the answer is cached on the bag.
   bool IsSetLike() const;
-
-  /// The entries of a bag whose elements hold no bag, as row-major atom
-  /// ids: entry i's atom leaves, left to right, are cells[i · width, (i +
-  /// 1) · width). All elements share one shape, so the canonical entry
-  /// order is the lexicographic order of these cell rows.
-  struct FlatCells {
-    size_t width = 0;
-    std::vector<AtomId> cells;
-  };
-  /// The bag's cells; nullptr when its elements hold a bag. Built with the
-  /// column facts on the first call of either, and charged to the ambient
-  /// governor.
-  const FlatCells* flat_cells() const;
 
   /// Per-column facts of a bag of tuples, indexed by 0-based column.
   struct ColumnFacts {
@@ -205,30 +224,36 @@ class Bag {
   };
   /// The column facts of this bag: one slot per field of a tuple element
   /// type whose elements hold no bag, none otherwise. Built from the
-  /// cells on the first call (once, thread-safely, like the hash index)
+  /// rows on the first call (once, thread-safely, like the hash index)
   /// and shared by every copy of the bag, so plan-time analyses that read
   /// them on each lowering pay the O(distinct · width · log distinct)
   /// walk once per stored bag (counter `kernel.column_facts_builds`).
   const ColumnFacts& column_facts() const;
 
-  /// Multiplicity of `value` in this bag (zero if absent). Bags with at
-  /// least kIndexThreshold distinct elements lazily build a hash index
-  /// (once, thread-safely) and answer in O(1) expected probes; smaller
-  /// bags binary-search the canonical entry list.
+  /// Multiplicity of `value` in this bag (zero if absent). A flat bag
+  /// binary-searches its rows. Any other bag with at least kIndexThreshold
+  /// distinct elements lazily builds a hash index (once, thread-safely) and
+  /// answers in O(1) expected probes; smaller ones binary-search the
+  /// canonical entry list.
   Mult CountOf(const Value& value) const;
   /// True iff `value` occurs at least once.
   bool Contains(const Value& value) const { return !CountOf(value).IsZero(); }
   /// True iff this is a subbag of `other` (paper's ⊑: every multiplicity
-  /// here is ≤ the multiplicity there). Probes `other`'s hash index when
-  /// this bag is much smaller; merge-walks otherwise.
+  /// here is ≤ the multiplicity there). Flat bags merge-walk their rows;
+  /// otherwise probes `other`'s hash index when this bag is much smaller,
+  /// and merge-walks the entries otherwise.
   bool SubBagOf(const Bag& other) const;
 
-  /// Distinct-count threshold above which bags build the lazy hash index.
+  /// Distinct-count threshold above which bags of bags build the lazy hash
+  /// index.
   static constexpr size_t kIndexThreshold = 64;
 
-  /// Precomputed structural hash (entry-based; element type excluded).
+  /// Structural hash (entry-based; element type excluded). A bag of bags
+  /// computes it at construction; a flat bag hashes its rows to the same
+  /// value on the first call (with TotalCount).
   size_t Hash() const;
-  /// Lexicographic order over canonical entries.
+  /// Lexicographic order over canonical entries; flat bags of one element
+  /// type compare their rows.
   int Compare(const Bag& other) const;
   bool operator==(const Bag& other) const;
   bool operator!=(const Bag& other) const { return !(*this == other); }

@@ -91,7 +91,7 @@ IrFacts ScanFacts(const IrNode& node) {
   if (arity > 0 && distinct > 0 && distinct <= kScanFactEntryCap &&
       bag.column_facts().constant.size() == arity) {
     const Bag::ColumnFacts& columns = bag.column_facts();
-    const Value& first = bag.entries()[0].value;
+    const Value first = bag.ElementAt(0);
     for (size_t c = 1; c <= arity; ++c) {
       if (columns.constant[c - 1]) {
         facts.const_cols.emplace(c, first.fields()[c - 1]);
@@ -481,6 +481,8 @@ IrFacts NodeBaseFacts(const IrNode& node, const RowLayoutMap& layouts,
           }
           facts.min_rows = std::max(left.min_rows, right.min_rows);
           facts.max_rows = MaxAdd(left.max_rows, right.max_rows);
+          break;
+        case MergeKind::kAdditive:  // lowering streams ⊎ as kUnionAll
           break;
       }
       break;

@@ -2,7 +2,7 @@
 #define BAGALG_IR_EXEC_IR_H_
 
 /// \file exec_ir.h
-/// The vectorized IR interpreter: push loops over flat RowBatch rows.
+/// The vectorized IR interpreter: push loops over flat rows (FlatRows).
 ///
 /// ExecuteIr first derives every node's row type (dataflow.h's
 /// ComputeRowLayouts) and compiles each fused stage against the rows it
@@ -14,11 +14,13 @@
 /// in place with a write index, a projection rewrites its cells — so a
 /// scan→σ→MAP chain is one pass over integer cells. Blocking nodes (merge,
 /// ε, join build sides, shared CSE subplans) drain their inputs into
-/// canonical rows first: natural runs are merged or the rows sorted by
-/// their cells, then equal rows are combined. ∸, ∪ and ∩ are one merge
-/// walk over two canonical inputs; the hash join keys on the cell range
-/// of its key field. Values are built only by the root drain, which reuses
-/// a scanned bag's stored element where the row is one of its rows.
+/// canonical rows first (Canonicalize): natural runs are merged or the rows
+/// sorted by their cells, then equal rows are combined. ∸, ∪ and ∩ are one
+/// merge walk over two canonical inputs (MergeWalk); both are the kernels
+/// the evaluator runs on flat bags (flat_rows.h). The hash join keys on the
+/// cell range of its key field. A scan emits its bag's stored rows, and the
+/// root drain's canonical rows become the result bag's storage: no Value
+/// is built anywhere.
 ///
 /// Governor integration is per batch: a BatchCheckpointTicker checks once
 /// per ~kCheckpointStride rows instead of every row; it charges no bytes.

@@ -105,6 +105,8 @@ const char* MergeKindName(MergeKind kind) {
       return "umax";
     case MergeKind::kIntersect:
       return "inter";
+    case MergeKind::kAdditive:  // lowering streams ⊎ as kUnionAll instead
+      break;
   }
   return "?";
 }

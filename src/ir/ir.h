@@ -11,7 +11,8 @@
 /// the rows. An IrNode is therefore a pipeline: a source (scan, join,
 /// union, merge) plus zero or more fused stages applied to each batch in
 /// one pass, with no intermediate Bag materialized between them. Batches
-/// hold rows as flat atom ids beside their counts and default to
+/// hold rows as flat atom ids beside their counts (FlatRows, the storage
+/// of flat bags too) and default to
 /// kDefaultBatchSize rows, so per-row costs — dispatch, governor ticking,
 /// span bookkeeping — amortize across the batch.
 ///
@@ -32,7 +33,8 @@
 
 #include "src/algebra/expr.h"
 #include "src/core/value.h"
-#include "src/ir/program.h"
+#include "src/algebra/row_program.h"
+#include "src/core/flat_rows.h"
 
 namespace bagalg::ir {
 
@@ -40,38 +42,13 @@ namespace bagalg::ir {
 /// while amortizing per-batch overhead to noise.
 inline constexpr size_t kDefaultBatchSize = 1024;
 
-/// A chunk of rows, row-major: row i's atom ids (its leaves, left to
-/// right) are cells[i · width, (i + 1) · width) and its multiplicity is
-/// counts[i]. BALG¹ rows hold no bag, so every row of a node has the same
-/// width (dataflow.h derives it from the node's row type). The unit the
-/// push loops hand from producer to sink; each producer refills one batch
-/// for its whole stream, so steady-state execution does not allocate per
-/// row. A drained stream is one large RowBatch in canonical order.
-struct RowBatch {
-  size_t width = 0;
-  std::vector<AtomId> cells;
-  std::vector<Mult> counts;
-
-  size_t size() const { return counts.size(); }
-  bool empty() const { return counts.empty(); }
-  const AtomId* row(size_t i) const { return cells.data() + i * width; }
-  void Clear() {
-    cells.clear();
-    counts.clear();
-  }
-  void Reserve(size_t n) {
-    cells.reserve(n * width);
-    counts.reserve(n);
-  }
-  void Push(const AtomId* row, Mult c) {
-    cells.insert(cells.end(), row, row + width);
-    counts.push_back(std::move(c));
-  }
-};
-
-/// The multiplicity-merging binary operators of a kMerge node: monus (−),
-/// max-union (∪) and intersection (∩).
-enum class MergeKind : uint8_t { kMonus, kMaxUnion, kIntersect };
+// A batch of rows is a FlatRows chunk (flat_rows.h): row-major atom ids
+// beside their counts, every row of a node the same width (dataflow.h
+// derives it from the node's row type). Each producer refills one batch
+// for its whole stream, so steady-state execution does not allocate per
+// row. A drained stream is one large FlatRows in canonical order, and the
+// root's is the result bag's storage. A kMerge node's operator is a
+// MergeKind (flat_rows.h): monus, max-union or intersection.
 
 /// One fused per-row transformation applied in pipeline position.
 enum class StageKind : uint8_t {

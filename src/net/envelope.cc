@@ -67,7 +67,7 @@ EncodedEnvelope EncodeJson(const Envelope& envelope, bool close,
   if (body.has_result) head += ",\"result\":";
   if (body.has_result && body.result.IsBag() &&
       stream_entries_threshold > 0 &&
-      body.result.bag().entries().size() >= stream_entries_threshold) {
+      body.result.bag().DistinctCount() >= stream_entries_threshold) {
     return {FormatHttpResponseHead(response, /*chunked=*/true, 0),
             std::make_unique<WireJsonStreamer>(
                 std::move(head), body.result, JsonSuccessTail(envelope))};

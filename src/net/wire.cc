@@ -25,22 +25,54 @@ void AppendBagHead(const Bag& bag, std::string* out) {
   out->append("\",\"entries\":[");
 }
 
-void AppendBagEntry(const BagEntry& entry, const AtomTable& table,
+void AppendAtomJson(AtomId id, const AtomTable& table, std::string* out) {
+  out->append("{\"atom\":\"");
+  if (const auto name = table.NameView(id)) {
+    obs::AppendJsonEscaped(out, *name);
+  } else {
+    out->append(table.NameOf(id));  // "#<id>": no escapes
+  }
+  out->append("\"}");
+}
+
+/// The JSON of the value of type `type` whose atoms are row[*pos...]: the
+/// same bytes AppendValue writes for that value.
+void AppendRowJson(const Type& type, const AtomId* row, size_t* pos,
+                   const AtomTable& table, std::string* out) {
+  if (type.IsAtom()) {
+    AppendAtomJson(row[(*pos)++], table, out);
+    return;
+  }
+  out->append("{\"tuple\":[");
+  bool first = true;
+  for (const Type& field : type.fields()) {
+    if (!first) out->push_back(',');
+    first = false;
+    AppendRowJson(field, row, pos, table, out);
+  }
+  out->append("]}");
+}
+
+/// Entry i of `bag`: a flat bag's row, or a bag of bags' value.
+void AppendBagEntry(const Bag& bag, size_t i, const AtomTable& table,
                     std::string* out) {
   out->append("{\"v\":");
-  AppendValue(entry.value, table, out);
+  if (const FlatRows* rows = bag.flat_rows()) {
+    size_t pos = 0;
+    AppendRowJson(bag.element_type(), rows->row(i), &pos, table, out);
+  } else {
+    AppendValue(bag.entries()[i].value, table, out);
+  }
   out->append(",\"n\":\"");
-  entry.count.AppendDecimal(out);
+  bag.CountAt(i).AppendDecimal(out);
   out->append("\"}");
 }
 
 void AppendBag(const Bag& bag, const AtomTable& table, std::string* out) {
   AppendBagHead(bag, out);
-  bool first = true;
-  for (const BagEntry& entry : bag.entries()) {
-    if (!first) out->push_back(',');
-    first = false;
-    AppendBagEntry(entry, table, out);
+  for (size_t i = 0; i < bag.DistinctCount(); ++i) {
+    if (i != 0) out->push_back(',');
+    AppendBagEntry(bag, i, table, out);
   }
   out->append(kBagTail);
 }
@@ -49,13 +81,7 @@ void AppendValue(const Value& value, const AtomTable& table,
                  std::string* out) {
   switch (value.kind()) {
     case Value::Kind::kAtom:
-      out->append("{\"atom\":\"");
-      if (const auto name = table.NameView(value.atom_id())) {
-        obs::AppendJsonEscaped(out, *name);
-      } else {
-        out->append(table.NameOf(value.atom_id()));  // "#<id>": no escapes
-      }
-      out->append("\"}");
+      AppendAtomJson(value.atom_id(), table, out);
       return;
     case Value::Kind::kTuple: {
       out->append("{\"tuple\":[");
@@ -116,16 +142,35 @@ void PutMult(const Mult& count, std::string* out) {
   }
 }
 
+void PutAtomBinary(AtomId id, const AtomTable& table, std::string* out) {
+  out->push_back(static_cast<char>(kTagAtom));
+  if (const auto name = table.NameView(id)) {
+    PutStr(*name, out);
+  } else {
+    PutStr(table.NameOf(id), out);
+  }
+}
+
+/// The BAG1 bytes of the value of type `type` whose atoms are
+/// row[*pos...]: the same bytes PutValueBinary writes for that value.
+void PutRowBinary(const Type& type, const AtomId* row, size_t* pos,
+                  const AtomTable& table, std::string* out) {
+  if (type.IsAtom()) {
+    PutAtomBinary(row[(*pos)++], table, out);
+    return;
+  }
+  out->push_back(static_cast<char>(kTagTuple));
+  PutU32Le(static_cast<uint32_t>(type.fields().size()), out);
+  for (const Type& field : type.fields()) {
+    PutRowBinary(field, row, pos, table, out);
+  }
+}
+
 void PutValueBinary(const Value& value, const AtomTable& table,
                     std::string* out) {
   switch (value.kind()) {
     case Value::Kind::kAtom:
-      out->push_back(static_cast<char>(kTagAtom));
-      if (const auto name = table.NameView(value.atom_id())) {
-        PutStr(*name, out);
-      } else {
-        PutStr(table.NameOf(value.atom_id()), out);
-      }
+      PutAtomBinary(value.atom_id(), table, out);
       return;
     case Value::Kind::kTuple: {
       out->push_back(static_cast<char>(kTagTuple));
@@ -139,10 +184,16 @@ void PutValueBinary(const Value& value, const AtomTable& table,
       const Bag& bag = value.bag();
       out->push_back(static_cast<char>(kTagBag));
       PutStr(bag.element_type().ToString(), out);
-      PutU64Le(static_cast<uint64_t>(bag.entries().size()), out);
-      for (const BagEntry& entry : bag.entries()) {
-        PutValueBinary(entry.value, table, out);
-        PutMult(entry.count, out);
+      PutU64Le(static_cast<uint64_t>(bag.DistinctCount()), out);
+      const FlatRows* rows = bag.flat_rows();
+      for (size_t i = 0; i < bag.DistinctCount(); ++i) {
+        if (rows != nullptr) {
+          size_t pos = 0;
+          PutRowBinary(bag.element_type(), rows->row(i), &pos, table, out);
+        } else {
+          PutValueBinary(bag.entries()[i].value, table, out);
+        }
+        PutMult(bag.CountAt(i), out);
       }
       return;
     }
@@ -601,11 +652,11 @@ bool WireJsonStreamer::Produce(size_t budget, std::string* out) {
     }
   }
   if (stage_ == Stage::kEntries && root_.IsBag()) {
-    const std::vector<BagEntry>& entries = root_.bag().entries();
-    while (next_entry_ < entries.size()) {
+    const Bag& bag = root_.bag();
+    while (next_entry_ < bag.DistinctCount()) {
       if (out->size() - start >= budget && out->size() > start) return true;
       if (next_entry_ > 0) out->push_back(',');
-      AppendBagEntry(entries[next_entry_++], *table_, out);
+      AppendBagEntry(bag, next_entry_++, *table_, out);
     }
     out->append(kBagTail);
   }

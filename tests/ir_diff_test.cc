@@ -18,6 +18,7 @@
 #include "src/algebra/eval.h"
 #include "src/exec/compile.h"
 #include "src/ir/lower.h"
+#include "src/lang/script.h"
 #include "src/obs/metrics.h"
 #include "src/stats/expr_gen.h"
 #include "src/stats/sampler.h"
@@ -400,6 +401,71 @@ TEST(ScanFactsTest, ConcurrentLoweringsOverOneBagAgree) {
   EXPECT_NE(facts[0].find("key{"), std::string::npos) << facts[0];
   // One build per scanned bag, however many threads raced for it.
   EXPECT_EQ(ColumnFactsBuilds(), before + 2);
+}
+
+// ------------------------------------------- flat bags stay flat rows
+
+uint64_t EntriesViews() {
+  return obs::GlobalMetrics().GetCounter("kernel.entries_views")->value();
+}
+
+/// A `let` literal of `n` pairs [c<0..199>, k<0..999>] with counts 1-3.
+std::string HeavyLiteral(size_t n, size_t salt) {
+  std::string out = "{{";
+  for (size_t i = 0; i < n; ++i) {
+    if (i != 0) out += ", ";
+    out += "[c" + std::to_string((i * 7 + salt) % 200) + ", k" +
+           std::to_string((i * 37 + salt * 11) % 1000) + "]";
+    if (i % 3 != 0) out += "*" + std::to_string(i % 3 + 1);
+  }
+  return out + "}}";
+}
+
+TEST(FlatRowsTest, HeavyStatementsBuildNoEntriesView) {
+  // exec_heavy's data and templates: every eval and exec statement must
+  // run on the bags' rows and print from them.
+  lang::ScriptRunner runner;
+  const std::pair<const char*, size_t> slots[] = {
+      {"R", 1500}, {"S", 1200}, {"T", 1000}, {"D", 250}};
+  for (size_t s = 0; s < std::size(slots); ++s) {
+    ASSERT_TRUE(runner
+                    .RunLine(std::string("let ") + slots[s].first + " = " +
+                             HeavyLiteral(slots[s].second, s))
+                    .ok());
+  }
+  struct Template {
+    const char* text;
+    bool eval_ok;
+  };
+  const Template templates[] = {
+      {"map(x -> tup(proj(1, x)), uplus(uplus(R, S), uplus(T, D)))", true},
+      {"map(x -> tup(proj(1, x)), sel(x -> proj(2, x) == proj(4, x), "
+       "prod(R, S)))",
+       false},
+      {"map(x -> tup(proj(3, x)), sel(x -> proj(2, x) == proj(4, x), "
+       "prod(D, T)))",
+       false},
+      {"map(x -> tup(proj(1, x)), monus(uplus(R, D), S))", true},
+      {"dedup(map(x -> tup(proj(1, x)), inter(uplus(R, S), uplus(T, D))))",
+       true},
+      {"map(x -> tup(proj(2, x)), sel(x -> proj(1, x) == 'c7, uplus(R, T)))",
+       true},
+      {"dedup(map(x -> tup(proj(1, x)), uplus(monus(S, D), inter(T, R))))",
+       true},
+      {"map(x -> tup(proj(1, x)), sel(x -> proj(2, x) == proj(4, x), "
+       "prod(uplus(D, R), T)))",
+       false},
+  };
+  for (const Template& t : templates) {
+    for (const char* command : {"eval ", "exec "}) {
+      if (std::string_view(command) == "eval " && !t.eval_ok) continue;
+      const uint64_t before = EntriesViews();
+      auto out = runner.RunLine(command + std::string(t.text));
+      ASSERT_TRUE(out.ok()) << command << t.text << ": " << out.status();
+      EXPECT_NE(out->find("{{"), std::string::npos) << *out;
+      EXPECT_EQ(EntriesViews(), before) << command << t.text;
+    }
+  }
 }
 
 TEST(IrDiffAbortTest, CheckpointFaultSweepEvaluator) {

@@ -19,7 +19,7 @@
 #include "src/exec/compile.h"
 #include "src/ir/exec_ir.h"
 #include "src/ir/ir.h"
-#include "src/ir/program.h"
+#include "src/algebra/row_program.h"
 #include "src/lang/script.h"
 #include "src/obs/metrics.h"
 #include "src/util/governor.h"
@@ -31,7 +31,6 @@ using ir::ExecuteIr;
 using ir::IrKind;
 using ir::LowerOptions;
 using ir::LowerToIr;
-using ir::RowProgram;
 
 Value A(const char* name) { return MakeAtom(name); }
 
@@ -164,7 +163,7 @@ TEST(RowProgramTest, CompileCellsMapsEveryOutputCell) {
   ASSERT_EQ(map->cells.size(), 4u);
   const AtomId cells[] = {10, 11, 12};
   std::vector<AtomId> out;
-  for (const ir::CellSource& c : map->cells) out.push_back(c.Read(cells));
+  for (const CellSource& c : map->cells) out.push_back(c.Read(cells));
   EXPECT_EQ(out, (std::vector<AtomId>{12, A("k").atom_id(), 10, 11}));
   EXPECT_EQ(p->CompileCells(Type::Atom()).status().code(),
             StatusCode::kInvalidArgument);
@@ -183,16 +182,16 @@ TEST(RowProgramTest, CompileFilterComparesCellsOrDecidesAtOnce) {
   };
   // A nested field never equals an atom field.
   EXPECT_EQ(filter(Proj(Var(0), 1), Proj(Var(0), 2)).kind,
-            ir::CellFilter::Kind::kDropAll);
+            CellFilter::Kind::kDropAll);
   // Two constants decide every row.
   EXPECT_EQ(filter(ConstExpr(A("k")), ConstExpr(A("k"))).kind,
-            ir::CellFilter::Kind::kKeepAll);
+            CellFilter::Kind::kKeepAll);
   EXPECT_EQ(filter(ConstExpr(A("k")), ConstExpr(A("j"))).kind,
-            ir::CellFilter::Kind::kDropAll);
+            CellFilter::Kind::kDropAll);
   // Field 1 against a nested constant: one pair per cell.
-  const ir::CellFilter f = filter(
+  const CellFilter f = filter(
       Proj(Var(0), 1), ConstExpr(MakeTuple({A("a"), A("b")})));
-  EXPECT_EQ(f.kind, ir::CellFilter::Kind::kCompare);
+  EXPECT_EQ(f.kind, CellFilter::Kind::kCompare);
   EXPECT_EQ(f.pairs.size(), 2u);
 }
 

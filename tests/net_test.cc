@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/core/bag_ops.h"
 #include "src/core/value.h"
 #include "src/net/envelope.h"
 #include "src/net/http.h"
@@ -27,7 +28,9 @@
 #include "src/net/json_reader.h"
 #include "src/net/server.h"
 #include "src/net/wire.h"
+#include "src/obs/metrics.h"
 #include "src/util/fault.h"
+#include "src/util/rng.h"
 #include "src/util/status.h"
 
 namespace bagalg::net {
@@ -120,6 +123,258 @@ TEST(WireTest, HugeMultiplicitiesTravelAsStrings) {
   EXPECT_NE(json.find("\"1267650600228229401496703205376\""),
             std::string::npos)
       << json;
+}
+
+// -------------------------------------- flat rows print as their Values
+
+/// Value::Hash, BigNat::Hash and the combine step of a bag's entry hash:
+/// the hash a bag held as Values had, computed from entries().
+size_t EntriesHash(const Bag& bag) {
+  const auto combine = [](size_t seed, size_t v) {
+    return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
+  };
+  size_t h = 0x90u;
+  for (const BagEntry& e : bag.entries()) {
+    h = combine(h, combine(e.value.Hash(), e.count.Hash()));
+  }
+  return h;
+}
+
+/// The text, JSON and BAG1 renderings of a bag assembled from the Value
+/// printers over its entries() view: the bytes every printer wrote while
+/// bags held Values.
+std::string EntriesText(const Bag& bag) {
+  std::string out = "{{";
+  for (const BagEntry& e : bag.entries()) {
+    if (out.size() > 2) out += ", ";
+    out += e.value.ToString();
+    if (!e.count.IsOne()) out += "*" + e.count.ToString();
+  }
+  return out + "}}";
+}
+
+std::string EntriesJson(const Bag& bag) {
+  std::string out = "{\"bag\":{\"type\":\"" + bag.type().ToString() +
+                    "\",\"entries\":[";
+  for (const BagEntry& e : bag.entries()) {
+    if (out.back() != '[') out += ",";
+    out += "{\"v\":" + ValueToWireJson(e.value) + ",\"n\":\"" +
+           e.count.ToString() + "\"}";
+  }
+  return out + "]}}";
+}
+
+void PutLe(uint64_t v, size_t bytes, std::string* out) {
+  for (size_t i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+std::string EntriesBinary(const Bag& bag) {
+  std::string out(1, '\x03');
+  const std::string type = bag.element_type().ToString();
+  PutLe(type.size(), 4, &out);
+  out += type;
+  PutLe(bag.entries().size(), 8, &out);
+  for (const BagEntry& e : bag.entries()) {
+    out += ValueToWireBinary(e.value);
+    if (e.count.FitsUint64()) {
+      out.push_back('\x00');
+      PutLe(*e.count.ToUint64(), 8, &out);
+    } else {
+      const std::string digits = e.count.ToString();
+      out.push_back('\x01');
+      PutLe(digits.size(), 4, &out);
+      out += digits;
+    }
+  }
+  return out;
+}
+
+/// A flat bag built from cells: `rows` maps each row's atom ids to its
+/// count (a std::map, so the rows come out in canonical order).
+Bag FromCells(const Type& element,
+              const std::map<std::vector<AtomId>, Mult>& rows) {
+  FlatRows flat;
+  flat.width = CellWidth(element);
+  for (const auto& [cells, count] : rows) flat.Push(cells.data(), count);
+  return Bag::FromCanonicalRows(element, std::move(flat));
+}
+
+/// The same bag built once from Values and once from cells must hash,
+/// compare and print identically, and as the Value printers would.
+void ExpectFormsAgree(const Bag& from_values, const Bag& from_cells) {
+  ASSERT_NE(from_values.flat_rows(), nullptr);
+  ASSERT_NE(from_cells.flat_rows(), nullptr);
+  EXPECT_EQ(from_values.Hash(), from_cells.Hash());
+  EXPECT_EQ(from_values.Compare(from_cells), 0);
+  EXPECT_EQ(from_cells.Compare(from_values), 0);
+  EXPECT_TRUE(from_values == from_cells);
+  EXPECT_EQ(from_values.TotalCount(), from_cells.TotalCount());
+  EXPECT_EQ(from_values.IsSetLike(), from_cells.IsSetLike());
+  EXPECT_EQ(from_values.element_type(), from_cells.element_type());
+  const Value v = Value::FromBag(from_values);
+  const Value c = Value::FromBag(from_cells);
+  EXPECT_EQ(v.Hash(), c.Hash());
+  EXPECT_EQ(from_cells.ToString(), from_values.ToString());
+  EXPECT_EQ(ValueToWireJson(c), ValueToWireJson(v));
+  EXPECT_EQ(ValueToWireBinary(c), ValueToWireBinary(v));
+  // Against the Value printers and the Value hash.
+  EXPECT_EQ(from_cells.Hash(), EntriesHash(from_cells));
+  EXPECT_EQ(from_cells.ToString(), EntriesText(from_cells));
+  EXPECT_EQ(ValueToWireJson(c), EntriesJson(from_cells));
+  EXPECT_EQ(ValueToWireBinary(c), EntriesBinary(from_cells));
+  std::string streamed;
+  WireJsonStreamer streamer("", c, "");
+  while (streamer.Produce(16, &streamed)) {
+  }
+  EXPECT_EQ(streamed, ValueToWireJson(c));
+  for (const BagEntry& e : from_values.entries()) {
+    EXPECT_EQ(from_cells.CountOf(e.value), e.count);
+  }
+}
+
+AtomId Id(const char* name) { return GlobalAtomTable().Intern(name); }
+
+TEST(FlatFormsTest, CountsPast2To64And2To100) {
+  const Mult big64 = BigNat::TwoPow(64) + Mult(3);
+  const Mult big100 = BigNat::TwoPow(100);
+  Bag::Builder builder;
+  builder.Add(MakeTuple({MakeAtom("ff_b"), MakeAtom("ff_a")}), big100);
+  builder.Add(MakeTuple({MakeAtom("ff_a"), MakeAtom("ff_b")}), big64);
+  builder.Add(MakeTuple({MakeAtom("ff_a"), MakeAtom("ff_a")}), 1);
+  const Bag from_values = *std::move(builder).Build();
+  const Bag from_cells =
+      FromCells(Type::FlatTuple(2), {{{Id("ff_b"), Id("ff_a")}, big100},
+                                     {{Id("ff_a"), Id("ff_b")}, big64},
+                                     {{Id("ff_a"), Id("ff_a")}, Mult(1)}});
+  ExpectFormsAgree(from_values, from_cells);
+  EXPECT_NE(from_cells.ToString().find("*1267650600228229401496703205376"),
+            std::string::npos);
+}
+
+TEST(FlatFormsTest, NullaryTuples) {
+  Bag::Builder builder;
+  builder.Add(MakeTuple({}), 5);
+  builder.Add(MakeTuple({}), 2);
+  const Bag from_values = *std::move(builder).Build();
+  const Bag from_cells = FromCells(Type::FlatTuple(0), {{{}, Mult(7)}});
+  ExpectFormsAgree(from_values, from_cells);
+  EXPECT_EQ(from_cells.ToString(), "{{[]*7}}");
+}
+
+TEST(FlatFormsTest, TypedEmptyBags) {
+  const Type pair = Type::FlatTuple(2);
+  const Bag declared(pair);
+  const Bag built = *Bag::Builder(pair).Build();
+  const Bag from_cells = FromCells(pair, {});
+  ExpectFormsAgree(built, from_cells);
+  ExpectFormsAgree(declared, from_cells);
+  EXPECT_EQ(ValueToWireJson(Value::FromBag(from_cells)),
+            "{\"bag\":{\"type\":\"{{[U, U]}}\",\"entries\":[]}}");
+  // Equality ignores the element type; the printers do not.
+  EXPECT_TRUE(from_cells == Bag());
+}
+
+TEST(FlatFormsTest, NestedTupleShapes) {
+  const Value ab = MakeTuple({MakeAtom("ff_a"), MakeAtom("ff_b")});
+  const Value ba = MakeTuple({MakeAtom("ff_b"), MakeAtom("ff_a")});
+  Bag::Builder builder;
+  builder.Add(MakeTuple({ba, MakeAtom("ff_c")}), 2);
+  builder.Add(MakeTuple({ab, MakeAtom("ff_c")}), 1);
+  builder.Add(MakeTuple({ab, MakeAtom("ff_a")}), 4);
+  const Bag from_values = *std::move(builder).Build();
+  const Type shape = Type::Tuple({Type::FlatTuple(2), Type::Atom()});
+  const Bag from_cells =
+      FromCells(shape, {{{Id("ff_b"), Id("ff_a"), Id("ff_c")}, Mult(2)},
+                        {{Id("ff_a"), Id("ff_b"), Id("ff_c")}, Mult(1)},
+                        {{Id("ff_a"), Id("ff_b"), Id("ff_a")}, Mult(4)}});
+  ExpectFormsAgree(from_values, from_cells);
+  // [a, [b, c]] has the same cells but another shape: never equal.
+  const Type other = Type::Tuple({Type::Atom(), Type::FlatTuple(2)});
+  const Bag reshaped =
+      FromCells(other, {{{Id("ff_b"), Id("ff_a"), Id("ff_c")}, Mult(2)},
+                        {{Id("ff_a"), Id("ff_b"), Id("ff_c")}, Mult(1)},
+                        {{Id("ff_a"), Id("ff_b"), Id("ff_a")}, Mult(4)}});
+  EXPECT_FALSE(reshaped == from_cells);
+  EXPECT_NE(reshaped.Compare(from_cells), 0);
+  EXPECT_EQ(reshaped.Compare(from_cells), -from_cells.Compare(reshaped));
+  EXPECT_TRUE(from_cells.CountOf(reshaped.ElementAt(0)).IsZero());
+}
+
+TEST(FlatFormsTest, PowersetSubbags) {
+  const Bag base = MakeBag({{MakeAtom("ff_p"), 2}, {MakeAtom("ff_q"), 1}});
+  auto power = Powerset(base);
+  ASSERT_TRUE(power.ok());
+  ASSERT_EQ(power->DistinctCount(), 6u);
+  for (const BagEntry& e : power->entries()) {
+    const Bag& sub = e.value.bag();
+    std::map<std::vector<AtomId>, Mult> rows;
+    Bag::Builder builder(Type::Atom());
+    for (size_t i = 0; i < sub.DistinctCount(); ++i) {
+      rows[{sub.flat_rows()->row(i)[0]}] = sub.CountAt(i);
+      builder.Add(sub.ElementAt(i), sub.CountAt(i));
+    }
+    ExpectFormsAgree(*std::move(builder).Build(),
+                     FromCells(Type::Atom(), rows));
+  }
+  EXPECT_EQ(power->ToString(),
+            "{{{{}}, {{ff_p}}, {{ff_p, ff_q}}, {{ff_p*2}}, {{ff_p*2, ff_q}}, "
+            "{{ff_q}}}}");
+}
+
+TEST(FlatFormsTest, RowOrderIsTheEntryOrder) {
+  // Compare on rows must order bags as the Value order of their entries.
+  Rng rng(17);
+  std::vector<Bag> bags;
+  for (int i = 0; i < 24; ++i) {
+    Bag::Builder builder;
+    for (int k = 0; k < 3; ++k) {
+      builder.Add(MakeTuple({MakeAtom(rng.Coin(0.5) ? "ff_a" : "ff_b"),
+                             MakeAtom(rng.Coin(0.5) ? "ff_c" : "ff_a")}),
+                  rng.Range(1, 3));
+    }
+    bags.push_back(*std::move(builder).Build());
+  }
+  for (const Bag& x : bags) {
+    for (const Bag& y : bags) {
+      int want = 0;
+      const auto& ex = x.entries();
+      const auto& ey = y.entries();
+      for (size_t i = 0; want == 0 && i < std::min(ex.size(), ey.size());
+           ++i) {
+        want = ex[i].value.Compare(ey[i].value);
+        if (want == 0) want = ex[i].count.Compare(ey[i].count);
+      }
+      if (want == 0 && ex.size() != ey.size()) {
+        want = ex.size() < ey.size() ? -1 : 1;
+      }
+      EXPECT_EQ(x.Compare(y), want) << x << " vs " << y;
+      EXPECT_EQ(x.SubBagOf(y), [&] {
+        for (const BagEntry& e : ex) {
+          if (y.CountOf(e.value) < e.count) return false;
+        }
+        return true;
+      }()) << x << " vs " << y;
+    }
+  }
+}
+
+TEST(FlatFormsTest, EntriesViewIsBuiltOnceAndCounted) {
+  auto views = [] {
+    return obs::GlobalMetrics().GetCounter("kernel.entries_views")->value();
+  };
+  const Bag bag = MakeBag({{MakeAtom("ff_x"), 2}, {MakeAtom("ff_y"), 1}});
+  const uint64_t before = views();
+  EXPECT_EQ(bag.ToString(), "{{ff_x*2, ff_y}}");
+  EXPECT_EQ(views(), before);
+  const std::vector<BagEntry>& entries = bag.entries();
+  EXPECT_EQ(views(), before + 1);
+  const Bag copy = bag;
+  EXPECT_EQ(&copy.entries(), &entries);
+  EXPECT_EQ(views(), before + 1);
+  EXPECT_EQ(entries[0].value, MakeAtom("ff_x"));
+  EXPECT_EQ(entries[1].count, Mult(1));
 }
 
 TEST(WireTest, BagTypeMustBeAString) {

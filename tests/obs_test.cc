@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cctype>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
@@ -589,8 +592,30 @@ TEST(ScriptObsTest, TimingToggle) {
   EXPECT_FALSE(runner.RunLine("timing maybe").ok());
 }
 
+/// A trace file path unique to this process and test, removed when the
+/// test ends. Declare it before the runner that writes the file, so the
+/// file outlives the runner's last write.
+class ScopedTracePath {
+ public:
+  explicit ScopedTracePath(const std::string& stem) {
+    const testing::TestInfo* test =
+        testing::UnitTest::GetInstance()->current_test_info();
+    path_ = testing::TempDir() + "/" + stem + "_" +
+            std::to_string(::getpid()) + "_" + test->name() + ".json";
+  }
+  ~ScopedTracePath() { std::remove(path_.c_str()); }
+  ScopedTracePath(const ScopedTracePath&) = delete;
+  ScopedTracePath& operator=(const ScopedTracePath&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 TEST(ScriptObsTest, TraceCommandWritesValidChromeTrace) {
-  std::string path = testing::TempDir() + "/bagalg_script_trace.json";
+  const ScopedTracePath trace("bagalg_script_trace");
+  const std::string& path = trace.path();
   lang::ScriptRunner runner;
   ASSERT_TRUE(runner.RunLine("let R = {{[a, b]*2, [b, c]}}").ok());
   auto on = runner.RunLine("\\trace " + path);
@@ -611,7 +636,8 @@ TEST(ScriptObsTest, TraceCommandWritesValidChromeTrace) {
 }
 
 TEST(ScriptObsTest, ExecCommandRunsPipelineAndTraces) {
-  std::string path = testing::TempDir() + "/exec_command_trace.json";
+  const ScopedTracePath trace("exec_command_trace");
+  const std::string& path = trace.path();
   lang::ScriptRunner runner;
   ASSERT_TRUE(runner.RunLine("let R = {{[a, b]*2, [b, c]}}").ok());
   auto direct = runner.RunLine("eval sel(p -> proj(1, p) == 'a, R)");

@@ -159,7 +159,7 @@ TEST(BagTest, ColumnFactsMatchABruteForceScan) {
 TEST(BagTest, FlatCellsHoldTheAtomsOfEveryEntryInOrder) {
   Bag bag = MakeBag({{MakeTuple({MakeTuple({A("b"), A("a")}), A("c")}), 2},
                      {MakeTuple({MakeTuple({A("a"), A("c")}), A("b")}), 1}});
-  const Bag::FlatCells* flat = bag.flat_cells();
+  const FlatRows* flat = bag.flat_rows();
   ASSERT_NE(flat, nullptr);
   EXPECT_EQ(flat->width, 3u);
   std::vector<AtomId> want;
@@ -172,9 +172,9 @@ TEST(BagTest, FlatCellsHoldTheAtomsOfEveryEntryInOrder) {
   EXPECT_EQ(flat->cells, want);
   // Field 1 spans two cells; neither column repeats.
   EXPECT_EQ(bag.column_facts().unique, (std::vector<bool>{true, true}));
-  EXPECT_EQ(Bag().flat_cells()->width, 0u);
+  EXPECT_EQ(Bag().flat_rows()->width, 0u);
   const Bag nested = MakeBagOf({Value::FromBag(MakeBagOf({A("a")}))});
-  EXPECT_EQ(nested.flat_cells(), nullptr);
+  EXPECT_EQ(nested.flat_rows(), nullptr);
   EXPECT_TRUE(nested.column_facts().constant.empty());
 }
 

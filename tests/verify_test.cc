@@ -45,7 +45,6 @@ using ir::IrVerifyEnabled;
 using ir::LowerOptions;
 using ir::LowerToIr;
 using ir::PassMutation;
-using ir::RowProgram;
 using ir::SetPassMutationForTesting;
 using ir::Stage;
 using ir::StageKind;
