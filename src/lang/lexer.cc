@@ -1,8 +1,18 @@
 #include "src/lang/lexer.h"
 
-#include <cctype>
-
 namespace bagalg::lang {
+
+namespace {
+
+// The character classes of <cctype> in the "C" locale (the program never
+// sets another), written out so the lexer makes no library call per byte.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+}  // namespace
 
 const char* TokenKindName(TokenKind kind) {
   switch (kind) {
@@ -45,14 +55,18 @@ const char* TokenKindName(TokenKind kind) {
 }
 
 Result<std::vector<Token>> Tokenize(std::string_view input) {
+  // Most tokens are longer than a byte or followed by a space: 3/4 of a
+  // token per byte covers the usual statement, so a wide literal's token
+  // array is allocated once instead of being regrown a dozen times.
   std::vector<Token> tokens;
+  tokens.reserve(input.size() / 4 * 3 + 2);
   size_t i = 0;
   auto push = [&](TokenKind kind, size_t start, size_t len) {
-    tokens.push_back(Token{kind, std::string(input.substr(start, len)), start});
+    tokens.push_back(Token{kind, input.substr(start, len), start});
   };
   while (i < input.size()) {
     char c = input[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
@@ -60,20 +74,16 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
       while (i < input.size() && input[i] != '\n') ++i;
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (IsDigit(c)) {
       size_t start = i;
-      while (i < input.size() &&
-             std::isdigit(static_cast<unsigned char>(input[i]))) {
-        ++i;
-      }
+      while (i < input.size() && IsDigit(input[i])) ++i;
       push(TokenKind::kNumber, start, i - start);
       continue;
     }
-    if (std::isalpha(static_cast<unsigned char>(c))) {
+    if (IsAlpha(c)) {
       size_t start = i;
       while (i < input.size() &&
-             (std::isalnum(static_cast<unsigned char>(input[i])) ||
-              input[i] == '_')) {
+             (IsAlpha(input[i]) || IsDigit(input[i]) || input[i] == '_')) {
         ++i;
       }
       push(TokenKind::kIdent, start, i - start);
@@ -152,7 +162,7 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
                                   "' at offset " + std::to_string(i));
     }
   }
-  tokens.push_back(Token{TokenKind::kEnd, "", input.size()});
+  tokens.push_back(Token{TokenKind::kEnd, {}, input.size()});
   return tokens;
 }
 

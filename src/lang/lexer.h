@@ -38,14 +38,18 @@ enum class TokenKind {
   kEnd,         ///< end of input
 };
 
-/// One token with its source offset (for error messages).
+/// One token with its source offset (for error messages). `text` is a view
+/// into the input passed to Tokenize: it stays valid only while that input
+/// lives, so a caller that keeps a token's text past the input copies it.
 struct Token {
   TokenKind kind;
-  std::string text;
+  std::string_view text;
   size_t offset = 0;
 };
 
-/// Tokenizes `input`; "#" starts a comment running to end of line.
+/// Tokenizes the whole of `input` before returning, so a lexical error
+/// anywhere in it is reported ahead of any syntax error; "#" starts a
+/// comment running to end of line.
 Result<std::vector<Token>> Tokenize(std::string_view input);
 
 /// Debug name of a token kind.

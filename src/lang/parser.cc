@@ -1,5 +1,7 @@
 #include "src/lang/parser.h"
 
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -35,6 +37,18 @@ const std::unordered_map<std::string_view, ExprKind>& KeywordMap() {
   return *map;
 }
 
+/// "reserved word 'NAME' cannot WHAT (offset N)" for the keyword `tok`.
+Status ReservedWordError(const Token& tok, std::string_view what) {
+  std::string message = "reserved word '";
+  message += tok.text;
+  message += "' cannot ";
+  message += what;
+  message += " (offset ";
+  message += std::to_string(tok.offset);
+  message += ")";
+  return Status::ParseError(message);
+}
+
 /// Shared cursor over the token stream.
 class Parser {
  public:
@@ -43,7 +57,7 @@ class Parser {
         table_(table != nullptr ? table : &GlobalAtomTable()) {}
 
   const Token& Peek() const { return tokens_[pos_]; }
-  Token Next() { return tokens_[pos_++]; }
+  const Token& Next() { return tokens_[pos_++]; }
 
   Status Expect(TokenKind kind) {
     if (Peek().kind != kind) {
@@ -76,10 +90,8 @@ class Parser {
     const Token& t = Peek();
     switch (t.kind) {
       case TokenKind::kIdent:
-      case TokenKind::kNumber: {
-        Token tok = Next();
-        return Value::Atom(table_->Intern(tok.text));
-      }
+      case TokenKind::kNumber:
+        return Value::Atom(table_->Intern(Next().text));
       case TokenKind::kLBracket: {
         Next();
         std::vector<Value> fields;
@@ -95,6 +107,13 @@ class Parser {
       }
       case TokenKind::kLBagBrace: {
         Next();
+        const size_t first = pos_;
+        if (std::optional<Bag> flat = ParseFlatBag()) {
+          return Value::FromBag(*std::move(flat));
+        }
+        // Elements that hold a bag, or a literal the rows path gave up
+        // on: parse it again into Values, which reports every error.
+        pos_ = first;
         Bag::Builder builder;
         if (!Accept(TokenKind::kRBagBrace)) {
           while (true) {
@@ -121,6 +140,88 @@ class Parser {
                                   std::to_string(t.offset) + ", found " +
                                   TokenKindName(t.kind));
     }
+  }
+
+  /// Parses the elements and closing '}}' of a bag literal whose elements
+  /// hold no bag (the cursor just past its '{{') straight into rows of
+  /// atom cells: no Value is built. A zero-count element is dropped before
+  /// its shape is looked at, as Bag::Builder::Add drops it; every other
+  /// element must have the first kept element's shape. Returns nullopt,
+  /// with the cursor anywhere in the literal, on an element that holds a
+  /// bag, on a second shape and on a syntax error: the Value path then
+  /// parses the literal again and gives it its result or its error.
+  std::optional<Bag> ParseFlatBag() {
+    std::vector<FlatRows> parts(1);
+    FlatRows& rows = parts[0];
+    std::string shape;
+    std::string first_shape;
+    if (!Accept(TokenKind::kRBagBrace)) {
+      while (true) {
+        const size_t mark = rows.cells.size();
+        shape.clear();
+        if (!ParseFlatElement(&rows.cells, &shape)) return std::nullopt;
+        Mult count(1);
+        if (Accept(TokenKind::kStar)) {
+          if (Peek().kind != TokenKind::kNumber) return std::nullopt;
+          Result<BigNat> n = BigNat::FromDecimal(Next().text);
+          if (!n.ok()) return std::nullopt;
+          count = *std::move(n);
+        }
+        if (count.IsZero()) {
+          rows.cells.resize(mark);
+        } else if (rows.empty()) {
+          first_shape = shape;
+          rows.counts.push_back(std::move(count));
+        } else if (shape == first_shape) {
+          rows.counts.push_back(std::move(count));
+        } else {
+          return std::nullopt;
+        }
+        if (Accept(TokenKind::kRBagBrace)) break;
+        if (!Accept(TokenKind::kComma)) return std::nullopt;
+      }
+    }
+    size_t at = 0;
+    Type element = rows.empty() ? Type::Bottom() : ShapeType(first_shape, &at);
+    rows.width = CellWidth(element);
+    return Bag::FromRows(std::move(element), std::move(parts));
+  }
+
+  /// Appends the atoms of one element that holds no bag to `cells` and its
+  /// shape to `shape`: 'U' for an atom, '[' fields ']' for a tuple. False
+  /// on a bag or a syntax error.
+  bool ParseFlatElement(std::vector<AtomId>* cells, std::string* shape) {
+    switch (Peek().kind) {
+      case TokenKind::kIdent:
+      case TokenKind::kNumber:
+        cells->push_back(table_->Intern(Next().text));
+        shape->push_back('U');
+        return true;
+      case TokenKind::kLBracket:
+        Next();
+        shape->push_back('[');
+        if (!Accept(TokenKind::kRBracket)) {
+          while (true) {
+            if (!ParseFlatElement(cells, shape)) return false;
+            if (Accept(TokenKind::kRBracket)) break;
+            if (!Accept(TokenKind::kComma)) return false;
+          }
+        }
+        shape->push_back(']');
+        return true;
+      default:
+        return false;
+    }
+  }
+
+  /// The type of an element of shape `shape` (as ParseFlatElement writes
+  /// it) from shape[*at].
+  static Type ShapeType(std::string_view shape, size_t* at) {
+    if (shape[(*at)++] == 'U') return Type::Atom();
+    std::vector<Type> fields;
+    while (shape[*at] != ']') fields.push_back(ShapeType(shape, at));
+    ++*at;
+    return Type::Tuple(std::move(fields));
   }
 
   // ---------------------------------------------------------------- types
@@ -172,7 +273,7 @@ class Parser {
                                 std::to_string(t.offset) + ", found " +
                                 TokenKindName(t.kind));
     }
-    Token name = Next();
+    const Token& name = Next();
     auto kw = KeywordMap().find(name.text);
     if (kw != KeywordMap().end() && Peek().kind == TokenKind::kLParen) {
       return ParseOperator(kw->second, name);
@@ -184,11 +285,9 @@ class Parser {
       }
     }
     if (kw != KeywordMap().end()) {
-      return Status::ParseError("reserved word '" + name.text +
-                                "' cannot name an input bag (offset " +
-                                std::to_string(name.offset) + ")");
+      return ReservedWordError(name, "name an input bag");
     }
-    return Input(name.text);
+    return Input(std::string(name.text));
   }
 
  private:
@@ -197,7 +296,7 @@ class Parser {
       return Status::ParseError("expected an attribute number at offset " +
                                 std::to_string(Peek().offset));
     }
-    Token tok = Next();
+    const Token& tok = Next();
     BAGALG_ASSIGN_OR_RETURN(BigNat n, BigNat::FromDecimal(tok.text));
     BAGALG_ASSIGN_OR_RETURN(uint64_t v, n.ToUint64());
     if (v == 0) {
@@ -212,14 +311,12 @@ class Parser {
       return Status::ParseError("expected a variable name at offset " +
                                 std::to_string(Peek().offset));
     }
-    Token tok = Next();
+    const Token& tok = Next();
     if (KeywordMap().count(tok.text) != 0) {
-      return Status::ParseError("reserved word '" + tok.text +
-                                "' cannot be a variable (offset " +
-                                std::to_string(tok.offset) + ")");
+      return ReservedWordError(tok, "be a variable");
     }
     BAGALG_RETURN_IF_ERROR(Expect(TokenKind::kArrow));
-    return tok.text;
+    return std::string(tok.text);
   }
 
   Result<Expr> ParseOperator(ExprKind kind, const Token& name) {

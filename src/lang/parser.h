@@ -31,7 +31,8 @@
 namespace bagalg::lang {
 
 /// Parses a complete value; atoms are interned into `table` (the global
-/// table if null).
+/// table if null). A bag literal whose elements hold no bag is parsed
+/// straight into its flat rows: no Value is built for its elements.
 Result<Value> ParseValue(std::string_view text, AtomTable* table = nullptr);
 
 /// Parses a complete type.

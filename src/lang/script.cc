@@ -20,15 +20,18 @@ namespace bagalg::lang {
 
 namespace {
 
-/// Splits "cmd rest" on the first whitespace run.
-std::pair<std::string, std::string> SplitCommand(const std::string& line) {
+/// Splits "cmd rest" on the first whitespace run; both parts are views of
+/// `line`.
+std::pair<std::string_view, std::string_view> SplitCommand(
+    std::string_view line) {
   size_t start = line.find_first_not_of(" \t");
-  if (start == std::string::npos) return {"", ""};
+  if (start == std::string_view::npos) return {};
   size_t end = line.find_first_of(" \t", start);
-  if (end == std::string::npos) return {line.substr(start), ""};
+  if (end == std::string_view::npos) return {line.substr(start), {}};
+  const std::string_view cmd = line.substr(start, end - start);
   size_t rest = line.find_first_not_of(" \t", end);
-  return {line.substr(start, end - start),
-          rest == std::string::npos ? "" : line.substr(rest)};
+  if (rest == std::string_view::npos) return {cmd, {}};
+  return {cmd, line.substr(rest)};
 }
 
 /// Attaches a stack-allocated per-statement governor to the evaluator and
@@ -148,19 +151,18 @@ Result<std::string> ScriptRunner::RunStatement(const std::string& kind,
   // process. The governor lives on this stack frame only.
   cancel_.Reset();
   EvalGovernor governed(evaluator_, StatementGovernorOptions());
-  Result<Value> vr = admitted;
-  if (admitted.ok() && on_ir) {
+  // A statement the budget refused runs on neither engine.
+  Result<Value> vr = [&]() -> Result<Value> {
+    BAGALG_RETURN_IF_ERROR(admitted);
+    if (!on_ir) return evaluator_.Eval(e, db_);
     // The fused IR instead of the tree walker; with tracing on,
     // per-pipeline spans land in the same trace as the evaluator's.
     exec::ExecOptions options;
     options.tracer = tracer_.enabled() ? &tracer_ : nullptr;
     options.governor = governed.get();
-    Result<Bag> br = exec::RunPipeline(e, db_, options);
-    vr = br.ok() ? Result<Value>(Value::FromBag(*std::move(br)))
-                 : Result<Value>(br.status());
-  } else if (admitted.ok()) {
-    vr = evaluator_.Eval(e, db_);
-  }
+    BAGALG_ASSIGN_OR_RETURN(Bag bag, exec::RunPipeline(e, db_, options));
+    return Value::FromBag(std::move(bag));
+  }();
   const uint64_t wall_ns = obs::MonotonicNowNs() - t0;
   const uint64_t cpu1 = obs::ThreadCpuNowNs();
   const uint64_t steps = evaluator_.stats().steps - steps_before;
@@ -207,21 +209,22 @@ Result<std::string> ScriptRunner::RunLine(const std::string& line) {
 }
 
 Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
-  std::string stripped = line.substr(0, line.find('#'));
-  auto [cmd, rest] = SplitCommand(stripped);
-  if (cmd.empty()) return std::string();
+  const auto [cmd_view, rest_view] =
+      SplitCommand(std::string_view(line).substr(0, line.find('#')));
+  if (cmd_view.empty()) return std::string();
 
-  if (cmd == "let") {
-    size_t eq = rest.find('=');
-    if (eq == std::string::npos) {
+  if (cmd_view == "let") {
+    // The literal is parsed in place: a wide `let` is the longest line a
+    // session sends, so it is never copied.
+    size_t eq = rest_view.find('=');
+    if (eq == std::string_view::npos) {
       return Status::ParseError("let syntax: let NAME = VALUE");
     }
-    auto [name, unused] = SplitCommand(rest.substr(0, eq));
-    (void)unused;
+    const std::string name(SplitCommand(rest_view.substr(0, eq)).first);
     if (name.empty() || IsReservedWord(name)) {
       return Status::ParseError("invalid bag name in let");
     }
-    BAGALG_ASSIGN_OR_RETURN(Value v, ParseValue(rest.substr(eq + 1)));
+    BAGALG_ASSIGN_OR_RETURN(Value v, ParseValue(rest_view.substr(eq + 1)));
     if (!v.IsBag()) {
       return Status::InvalidArgument("let binds bags; got a " +
                                      v.type().ToString());
@@ -230,13 +233,16 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
     return name + " : " + v.type().ToString();
   }
 
+  const std::string cmd(cmd_view);
+  const std::string rest(rest_view);
+
   if (cmd == "schema") {
     size_t colon = rest.find(':');
     if (colon == std::string::npos) {
       return Status::ParseError("schema syntax: schema NAME : TYPE");
     }
-    auto [name, unused] = SplitCommand(rest.substr(0, colon));
-    (void)unused;
+    const std::string name(
+        SplitCommand(std::string_view(rest).substr(0, colon)).first);
     BAGALG_ASSIGN_OR_RETURN(Type t, ParseType(rest.substr(colon + 1)));
     BAGALG_RETURN_IF_ERROR(db_.Declare(name, t));
     return name + " : " + t.ToString();
@@ -406,7 +412,8 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
   }
 
   if (cmd == "\\journal") {
-    auto [sub, arg] = SplitCommand(rest);
+    auto [sub, arg_view] = SplitCommand(rest);
+    const std::string arg(arg_view);
     if (sub == "export") {
       if (arg.empty()) {
         return Status::ParseError(
@@ -476,7 +483,10 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
     BAGALG_ASSIGN_OR_RETURN(uint64_t kv, k.ToUint64());
     BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(expr_text));
     Status st = CheckFragment(e, db_.schema(), static_cast<int>(kv));
-    return st.ok() ? "within BALG^" + k_text : st.ToString();
+    if (!st.ok()) return st.ToString();
+    std::string out = "within BALG^";
+    out += k_text;
+    return out;
   }
 
   if (cmd == "optimize") {

@@ -13,6 +13,8 @@
 #include "src/algebra/rewrite.h"
 #include "src/lang/lexer.h"
 #include "src/lang/script.h"
+#include "src/obs/metrics.h"
+#include "src/util/rng.h"
 
 namespace bagalg {
 namespace {
@@ -93,11 +95,124 @@ TEST(ParseValueTest, ValueRoundTripsThroughToString) {
 }
 
 TEST(ParseValueTest, Errors) {
-  EXPECT_FALSE(ParseValue("").ok());
-  EXPECT_FALSE(ParseValue("[a").ok());
-  EXPECT_FALSE(ParseValue("{{a*}}").ok());
-  EXPECT_FALSE(ParseValue("{{a, [b]}}").ok());  // inhomogeneous
-  EXPECT_FALSE(ParseValue("a b").ok());         // trailing input
+  // Exact messages: a malformed bag literal reports what it reported when
+  // every literal was parsed into Values. Type errors name the types in
+  // value order, and a lexical error anywhere wins over a syntax error.
+  const std::pair<const char*, const char*> cases[] = {
+      {"", "expected a value at offset 0, found end of input"},
+      {"[a", "expected ',' but found end of input at offset 2"},
+      {"a b", "trailing input at offset 2"},
+      {"{{a, [b]}}", "incompatible types U and [U]"},
+      {"{{[b], a}}", "incompatible types U and [U]"},
+      {"{{[a, b], [c]}}", "tuple arity mismatch: [U, U] vs [U]"},
+      {"{{a, {{b}}}}", "incompatible types U and {{U}}"},
+      {"{{[a", "expected ',' but found end of input at offset 4"},
+      {"{{a*}}", "expected a multiplicity after '*' at offset 4"},
+      {"{{a b}}", "expected ',' but found identifier at offset 4"},
+      {"{{a, b ?}}", "unexpected character '?' at offset 7"},
+      {"{{a, # b}}", "expected a value at offset 10, found end of input"},
+  };
+  for (const auto& [text, message] : cases) {
+    auto v = ParseValue(text);
+    ASSERT_FALSE(v.ok()) << text;
+    EXPECT_EQ(v.status().message(), message) << text;
+  }
+}
+
+// ------------------------------------------- bag literals of flat rows
+
+/// A random value of one of the flat shapes a literal may hold: an atom,
+/// tuples of arity 0-3, and tuples nesting tuples.
+Value RandomFlatElement(Rng& rng, int shape) {
+  auto atom = [&] {
+    std::string name = "e";
+    name += std::to_string(rng.Below(6));
+    return MakeAtom(name);
+  };
+  switch (shape) {
+    case 0:
+      return atom();
+    case 1:
+      return MakeTuple({});
+    case 2:
+      return MakeTuple({atom()});
+    case 3:
+      return MakeTuple({atom(), atom()});
+    case 4:
+      return MakeTuple({atom(), atom(), atom()});
+    case 5:
+      return MakeTuple({atom(), MakeTuple({atom(), atom()})});
+    default:
+      return MakeTuple({MakeTuple({atom(), MakeTuple({})}), atom()});
+  }
+}
+
+TEST(ParseValueTest, FlatLiteralsRoundTripIntoTheBuildersRows) {
+  const Mult counts[] = {Mult(1), Mult(2), Mult(7), Mult(~uint64_t{0}),
+                         BigNat::TwoPow(64), BigNat::TwoPow(100)};
+  Rng rng(27);
+  for (int shape = 0; shape < 7; ++shape) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // Random additions, repeats included, written out unmerged: the
+      // parser must merge them as Bag::Builder does.
+      Bag::Builder builder;
+      std::string text = "{{";
+      const uint64_t n = rng.Below(12);
+      for (uint64_t i = 0; i < n; ++i) {
+        Value v = RandomFlatElement(rng, shape);
+        const Mult& c = counts[rng.Below(std::size(counts))];
+        if (i != 0) text += ", ";
+        text += v.ToString() + "*" + c.ToString();
+        builder.Add(std::move(v), c);
+      }
+      text += "}}";
+      auto built = std::move(builder).Build();
+      ASSERT_TRUE(built.ok()) << built.status();
+      const Value want = Value::FromBag(*std::move(built));
+      for (const std::string& literal : {text, want.ToString()}) {
+        auto got = ParseValue(literal);
+        ASSERT_TRUE(got.ok()) << literal << ": " << got.status();
+        ASSERT_TRUE(got->IsBag()) << literal;
+        EXPECT_EQ(*got, want) << literal;
+        EXPECT_EQ(got->Hash(), want.Hash()) << literal;
+        EXPECT_EQ(got->type(), want.type()) << literal;
+        const FlatRows* rows = got->bag().flat_rows();
+        const FlatRows* want_rows = want.bag().flat_rows();
+        ASSERT_NE(rows, nullptr) << literal;
+        ASSERT_NE(want_rows, nullptr) << literal;
+        EXPECT_EQ(rows->width, want_rows->width) << literal;
+        EXPECT_EQ(rows->cells, want_rows->cells) << literal;
+        EXPECT_EQ(rows->counts, want_rows->counts) << literal;
+      }
+    }
+  }
+}
+
+TEST(ParseValueTest, ZeroCountElementsAreDroppedBeforeTheShapeCheck) {
+  auto v1 = ParseValue("{{a*0}}");
+  ASSERT_TRUE(v1.ok()) << v1.status();
+  EXPECT_TRUE(v1->bag().empty());
+  EXPECT_EQ(v1->type().ToString(), "{{_}}");
+  auto v2 = ParseValue("{{a*0, [b]}}");
+  ASSERT_TRUE(v2.ok()) << v2.status();
+  EXPECT_EQ(v2->type().ToString(), "{{[U]}}");
+  EXPECT_EQ(v2->ToString(), "{{[b]}}");
+  auto v3 = ParseValue("{{[a]*000, b*2, {{c}}*0}}");
+  ASSERT_TRUE(v3.ok()) << v3.status();
+  EXPECT_EQ(v3->ToString(), "{{b*2}}");
+  EXPECT_EQ(v3->type().ToString(), "{{U}}");
+}
+
+TEST(ParseValueTest, BagsOfBagsParseThroughValues) {
+  auto v = ParseValue("{{{{a}}*5, {{b, c}}, {{}}, {{a}}}}");
+  ASSERT_TRUE(v.ok()) << v.status();
+  EXPECT_EQ(v->type().ToString(), "{{{{U}}}}");
+  EXPECT_EQ(v->bag().flat_rows(), nullptr);
+  EXPECT_EQ(v->bag().CountOf(Value::FromBag(MakeBagOf({A("a")}))), Mult(6));
+  EXPECT_EQ(v->ToString(), "{{{{}}, {{a}}*6, {{b, c}}}}");
+  auto w = ParseValue("{{[a, {{b*2}}], [c, {{}}]}}");
+  ASSERT_TRUE(w.ok()) << w.status();
+  EXPECT_EQ(w->type().ToString(), "{{[U, {{U}}]}}");
 }
 
 TEST(ParseTypeTest, AllConstructors) {
@@ -210,6 +325,16 @@ TEST(ScriptTest, LetEvalCountFlow) {
       " sel(x -> proj(2, x) == proj(3, x), prod(B, B)))");
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_EQ(*r2, "24");  // 2nm with n=4, m=3
+}
+
+TEST(ScriptTest, FlatLetBuildsNoEntriesView) {
+  auto* views = obs::GlobalMetrics().GetCounter("kernel.entries_views");
+  ScriptRunner runner;
+  const uint64_t before = views->value();
+  auto r = runner.RunLine("let W = {{[a, b]*3, [b, c], [a, b], [c, a]*0}}");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, "W : {{[U, U]}}");
+  EXPECT_EQ(views->value(), before);
 }
 
 TEST(ScriptTest, SchemaAndTypeCommands) {
