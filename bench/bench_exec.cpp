@@ -128,11 +128,10 @@ Database MakeDistinctDb(size_t distinct, uint64_t seed = 7) {
   return db;
 }
 
-// Plan-time cost of the IR front half (rewrite, typecheck, cost analysis,
-// lowering, passes) — the per-query overhead the batched execution must
-// amortize — over inputs of 64 and 4096 distinct tuples. Plan time should
-// depend on the plan, not the data: CI's bench-exec-smoke gate wants
-// /4096 within 2x of /64.
+// Plan-time cost of the IR front half (typecheck, lowering, passes) — the
+// per-query overhead the batched execution must amortize — over inputs of
+// 64 and 4096 distinct tuples. Plan time should depend on the plan, not
+// the data: CI's bench-exec-smoke gate wants /4096 within 2x of /64.
 void BM_IrLowerOnly(benchmark::State& state) {
   Database db = MakeDistinctDb(static_cast<size_t>(state.range(0)));
   Expr q = JoinChain();

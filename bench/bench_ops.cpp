@@ -83,30 +83,6 @@ void BM_DupElim(benchmark::State& state) {
 }
 BENCHMARK(BM_DupElim)->RangeMultiplier(8)->Range(64, 1 << 15);
 
-void BM_MapSwapAttrs(benchmark::State& state) {
-  Bag a = MakeInput(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto r = MapBag(a, [](const Value& v) -> Result<Value> {
-      return Value::Tuple({v.fields()[1], v.fields()[0]});
-    });
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MapSwapAttrs)->RangeMultiplier(8)->Range(64, 1 << 15);
-
-void BM_SelectDiagonal(benchmark::State& state) {
-  Bag a = MakeInput(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto r = SelectBag(a, [](const Value& v) -> Result<bool> {
-      return v.fields()[0] == v.fields()[1];
-    });
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SelectDiagonal)->RangeMultiplier(8)->Range(64, 1 << 15);
-
 void BM_BagDestroy(benchmark::State& state) {
   Rng rng(7);
   FlatBagSpec inner;

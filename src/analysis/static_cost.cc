@@ -526,10 +526,10 @@ Result<CostAnalysis> AnalyzeCost(const Expr& expr, const Schema& schema,
                                  const CostFacts& facts) {
   // Typecheck first: the walker leans on well-typedness and the node types
   // drive fixpoint widening.
-  std::map<const ExprNode*, Type> node_types;
-  BAGALG_RETURN_IF_ERROR(AnalyzeExpr(expr, schema, &node_types).status());
   CostAnalysis analysis;
-  CostWalker walker(schema, facts, node_types, &analysis.per_node);
+  BAGALG_RETURN_IF_ERROR(
+      AnalyzeExpr(expr, schema, &analysis.node_types).status());
+  CostWalker walker(schema, facts, analysis.node_types, &analysis.per_node);
   BAGALG_ASSIGN_OR_RETURN(WalkResult root, walker.Walk(expr));
   auto it = analysis.per_node.find(expr.raw());
   analysis.root = it != analysis.per_node.end()

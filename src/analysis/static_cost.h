@@ -125,6 +125,9 @@ struct CostAnalysis {
   /// Verdicts for every AST node, keyed by node identity (like the
   /// typecheck caches).
   std::map<const ExprNode*, NodeCost> per_node;
+  /// AnalyzeExpr's type of every AST node, which the analysis runs on.
+  /// `exec` lowers with it instead of typing the statement again.
+  std::map<const ExprNode*, Type> node_types;
 };
 
 /// Runs the abstract interpreter. TypeError/NotFound if the expression does

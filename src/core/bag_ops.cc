@@ -655,38 +655,6 @@ Result<Bag> DupElim(const Bag& bag) {
   return Bag::FromCanonicalEntries(bag.element_type(), std::move(out));
 }
 
-Result<Bag> MapBag(const Bag& bag,
-                   const std::function<Result<Value>(const Value&)>& fn,
-                   const Type& declared_result_elem) {
-  Bag::Builder builder(declared_result_elem);
-  builder.Reserve(bag.DistinctCount());
-  CheckpointTicker ticker(sizeof(BagEntry));
-  for (const BagEntry& e : bag.entries()) {
-    if (ticker.Due()) {
-      BAGALG_RETURN_IF_ERROR(ticker.Flush());
-    }
-    BAGALG_ASSIGN_OR_RETURN(Value image, fn(e.value));
-    builder.Add(std::move(image), e.count);
-  }
-  return std::move(builder).Build();
-}
-
-Result<Bag> SelectBag(const Bag& bag,
-                      const std::function<Result<bool>(const Value&)>& pred) {
-  // A subsequence of canonical entries is canonical; the declared element
-  // type is unchanged by selection.
-  std::vector<BagEntry> out;
-  CheckpointTicker ticker(sizeof(BagEntry));
-  for (const BagEntry& e : bag.entries()) {
-    if (ticker.Due()) {
-      BAGALG_RETURN_IF_ERROR(ticker.Flush());
-    }
-    BAGALG_ASSIGN_OR_RETURN(bool keep, pred(e.value));
-    if (keep) out.push_back({e.value, e.count});
-  }
-  return Bag::FromCanonicalEntries(bag.element_type(), std::move(out));
-}
-
 Result<Bag> Nest(const Bag& bag, const std::vector<size_t>& nested_attrs) {
   if (!bag.empty() && !bag.element_type().IsTuple()) {
     return Status::InvalidArgument("nest requires a bag of tuples");

@@ -17,9 +17,11 @@
 ///                        (Definition 5.1, occurrence-distinguishing)
 ///   bag-destroy     δ : additive flattening, scaled by outer counts
 ///   dup-elim        ε : every positive multiplicity becomes 1
-///   MAP φ           : image multiplicities add up
-///   σ_{φ=φ'}        : keeps multiplicity where the test holds
-/// The AST-level evaluator (src/algebra/eval.h) dispatches to these.
+/// The AST-level evaluator (src/algebra/eval.h) dispatches to these. MAP φ
+/// (image multiplicities add up) and σ_{φ=φ'} (keeps multiplicity where
+/// the test holds) evaluate lambda bodies, so the evaluator runs them
+/// itself: through compiled row programs on flat bags, binding each
+/// element otherwise.
 ///
 /// Every kernel runs on the calling thread. Over flat bags (element types
 /// that hold no bag) ⊎, ∸, ∪ and ∩ are one merge walk over the operands'
@@ -31,7 +33,6 @@
 /// kernel opens a tracer span when the global tracer is enabled (see
 /// docs/PERFORMANCE.md).
 
-#include <functional>
 #include <vector>
 
 #include "src/core/limits.h"
@@ -75,18 +76,6 @@ Result<Bag> BagDestroy(const Bag& bag,
 
 /// ε(B): duplicate elimination.
 Result<Bag> DupElim(const Bag& bag);
-
-/// MAP φ (B): applies `fn` to each distinct element; multiplicities of
-/// equal images add up. `declared_result_elem` types the result when B is
-/// empty (pass Type::Bottom() if unknown).
-Result<Bag> MapBag(const Bag& bag,
-                   const std::function<Result<Value>(const Value&)>& fn,
-                   const Type& declared_result_elem = Type::Bottom());
-
-/// σ(B): keeps the elements (with their multiplicities) on which `pred`
-/// returns true.
-Result<Bag> SelectBag(const Bag& bag,
-                      const std::function<Result<bool>(const Value&)>& pred);
 
 // ----- Extensions discussed by the paper -----------------------------------
 

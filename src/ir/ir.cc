@@ -196,14 +196,6 @@ std::string ExplainIrPlan(const IrPlan& plan, const IrNodeAnnotator& annotate) {
     out += " const_folds=" + std::to_string(plan.passes.const_folds);
   }
   out += "\n";
-  if (!plan.rewrites.empty()) {
-    out += "rewrites:";
-    for (const std::string& r : plan.rewrites) {
-      out += " ";
-      out += r;
-    }
-    out += "\n";
-  }
   if (plan.root != nullptr) RenderNode(*plan.root, 0, "", annotate, &out);
   return out;
 }

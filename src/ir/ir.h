@@ -140,9 +140,6 @@ struct PassStats {
 struct IrPlan {
   std::unique_ptr<IrNode> root;
   PassStats passes;
-  /// Names of algebra-level rewrites applied before lowering (empty when
-  /// lowering ran on the raw plan).
-  std::vector<std::string> rewrites;
 };
 
 /// Total number of fused stages across the plan (the "how much per-row work

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/algebra/rewrite.h"
 #include "src/algebra/typecheck.h"
 #include "src/analysis/static_cost.h"
 #include "src/ir/dataflow.h"
@@ -170,33 +169,27 @@ void Annotate(IrNode* node, const analysis::CostAnalysis& costs) {
   for (auto& child : node->children) Annotate(child.get(), costs);
 }
 
-/// LowerToIr; with `annotate_costs` (the explain entry points only) it also
-/// annotates the nodes with static_cost bounds of the rewritten plan.
-Result<IrPlan> LowerPlan(const Expr& expr, const Database& db,
-                         const LowerOptions& options, bool annotate_costs) {
-  Expr plan_expr = expr;
-  std::vector<std::string> rewrites;
-  if (options.optimize_first) {
-    std::map<std::string, size_t> applied;
-    Result<Expr> optimized =
-        Optimize(expr, db.schema(), RewriteOptions{}, &applied);
-    // Rewriter failures (e.g. on plans that do not typecheck) are not
-    // fatal at this point — lowering reports the better error below.
-    if (optimized.ok()) {
-      plan_expr = std::move(optimized).value();
-      for (const auto& [rule, count] : applied) {
-        rewrites.push_back(rule + "x" + std::to_string(count));
-      }
-    }
-  }
+/// The explain entry points' lowering: one exact-facts cost analysis both
+/// types the plan and annotates it. When it fails, LowerToIr types the
+/// plan itself, which reports a type error or lowers unannotated.
+Result<IrPlan> LowerAnnotated(const Expr& expr, const Database& db,
+                              const LowerOptions& options) {
+  Result<analysis::CostAnalysis> costs = analysis::AnalyzeCost(
+      expr, db.schema(), analysis::CostFacts::Exact(db));
+  if (!costs.ok()) return LowerToIr(expr, db, options);
+  BAGALG_ASSIGN_OR_RETURN(IrPlan plan,
+                          LowerToIr(expr, db, costs->node_types, options));
+  Annotate(plan.root.get(), *costs);
+  return plan;
+}
 
-  std::map<const ExprNode*, Type> node_types;
-  Result<ExprAnalysis> analysis =
-      AnalyzeExpr(plan_expr, db.schema(), &node_types);
-  if (!analysis.ok()) return analysis.status();
+}  // namespace
 
+Result<IrPlan> LowerToIr(const Expr& expr, const Database& db,
+                         const std::map<const ExprNode*, Type>& node_types,
+                         const LowerOptions& options) {
   Lowerer lowerer{db, node_types};
-  BAGALG_ASSIGN_OR_RETURN(NodePtr root, lowerer.Lower(plan_expr));
+  BAGALG_ASSIGN_OR_RETURN(NodePtr root, lowerer.Lower(expr));
   // BALG¹ rows hold no bag, so every IR row is a fixed-shape tree of atoms
   // (the executor's flat cells). A bag of bags anywhere in the plan is
   // outside the fragment; `eval` still runs it.
@@ -210,42 +203,33 @@ Result<IrPlan> LowerPlan(const Expr& expr, const Database& db,
 
   IrPlan plan;
   plan.root = std::move(root);
-  plan.rewrites = std::move(rewrites);
   PassOptions pass_options;
   pass_options.verify_each =
       options.verify == LowerOptions::Verify::kOn ||
       (options.verify == LowerOptions::Verify::kAuto && IrVerifyEnabled());
   pass_options.observer = options.observer;
   BAGALG_RETURN_IF_ERROR(RunPasses(&plan, pass_options));
-
-  if (annotate_costs) {
-    Result<analysis::CostAnalysis> costs = analysis::AnalyzeCost(
-        plan_expr, db.schema(), analysis::CostFacts::Exact(db));
-    if (costs.ok()) Annotate(plan.root.get(), costs.value());
-  }
-
   BAGALG_RETURN_IF_ERROR(CheckFusionLegality(plan));
   return plan;
 }
 
-}  // namespace
-
 Result<IrPlan> LowerToIr(const Expr& expr, const Database& db,
                          const LowerOptions& options) {
-  return LowerPlan(expr, db, options, /*annotate_costs=*/false);
+  std::map<const ExprNode*, Type> node_types;
+  BAGALG_RETURN_IF_ERROR(
+      AnalyzeExpr(expr, db.schema(), &node_types).status());
+  return LowerToIr(expr, db, node_types, options);
 }
 
 Result<std::string> ExplainIr(const Expr& expr, const Database& db,
                               const LowerOptions& options) {
-  BAGALG_ASSIGN_OR_RETURN(
-      IrPlan plan, LowerPlan(expr, db, options, /*annotate_costs=*/true));
+  BAGALG_ASSIGN_OR_RETURN(IrPlan plan, LowerAnnotated(expr, db, options));
   return ExplainIrPlan(plan);
 }
 
 Result<std::string> ExplainIrFacts(const Expr& expr, const Database& db,
                                    const LowerOptions& options) {
-  BAGALG_ASSIGN_OR_RETURN(
-      IrPlan plan, LowerPlan(expr, db, options, /*annotate_costs=*/true));
+  BAGALG_ASSIGN_OR_RETURN(IrPlan plan, LowerAnnotated(expr, db, options));
   BAGALG_ASSIGN_OR_RETURN(const RowLayoutMap layouts, ComputeRowLayouts(plan));
   const IrFactsMap facts = ComputeIrFacts(plan, layouts);
   return ExplainIrPlan(plan, [&](const IrNode& node) {

@@ -4,18 +4,19 @@
 /// \file lower.h
 /// Lowering typed BALG¹ plans into the fused loop IR.
 ///
-/// LowerToIr is the front half of the IR engine: it (optionally) runs the
-/// algebra-level rewriter first — which canonicalizes equal subplans so the
-/// IR's common-subexpression pass can key on surface syntax — typechecks the
-/// plan (join lowering needs the probe side's tuple arity), folds every MAP
-/// / σ into fused stages on the producing node, then runs the IR passes
-/// (passes.h). Only the explain entry points annotate nodes with
-/// static_cost bounds; execution never reads them.
+/// LowerToIr is the front half of the IR engine: it lowers the expression
+/// it is given, as written — folding every MAP / σ into fused stages on the
+/// producing node (join lowering reads the probe side's tuple arity off
+/// the node types) — then runs the IR passes (passes.h), which are the
+/// only optimizer an `exec` plan meets. The algebra rewriter
+/// (algebra/rewrite.h) does not run here. Only the explain entry points
+/// annotate nodes with static_cost bounds; execution never reads them.
 ///
 /// The supported fragment is the paper's tractable BALG¹ fragment (§4);
 /// anything outside lowers to kUnsupported, which exec::RunPipeline
 /// (run.cc) returns unchanged. The tree-walking evaluator runs every plan.
 
+#include <map>
 #include <string>
 
 #include "src/algebra/database.h"
@@ -27,10 +28,6 @@
 namespace bagalg::ir {
 
 struct LowerOptions {
-  /// Run algebra::Optimize before lowering. Besides the usual identity /
-  /// selection-pushdown wins, this canonicalizes duplicate subplans so the
-  /// CSE pass can recognize them.
-  bool optimize_first = true;
   /// Per-pass plan verification (verify.h): kAuto follows IrVerifyEnabled()
   /// — on in assert-enabled builds and whenever BAGALG_IR_VERIFY=1 — so
   /// Release builds can opt in without recompiling; kOn/kOff force it.
@@ -41,14 +38,22 @@ struct LowerOptions {
   PassObserver observer;
 };
 
-/// Lowers `expr` against `db` into a pass-processed IR plan. kUnsupported
-/// outside the BALG¹ pipeline fragment; kNotFound for unknown inputs;
-/// kTypeError when the plan does not typecheck (joins need arities).
+/// Lowers `expr` against `db` into a pass-processed IR plan, typed by
+/// `node_types`: AnalyzeExpr's map for this very expression, such as the
+/// one the preflight's analysis::AnalyzeCost keeps. kUnsupported outside
+/// the BALG¹ pipeline fragment; kNotFound for unknown inputs.
+Result<IrPlan> LowerToIr(const Expr& expr, const Database& db,
+                         const std::map<const ExprNode*, Type>& node_types,
+                         const LowerOptions& options = {});
+
+/// The same, typing `expr` first: kTypeError (or kNotFound) when the plan
+/// does not typecheck (joins need arities).
 Result<IrPlan> LowerToIr(const Expr& expr, const Database& db,
                          const LowerOptions& options = {});
 
-/// EXPLAIN IR: lower, annotate each node with its static_cost exact-facts
-/// bound (cost_note, est_rows; best-effort — analysis errors leave a node
+/// EXPLAIN IR: run the exact-facts static_cost analysis, lower with its
+/// node types, annotate each node with its size bound (cost_note,
+/// est_rows; best-effort — a plan the analysis cannot cost lowers
 /// unannotated), and render the fused pipeline tree (ExplainIrPlan).
 Result<std::string> ExplainIr(const Expr& expr, const Database& db,
                               const LowerOptions& options = {});

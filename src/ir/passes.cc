@@ -632,7 +632,6 @@ IrPlan SnapshotPlan(const IrPlan& plan) {
   IrPlan snapshot;
   snapshot.root = plan.root->Clone();
   snapshot.passes = plan.passes;
-  snapshot.rewrites = plan.rewrites;
   return snapshot;
 }
 

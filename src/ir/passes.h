@@ -3,6 +3,9 @@
 
 /// \file passes.h
 /// IR-level optimization passes, run by LowerToIr after tree construction.
+/// They are the only optimizer an `exec` plan meets: lowering keeps the
+/// expression as written, so σ over ⊎ or over × reaches passes 2 and 3 as
+/// the user wrote it.
 ///
 /// RunPasses drives a whole-plan pass pipeline. The local rewrites iterate
 /// to a fixpoint (each one no-ops — and stops counting — once the plan
@@ -35,10 +38,10 @@
 ///  7. redundant dup-elim removal — a kDupElim whose input is provably
 ///     dup-free (dataflow.h) is spliced out, its stages appended to the
 ///     child. PassStats::dup_elims_removed.
-///  8. CSE marking — duplicate subplans (by canonical surface syntax, which
-///     the pre-lowering rewriter normalizes, plus the fused stage list) are
-///     marked cse_shared; the executor materializes the first occurrence
-///     once per run and serves the rest from the cached bag.
+///  8. CSE marking — duplicate subplans (by surface syntax plus the fused
+///     stage list) are marked cse_shared; the executor materializes the
+///     first occurrence once per run and serves the rest from the cached
+///     bag.
 ///
 /// Every pass is multiplicity-sound: filters commute with each other and
 /// with projections under bag semantics because stage programs are pure and

@@ -11,8 +11,12 @@
 namespace bagalg::exec {
 
 Result<Bag> RunPipeline(const Expr& expr, const Database& db,
-                        const ExecOptions& options) {
-  BAGALG_ASSIGN_OR_RETURN(ir::IrPlan plan, ir::LowerToIr(expr, db));
+                        const ExecOptions& options,
+                        const std::map<const ExprNode*, Type>* node_types) {
+  BAGALG_ASSIGN_OR_RETURN(ir::IrPlan plan,
+                          node_types != nullptr
+                              ? ir::LowerToIr(expr, db, *node_types)
+                              : ir::LowerToIr(expr, db));
   obs::Span span;
   if (options.tracer != nullptr && options.tracer->enabled()) {
     span = options.tracer->StartSpan("exec.pipeline", "exec");

@@ -42,9 +42,8 @@ Status VerifyIr(const IrPlan& plan) {
 }
 
 Status ValidateTranslation(const Expr& expr, const Database& db,
-                           ValidationReport* report,
-                           const LowerOptions& base) {
-  LowerOptions options = base;
+                           ValidationReport* report) {
+  LowerOptions options;
   options.verify = LowerOptions::Verify::kOn;
   options.observer = [&db, report](const std::string& pass,
                                    const IrPlan& before,

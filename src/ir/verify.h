@@ -66,13 +66,9 @@ struct ValidationReport {
 /// pass that changed it, asserting bag-equality of the results. Returns the
 /// first verifier error or semantic divergence (kInternal, naming the
 /// pass). Intended for tests and fuzzing against *small* databases — every
-/// changed pass costs two executions. `base` supplies the remaining
-/// lowering options (its verify/observer fields are overridden); tests use
-/// it to disable the algebra rewriter so crafted stage patterns reach the
-/// IR passes intact.
+/// changed pass costs two executions.
 Status ValidateTranslation(const Expr& expr, const Database& db,
-                           ValidationReport* report = nullptr,
-                           const LowerOptions& base = {});
+                           ValidationReport* report = nullptr);
 
 }  // namespace bagalg::ir
 

@@ -93,10 +93,9 @@ void ScriptRunner::SyncTracerMode() {
   evaluator_.set_tracer(enabled ? &tracer_ : nullptr);
 }
 
-obs::JournalEntry ScriptRunner::BeginStatement(const std::string& kind,
-                                               const std::string& statement,
-                                               const Expr& expr,
-                                               Status* admitted) {
+obs::JournalEntry ScriptRunner::BeginStatement(
+    const std::string& kind, const std::string& statement, const Expr& expr,
+    const Result<analysis::CostAnalysis>& cost, Status* admitted) {
   obs::JournalEntry entry;
   entry.kind = kind;
   entry.statement = statement;
@@ -105,8 +104,6 @@ obs::JournalEntry ScriptRunner::BeginStatement(const std::string& kind,
   // Best-effort static verdict; an expression the analyzer cannot cost
   // (unknown names, type errors caught later) journals with empty fields
   // and is admitted, so running it reports the real error.
-  auto cost = analysis::AnalyzeCost(expr, db_.schema(),
-                                    analysis::CostFacts::Exact(db_));
   if (cost.ok()) {
     entry.tractability = analysis::TractabilityName(cost->root.cls);
     entry.cost_bound = cost->root.bound.ToString();
@@ -138,8 +135,10 @@ void ScriptRunner::FinishStatement(obs::JournalEntry& entry,
 Result<std::string> ScriptRunner::RunStatement(const std::string& kind,
                                                const std::string& text) {
   BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(text));
+  const Result<analysis::CostAnalysis> cost = analysis::AnalyzeCost(
+      e, db_.schema(), analysis::CostFacts::Exact(db_));
   Status admitted;
-  obs::JournalEntry entry = BeginStatement(kind, text, e, &admitted);
+  obs::JournalEntry entry = BeginStatement(kind, text, e, cost, &admitted);
   const bool on_ir = kind == "exec";
   entry.engine = on_ir ? "ir" : "eval";
   const uint64_t steps_before = evaluator_.stats().steps;
@@ -160,7 +159,11 @@ Result<std::string> ScriptRunner::RunStatement(const std::string& kind,
     exec::ExecOptions options;
     options.tracer = tracer_.enabled() ? &tracer_ : nullptr;
     options.governor = governed.get();
-    BAGALG_ASSIGN_OR_RETURN(Bag bag, exec::RunPipeline(e, db_, options));
+    // Lowering reuses the preflight's node types; only a statement the
+    // preflight could not type is typed again, which reports the error.
+    BAGALG_ASSIGN_OR_RETURN(
+        Bag bag, exec::RunPipeline(e, db_, options,
+                                   cost.ok() ? &cost->node_types : nullptr));
     return Value::FromBag(std::move(bag));
   }();
   const uint64_t wall_ns = obs::MonotonicNowNs() - t0;

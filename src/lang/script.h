@@ -177,13 +177,15 @@ class ScriptRunner {
   GovernorOptions StatementGovernorOptions();
 
   /// Journal-entry scaffold for an eval/count/exec statement: statement
-  /// text/hash plus the static analyzer's verdict when it is derivable.
-  /// The same exact-facts cost analysis decides budget admission: *admitted
-  /// is kBudgetExceeded when the session budget refuses the statement, and
-  /// the caller then runs nothing.
+  /// text/hash plus the verdict of `cost`, the statement's exact-facts
+  /// cost analysis, when it is derivable. The same analysis decides budget
+  /// admission: *admitted is kBudgetExceeded when the session budget
+  /// refuses the statement, and the caller then runs nothing.
   obs::JournalEntry BeginStatement(const std::string& kind,
                                    const std::string& statement,
-                                   const Expr& expr, Status* admitted);
+                                   const Expr& expr,
+                                   const Result<analysis::CostAnalysis>& cost,
+                                   Status* admitted);
 
   /// Stamps the outcome (from the governor's trip kind and the Status),
   /// appends the entry, records the trip for last_outcome(), and on a

@@ -31,15 +31,6 @@ uint64_t CurrentTid() {
 
 }  // namespace
 
-TraceContext CurrentTraceContext() { return tls_context; }
-
-TraceContextScope::TraceContextScope(const TraceContext& context)
-    : previous_(tls_context) {
-  tls_context = context;
-}
-
-TraceContextScope::~TraceContextScope() { tls_context = previous_; }
-
 Span StartAmbientSpan(std::string_view name, std::string_view category) {
   Tracer* tracer = tls_context.tracer;
   if (tracer == nullptr) tracer = GlobalTracerIfEnabled();

@@ -17,10 +17,8 @@
 /// and exec operator lifecycles render as a nested flame graph.
 ///
 /// Every span carries a process-unique id and the id of the innermost span
-/// open when it started (its parent). The parent link comes from a
-/// thread-local TraceContext that spans maintain automatically; code that
-/// hands work to another thread carries the context over with a
-/// TraceContextScope.
+/// open on its thread when it started (its parent). The parent link comes
+/// from a thread-local TraceContext that spans maintain automatically.
 ///
 /// Thread safety: Tracer is internally synchronized (spans from multiple
 /// threads interleave safely); a Span itself must stay on one thread.
@@ -80,22 +78,6 @@ struct TraceContext {
   uint32_t depth = 0;
 };
 
-/// The ambient context of the calling thread.
-TraceContext CurrentTraceContext();
-
-/// RAII installer for the ambient context: spans opened under it parent to
-/// the captured context's open span, on whichever thread it is installed.
-class TraceContextScope {
- public:
-  explicit TraceContextScope(const TraceContext& context);
-  ~TraceContextScope();
-  TraceContextScope(const TraceContextScope&) = delete;
-  TraceContextScope& operator=(const TraceContextScope&) = delete;
-
- private:
-  TraceContext previous_;
-};
-
 /// RAII handle for one open span. Inactive (default-constructed or from a
 /// disabled tracer) spans ignore all calls. Records into the tracer on End()
 /// or destruction, whichever comes first.
@@ -136,8 +118,7 @@ class Span {
 };
 
 /// Opens a span on the ambient context's tracer — the tracer of the
-/// innermost open span on this thread (however it got here: lexical
-/// nesting or a TraceContextScope) — falling back to the global tracer.
+/// innermost open span on this thread — falling back to the global tracer.
 /// Inactive when neither is enabled. This is how the kernels trace: they
 /// land in whichever trace the query driver is collecting.
 Span StartAmbientSpan(std::string_view name, std::string_view category = "");

@@ -24,14 +24,6 @@ std::string JoinToString(const Range& range, std::string_view sep) {
   return os.str();
 }
 
-/// Renders any streamable value to a string.
-template <typename T>
-std::string ToStr(const T& value) {
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
-
 /// True iff `text` starts with `prefix`.
 inline bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;

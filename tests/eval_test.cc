@@ -57,6 +57,22 @@ TEST(EvalTest, MapBindsVariable) {
   EXPECT_EQ(r.CountOf(MakeTuple({A("y"), A("x")})), Mult(3));
 }
 
+TEST(EvalTest, MapAddsImageMultiplicities) {
+  // Image collisions add up (§3): MAP λx.k over {{a, a, b}} is {{k*3}}.
+  Database db = Db({{"B", MakeBag({{A("a"), 2}, {A("b"), 1}})}});
+  Bag r = EvalBag(Map(ConstExpr(A("k")), Input("B")), db);
+  EXPECT_EQ(r, MakeBag({{A("k"), 3}}));
+}
+
+TEST(EvalTest, MapBetaExample) {
+  // MAP β ({{a, a, b}}) = {{ {{a}}, {{a}}, {{b}} }} (§3 example).
+  Database db = Db({{"B", MakeBag({{A("a"), 2}, {A("b"), 1}})}});
+  Bag r = EvalBag(Map(Beta(Var(0)), Input("B")), db);
+  EXPECT_EQ(r.TotalCount(), Mult(3));
+  EXPECT_EQ(r.CountOf(Value::FromBag(MakeBagOf({A("a")}))), Mult(2));
+  EXPECT_EQ(r.CountOf(Value::FromBag(MakeBagOf({A("b")}))), Mult(1));
+}
+
 TEST(EvalTest, NestedMapBindsBothDepths) {
   // MAP λx. MAP λy.[x.1, y.1] (B) over B itself: inner body sees both
   // binders (Var(1) is the outer x).
@@ -78,6 +94,16 @@ TEST(EvalTest, SelectionEqualityOfLambdaExpressions) {
   Expr e = Select(Proj(Var(0), 1), Proj(Var(0), 2), Input("B"));
   Bag r = EvalBag(e, db);
   EXPECT_EQ(r.TotalCount(), Mult(2));
+}
+
+TEST(EvalTest, SelectKeepsMultiplicities) {
+  // σ keeps the multiplicity of every element it keeps.
+  Bag b = MakeBag({{MakeTuple({A("a"), A("a")}), 3},
+                   {MakeTuple({A("a"), A("b")}), 2}});
+  Database db = Db({{"B", b}});
+  Bag r = EvalBag(Select(Proj(Var(0), 1), Proj(Var(0), 2), Input("B")), db);
+  EXPECT_EQ(r.TotalCount(), Mult(3));
+  EXPECT_EQ(r.CountOf(MakeTuple({A("a"), A("a")})), Mult(3));
 }
 
 TEST(EvalTest, Section4OccurrenceTable) {

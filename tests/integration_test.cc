@@ -1,5 +1,5 @@
 // End-to-end integration: the shipped example script runs through the
-// ScriptRunner (parser → typecheck → optimize → evaluate pipeline), plus
+// ScriptRunner (parser → typecheck → evaluate pipeline), plus
 // multi-line script handling and Database/AtomTable edge cases that the
 // pipeline depends on.
 
@@ -24,23 +24,14 @@ namespace {
 using lang::ScriptRunner;
 
 TEST(IntegrationTest, TourScriptRunsEndToEnd) {
-  // Locate the script relative to the source tree (tests run from the
-  // build tree; fall back to the repo-root path).
-  std::string content;
-  for (const char* path : {"examples/scripts/tour.bag",
-                           "../examples/scripts/tour.bag",
-                           "../../examples/scripts/tour.bag"}) {
-    std::ifstream file(path);
-    if (file) {
-      std::ostringstream text;
-      text << file.rdbuf();
-      content = text.str();
-      break;
-    }
-  }
-  if (content.empty()) {
-    GTEST_SKIP() << "tour.bag not found from the test working directory";
-  }
+  // tests/CMakeLists.txt passes the source tree in, so the script is found
+  // from any build directory; a missing script fails the test.
+  std::ifstream file(BAGALG_SOURCE_DIR "/examples/scripts/tour.bag");
+  ASSERT_TRUE(file) << "cannot open " BAGALG_SOURCE_DIR
+                       "/examples/scripts/tour.bag";
+  std::ostringstream script;
+  script << file.rdbuf();
+  const std::string content = script.str();
   ScriptRunner runner;
   std::ostringstream text;
   Status st = runner.RunScript(content, text);

@@ -88,7 +88,9 @@ Database CorpusDb() {
 
 /// Every operator family the exec/eval tests cover, in pipeline
 /// combinations: scans, all four unions/merges, ε, fused map/σ chains,
-/// cross and equi joins, and shared subplans for the CSE path.
+/// cross and equi joins, shared subplans for the CSE path, and σ over
+/// every merge and over one side of a ×, which only the IR passes
+/// rewrite.
 std::vector<Expr> Corpus() {
   // Equi-join of the two pair bags on their duplicate-heavy v columns
   // (probe column 2 against build column 2, i.e. joined column 4).
@@ -114,6 +116,19 @@ std::vector<Expr> Corpus() {
       Map(Tup({Proj(Var(0), 1)}),
           Select(Proj(Var(0), 2), Proj(Var(0), 2),
                  Uplus(Input("R"), Input("R2")))),
+      // σ directly over ∸, ∩ and ∪: the filter runs after the merge.
+      Select(Proj(Var(0), 2), ConstExpr(A("v1")),
+             Monus(Input("R"), Input("R2"))),
+      Select(Proj(Var(0), 2), ConstExpr(A("v2")),
+             Inter(Input("R"), Input("R2"))),
+      Select(Proj(Var(0), 2), ConstExpr(A("v3")),
+             Umax(Input("R2"), Input("R"))),
+      // σ over × reading one side only: join-side pushdown moves it into
+      // the left (probe) or the right (build) input.
+      Select(Proj(Var(0), 2), ConstExpr(A("v4")),
+             Product(Input("R2"), Input("S"))),
+      Select(Proj(Var(0), 3), ConstExpr(A("y")),
+             Product(Input("R2"), Input("S"))),
   };
 }
 

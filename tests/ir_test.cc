@@ -29,7 +29,6 @@ namespace {
 
 using ir::ExecuteIr;
 using ir::IrKind;
-using ir::LowerOptions;
 using ir::LowerToIr;
 
 Value A(const char* name) { return MakeAtom(name); }
@@ -221,9 +220,7 @@ TEST(LowerTest, JoinChainPromotesToHashJoin) {
   Bag b = MakeBag({{MakeTuple({A("a"), A("b")}), 4},
                    {MakeTuple({A("b"), A("a")}), 3}});
   Database db = Db({{"B", b}});
-  LowerOptions options;
-  options.optimize_first = false;  // assert on the raw lowering shape
-  auto plan = LowerToIr(JoinChain("B"), db, options);
+  auto plan = LowerToIr(JoinChain("B"), db);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan->passes.hash_joins, 1u);
   ASSERT_NE(plan->root, nullptr);
@@ -264,9 +261,7 @@ TEST(LowerTest, OutsideFragmentIsUnsupported) {
 TEST(LowerTest, CsePassMarksRepeatedBlockingSubplans) {
   Bag x = MakeBag({{MakeTuple({A("x")}), 5}, {MakeTuple({A("y")}), 1}});
   Database db = Db({{"X", x}});
-  LowerOptions options;
-  options.optimize_first = false;
-  auto plan = LowerToIr(Uplus(Eps(Input("X")), Eps(Input("X"))), db, options);
+  auto plan = LowerToIr(Uplus(Eps(Input("X")), Eps(Input("X"))), db);
   ASSERT_TRUE(plan.ok()) << plan.status();
   // One shared group: the two identical ε pipelines.
   EXPECT_EQ(plan->passes.cse_nodes, 1u);
@@ -399,9 +394,7 @@ TEST(ExecIrTest, CseSharingPreservesSemantics) {
   Evaluator eval;
   auto reference = eval.EvalToBag(q, db);
   ASSERT_TRUE(reference.ok());
-  LowerOptions options;
-  options.optimize_first = false;
-  auto plan = LowerToIr(q, db, options);
+  auto plan = LowerToIr(q, db);
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_GE(plan->passes.cse_nodes, 1u);
   auto out = ExecuteIr(*plan, db);
@@ -455,6 +448,34 @@ TEST(IrScriptTest, JournalRecordsTheEngineThatRan) {
   tail = runner.journal().Tail(1);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(tail[0].engine, "eval");
+}
+
+TEST(IrScriptTest, ExecRefusesPlansOutsideItsFragmentAsWritten) {
+  // exec lowers the statement as written, with no algebra rewriting
+  // first: a plan outside the fragment is refused even where `optimize`
+  // would shrink it into the fragment (destroy-map-beta turns the first
+  // into R; constant folding evaluates the closed powerset of the second).
+  // eval still runs both.
+  lang::ScriptRunner runner;
+  ASSERT_TRUE(runner.RunLine("let R = {{[a, b]*2, [b, c]}}").ok());
+  const struct {
+    const char* query;
+    const char* eval_output;
+  } cases[] = {
+      {"flat(map(x -> bag(x), R))", "{{[a, b]*2, [b, c]}}"},
+      {"uplus(map(x -> tup(x), flat(pow(bag('a)))), "
+       "map(x -> tup(proj(1, x)), R))",
+       "{{[a]*3, [b]}}"},
+  };
+  for (const auto& c : cases) {
+    auto exec = runner.RunLine(std::string("exec ") + c.query);
+    ASSERT_FALSE(exec.ok()) << c.query << " ran as " << *exec;
+    EXPECT_EQ(exec.status().code(), StatusCode::kUnsupported)
+        << c.query << ": " << exec.status();
+    auto eval = runner.RunLine(std::string("eval ") + c.query);
+    ASSERT_TRUE(eval.ok()) << c.query << ": " << eval.status();
+    EXPECT_EQ(*eval, c.eval_output) << c.query;
+  }
 }
 
 TEST(LintTest, W005FiresWhenPowersetBlocksFusion) {

@@ -87,14 +87,6 @@ Database CorpusDb() {
   return db;
 }
 
-/// Lowering options with the algebra rewriter off, so crafted stage
-/// patterns (the mutation triggers) reach the IR passes intact.
-LowerOptions NoRewrite() {
-  LowerOptions options;
-  options.optimize_first = false;
-  return options;
-}
-
 /// Restores PassMutation::kNone on scope exit.
 struct MutationGuard {
   explicit MutationGuard(PassMutation m) { SetPassMutationForTesting(m); }
@@ -237,7 +229,7 @@ TEST(VerifyIrTest, EnvOverrideParsesBothDirections) {
 
 TEST(IrFactsTest, ScanFactsCoverShapeDupFreedomKeysAndInterval) {
   Database db = CorpusDb();
-  auto plan = LowerToIr(Input("R"), db, NoRewrite());
+  auto plan = LowerToIr(Input("R"), db);
   ASSERT_TRUE(plan.ok()) << plan.status();
   auto layouts = ComputeRowLayouts(*plan);
   ASSERT_TRUE(layouts.ok()) << layouts.status();
@@ -253,7 +245,7 @@ TEST(IrFactsTest, ScanFactsCoverShapeDupFreedomKeysAndInterval) {
 
 TEST(IrFactsTest, DupElimProvesDupFreedomOverADupHeavyScan) {
   Database db = CorpusDb();
-  auto plan = LowerToIr(Eps(Input("S")), db, NoRewrite());
+  auto plan = LowerToIr(Eps(Input("S")), db);
   ASSERT_TRUE(plan.ok()) << plan.status();
   auto layouts = ComputeRowLayouts(*plan);
   ASSERT_TRUE(layouts.ok()) << layouts.status();
@@ -262,7 +254,7 @@ TEST(IrFactsTest, DupElimProvesDupFreedomOverADupHeavyScan) {
 
 /// The rendered facts of the root of `q` over R (verification on).
 std::string RootFacts(const Expr& q) {
-  LowerOptions options = NoRewrite();
+  LowerOptions options;
   options.verify = LowerOptions::Verify::kOn;
   auto out = ir::ExplainIrFacts(q, CorpusDb(), options);
   EXPECT_TRUE(out.ok()) << out.status();
@@ -296,7 +288,7 @@ TEST(IrFactsTest, NestedProjectionFieldCopiesTheKeyColumn) {
 /// return the evaluator's bag, which is non-empty.
 void ExpectExecMatchesEval(const Expr& q) {
   Database db = CorpusDb();
-  LowerOptions options = NoRewrite();
+  LowerOptions options;
   options.verify = LowerOptions::Verify::kOn;
   auto plan = LowerToIr(q, db, options);
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -349,7 +341,7 @@ TEST(IrFactsTest, ExplainIrFactsRendersTheAnnotations) {
 
 TEST(FactPassTest, RedundantDupElimIsRemovedOverASetLikeScan) {
   Database db = CorpusDb();
-  auto plan = LowerToIr(Eps(Input("R")), db, NoRewrite());
+  auto plan = LowerToIr(Eps(Input("R")), db);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan->passes.dup_elims_removed, 1u);
   EXPECT_EQ(plan->root->kind, IrKind::kScan);
@@ -362,7 +354,7 @@ TEST(FactPassTest, RedundantDupElimIsRemovedOverASetLikeScan) {
 
 TEST(FactPassTest, DupElimOverADupHeavyScanIsKept) {
   Database db = CorpusDb();
-  auto plan = LowerToIr(Eps(Input("S")), db, NoRewrite());
+  auto plan = LowerToIr(Eps(Input("S")), db);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan->passes.dup_elims_removed, 0u);
   EXPECT_EQ(plan->root->kind, IrKind::kDupElim);
@@ -375,7 +367,7 @@ TEST(FactPassTest, DeadColumnsNarrowAJoinSide) {
   Expr q = ProjectAttrs(Select(Proj(Var(0), 2), Proj(Var(0), 4),
                                Product(Input("R"), Input("R2"))),
                         {1});
-  auto plan = LowerToIr(q, db, NoRewrite());
+  auto plan = LowerToIr(q, db);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_GT(plan->passes.dead_columns, 0u);
   auto got = ExecuteIr(*plan, db);
@@ -391,7 +383,7 @@ TEST(FactPassTest, ConstFoldErasesATautologicalFilter) {
   Expr q = Select(Proj(Var(0), 1), ConstExpr(A("x")),
                   Map(Tup({ConstExpr(A("x")), Proj(Var(0), 1)}),
                       Input("S")));
-  auto plan = LowerToIr(q, db, NoRewrite());
+  auto plan = LowerToIr(q, db);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_GT(plan->passes.const_folds, 0u);
   auto got = ExecuteIr(*plan, db);
@@ -406,7 +398,7 @@ TEST(FactPassTest, ConstFoldEmptiesAProvablyFalseFilter) {
   Expr q = Select(Proj(Var(0), 1), ConstExpr(A("nope")),
                   Map(Tup({ConstExpr(A("x")), Proj(Var(0), 1)}),
                       Input("S")));
-  auto plan = LowerToIr(q, db, NoRewrite());
+  auto plan = LowerToIr(q, db);
   ASSERT_TRUE(plan.ok()) << plan.status();
   auto got = ExecuteIr(*plan, db);
   ASSERT_TRUE(got.ok());
@@ -430,7 +422,7 @@ TEST(ValidateTranslationTest, SoundPassesValidateCleanly) {
   };
   for (const Expr& q : corpus) {
     ValidationReport report;
-    Status st = ValidateTranslation(q, db, &report, NoRewrite());
+    Status st = ValidateTranslation(q, db, &report);
     EXPECT_TRUE(st.ok()) << q.ToString() << ": " << st;
     EXPECT_GT(report.passes_changed, 0u) << q.ToString();
   }
@@ -495,11 +487,11 @@ TEST(MutationCorpusTest, EveryMutantIsRejectedWithZeroSilentEscapes) {
   for (const MutationCase& c : MutationCorpus()) {
     {
       // Sanity: the unmutated pipeline handles the trigger cleanly.
-      Status clean = ValidateTranslation(c.expr, db, nullptr, NoRewrite());
+      Status clean = ValidateTranslation(c.expr, db);
       EXPECT_TRUE(clean.ok()) << c.name << " (clean): " << clean;
     }
     MutationGuard guard(c.mutation);
-    Status st = ValidateTranslation(c.expr, db, nullptr, NoRewrite());
+    Status st = ValidateTranslation(c.expr, db);
     EXPECT_FALSE(st.ok()) << c.name << " escaped silently";
     if (!st.ok()) {
       bool named = st.message().find("ir verify") != std::string::npos ||
@@ -528,7 +520,7 @@ TEST(MutationCorpusTest, StructuralMutantsAreCaughtByTheVerifierAlone) {
   };
   for (const MutationCase& c : structural) {
     MutationGuard guard(c.mutation);
-    LowerOptions options = NoRewrite();
+    LowerOptions options;
     options.verify = LowerOptions::Verify::kOn;
     auto plan = LowerToIr(c.expr, db, options);
     EXPECT_FALSE(plan.ok()) << c.name;
@@ -547,7 +539,7 @@ TEST(MutationCorpusTest, NestedCellMutantIsCaughtOnlyByTheLayoutCheck) {
   // pass leaves is taken from the observer.
   Database db = CorpusDb();
   MutationGuard guard(PassMutation::kUnionGatherDropsNestedCells);
-  LowerOptions options = NoRewrite();
+  LowerOptions options;
   options.verify = LowerOptions::Verify::kOff;
   IrPlan plan;
   options.observer = [&plan](const std::string& pass, const IrPlan&,
