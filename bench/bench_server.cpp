@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "src/core/value.h"
+#include "src/net/envelope.h"
 #include "src/net/http.h"
 #include "src/net/io.h"
 #include "src/net/json_reader.h"
@@ -97,9 +98,9 @@ void BM_FrameRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameRoundTrip)->Arg(8)->Arg(4096);
 
-// A result shaped like perfbench's serve_wide bags: 4096 distinct pairs
-// [a<i>, b<j>] over 200 atoms a side, one count in twenty past 2^64.
-Value WideBag() {
+// A result shaped like perfbench's serve_wide bags: `entries` distinct
+// pairs [a<i>, b<j>] over 200 atoms a side, one count in twenty past 2^64.
+Value WideBag(uint64_t entries = 4096) {
   constexpr uint64_t kSide = 200;
   const auto atom = [](char prefix, uint64_t i) {
     std::string name(1, prefix);
@@ -107,7 +108,7 @@ Value WideBag() {
     return Value::Atom(GlobalAtom(name));
   };
   Bag::Builder builder(Type::FlatTuple(2));
-  for (uint64_t k = 0; k < 4096; ++k) {
+  for (uint64_t k = 0; k < entries; ++k) {
     // 9973 is prime to 200^2, so the pairs are distinct.
     const uint64_t pair = k * 9973 % (kSide * kSide);
     const Value tuple =
@@ -118,11 +119,56 @@ Value WideBag() {
   return Value::FromBag(*std::move(builder).Build());
 }
 
+// The four encodings of one wide result a statement can cost: the REPL
+// text (`output`), wire JSON, wire JSON as the chunked body a streamed
+// response sends, and BAG1. All four write the same rows; bytes_per_second
+// is the encoding's own size over its time.
+enum class WideEncoding { kText, kJson, kJsonStreamed, kBag1 };
+
+void BM_EncodeWide(benchmark::State& state, WideEncoding encoding) {
+  const Value bag = WideBag(static_cast<uint64_t>(state.range(0)));
+  std::string out;
+  for (auto _ : state) {
+    switch (encoding) {
+      case WideEncoding::kText:
+        out = bag.ToString();
+        break;
+      case WideEncoding::kJson:
+        out = ValueToWireJson(bag);
+        break;
+      case WideEncoding::kJsonStreamed: {
+        out.clear();
+        WireJsonStreamer stream("", bag, "");
+        while (AppendStreamChunk(stream, &out)) {
+        }
+        break;
+      }
+      case WideEncoding::kBag1:
+        out = ValueToWireBinary(bag);
+        break;
+    }
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(out.size()));
+}
+BENCHMARK_CAPTURE(BM_EncodeWide, text, WideEncoding::kText)
+    ->Arg(8)->Arg(256)->Arg(4096);
+BENCHMARK_CAPTURE(BM_EncodeWide, json, WideEncoding::kJson)
+    ->Arg(8)->Arg(256)->Arg(4096);
+BENCHMARK_CAPTURE(BM_EncodeWide, json_streamed, WideEncoding::kJsonStreamed)
+    ->Arg(8)->Arg(256)->Arg(4096);
+BENCHMARK_CAPTURE(BM_EncodeWide, bag1, WideEncoding::kBag1)
+    ->Arg(8)->Arg(256)->Arg(4096);
+
 // Wire-JSON encoding of the wide bag while range(0) other threads render
-// it as text, as bagalgd's loop thread encodes while the executor lanes
-// render `output`. cpu_time is the encoding thread's own CPU, so the
-// /2 : /0 ratio measures what printing costs under contention (a lock or
-// a shared cache line per atom), not how the host time-slices threads.
+// it as text, as bagalgd's executor lanes each render one statement's
+// `output` while another lane encodes its result. cpu_time is the
+// encoding thread's own CPU, so the /2 : /0 ratio measures what printing
+// costs under contention (a lock or a shared cache line per atom), not how
+// the host time-slices threads.
 void BM_WireJsonWhileRendering(benchmark::State& state) {
   const Value bag = WideBag();
   std::atomic<bool> stop{false};

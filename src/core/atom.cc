@@ -1,6 +1,5 @@
 #include "src/core/atom.h"
 
-#include <bit>
 #include <cstdlib>
 #include <functional>
 
@@ -8,21 +7,7 @@ namespace bagalg {
 
 namespace {
 
-constexpr size_t kFirstSegment = 64;
 constexpr size_t kFirstIndexSlots = 128;
-
-/// Segment k starts at id 64·(2^k − 1): id + 64 = 64·2^k + offset.
-struct Location {
-  size_t segment;
-  size_t offset;
-};
-
-Location Locate(size_t id) {
-  const size_t biased = id + kFirstSegment;
-  const size_t segment =
-      static_cast<size_t>(std::bit_width(biased / kFirstSegment)) - 1;
-  return {segment, biased - (kFirstSegment << segment)};
-}
 
 size_t HashName(std::string_view name) {
   return std::hash<std::string_view>{}(name);
@@ -46,11 +31,6 @@ AtomTable::AtomTable() {
 }
 
 AtomTable::~AtomTable() = default;
-
-std::string_view AtomTable::NameAt(size_t id) const {
-  const Location at = Locate(id);
-  return segments_[at.segment][at.offset];
-}
 
 void AtomTable::Insert(Index* index, size_t id) {
   size_t i = HashName(NameAt(id)) & index->mask;
@@ -92,11 +72,6 @@ AtomId AtomTable::Intern(std::string_view name) {
   }
   Insert(index, id);
   return static_cast<AtomId>(id);
-}
-
-std::optional<std::string_view> AtomTable::NameView(AtomId id) const {
-  if (id >= count_.load(std::memory_order_acquire)) return std::nullopt;
-  return NameAt(id);
 }
 
 std::string AtomTable::NameOf(AtomId id) const {

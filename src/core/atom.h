@@ -12,6 +12,7 @@
 /// other than its identity — names exist only at the I/O boundary.
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -64,8 +65,12 @@ class AtomTable {
   std::optional<AtomId> Find(std::string_view name) const;
 
   /// The name of an interned id, read without a lock or a copy; nullopt
-  /// if the id was never interned here.
-  std::optional<std::string_view> NameView(AtomId id) const;
+  /// if the id was never interned here. Inline: the printers call it once
+  /// per atom cell.
+  std::optional<std::string_view> NameView(AtomId id) const {
+    if (id >= count_.load(std::memory_order_acquire)) return std::nullopt;
+    return NameAt(id);
+  }
 
   /// Returns the name of an id as a copy; "#<id>" if the id was never
   /// interned here (so printing never fails, even across tables).
@@ -80,9 +85,25 @@ class AtomTable {
   /// 26 segments hold 64·(2^26 − 1) = 2^32 − 64 names: every id fits a
   /// uint32_t, and so does id + 1, the index's slot encoding.
   static constexpr size_t kSegments = 26;
+  static constexpr size_t kFirstSegment = 64;
+
+  /// Segment k starts at id 64·(2^k − 1): id + 64 = 64·2^k + offset.
+  struct Location {
+    size_t segment;
+    size_t offset;
+  };
+  static Location Locate(size_t id) {
+    const size_t biased = id + kFirstSegment;
+    const size_t segment =
+        static_cast<size_t>(std::bit_width(biased / kFirstSegment)) - 1;
+    return {segment, biased - (kFirstSegment << segment)};
+  }
 
   /// The name of an id known to be published (below an acquired count).
-  std::string_view NameAt(size_t id) const;
+  std::string_view NameAt(size_t id) const {
+    const Location at = Locate(id);
+    return segments_[at.segment][at.offset];
+  }
   /// Fills the first empty slot of `index` on `id`'s probe sequence.
   void Insert(Index* index, size_t id);
 

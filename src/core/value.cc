@@ -10,6 +10,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "src/core/row_format.h"
 #include "src/obs/metrics.h"
 #include "src/util/governor.h"
 
@@ -71,8 +72,10 @@ Value RowValue(const Type& type, const AtomId* row, size_t* pos,
 }
 
 // The text renderer appends every level into one buffer: an atom is a
-// view of its name, a count is formatted in place.
-void AppendBagText(const Bag& bag, const AtomTable& table, std::string* out);
+// view of its name, a flat bag's entries are written by a text RowFormat,
+// and a bag of bags keeps the Value path for its own level.
+void AppendBagText(const Bag& bag, const AtomTable& table,
+                   RowFormatCache& formats, std::string* out);
 
 void AppendAtomText(AtomId id, const AtomTable& table, std::string* out) {
   if (const auto name = table.NameView(id)) {
@@ -83,7 +86,7 @@ void AppendAtomText(AtomId id, const AtomTable& table, std::string* out) {
 }
 
 void AppendText(const Value& value, const AtomTable& table,
-                std::string* out) {
+                RowFormatCache& formats, std::string* out) {
   switch (value.kind()) {
     case Value::Kind::kAtom:
       AppendAtomText(value.atom_id(), table, out);
@@ -94,50 +97,34 @@ void AppendText(const Value& value, const AtomTable& table,
       for (const Value& field : value.fields()) {
         if (!first) out->append(", ");
         first = false;
-        AppendText(field, table, out);
+        AppendText(field, table, formats, out);
       }
       out->push_back(']');
       return;
     }
     case Value::Kind::kBag:
-      AppendBagText(value.bag(), table, out);
+      AppendBagText(value.bag(), table, formats, out);
       return;
   }
 }
 
-/// The text of the value of type `type` whose atoms are row[*pos...]: the
-/// same bytes AppendText writes for that value.
-void AppendRowText(const Type& type, const AtomId* row, size_t* pos,
-                   const AtomTable& table, std::string* out) {
-  if (type.IsAtom()) {
-    AppendAtomText(row[(*pos)++], table, out);
-    return;
-  }
-  out->push_back('[');
-  bool first = true;
-  for (const Type& field : type.fields()) {
-    if (!first) out->append(", ");
-    first = false;
-    AppendRowText(field, row, pos, table, out);
-  }
-  out->push_back(']');
-}
-
-void AppendBagText(const Bag& bag, const AtomTable& table, std::string* out) {
+void AppendBagText(const Bag& bag, const AtomTable& table,
+                   RowFormatCache& formats, std::string* out) {
   out->append("{{");
-  const FlatRows* rows = bag.flat_rows();
-  for (size_t i = 0; i < bag.DistinctCount(); ++i) {
-    if (i != 0) out->append(", ");
-    if (rows != nullptr) {
-      size_t pos = 0;
-      AppendRowText(bag.element_type(), rows->row(i), &pos, table, out);
-    } else {
-      AppendText(bag.entries()[i].value, table, out);
+  if (const FlatRows* rows = bag.flat_rows()) {
+    if (!rows->empty()) {
+      formats.For(bag.element_type())
+          .Append(*rows, 0, rows->size(), table, out);
     }
-    const Mult& count = bag.CountAt(i);
-    if (!count.IsOne()) {
-      out->push_back('*');
-      count.AppendDecimal(out);
+  } else {
+    for (size_t i = 0; i < bag.DistinctCount(); ++i) {
+      if (i != 0) out->append(", ");
+      AppendText(bag.entries()[i].value, table, formats, out);
+      const Mult& count = bag.CountAt(i);
+      if (!count.IsOne()) {
+        out->push_back('*');
+        count.AppendDecimal(out);
+      }
     }
   }
   out->append("}}");
@@ -593,7 +580,9 @@ bool Value::operator==(const Value& other) const {
 
 std::string Value::ToString(const AtomTable* table) const {
   std::string out;
-  AppendText(*this, table != nullptr ? *table : GlobalAtomTable(), &out);
+  RowFormatCache formats(RowSyntax::kText);
+  AppendText(*this, table != nullptr ? *table : GlobalAtomTable(), formats,
+             &out);
   return out;
 }
 
@@ -910,7 +899,9 @@ bool Bag::operator==(const Bag& other) const {
 
 std::string Bag::ToString(const AtomTable* table) const {
   std::string out;
-  AppendBagText(*this, table != nullptr ? *table : GlobalAtomTable(), &out);
+  RowFormatCache formats(RowSyntax::kText);
+  AppendBagText(*this, table != nullptr ? *table : GlobalAtomTable(), formats,
+                &out);
   return out;
 }
 

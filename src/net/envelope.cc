@@ -1,5 +1,6 @@
 #include "src/net/envelope.h"
 
+#include <limits>
 #include <utility>
 
 #include "src/net/http.h"
@@ -12,14 +13,25 @@ namespace {
 
 // A JSON success body is head + [",\"result\":" + value] + tail; the
 // materialized and the chunked path share both ends.
-std::string JsonSuccessHead(const Envelope& envelope) {
-  return "{\"ok\":true,\"outcome\":\"ok\",\"session\":" +
-         obs::JsonQuote(envelope.session) +
-         ",\"output\":" + obs::JsonQuote(envelope.body.output);
+void AppendJsonSuccessHead(const Envelope& envelope, std::string* out) {
+  out->append("{\"ok\":true,\"outcome\":\"ok\",\"session\":\"");
+  obs::AppendJsonEscaped(out, envelope.session);
+  out->append("\",\"output\":\"");
+  obs::AppendJsonEscaped(out, envelope.body.output);
+  out->push_back('"');
+  if (envelope.body.has_result) out->append(",\"result\":");
 }
 
 std::string JsonSuccessTail(const Envelope& envelope) {
   return ",\"wall_us\":" + std::to_string(envelope.body.wall_us) + "}";
+}
+
+/// About how many body bytes a success envelope takes, besides its result.
+size_t EnvelopeBytes(const Envelope& envelope) {
+  const WireStatementResponse& body = envelope.body;
+  return 128 + envelope.session.size() + body.outcome.size() +
+         body.output.size() + body.error_code.size() +
+         body.error_message.size() + body.flight.size();
 }
 
 std::string JsonErrorBody(const WireStatementResponse& body) {
@@ -47,35 +59,66 @@ HttpResponse ResponseHead(const Envelope& envelope, bool close) {
   return response;
 }
 
-EncodedEnvelope EncodeBag1(const Envelope& envelope, bool close) {
+EncodedEnvelope EncodeBag1(const Envelope& envelope, bool close,
+                           size_t max_frame_bytes) {
   HttpResponse response = ResponseHead(envelope, close);
   response.content_type = kBag1ContentType;
-  response.body = EncodeFrame(WireFormat::kBinary,
-                              EncodeStatementResponse(envelope.body));
-  return {FormatHttpResponse(response), nullptr};
+  const WireStatementResponse& body = envelope.body;
+  const size_t estimate =
+      kFrameHeaderBytes + EnvelopeBytes(envelope) +
+      (body.has_result ? EstimateWireBytes(body.result, WireFormat::kBinary)
+                       : 0);
+  EncodedEnvelope encoded;
+  encoded.outcome = body.outcome;
+  std::string& out = encoded.bytes;
+  out.reserve(256 + estimate);
+  const PendingLength length = BeginHttpResponse(response, estimate, &out);
+  const Status framed = AppendResponseFrame(body, max_frame_bytes, &out);
+  if (!framed.ok()) {
+    // A frame past the cap is one DecodeFrame refuses: answer the cap's
+    // typed error instead. A refusal is small, so it meets no cap.
+    return EncodeBag1(ErrorEnvelope(HttpStatusForCode(framed.code()), framed),
+                      close, std::numeric_limits<size_t>::max());
+  }
+  EndHttpResponse(length, &out);
+  return encoded;
 }
 
 EncodedEnvelope EncodeJson(const Envelope& envelope, bool close,
                            size_t stream_entries_threshold) {
   HttpResponse response = ResponseHead(envelope, close);
   const WireStatementResponse& body = envelope.body;
+  EncodedEnvelope encoded;
+  encoded.outcome = body.outcome;
   if (!body.ok) {
     response.body = JsonErrorBody(body);
-    return {FormatHttpResponse(response), nullptr};
+    encoded.bytes = FormatHttpResponse(response);
+    return encoded;
   }
-  std::string head = JsonSuccessHead(envelope);
-  if (body.has_result) head += ",\"result\":";
   if (body.has_result && body.result.IsBag() &&
       stream_entries_threshold > 0 &&
       body.result.bag().DistinctCount() >= stream_entries_threshold) {
-    return {FormatHttpResponseHead(response, /*chunked=*/true, 0),
-            std::make_unique<WireJsonStreamer>(
-                std::move(head), body.result, JsonSuccessTail(envelope))};
+    std::string head;
+    head.reserve(EnvelopeBytes(envelope));
+    AppendJsonSuccessHead(envelope, &head);
+    encoded.bytes = FormatHttpResponseHead(response, /*chunked=*/true, 0);
+    encoded.stream = std::make_unique<WireJsonStreamer>(
+        std::move(head), body.result, JsonSuccessTail(envelope));
+    return encoded;
   }
-  response.body = std::move(head);
-  if (body.has_result) response.body += ValueToWireJson(body.result);
-  response.body += JsonSuccessTail(envelope);
-  return {FormatHttpResponse(response), nullptr};
+  // The head, the body and its result written into one buffer.
+  const size_t estimate =
+      EnvelopeBytes(envelope) +
+      (body.has_result ? EstimateWireBytes(body.result, WireFormat::kJson)
+                       : 0);
+  std::string& out = encoded.bytes;
+  out.reserve(256 + estimate);
+  const PendingLength length = BeginHttpResponse(response, estimate, &out);
+  AppendJsonSuccessHead(envelope, &out);
+  if (body.has_result) AppendWireJson(body.result, &out);
+  out.append(JsonSuccessTail(envelope));
+  EndHttpResponse(length, &out);
+  return encoded;
 }
 
 }  // namespace
@@ -108,16 +151,18 @@ Envelope ErrorEnvelope(int http_status, const Status& status) {
 }
 
 EncodedEnvelope EncodeEnvelope(const Envelope& envelope, WireFormat format,
-                               bool close, size_t stream_entries_threshold) {
+                               bool close, size_t stream_entries_threshold,
+                               size_t max_frame_bytes) {
   return format == WireFormat::kBinary
-             ? EncodeBag1(envelope, close)
+             ? EncodeBag1(envelope, close, max_frame_bytes)
              : EncodeJson(envelope, close, stream_entries_threshold);
 }
 
 bool AppendStreamChunk(WireJsonStreamer& stream, std::string* out) {
-  std::string slice;
-  const bool more = stream.Produce(kStreamSliceBytes, &slice);
-  AppendHttpChunk(slice, out);
+  // The slice is produced in place, after a size line for a full slice.
+  const PendingLength chunk = BeginHttpChunk(kStreamSliceBytes, out);
+  const bool more = stream.Produce(kStreamSliceBytes, out);
+  EndHttpChunk(chunk, out);
   if (!more) AppendHttpLastChunk(out);
   return more;
 }

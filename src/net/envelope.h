@@ -17,6 +17,15 @@
 /// chunked: the same head and tail around a WireJsonStreamer. Every chunk
 /// is one Produce(kStreamSliceBytes) call, so the chunk boundaries are the
 /// same whichever thread produces which chunk.
+///
+/// Each body is written once, into the buffer that is sent: the HTTP head
+/// goes first with a Content-Length guessed from the body's estimate (and
+/// corrected at the end, moving the body only if the digit count was
+/// wrong), then the JSON fields or the BAG1 frame header and payload. A
+/// streamed chunk's slice is produced in place after its size line. A
+/// BAG1 result whose frame would pass the frame cap (kMaxFrameBytes, which
+/// DecodeFrame enforces) is not sent: the answer is the cap's typed
+/// kResourceExhausted error, a 507, with outcome "error".
 
 #include <cstddef>
 #include <cstdint>
@@ -52,6 +61,9 @@ Envelope ErrorEnvelope(int http_status, const Status& status);
 struct EncodedEnvelope {
   std::string bytes;
   std::unique_ptr<WireJsonStreamer> stream;
+  /// The outcome word of what `bytes` answer: the envelope's own, or
+  /// "error" when a BAG1 result passed the frame cap.
+  std::string outcome;
 };
 
 /// Body bytes asked of the streamer per chunk.
@@ -63,13 +75,16 @@ inline constexpr size_t kLaneEncodeBytes = 4 * kStreamSliceBytes;
 
 /// Encodes `envelope` as BAG1 or JSON. A JSON success whose result bag has
 /// at least `stream_entries_threshold` entries (0 = never) streams.
-/// `close` adds Connection: close.
+/// `close` adds Connection: close. A BAG1 payload past `max_frame_bytes`
+/// is answered with the cap's 507 instead.
 EncodedEnvelope EncodeEnvelope(const Envelope& envelope, WireFormat format,
                                bool close,
-                               size_t stream_entries_threshold = 0);
+                               size_t stream_entries_threshold = 0,
+                               size_t max_frame_bytes = kMaxFrameBytes);
 
 /// Appends the next chunk of `stream` to `out`, and the terminating chunk
-/// after the last. Returns true while more of the body remains.
+/// after the last; the slice is produced straight into `out`. Returns true
+/// while more of the body remains.
 bool AppendStreamChunk(WireJsonStreamer& stream, std::string* out);
 
 /// Appends chunks of a streamed body to `encoded->bytes` until the body

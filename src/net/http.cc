@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -153,39 +154,79 @@ Result<bool> HttpReader::Next(HttpRequest* out) {
   return true;
 }
 
+namespace {
+
+/// Appends the head FormatHttpResponseHead returns; returns the offset of
+/// the Content-Length digits (0 when chunked).
+size_t AppendHttpResponseHead(const HttpResponse& response, bool chunked,
+                              size_t content_length, std::string* out) {
+  out->append("HTTP/1.1 ");
+  out->append(std::to_string(response.status));
+  out->push_back(' ');
+  out->append(HttpReasonPhrase(response.status));
+  out->append("\r\nContent-Type: ");
+  out->append(response.content_type);
+  size_t length_at = 0;
+  if (chunked) {
+    out->append("\r\nTransfer-Encoding: chunked");
+  } else {
+    out->append("\r\nContent-Length: ");
+    length_at = out->size();
+    out->append(std::to_string(content_length));
+  }
+  for (const auto& [name, value] : response.extra_headers) {
+    out->append("\r\n");
+    out->append(name);
+    out->append(": ");
+    out->append(value);
+  }
+  if (response.close) out->append("\r\nConnection: close");
+  out->append("\r\n\r\n");
+  return length_at;
+}
+
+/// Replaces the guessed digits of `length` with `value` in `base`.
+void SetPendingLength(const PendingLength& length, size_t value, int base,
+                      std::string* out) {
+  char digits[20];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), value,
+                                  base)
+                        .ptr;
+  out->replace(length.at, length.digits, digits,
+               static_cast<size_t>(end - digits));
+}
+
+}  // namespace
+
 std::string FormatHttpResponseHead(const HttpResponse& response, bool chunked,
                                    size_t content_length) {
   std::string out;
   out.reserve(256);
-  out.append("HTTP/1.1 ");
-  out.append(std::to_string(response.status));
-  out.push_back(' ');
-  out.append(HttpReasonPhrase(response.status));
-  out.append("\r\nContent-Type: ");
-  out.append(response.content_type);
-  if (chunked) {
-    out.append("\r\nTransfer-Encoding: chunked");
-  } else {
-    out.append("\r\nContent-Length: ");
-    out.append(std::to_string(content_length));
-  }
-  for (const auto& [name, value] : response.extra_headers) {
-    out.append("\r\n");
-    out.append(name);
-    out.append(": ");
-    out.append(value);
-  }
-  if (response.close) out.append("\r\nConnection: close");
-  out.append("\r\n\r\n");
+  AppendHttpResponseHead(response, chunked, content_length, &out);
   return out;
 }
 
 std::string FormatHttpResponse(const HttpResponse& response) {
-  std::string out =
-      FormatHttpResponseHead(response, /*chunked=*/false,
-                             response.body.size());
+  std::string out;
+  out.reserve(256 + response.body.size());
+  AppendHttpResponseHead(response, /*chunked=*/false, response.body.size(),
+                         &out);
   out.append(response.body);
   return out;
+}
+
+PendingLength BeginHttpResponse(const HttpResponse& response,
+                                size_t length_hint, std::string* out) {
+  PendingLength length;
+  length.at =
+      AppendHttpResponseHead(response, /*chunked=*/false, length_hint, out);
+  length.digits = std::to_string(length_hint).size();
+  length.start = out->size();
+  return length;
+}
+
+void EndHttpResponse(const PendingLength& length, std::string* out) {
+  SetPendingLength(length, out->size() - length.start, 10, out);
 }
 
 void AppendHttpChunk(std::string_view data, std::string* out) {
@@ -195,6 +236,29 @@ void AppendHttpChunk(std::string_view data, std::string* out) {
       std::snprintf(size_line, sizeof(size_line), "%zx\r\n", data.size());
   out->append(size_line, static_cast<size_t>(n));
   out->append(data);
+  out->append("\r\n");
+}
+
+PendingLength BeginHttpChunk(size_t length_hint, std::string* out) {
+  PendingLength length;
+  length.at = out->size();
+  char digits[20];
+  const char* end =
+      std::to_chars(digits, digits + sizeof(digits), length_hint, 16).ptr;
+  length.digits = static_cast<size_t>(end - digits);
+  out->append(digits, length.digits);
+  out->append("\r\n");
+  length.start = out->size();
+  return length;
+}
+
+void EndHttpChunk(const PendingLength& length, std::string* out) {
+  const size_t data = out->size() - length.start;
+  if (data == 0) {
+    out->resize(length.at);
+    return;
+  }
+  SetPendingLength(length, data, 16, out);
   out->append("\r\n");
 }
 

@@ -120,6 +120,32 @@ void AppendHttpChunk(std::string_view data, std::string* out);
 /// Appends the stream-terminating zero chunk.
 void AppendHttpLastChunk(std::string* out);
 
+/// A length written into a buffer before the bytes it counts: a response's
+/// Content-Length or a chunk's size line. The body is then written into
+/// the same buffer, after the head, and the End call puts the real length
+/// in. That moves the body only when the real length has another digit
+/// count than the guess, so a good guess costs no copy of the body.
+struct PendingLength {
+  size_t at = 0;      // offset of the length's digits in the buffer
+  size_t digits = 0;  // how many digits the guess wrote
+  size_t start = 0;   // offset of the first byte the length counts
+};
+
+/// Appends FormatHttpResponseHead(response, false, length_hint) (the body
+/// of `response` is ignored); the caller then appends the body.
+PendingLength BeginHttpResponse(const HttpResponse& response,
+                                size_t length_hint, std::string* out);
+/// Sets the Content-Length to the bytes appended since Begin: the buffer
+/// then holds FormatHttpResponse's bytes for that body.
+void EndHttpResponse(const PendingLength& length, std::string* out);
+
+/// Appends the size line of a chunk of about `length_hint` bytes; the
+/// caller then appends the chunk's data.
+PendingLength BeginHttpChunk(size_t length_hint, std::string* out);
+/// Finishes the chunk: the buffer then holds AppendHttpChunk's bytes for
+/// the data appended since Begin (none at all for empty data).
+void EndHttpChunk(const PendingLength& length, std::string* out);
+
 /// Canonical reason phrase for the statuses bagalgd emits.
 const char* HttpReasonPhrase(int status);
 

@@ -815,6 +815,7 @@ class Server::Impl {
     request_wall_hist_->Observe(envelope.body.wall_us);
     done.encoded = EncodeEnvelope(envelope, job.format, job.want_close,
                                   options_.stream_entries_threshold);
+    done.outcome = done.encoded.outcome;
     if (done.encoded.stream != nullptr) {
       streamed_responses_.fetch_add(1);
       PrestreamEncoded(&done.encoded, kLaneEncodeBytes);

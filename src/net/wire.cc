@@ -1,9 +1,12 @@
 #include "src/net/wire.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <utility>
 
+#include "src/core/row_format.h"
 #include "src/lang/parser.h"
 #include "src/net/json_reader.h"
 #include "src/obs/json.h"
@@ -12,8 +15,12 @@ namespace bagalg::net {
 
 namespace {
 
+// Every printer below writes the Value path for atoms, tuples and the
+// outer level of a bag of bags; a flat bag's entries are written by a
+// RowFormat of the printer's syntax, compiled once per element type.
+
 void AppendValue(const Value& value, const AtomTable& table,
-                 std::string* out);
+                 RowFormatCache& formats, std::string* out);
 
 // A bag is its head, its entries comma-separated, and kBagTail; the
 // streamer emits the same three parts in slices.
@@ -35,50 +42,38 @@ void AppendAtomJson(AtomId id, const AtomTable& table, std::string* out) {
   out->append("\"}");
 }
 
-/// The JSON of the value of type `type` whose atoms are row[*pos...]: the
-/// same bytes AppendValue writes for that value.
-void AppendRowJson(const Type& type, const AtomId* row, size_t* pos,
-                   const AtomTable& table, std::string* out) {
-  if (type.IsAtom()) {
-    AppendAtomJson(row[(*pos)++], table, out);
-    return;
-  }
-  out->append("{\"tuple\":[");
-  bool first = true;
-  for (const Type& field : type.fields()) {
-    if (!first) out->push_back(',');
-    first = false;
-    AppendRowJson(field, row, pos, table, out);
-  }
-  out->append("]}");
-}
-
-/// Entry i of `bag`: a flat bag's row, or a bag of bags' value.
-void AppendBagEntry(const Bag& bag, size_t i, const AtomTable& table,
-                    std::string* out) {
+/// Entry i of a bag of bags, whose entries are Values.
+void AppendValueEntry(const Bag& bag, size_t i, const AtomTable& table,
+                      RowFormatCache& formats, std::string* out) {
   out->append("{\"v\":");
-  if (const FlatRows* rows = bag.flat_rows()) {
-    size_t pos = 0;
-    AppendRowJson(bag.element_type(), rows->row(i), &pos, table, out);
-  } else {
-    AppendValue(bag.entries()[i].value, table, out);
-  }
+  AppendValue(bag.entries()[i].value, table, formats, out);
   out->append(",\"n\":\"");
   bag.CountAt(i).AppendDecimal(out);
   out->append("\"}");
 }
 
-void AppendBag(const Bag& bag, const AtomTable& table, std::string* out) {
-  AppendBagHead(bag, out);
-  for (size_t i = 0; i < bag.DistinctCount(); ++i) {
-    if (i != 0) out->push_back(',');
-    AppendBagEntry(bag, i, table, out);
+/// Appends entries [*next, DistinctCount()) of `bag`, stopping before an
+/// entry once `out` holds `stop_size` bytes; advances *next past what it
+/// wrote.
+void AppendBagEntries(const Bag& bag, size_t* next, size_t stop_size,
+                      const AtomTable& table, RowFormatCache& formats,
+                      std::string* out) {
+  if (const FlatRows* rows = bag.flat_rows()) {
+    if (*next < rows->size()) {
+      *next = formats.For(bag.element_type())
+                  .Append(*rows, *next, rows->size(), table, out, stop_size);
+    }
+    return;
   }
-  out->append(kBagTail);
+  for (; *next < bag.DistinctCount(); ++*next) {
+    if (out->size() >= stop_size) return;
+    if (*next != 0) out->push_back(',');
+    AppendValueEntry(bag, *next, table, formats, out);
+  }
 }
 
 void AppendValue(const Value& value, const AtomTable& table,
-                 std::string* out) {
+                 RowFormatCache& formats, std::string* out) {
   switch (value.kind()) {
     case Value::Kind::kAtom:
       AppendAtomJson(value.atom_id(), table, out);
@@ -89,22 +84,37 @@ void AppendValue(const Value& value, const AtomTable& table,
       for (const Value& field : value.fields()) {
         if (!first) out->push_back(',');
         first = false;
-        AppendValue(field, table, out);
+        AppendValue(field, table, formats, out);
       }
       out->append("]}");
       return;
     }
-    case Value::Kind::kBag:
-      AppendBag(value.bag(), table, out);
+    case Value::Kind::kBag: {
+      const Bag& bag = value.bag();
+      AppendBagHead(bag, out);
+      size_t next = 0;
+      AppendBagEntries(bag, &next, std::numeric_limits<size_t>::max(), table,
+                       formats, out);
+      out->append(kBagTail);
       return;
+    }
   }
 }
 
 void PutU32Le(uint32_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
+  const char bytes[4] = {static_cast<char>(v & 0xFF),
+                         static_cast<char>((v >> 8) & 0xFF),
+                         static_cast<char>((v >> 16) & 0xFF),
+                         static_cast<char>((v >> 24) & 0xFF)};
+  out->append(bytes, sizeof(bytes));
+}
+
+/// Overwrites the four bytes at `at` with `v`, little-endian: the length
+/// of bytes written after it.
+void SetU32Le(size_t at, uint32_t v, std::string* out) {
+  for (size_t i = 0; i < 4; ++i) {
+    (*out)[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
 }
 
 void PutU64Le(uint64_t v, std::string* out) {
@@ -135,10 +145,14 @@ void PutStr(std::string_view s, std::string* out) {
 void PutMult(const Mult& count, std::string* out) {
   if (count.FitsUint64()) {
     out->push_back(static_cast<char>(kMultU64));
-    PutU64Le(count.ToUint64().value(), out);
+    PutU64Le(count.Low64(), out);
   } else {
     out->push_back(static_cast<char>(kMultDecimal));
-    PutStr(count.ToString(), out);
+    const size_t length_at = out->size();
+    PutU32Le(0, out);
+    count.AppendDecimal(out);
+    SetU32Le(length_at, static_cast<uint32_t>(out->size() - length_at - 4),
+             out);
   }
 }
 
@@ -151,53 +165,48 @@ void PutAtomBinary(AtomId id, const AtomTable& table, std::string* out) {
   }
 }
 
-/// The BAG1 bytes of the value of type `type` whose atoms are
-/// row[*pos...]: the same bytes PutValueBinary writes for that value.
-void PutRowBinary(const Type& type, const AtomId* row, size_t* pos,
-                  const AtomTable& table, std::string* out) {
-  if (type.IsAtom()) {
-    PutAtomBinary(row[(*pos)++], table, out);
-    return;
-  }
-  out->push_back(static_cast<char>(kTagTuple));
-  PutU32Le(static_cast<uint32_t>(type.fields().size()), out);
-  for (const Type& field : type.fields()) {
-    PutRowBinary(field, row, pos, table, out);
-  }
-}
-
-void PutValueBinary(const Value& value, const AtomTable& table,
+/// Appends the BAG1 bytes of `value`, unless `out` reaches `stop_size`
+/// bytes before a bag entry: then returns false, having written part.
+bool PutValueBinary(const Value& value, const AtomTable& table,
+                    RowFormatCache& formats, size_t stop_size,
                     std::string* out) {
   switch (value.kind()) {
     case Value::Kind::kAtom:
       PutAtomBinary(value.atom_id(), table, out);
-      return;
+      return true;
     case Value::Kind::kTuple: {
       out->push_back(static_cast<char>(kTagTuple));
       PutU32Le(static_cast<uint32_t>(value.fields().size()), out);
       for (const Value& field : value.fields()) {
-        PutValueBinary(field, table, out);
+        if (!PutValueBinary(field, table, formats, stop_size, out)) {
+          return false;
+        }
       }
-      return;
+      return true;
     }
     case Value::Kind::kBag: {
       const Bag& bag = value.bag();
       out->push_back(static_cast<char>(kTagBag));
       PutStr(bag.element_type().ToString(), out);
       PutU64Le(static_cast<uint64_t>(bag.DistinctCount()), out);
-      const FlatRows* rows = bag.flat_rows();
+      if (const FlatRows* rows = bag.flat_rows()) {
+        return rows->empty() ||
+               formats.For(bag.element_type())
+                       .Append(*rows, 0, rows->size(), table, out,
+                               stop_size) == rows->size();
+      }
       for (size_t i = 0; i < bag.DistinctCount(); ++i) {
-        if (rows != nullptr) {
-          size_t pos = 0;
-          PutRowBinary(bag.element_type(), rows->row(i), &pos, table, out);
-        } else {
-          PutValueBinary(bag.entries()[i].value, table, out);
+        if (out->size() >= stop_size ||
+            !PutValueBinary(bag.entries()[i].value, table, formats,
+                            stop_size, out)) {
+          return false;
         }
         PutMult(bag.CountAt(i), out);
       }
-      return;
+      return true;
     }
   }
+  return true;
 }
 
 /// Cursor over untrusted bytes: every Get checks the remainder first, so a
@@ -397,8 +406,28 @@ AtomTable* TableOrGlobal(AtomTable* table) {
 
 std::string ValueToWireJson(const Value& value, const AtomTable* table) {
   std::string out;
-  AppendValue(value, table != nullptr ? *table : GlobalAtomTable(), &out);
+  AppendWireJson(value, &out, table);
   return out;
+}
+
+void AppendWireJson(const Value& value, std::string* out,
+                    const AtomTable* table) {
+  RowFormatCache formats(RowSyntax::kWireJson);
+  AppendValue(value, table != nullptr ? *table : GlobalAtomTable(), formats,
+              out);
+}
+
+size_t EstimateWireBytes(const Value& value, WireFormat format,
+                         const AtomTable* table) {
+  constexpr size_t kSmall = 64;
+  if (!value.IsBag() || value.bag().flat_rows() == nullptr) return kSmall;
+  const Bag& bag = value.bag();
+  const RowFormat rows_format(bag.element_type(), format == WireFormat::kJson
+                                                       ? RowSyntax::kWireJson
+                                                       : RowSyntax::kBag1);
+  return kSmall +
+         rows_format.EstimateBytes(
+             *bag.flat_rows(), table != nullptr ? *table : GlobalAtomTable());
 }
 
 Result<Value> WireJsonToValue(const JsonValue& json, AtomTable* table) {
@@ -412,7 +441,9 @@ Result<Value> WireJsonToValue(std::string_view json_text, AtomTable* table) {
 
 std::string ValueToWireBinary(const Value& value, const AtomTable* table) {
   std::string out;
-  PutValueBinary(value, table != nullptr ? *table : GlobalAtomTable(), &out);
+  RowFormatCache formats(RowSyntax::kBag1);
+  PutValueBinary(value, table != nullptr ? *table : GlobalAtomTable(), formats,
+                 std::numeric_limits<size_t>::max(), &out);
   return out;
 }
 
@@ -427,15 +458,25 @@ Result<Value> WireBinaryToValue(std::string_view bytes, AtomTable* table) {
   return value;
 }
 
+namespace {
+
+/// Appends a frame header for a payload of `payload_bytes`.
+void AppendFrameHeader(WireFormat format, uint32_t payload_bytes,
+                       std::string* out) {
+  out->append(kFrameMagic, sizeof(kFrameMagic));
+  out->push_back(static_cast<char>(kFrameVersion));
+  out->push_back(static_cast<char>(format));
+  out->push_back('\0');  // reserved
+  out->push_back('\0');  // reserved
+  PutU32Le(payload_bytes, out);
+}
+
+}  // namespace
+
 std::string EncodeFrame(WireFormat format, std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size());
-  out.append(kFrameMagic, sizeof(kFrameMagic));
-  out.push_back(static_cast<char>(kFrameVersion));
-  out.push_back(static_cast<char>(format));
-  out.push_back('\0');  // reserved
-  out.push_back('\0');  // reserved
-  PutU32Le(static_cast<uint32_t>(payload.size()), &out);
+  AppendFrameHeader(format, static_cast<uint32_t>(payload.size()), &out);
   out.append(payload);
   return out;
 }
@@ -579,23 +620,66 @@ Result<WireStatementRequest> DecodeStatementBody(std::string_view body,
                                        : DecodeJsonStatementRequest(body);
 }
 
+namespace {
+
+/// Appends EncodeStatementResponse's bytes, unless `out` reaches
+/// `stop_size` bytes before an entry of the result: then returns false,
+/// having written part.
+bool AppendStatementResponse(const WireStatementResponse& response,
+                             const AtomTable& table, size_t stop_size,
+                             std::string* out) {
+  out->push_back(response.ok ? '\x01' : '\x00');
+  PutStr(response.outcome, out);
+  PutStr(response.output, out);
+  PutU64Le(response.wall_us, out);
+  out->push_back(response.has_result ? '\x01' : '\x00');
+  if (response.has_result) {
+    RowFormatCache formats(RowSyntax::kBag1);
+    if (!PutValueBinary(response.result, table, formats, stop_size, out)) {
+      return false;
+    }
+  }
+  PutStr(response.error_code, out);
+  PutStr(response.error_message, out);
+  out->push_back(response.retryable ? '\x01' : '\x00');
+  PutStr(response.flight, out);
+  return true;
+}
+
+}  // namespace
+
 std::string EncodeStatementResponse(const WireStatementResponse& response,
                                     const AtomTable* table) {
   std::string out;
-  out.push_back(response.ok ? '\x01' : '\x00');
-  PutStr(response.outcome, &out);
-  PutStr(response.output, &out);
-  PutU64Le(response.wall_us, &out);
-  out.push_back(response.has_result ? '\x01' : '\x00');
-  if (response.has_result) {
-    PutValueBinary(response.result,
-                   table != nullptr ? *table : GlobalAtomTable(), &out);
-  }
-  PutStr(response.error_code, &out);
-  PutStr(response.error_message, &out);
-  out.push_back(response.retryable ? '\x01' : '\x00');
-  PutStr(response.flight, &out);
+  AppendStatementResponse(response,
+                          table != nullptr ? *table : GlobalAtomTable(),
+                          std::numeric_limits<size_t>::max(), &out);
   return out;
+}
+
+Status AppendResponseFrame(const WireStatementResponse& response,
+                           size_t max_payload_bytes, std::string* out,
+                           const AtomTable* table) {
+  // The length prefix is a u32: no cap may let it wrap.
+  const size_t cap = std::min<size_t>(max_payload_bytes, UINT32_MAX);
+  const size_t frame_start = out->size();
+  AppendFrameHeader(WireFormat::kBinary, 0, out);
+  const size_t payload_start = out->size();
+  // Writing stops at the first entry past the cap, so a refused result
+  // never holds much more than the cap.
+  const bool whole = AppendStatementResponse(
+      response, table != nullptr ? *table : GlobalAtomTable(),
+      payload_start + cap + 1, out);
+  const size_t payload = out->size() - payload_start;
+  if (!whole || payload > cap) {
+    out->resize(frame_start);
+    std::string message = "result passes the BAG1 frame cap of ";
+    message += std::to_string(cap);
+    message += " bytes";
+    return Status::ResourceExhausted(std::move(message));
+  }
+  SetU32Le(payload_start - 4, static_cast<uint32_t>(payload), out);
+  return Status::Ok();
 }
 
 Result<WireStatementResponse> DecodeStatementResponse(std::string_view bytes,
@@ -640,7 +724,12 @@ WireJsonStreamer::WireJsonStreamer(std::string prefix, Value value,
       table_(table != nullptr ? table : &GlobalAtomTable()) {}
 
 bool WireJsonStreamer::Produce(size_t budget, std::string* out) {
+  // Entries stop once the slice holds `budget` bytes, and never before
+  // the slice holds a piece.
   const size_t start = out->size();
+  const size_t stop_size =
+      start + std::min(std::max<size_t>(budget, 1),
+                       std::numeric_limits<size_t>::max() - start);
   if (stage_ == Stage::kPrefix) {
     out->append(prefix_);
     prefix_.clear();
@@ -648,16 +737,13 @@ bool WireJsonStreamer::Produce(size_t budget, std::string* out) {
     if (root_.IsBag()) {
       AppendBagHead(root_.bag(), out);
     } else {
-      AppendValue(root_, *table_, out);
+      AppendValue(root_, *table_, formats_, out);
     }
   }
   if (stage_ == Stage::kEntries && root_.IsBag()) {
     const Bag& bag = root_.bag();
-    while (next_entry_ < bag.DistinctCount()) {
-      if (out->size() - start >= budget && out->size() > start) return true;
-      if (next_entry_ > 0) out->push_back(',');
-      AppendBagEntry(bag, next_entry_++, *table_, out);
-    }
+    AppendBagEntries(bag, &next_entry_, stop_size, *table_, formats_, out);
+    if (next_entry_ < bag.DistinctCount()) return true;
     out->append(kBagTail);
   }
   if (stage_ == Stage::kEntries) {

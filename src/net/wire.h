@@ -41,22 +41,38 @@
 /// protocol (Content-Type: application/x-bag1): the request body is one
 /// frame holding an encoded WireStatementRequest, the response body one
 /// frame holding an encoded WireStatementResponse.
+///
+/// Every encoder here writes a flat bag's entries through one RowFormat
+/// (src/core/row_format.h) compiled for the bag's element type: the row
+/// loop copies literal pieces, atom names and the count, and never walks
+/// the Type again. Atoms, tuples and the outer level of a bag of bags go
+/// the Value way. The bytes are the same either way.
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "src/core/row_format.h"
 #include "src/core/value.h"
 #include "src/util/result.h"
+#include "src/util/status.h"
 
 namespace bagalg::net {
 
 class JsonValue;
 
+enum class WireFormat : uint8_t {
+  kJson = 1,
+  kBinary = 2,
+};
+
 /// Serializes a value into the wire JSON described above. `table` resolves
 /// atom names (defaults to the global table).
 std::string ValueToWireJson(const Value& value,
                             const AtomTable* table = nullptr);
+/// Appends ValueToWireJson(value, table) to `out`.
+void AppendWireJson(const Value& value, std::string* out,
+                    const AtomTable* table = nullptr);
 
 /// Decodes a parsed wire-JSON document back into a Value. Atom names are
 /// interned into `table` (the global table if null). Exact inverse of
@@ -72,6 +88,12 @@ Result<Value> WireJsonToValue(std::string_view json_text,
 std::string ValueToWireBinary(const Value& value,
                               const AtomTable* table = nullptr);
 
+/// About how many bytes `value` encodes to in `format`: for a flat bag,
+/// its entry count times the size of its first entry. Sizes a buffer and
+/// guesses the digits of a length written before the bytes it counts.
+size_t EstimateWireBytes(const Value& value, WireFormat format,
+                         const AtomTable* table = nullptr);
+
 /// Decodes a binary-shape value. The whole of `bytes` must be consumed.
 /// Defensive against hostile input: kParseError on truncation, trailing
 /// bytes, unknown tags, nesting past kMaxWireDepth, or a type string
@@ -85,11 +107,6 @@ inline constexpr int kMaxWireDepth = 32;
 
 // ------------------------------------------------------------- framing
 
-enum class WireFormat : uint8_t {
-  kJson = 1,
-  kBinary = 2,
-};
-
 /// The Content-Type of a BAG1 request or response body.
 inline constexpr char kBag1ContentType[] = "application/x-bag1";
 
@@ -97,10 +114,12 @@ inline constexpr char kFrameMagic[4] = {'B', 'A', 'G', '1'};
 inline constexpr uint8_t kFrameVersion = 1;
 inline constexpr size_t kFrameHeaderBytes = 12;
 /// Frames larger than this are refused on decode — a length-prefixed
-/// protocol must never let the prefix size an allocation unchecked.
+/// protocol must never let the prefix size an allocation unchecked — and
+/// never sent: AppendResponseFrame refuses to write one.
 inline constexpr size_t kMaxFrameBytes = 64u << 20;
 
-/// Wraps `payload` in a frame header.
+/// Wraps `payload` in a frame header. The caller keeps `payload` within
+/// kMaxFrameBytes; bagalgd's responses go through AppendResponseFrame.
 std::string EncodeFrame(WireFormat format, std::string_view payload);
 
 struct DecodedFrame {
@@ -164,6 +183,16 @@ struct WireStatementResponse {
 
 std::string EncodeStatementResponse(const WireStatementResponse& response,
                                     const AtomTable* table = nullptr);
+
+/// Appends EncodeFrame(kBinary, EncodeStatementResponse(response)) to `out`
+/// in one pass: the frame header, then the payload written in place, then
+/// its length. A payload past `max_payload_bytes` (or past what the u32
+/// length holds) would be refused by DecodeFrame, so it is not sent:
+/// writing stops at the first bag entry past the cap, `out` is restored,
+/// and the answer is kResourceExhausted.
+Status AppendResponseFrame(const WireStatementResponse& response,
+                           size_t max_payload_bytes, std::string* out,
+                           const AtomTable* table = nullptr);
 Result<WireStatementResponse> DecodeStatementResponse(
     std::string_view bytes, AtomTable* table = nullptr);
 
@@ -178,7 +207,9 @@ Result<WireStatementResponse> DecodeStatementResponse(
 /// JSON, and the suffix in caller-bounded slices — the event loop pulls
 /// exactly as much as its write buffer's low-water mark allows and lets
 /// EPOLLOUT backpressure pace the rest. Every byte comes from the encoder
-/// behind ValueToWireJson.
+/// behind ValueToWireJson, and Produce appends it straight to the caller's
+/// buffer: a flat root bag's entries through one RowFormat, compiled once
+/// per streamer.
 class WireJsonStreamer {
  public:
   /// Streams `prefix` + ValueToWireJson(value) + `suffix`.
@@ -202,6 +233,7 @@ class WireJsonStreamer {
   Value root_;
   std::string suffix_;
   const AtomTable* table_;
+  RowFormatCache formats_{RowSyntax::kWireJson};
   Stage stage_ = Stage::kPrefix;
   size_t next_entry_ = 0;  // next top-level entry of a bag root
 };

@@ -14,8 +14,17 @@
 namespace bagalg::obs {
 
 /// Appends `text` to `out` with JSON string escaping (quotes, backslash,
-/// control characters); the surrounding quotes are NOT added.
+/// control characters); the surrounding quotes are NOT added. Runs that
+/// need no escape are found a word (8 bytes) at a time and copied whole.
 void AppendJsonEscaped(std::string* out, std::string_view text);
+
+/// The most bytes WriteJsonEscaped writes for one byte of text ("\u001f").
+inline constexpr size_t kMaxJsonEscapeBytes = 6;
+
+/// Writes the escaped `text` (the bytes AppendJsonEscaped appends) at
+/// `dst`, which must have room for kMaxJsonEscapeBytes per byte of text,
+/// and returns the end of what it wrote.
+char* WriteJsonEscaped(char* dst, std::string_view text);
 
 /// Returns `text` as a quoted, escaped JSON string literal.
 std::string JsonQuote(std::string_view text);

@@ -218,34 +218,95 @@ uint32_t BigNat::DivSmallInPlace(uint32_t divisor) {
   return static_cast<uint32_t>(rem);
 }
 
-std::string BigNat::ToString() const {
-  if (limbs_.empty()) return std::to_string(small_);
-  BigNat tmp = *this;
-  std::string digits;
-  while (!tmp.IsZero()) {
-    // Peel 9 decimal digits at a time.
-    uint32_t chunk = tmp.DivSmallInPlace(1000000000u);
-    bool last = tmp.IsZero();
-    for (int i = 0; i < 9; ++i) {
-      digits.push_back(static_cast<char>('0' + chunk % 10));
-      chunk /= 10;
-      if (last && chunk == 0) break;
-    }
+namespace {
+
+constexpr uint64_t kTen19 = 10000000000000000000ull;
+
+/// Writes `v` (below 10^19) as exactly 19 digits, zero-padded, two
+/// digits per step.
+char* WriteDigits19(uint64_t v, char* dst) {
+  static constexpr char kPairs[] =
+      "00010203040506070809101112131415161718192021222324252627282930313233"
+      "34353637383940414243444546474849505152535455565758596061626364656667"
+      "6869707172737475767778798081828384858687888990919293949596979899";
+  for (int i = 17; i > 0; i -= 2) {
+    const uint64_t pair = v % 100;
+    v /= 100;
+    dst[i] = kPairs[2 * pair];
+    dst[i + 1] = kPairs[2 * pair + 1];
   }
-  // Strip spurious leading (now trailing) zeros, keep at least one digit.
-  while (digits.size() > 1 && digits.back() == '0') digits.pop_back();
-  std::reverse(digits.begin(), digits.end());
-  return digits;
+  dst[0] = static_cast<char>('0' + v);
+  return dst + 19;
+}
+
+}  // namespace
+
+char* BigNat::WriteLimbsDecimal(char* dst) const {
+  if (limbs_.size() <= 4) {
+    // 2^64 <= v < 2^128 < 4 * 10^38: v = (hi * 10^19 + mid) * 10^19 + lo
+    // with hi < 4, and mid nonzero whenever hi is zero.
+    unsigned __int128 v = 0;
+    for (size_t i = limbs_.size(); i-- > 0;) v = (v << 32) | limbs_[i];
+    unsigned __int128 upper = v / kTen19;  // below 2^65
+    const auto lo = static_cast<uint64_t>(v - upper * kTen19);
+    uint64_t hi = 0;
+    while (upper >= kTen19) {
+      upper -= kTen19;
+      ++hi;
+    }
+    const auto mid = static_cast<uint64_t>(upper);
+    if (hi != 0) {
+      *dst++ = static_cast<char>('0' + hi);
+      dst = WriteDigits19(mid, dst);
+    } else {
+      dst = std::to_chars(dst, dst + 20, mid).ptr;
+    }
+    return WriteDigits19(lo, dst);
+  }
+  // Pairs of limbs as 64-bit words, most significant last; each pass
+  // divides them by 10^19 (every partial quotient fits 64 bits, since the
+  // running remainder is below 10^19) and keeps the remainder as the next
+  // 19 digits, least significant first.
+  std::vector<uint64_t> words((limbs_.size() + 1) / 2);
+  for (size_t i = 0; i < limbs_.size(); ++i) {
+    words[i / 2] |= static_cast<uint64_t>(limbs_[i]) << (32 * (i % 2));
+  }
+  std::vector<uint64_t> chunks;
+  chunks.reserve(limbs_.size() * 32 / 63 + 1);
+  while (!words.empty()) {
+    unsigned __int128 rem = 0;
+    for (size_t i = words.size(); i-- > 0;) {
+      const unsigned __int128 cur = (rem << 64) | words[i];
+      words[i] = static_cast<uint64_t>(cur / kTen19);
+      rem = cur % kTen19;
+    }
+    chunks.push_back(static_cast<uint64_t>(rem));
+    while (!words.empty() && words.back() == 0) words.pop_back();
+  }
+  dst = std::to_chars(dst, dst + 20, chunks.back()).ptr;
+  for (size_t i = chunks.size() - 1; i-- > 0;) {
+    dst = WriteDigits19(chunks[i], dst);
+  }
+  return dst;
+}
+
+std::string BigNat::ToString() const {
+  std::string out;
+  AppendDecimal(&out);
+  return out;
 }
 
 void BigNat::AppendDecimal(std::string* out) const {
-  if (!limbs_.empty()) {
-    out->append(ToString());
+  if (limbs_.empty()) {
+    char digits[20];  // 2^64 - 1 has 20 decimal digits
+    const char* end = WriteDecimal(digits);
+    out->append(digits, static_cast<size_t>(end - digits));
     return;
   }
-  char digits[20];  // 2^64 - 1 has 20 decimal digits
-  const char* end = std::to_chars(digits, digits + sizeof(digits), small_).ptr;
-  out->append(digits, static_cast<size_t>(end - digits));
+  const size_t start = out->size();
+  out->resize(start + MaxDecimalDigits());
+  const char* end = WriteLimbsDecimal(out->data() + start);
+  out->resize(static_cast<size_t>(end - out->data()));
 }
 
 int BigNat::Compare(const BigNat& other) const {

@@ -21,6 +21,7 @@
 /// never need to reconcile the two forms.
 
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -69,11 +70,34 @@ class BigNat {
   /// The value as a double (may lose precision; +inf on huge values).
   double ToDouble() const;
 
+  /// The low 64 bits of the value: all of it when FitsUint64().
+  uint64_t Low64() const {
+    return limbs_.empty()
+               ? small_
+               : (static_cast<uint64_t>(limbs_[1]) << 32) | limbs_[0];
+  }
+
   /// Decimal rendering.
   std::string ToString() const;
-  /// Appends the decimal rendering to `out`; a value below 2^64 is
-  /// formatted in place, with no allocation of its own.
+  /// Appends the decimal rendering to `out`, building no temporary string.
   void AppendDecimal(std::string* out) const;
+  /// An upper bound on DecimalDigits(), computed without formatting: the
+  /// room WriteDecimal needs.
+  size_t MaxDecimalDigits() const {
+    return limbs_.empty() ? 20 : limbs_.size() * 10;
+  }
+  /// Writes the decimal rendering at `dst`, which must have room for
+  /// MaxDecimalDigits() bytes, and returns the end of what it wrote. A
+  /// value below 2^128 takes one 128-bit division by 10^19; a longer one
+  /// peels 19 digits per pass over its limbs.
+  char* WriteDecimal(char* dst) const {
+    if (!limbs_.empty()) return WriteLimbsDecimal(dst);
+    if (small_ < 10) {  // most multiplicities
+      *dst = static_cast<char>('0' + small_);
+      return dst + 1;
+    }
+    return std::to_chars(dst, dst + 20, small_).ptr;
+  }
 
   /// Three-way comparison: negative, zero, positive.
   int Compare(const BigNat& other) const;
@@ -148,6 +172,9 @@ class BigNat {
 
   /// Moves the inline value into limbs_ (slow-path entry).
   void PromoteToLimbs();
+
+  /// WriteDecimal of a value held in limbs (at least 2^64).
+  char* WriteLimbsDecimal(char* dst) const;
 
   /// Divides in place by a small divisor, returning the remainder.
   uint32_t DivSmallInPlace(uint32_t divisor);

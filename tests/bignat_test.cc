@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/util/rng.h"
 
 namespace bagalg {
@@ -310,6 +313,76 @@ TEST(BigNatFastPathTest, DecimalRoundTripAcrossTheBoundary)  {
     EXPECT_EQ(parsed->ToString(), text);
     EXPECT_EQ(parsed->IsInlined(), parsed->FitsUint64());
   }
+}
+
+// ------------------------------------------------------- decimal output
+
+/// The decimal digits of `n` by repeated DivMod by ten: a route that
+/// shares no code with AppendDecimal or WriteDecimal.
+std::string SlowDecimal(BigNat n) {
+  if (n.IsZero()) return "0";
+  std::string digits;
+  while (!n.IsZero()) {
+    auto step = n.DivMod(BigNat(10));
+    digits.push_back(static_cast<char>('0' + *step->remainder.ToUint64()));
+    n = std::move(step->quotient);
+  }
+  return std::string(digits.rbegin(), digits.rend());
+}
+
+/// AppendDecimal (after a prefix it must keep), ToString and WriteDecimal
+/// agree with the slow route, stay within MaxDecimalDigits, and parse back.
+void ExpectDecimalAgrees(const BigNat& n) {
+  const std::string want = SlowDecimal(n);
+  EXPECT_EQ(n.ToString(), want);
+  std::string appended = "x=";
+  n.AppendDecimal(&appended);
+  EXPECT_EQ(appended, "x=" + want);
+  std::string room(n.MaxDecimalDigits(), '?');
+  char* end = n.WriteDecimal(room.data());
+  EXPECT_EQ(std::string(room.data(), end), want);
+  EXPECT_LE(want.size(), n.MaxDecimalDigits());
+  EXPECT_EQ(n.DecimalDigits(), want.size());
+  auto parsed = BigNat::FromDecimal(want);
+  ASSERT_TRUE(parsed.ok()) << want;
+  EXPECT_EQ(*parsed, n) << want;
+}
+
+TEST(BigNatDecimalTest, RandomValuesOfOneToEightLimbs) {
+  Rng rng(2026);
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t limbs = 1 + trial % 8;
+    BigNat n;
+    for (size_t i = 0; i < limbs; ++i) {
+      n = n * BigNat::TwoPow(32) + BigNat(rng.Next() & 0xFFFFFFFFu);
+    }
+    // A nonzero top limb, so the value really has `limbs` limbs.
+    n = n + BigNat::TwoPow(32 * limbs - 1);
+    ExpectDecimalAgrees(n);
+  }
+}
+
+TEST(BigNatDecimalTest, LimbAndPowerOfTenBoundariesUpTo2To256) {
+  std::vector<BigNat> edges;
+  for (uint64_t k = 1; k <= 8; ++k) {
+    edges.push_back(BigNat::TwoPow(32 * k));  // 2^(32k)
+  }
+  for (uint64_t k = 1; 19 * k <= 77; ++k) {
+    edges.push_back(BigNat::Pow(BigNat(10), 19 * k));  // 10^(19k)
+  }
+  edges.push_back(BigNat::TwoPow(128));
+  edges.push_back(BigNat::TwoPow(127));
+  for (const BigNat& edge : edges) {
+    ASSERT_LE(edge, BigNat::TwoPow(256));
+    ExpectDecimalAgrees(edge);
+    ExpectDecimalAgrees(edge + BigNat(1));
+    ExpectDecimalAgrees(edge.MonusSub(BigNat(1)));  // 2^(32k) - 1, ...
+  }
+  ExpectDecimalAgrees(BigNat(0));
+  ExpectDecimalAgrees(BigNat(9));
+  ExpectDecimalAgrees(BigNat(10));
+  EXPECT_EQ(BigNat::TwoPow(128).MonusSub(BigNat(1)).ToString(),
+            "340282366920938463463374607431768211455");
 }
 
 }  // namespace

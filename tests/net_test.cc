@@ -28,6 +28,7 @@
 #include "src/net/json_reader.h"
 #include "src/net/server.h"
 #include "src/net/wire.h"
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/util/fault.h"
 #include "src/util/rng.h"
@@ -375,6 +376,118 @@ TEST(FlatFormsTest, EntriesViewIsBuiltOnceAndCounted) {
   EXPECT_EQ(views(), before + 1);
   EXPECT_EQ(entries[0].value, MakeAtom("ff_x"));
   EXPECT_EQ(entries[1].count, Mult(1));
+}
+
+/// Atoms for the row-format cases: names that need each JSON escape, a
+/// multi-byte UTF-8 name, names of 1, 15, 16, 17 and 300 bytes (the edges
+/// of the short copies), and an id the table never interned ("#<id>").
+std::vector<AtomId> RowFormatAtoms() {
+  std::vector<AtomId> ids;
+  for (const std::string& name :
+       {std::string("rf\"q"), std::string("rf\\b"), std::string("rf\nn"),
+        std::string("rf\tt"), std::string("rf\x01"), std::string("rf\x1f"),
+        std::string("rf_\xC3\xA9\xE2\x82\xAC\xF0\x9F\x98\x80"),
+        std::string("x"),
+        std::string(15, 'f'), std::string(16, 's'), std::string(17, 'v'),
+        std::string(300, 'h')}) {
+    ids.push_back(GlobalAtomTable().Intern(name));
+  }
+  const AtomId never = 4000000000u;
+  EXPECT_FALSE(GlobalAtomTable().NameView(never).has_value());
+  ids.push_back(never);
+  return ids;
+}
+
+/// Every encoder of `bag` writes the bytes of the Value printers over its
+/// entries: text, JSON, streamed JSON (with a prefix and a suffix, at
+/// three budgets, and chunked in place), BAG1, and both envelopes.
+void ExpectEncodersWriteTheEntriesBytes(const Bag& bag) {
+  const Value v = Value::FromBag(bag);
+  const std::string text = EntriesText(bag);
+  const std::string json = EntriesJson(bag);
+  EXPECT_EQ(bag.ToString(), text);
+  EXPECT_EQ(v.ToString(), text);
+  EXPECT_EQ(ValueToWireJson(v), json);
+  EXPECT_EQ(ValueToWireBinary(v), EntriesBinary(bag));
+  for (const size_t budget : {size_t{1}, kStreamSliceBytes,
+                              std::numeric_limits<size_t>::max()}) {
+    WireJsonStreamer streamer("{\"pre\":", v, "}");
+    std::string streamed;
+    while (streamer.Produce(budget, &streamed)) {
+    }
+    EXPECT_EQ(streamed, "{\"pre\":" + json + "}") << "budget " << budget;
+  }
+  // In-place chunks are the chunks of Produce slices.
+  WireJsonStreamer in_place("{\"pre\":", v, "}");
+  WireJsonStreamer by_slice("{\"pre\":", v, "}");
+  std::string chunked = "head";
+  while (AppendStreamChunk(in_place, &chunked)) {
+  }
+  std::string expected = "head";
+  for (bool more = true; more;) {
+    std::string slice;
+    more = by_slice.Produce(kStreamSliceBytes, &slice);
+    AppendHttpChunk(slice, &expected);
+  }
+  AppendHttpLastChunk(&expected);
+  EXPECT_EQ(chunked, expected);
+  // Both envelopes, written into one buffer, are the composed bytes.
+  const Envelope envelope = SuccessEnvelope("rf", text, v, 7);
+  HttpResponse json_response;
+  json_response.body = "{\"ok\":true,\"outcome\":\"ok\",\"session\":\"rf\","
+                       "\"output\":" +
+                       obs::JsonQuote(text) + ",\"result\":" + json +
+                       ",\"wall_us\":7}";
+  EXPECT_EQ(EncodeEnvelope(envelope, WireFormat::kJson, false).bytes,
+            FormatHttpResponse(json_response));
+  HttpResponse bag1_response;
+  bag1_response.content_type = kBag1ContentType;
+  bag1_response.body = EncodeFrame(WireFormat::kBinary,
+                                   EncodeStatementResponse(envelope.body));
+  EXPECT_NE(bag1_response.body.find(EntriesBinary(bag)), std::string::npos);
+  EXPECT_EQ(EncodeEnvelope(envelope, WireFormat::kBinary, false).bytes,
+            FormatHttpResponse(bag1_response));
+}
+
+TEST(FlatFormsTest, RowFormatsWriteTheEntriesBytes) {
+  const std::vector<AtomId> atoms = RowFormatAtoms();
+  const Mult two64 = BigNat::TwoPow(64);
+  const Mult two128 = BigNat::TwoPow(128);
+  const std::vector<Mult> counts = {
+      Mult(1),         two64.MonusSub(Mult(1)), two64,
+      BigNat::TwoPow(127), two128.MonusSub(Mult(1)), two128,
+      BigNat::TwoPow(200)};
+  const Type u = Type::Atom();
+  const std::vector<Type> shapes = {
+      u, Type::FlatTuple(0), Type::FlatTuple(3),
+      Type::Tuple({Type::FlatTuple(2), u}),
+      Type::Tuple({u, Type::Tuple({u, Type::Tuple({u})})})};
+  for (const Type& shape : shapes) {
+    SCOPED_TRACE(shape.ToString());
+    const size_t width = CellWidth(shape);
+    std::map<std::vector<AtomId>, Mult> rows;
+    size_t n = 0;
+    if (width == 0) rows[{}] = counts[1];
+    if (width == 1) {
+      for (const AtomId a : atoms) rows[{a}] = counts[n++ % counts.size()];
+    }
+    if (width == 3) {
+      for (const AtomId a : atoms) {
+        for (const AtomId b : atoms) {
+          for (size_t c = 0; c < atoms.size(); c += 5) {
+            rows[{a, b, atoms[c]}] = counts[n++ % counts.size()];
+          }
+        }
+      }
+    }
+    ExpectEncodersWriteTheEntriesBytes(FromCells(shape, rows));
+    // Each count alone, on the first row.
+    for (const Mult& count : counts) {
+      std::map<std::vector<AtomId>, Mult> one;
+      one[rows.begin()->first] = count;
+      ExpectEncodersWriteTheEntriesBytes(FromCells(shape, one));
+    }
+  }
 }
 
 TEST(WireTest, BagTypeMustBeAString) {
@@ -1122,6 +1235,31 @@ TEST(HttpReaderTest, KeepAliveSemantics) {
   EXPECT_TRUE(RequestWantsClose(http10));
 }
 
+TEST(HttpTest, PendingLengthsGiveTheFormattedBytes) {
+  HttpResponse response;
+  response.extra_headers.emplace_back("Retry-After", "1");
+  // Hints with fewer, as many and more digits than the body's length.
+  for (const size_t hint :
+       {size_t{0}, size_t{7}, size_t{1234}, size_t{99999}}) {
+    for (const size_t body : {size_t{0}, size_t{5}, size_t{1000}}) {
+      response.body = std::string(body, 'b');
+      std::string out = "prev";
+      const PendingLength length = BeginHttpResponse(response, hint, &out);
+      out += response.body;
+      EndHttpResponse(length, &out);
+      EXPECT_EQ(out, "prev" + FormatHttpResponse(response))
+          << hint << " " << body;
+      std::string chunk = "prev";
+      const PendingLength size_line = BeginHttpChunk(hint, &chunk);
+      chunk += response.body;
+      EndHttpChunk(size_line, &chunk);
+      std::string want = "prev";
+      AppendHttpChunk(response.body, &want);
+      EXPECT_EQ(chunk, want) << hint << " " << body;
+    }
+  }
+}
+
 TEST(HttpTest, ChunkedResponseFormatting) {
   HttpResponse resp;
   resp.status = 200;
@@ -1369,6 +1507,61 @@ TEST(WireStreamerTest, ProducesExactlyTheMaterializedJson) {
 // An executor lane encodes the first kLaneEncodeBytes of a streamed body
 // and the event loop the rest. Whatever the split, the wire bytes must be
 // those the loop alone wrote: one chunk per Produce(kStreamSliceBytes).
+TEST(WireTest, Bag1FrameCapRefusesResultsItWouldPass) {
+  const Envelope envelope =
+      SuccessEnvelope("cap", "out", AtomBag("frame_cap_", 300), 5);
+  const std::string payload = EncodeStatementResponse(envelope.body);
+  // At the cap the frame is sent, byte for byte.
+  HttpResponse framed;
+  framed.content_type = kBag1ContentType;
+  framed.body = EncodeFrame(WireFormat::kBinary, payload);
+  const EncodedEnvelope at_cap =
+      EncodeEnvelope(envelope, WireFormat::kBinary, /*close=*/false,
+                     /*stream_entries_threshold=*/0, payload.size());
+  EXPECT_EQ(at_cap.bytes, FormatHttpResponse(framed));
+  EXPECT_EQ(at_cap.outcome, "ok");
+  // One byte past it, the answer is the typed resource error, a 507.
+  const EncodedEnvelope past_cap =
+      EncodeEnvelope(envelope, WireFormat::kBinary, /*close=*/false,
+                     /*stream_entries_threshold=*/0, payload.size() - 1);
+  EXPECT_EQ(past_cap.outcome, "error");
+  EXPECT_EQ(past_cap.bytes.rfind("HTTP/1.1 507 ", 0), 0u) << past_cap.bytes;
+  const std::string body =
+      past_cap.bytes.substr(past_cap.bytes.find("\r\n\r\n") + 4);
+  size_t consumed = 0;
+  auto frame = DecodeFrame(body, &consumed);
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  EXPECT_EQ(consumed, body.size());
+  auto refusal = DecodeStatementResponse(frame->payload);
+  ASSERT_TRUE(refusal.ok()) << refusal.status();
+  EXPECT_FALSE(refusal->ok);
+  EXPECT_FALSE(refusal->has_result);
+  EXPECT_EQ(refusal->outcome, "error");
+  EXPECT_EQ(refusal->error_code,
+            StatusCodeName(StatusCode::kResourceExhausted));
+  EXPECT_NE(refusal->error_message.find("frame cap"), std::string::npos);
+  // The writer stops at the first entry past the cap and leaves the buffer
+  // as it found it, for a flat bag and for a bag of bags alike.
+  Bag::Builder base(Type::Atom());
+  for (int i = 0; i < 6; ++i) {
+    base.AddOne(MakeAtom("frame_cap_pow_" + std::to_string(i)));
+  }
+  auto power = Powerset(*std::move(base).Build());
+  ASSERT_TRUE(power.ok());
+  for (const Value& result :
+       {envelope.body.result, Value::FromBag(*std::move(power))}) {
+    WireStatementResponse response = envelope.body;
+    response.result = result;
+    std::string out = "kept";
+    const Status status = AppendResponseFrame(response, 100, &out);
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(out, "kept");
+    EXPECT_TRUE(AppendResponseFrame(response, kMaxFrameBytes, &out).ok());
+    EXPECT_EQ(out, "kept" + EncodeFrame(WireFormat::kBinary,
+                                        EncodeStatementResponse(response)));
+  }
+}
+
 TEST(LaneEncodingTest, LanePrefixPlusLoopRestIsTheLoopOnlyBody) {
   const Value result = AtomBag("lane_split_", 12000);
   Envelope envelope =
