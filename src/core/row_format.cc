@@ -33,13 +33,14 @@ void PutU64Le(uint64_t v, char* dst) {
 /// Writes into `out` past its size: the string is resized ahead of the
 /// writes and trimmed to what was written on destruction. Between
 /// Reserve(n) and the next Reserve, `p` may advance up to n bytes.
-/// Capacity is reserved for the whole estimate up front, but the string
-/// is resized (which writes its bytes) a step at a time, so pages the
-/// rows never reach are never touched.
+/// Capacity is reserved for the estimate up front, up to
+/// kMaxGuessedReserveBytes, but the string is resized (which writes its
+/// bytes) a step at a time, so pages the rows never reach are never
+/// touched; past the reserve it grows as std::string does, geometrically.
 struct Cursor {
   Cursor(std::string* s, size_t estimate)
       : out(s), p(s->data() + s->size()), limit(p) {
-    out->reserve(out->size() + estimate);
+    out->reserve(out->size() + std::min(estimate, kMaxGuessedReserveBytes));
     p = out->data() + out->size();
     limit = p;
   }

@@ -36,6 +36,13 @@
 
 namespace bagalg {
 
+/// The most capacity a guessed size reserves up front. Guesses come from
+/// the first row, which a client picks (rows sort by atom id, and a name
+/// may be as long as a request), so one long first name before many short
+/// rows would ask for far more than the body takes; past this much, a
+/// buffer grows from the bytes actually written.
+inline constexpr size_t kMaxGuessedReserveBytes = size_t{1} << 20;
+
 enum class RowSyntax : uint8_t {
   kText,      // Value::ToString
   kWireJson,  // ValueToWireJson
@@ -59,8 +66,9 @@ class RowFormat {
                 size_t stop_size = std::numeric_limits<size_t>::max()) const;
 
   /// About how many bytes Append writes for all of `rows`: their number
-  /// times the size of the first. Sizes buffers and guesses the digit count
-  /// of a length written before the bytes it counts.
+  /// times the size of the first. Guesses the digit count of a length
+  /// written before the bytes it counts, and sizes buffers up to
+  /// kMaxGuessedReserveBytes.
   size_t EstimateBytes(const FlatRows& rows, const AtomTable& table) const;
 
  private:

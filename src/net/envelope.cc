@@ -1,8 +1,10 @@
 #include "src/net/envelope.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
+#include "src/core/row_format.h"
 #include "src/net/http.h"
 #include "src/obs/json.h"
 #include "src/util/governor.h"
@@ -71,7 +73,7 @@ EncodedEnvelope EncodeBag1(const Envelope& envelope, bool close,
   EncodedEnvelope encoded;
   encoded.outcome = body.outcome;
   std::string& out = encoded.bytes;
-  out.reserve(256 + estimate);
+  out.reserve(256 + std::min(estimate, kMaxGuessedReserveBytes));
   const PendingLength length = BeginHttpResponse(response, estimate, &out);
   const Status framed = AppendResponseFrame(body, max_frame_bytes, &out);
   if (!framed.ok()) {
@@ -112,7 +114,7 @@ EncodedEnvelope EncodeJson(const Envelope& envelope, bool close,
       (body.has_result ? EstimateWireBytes(body.result, WireFormat::kJson)
                        : 0);
   std::string& out = encoded.bytes;
-  out.reserve(256 + estimate);
+  out.reserve(256 + std::min(estimate, kMaxGuessedReserveBytes));
   const PendingLength length = BeginHttpResponse(response, estimate, &out);
   AppendJsonSuccessHead(envelope, &out);
   if (body.has_result) AppendWireJson(body.result, &out);

@@ -21,7 +21,8 @@
 /// Each body is written once, into the buffer that is sent: the HTTP head
 /// goes first with a Content-Length guessed from the body's estimate (and
 /// corrected at the end, moving the body only if the digit count was
-/// wrong), then the JSON fields or the BAG1 frame header and payload. A
+/// wrong), then the JSON fields or the BAG1 frame header and payload. The
+/// estimate reserves at most kMaxGuessedReserveBytes up front. A
 /// streamed chunk's slice is produced in place after its size line. A
 /// BAG1 result whose frame would pass the frame cap (kMaxFrameBytes, which
 /// DecodeFrame enforces) is not sent: the answer is the cap's typed

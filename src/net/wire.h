@@ -89,8 +89,9 @@ std::string ValueToWireBinary(const Value& value,
                               const AtomTable* table = nullptr);
 
 /// About how many bytes `value` encodes to in `format`: for a flat bag,
-/// its entry count times the size of its first entry. Sizes a buffer and
-/// guesses the digits of a length written before the bytes it counts.
+/// its entry count times the size of its first entry. Guesses the digits
+/// of a length written before the bytes it counts, and sizes a buffer up
+/// to kMaxGuessedReserveBytes: the first entry is the client's choice.
 size_t EstimateWireBytes(const Value& value, WireFormat format,
                          const AtomTable* table = nullptr);
 

@@ -21,6 +21,7 @@
 
 #include "gtest/gtest.h"
 #include "src/core/bag_ops.h"
+#include "src/core/row_format.h"
 #include "src/core/value.h"
 #include "src/net/envelope.h"
 #include "src/net/http.h"
@@ -487,6 +488,35 @@ TEST(FlatFormsTest, RowFormatsWriteTheEntriesBytes) {
       one[rows.begin()->first] = count;
       ExpectEncodersWriteTheEntriesBytes(FromCells(shape, one));
     }
+  }
+}
+
+// Buffers are sized from the first row, which a client picks: interned
+// first, a long name sorts first. One 256 KiB name before 20000 short rows
+// guesses about 5 GB; every encoder must still reserve about what it
+// writes, not the guess.
+TEST(FlatFormsTest, GuessedSizesReserveABoundedBuffer) {
+  const AtomId long_name =
+      GlobalAtomTable().Intern("guess_" + std::string(256 * 1024, 'g'));
+  std::map<std::vector<AtomId>, Mult> rows;
+  rows[{long_name}] = Mult(1);
+  for (AtomId i = 0; i < 20000; ++i) {
+    rows[{4000000000u + i}] = Mult(2);  // never interned: "#<id>"
+  }
+  const Bag bag = FromCells(Type::Atom(), rows);
+  ASSERT_EQ(bag.flat_rows()->row(0)[0], long_name);
+  const Value v = Value::FromBag(bag);
+  constexpr size_t kBound = 4 * kMaxGuessedReserveBytes;
+  EXPECT_GT(EstimateWireBytes(v, WireFormat::kJson), 1000 * kBound);
+  EXPECT_LE(bag.ToString().capacity(), kBound);
+  EXPECT_LE(ValueToWireJson(v).capacity(), kBound);
+  EXPECT_LE(ValueToWireBinary(v).capacity(), kBound);
+  const Envelope envelope = SuccessEnvelope("guess", "out", v, 7);
+  for (const WireFormat format : {WireFormat::kJson, WireFormat::kBinary}) {
+    const EncodedEnvelope encoded =
+        EncodeEnvelope(envelope, format, /*close=*/false);
+    EXPECT_EQ(encoded.outcome, "ok");
+    EXPECT_LE(encoded.bytes.capacity(), kBound);
   }
 }
 
@@ -1504,9 +1534,6 @@ TEST(WireStreamerTest, ProducesExactlyTheMaterializedJson) {
   }
 }
 
-// An executor lane encodes the first kLaneEncodeBytes of a streamed body
-// and the event loop the rest. Whatever the split, the wire bytes must be
-// those the loop alone wrote: one chunk per Produce(kStreamSliceBytes).
 TEST(WireTest, Bag1FrameCapRefusesResultsItWouldPass) {
   const Envelope envelope =
       SuccessEnvelope("cap", "out", AtomBag("frame_cap_", 300), 5);
@@ -1562,6 +1589,9 @@ TEST(WireTest, Bag1FrameCapRefusesResultsItWouldPass) {
   }
 }
 
+// An executor lane encodes the first kLaneEncodeBytes of a streamed body
+// and the event loop the rest. Whatever the split, the wire bytes must be
+// those the loop alone wrote: one chunk per Produce(kStreamSliceBytes).
 TEST(LaneEncodingTest, LanePrefixPlusLoopRestIsTheLoopOnlyBody) {
   const Value result = AtomBag("lane_split_", 12000);
   Envelope envelope =
