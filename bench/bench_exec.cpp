@@ -22,8 +22,8 @@
 
 #include "src/algebra/derived.h"
 #include "src/algebra/eval.h"
-#include "src/exec/compile.h"
 #include "src/ir/lower.h"
+#include "src/ir/run.h"
 #include "src/lang/parser.h"
 #include "src/obs/trace.h"
 #include "src/stats/expr_gen.h"

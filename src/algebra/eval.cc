@@ -215,15 +215,16 @@ class Walker {
           return MapRows(*src.flat_rows(), *body);
         }
         Bag::Builder builder;
-        for (const BagEntry& e : src.entries()) {
+        ValueWalk walk(src);
+        for (size_t i = 0; i < walk.size(); ++i) {
           if (ticker_.Due()) {
             BAGALG_RETURN_IF_ERROR(ticker_.Flush());
           }
-          binders_.push_back(e.value);
+          binders_.push_back(walk.ElementAt(i));
           auto image = EvalBody(n.children[0]);
           binders_.pop_back();
           BAGALG_RETURN_IF_ERROR(image.status());
-          builder.Add(std::move(image).value(), e.count);
+          builder.Add(std::move(image).value(), walk.CountAt(i));
         }
         return Finish(std::move(builder).Build());
       }
@@ -233,17 +234,21 @@ class Walker {
           return SelectRows(src, *body);
         }
         Bag::Builder builder(src.element_type());
-        for (const BagEntry& e : src.entries()) {
+        ValueWalk walk(src);
+        for (size_t i = 0; i < walk.size(); ++i) {
           if (ticker_.Due()) {
             BAGALG_RETURN_IF_ERROR(ticker_.Flush());
           }
-          binders_.push_back(e.value);
+          Value x = walk.ElementAt(i);
+          binders_.push_back(x);
           auto lhs = EvalBody(n.children[0]);
           auto rhs = EvalBody(n.children[1]);
           binders_.pop_back();
           BAGALG_RETURN_IF_ERROR(lhs.status());
           BAGALG_RETURN_IF_ERROR(rhs.status());
-          if (lhs.value() == rhs.value()) builder.Add(e.value, e.count);
+          if (lhs.value() == rhs.value()) {
+            builder.Add(std::move(x), walk.CountAt(i));
+          }
         }
         return Finish(std::move(builder).Build());
       }

@@ -87,9 +87,10 @@ class Analyzer {
           return Status::Unsupported("non-bag constant at bag position");
         }
         CountMap out;
-        for (const BagEntry& entry : n.literal->bag().entries()) {
-          out[entry.value] = CountFunction{
-              Polynomial::Constant(BigInt(entry.count)), BigNat(0)};
+        const Bag& literal = n.literal->bag();
+        for (size_t i = 0; i < literal.DistinctCount(); ++i) {
+          out[literal.ElementAt(i)] = CountFunction{
+              Polynomial::Constant(BigInt(literal.CountAt(i))), BigNat(0)};
         }
         return out;
       }

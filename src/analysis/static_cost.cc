@@ -214,7 +214,7 @@ Shape ShapeOfValue(const Value& v) {
       Shape elem = ShapeFromType(bag.element_type(),
                                  SizeBound::Constant(BigNat(0)));
       if (bag.element_type().BagNesting() > 0) {
-        for (const BagEntry& e : bag.entries()) {
+        for (const BagEntry& e : bag.nested_entries()) {
           elem = JoinShapes(elem, ShapeOfValue(e.value));
         }
       }

@@ -92,8 +92,7 @@ Bag WithElementType(const Bag& bag, Type elem) {
   if (const FlatRows* rows = bag.flat_rows()) {
     return Bag::FromCanonicalRows(std::move(elem), *rows);
   }
-  std::vector<BagEntry> out = bag.entries();
-  return Bag::FromCanonicalEntries(std::move(elem), std::move(out));
+  return Bag::FromCanonicalEntries(std::move(elem), bag.nested_entries());
 }
 
 /// Merge-walks two canonical entry lists of bags of bags, combining
@@ -103,8 +102,8 @@ Bag WithElementType(const Bag& bag, Type elem) {
 /// Builder's sort entirely.
 Result<Bag> MergeCombine(const Bag& a, const Bag& b, Type elem,
                          Mult (*combine)(const Mult&, const Mult&)) {
-  const auto& ea = a.entries();
-  const auto& eb = b.entries();
+  const auto& ea = a.nested_entries();
+  const auto& eb = b.nested_entries();
   std::vector<BagEntry> out;
   out.reserve(ea.size() + eb.size());
   const Mult zero;
@@ -215,7 +214,7 @@ Result<Bag> Subtract(const Bag& a, const Bag& b) {
     std::vector<BagEntry> out;
     out.reserve(a.DistinctCount());
     CheckpointTicker ticker(sizeof(BagEntry));
-    for (const BagEntry& e : a.entries()) {
+    for (const BagEntry& e : a.nested_entries()) {
       if (ticker.Due()) {
         BAGALG_RETURN_IF_ERROR(ticker.Flush());
       }
@@ -256,7 +255,7 @@ Result<Bag> Intersect(const Bag& a, const Bag& b) {
     std::vector<BagEntry> out;
     out.reserve(small.DistinctCount());
     CheckpointTicker ticker(sizeof(BagEntry));
-    for (const BagEntry& e : small.entries()) {
+    for (const BagEntry& e : small.nested_entries()) {
       if (ticker.Due()) {
         BAGALG_RETURN_IF_ERROR(ticker.Flush());
       }
@@ -337,19 +336,23 @@ Result<Bag> CartesianProduct(const Bag& a, const Bag& b,
   // The double loop over two canonical (strictly value-sorted) operands
   // emits pairs in block-lexicographic order, which for fixed-arity tuples
   // *is* the canonical value order — so the output is already sorted and
-  // distinct and the sort/merge of Builder is skipped.
+  // distinct and the sort/merge of Builder is skipped. One side may be
+  // flat.
+  ValueWalk left(a);
+  ValueWalk right(b);
   std::vector<BagEntry> entries;
   entries.reserve(pairs);
   CheckpointTicker ticker(sizeof(BagEntry));
-  for (const BagEntry& x : a.entries()) {
-    for (const BagEntry& y : b.entries()) {
+  for (size_t i = 0; i < left.size(); ++i) {
+    const Value x = left.ElementAt(i);
+    for (size_t j = 0; j < right.size(); ++j) {
       if (ticker.Due()) {
         BAGALG_RETURN_IF_ERROR(ticker.Flush());
       }
-      std::vector<Value> fields = x.value.fields();
-      const auto& yf = y.value.fields();
-      fields.insert(fields.end(), yf.begin(), yf.end());
-      Mult count = x.count * y.count;
+      std::vector<Value> fields = x.fields();
+      const Value y = right.ElementAt(j);
+      fields.insert(fields.end(), y.fields().begin(), y.fields().end());
+      Mult count = a.CountAt(i) * b.CountAt(j);
       BAGALG_RETURN_IF_ERROR(CheckMultLimit(count, limits));
       entries.push_back({Value::Tuple(std::move(fields)), std::move(count)});
     }
@@ -463,7 +466,7 @@ Value MaterializeSubbag(const Bag& bag, const std::vector<uint64_t>& chosen) {
     return Value::FromBag(
         Bag::FromCanonicalRows(bag.element_type(), std::move(sub)));
   }
-  const auto& entries = bag.entries();
+  const auto& entries = bag.nested_entries();
   std::vector<BagEntry> sub;
   sub.reserve(kept);
   for (size_t i = 0; i < entries.size(); ++i) {
@@ -599,7 +602,7 @@ Result<Bag> BagDestroy(const Bag& bag, const Limits& limits) {
   std::vector<FlatRows> parts;  // flat inner bags: their rows, scaled
   uint64_t distinct_bound = 0;
   CheckpointTicker ticker(sizeof(BagEntry));
-  for (const BagEntry& e : bag.entries()) {
+  for (const BagEntry& e : bag.nested_entries()) {
     if (__builtin_add_overflow(distinct_bound, e.value.bag().DistinctCount(),
                                &distinct_bound)) {
       return Status::ResourceExhausted(
@@ -624,7 +627,7 @@ Result<Bag> BagDestroy(const Bag& bag, const Limits& limits) {
       continue;
     }
     builder.Reserve(e.value.bag().DistinctCount());
-    for (const BagEntry& inner : e.value.bag().entries()) {
+    for (const BagEntry& inner : e.value.bag().nested_entries()) {
       if (ticker.Due()) {
         BAGALG_RETURN_IF_ERROR(ticker.Flush());
       }
@@ -649,11 +652,83 @@ Result<Bag> DupElim(const Bag& bag) {
   }
   std::vector<BagEntry> out;
   out.reserve(bag.DistinctCount());
-  for (const BagEntry& e : bag.entries()) {
+  for (const BagEntry& e : bag.nested_entries()) {
     out.push_back({e.value, Mult(1)});
   }
   return Bag::FromCanonicalEntries(bag.element_type(), std::move(out));
 }
+
+namespace {
+
+/// Nest of a flat bag of tuples. Every row is rewritten with its key
+/// cells first and its nested cells after, and the rewritten rows are put
+/// in canonical order: then each group's rows are adjacent, the groups
+/// come in key order (the output's order), and a group's nested cells are
+/// strictly increasing, so every inner bag is canonical as it is cut out.
+Result<Bag> NestRows(const Bag& bag, const std::vector<bool>& is_nested) {
+  const FlatRows& rows = *bag.flat_rows();
+  const std::vector<Type>& fields = bag.element_type().fields();
+  std::vector<Type> key_types;
+  std::vector<Type> nested_types;
+  // The [begin, end) cell ranges of the key fields, then the nested ones.
+  std::vector<std::pair<size_t, size_t>> ranges;
+  size_t key_width = 0;
+  for (bool nested : {false, true}) {
+    size_t begin = 0;
+    for (size_t f = 0; f < fields.size(); ++f) {
+      const size_t end = begin + CellWidth(fields[f]);
+      if (is_nested[f] == nested) {
+        (nested ? nested_types : key_types).push_back(fields[f]);
+        ranges.emplace_back(begin, end);
+        if (!nested) key_width += end - begin;
+      }
+      begin = end;
+    }
+  }
+  std::vector<FlatRows> parts(1);
+  parts[0].width = rows.width;
+  parts[0].Reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (const auto& [begin, end] : ranges) {
+      parts[0].cells.insert(parts[0].cells.end(), rows.row(i) + begin,
+                            rows.row(i) + end);
+    }
+    parts[0].counts.push_back(rows.counts[i]);
+  }
+  const FlatRows sorted = Canonicalize(parts, rows.width);
+  const Type nested_type = Type::Tuple(std::move(nested_types));
+  ValueWalk walk(bag);
+  std::vector<BagEntry> out;
+  CheckpointTicker ticker(sizeof(BagEntry));
+  for (size_t begin = 0; begin < sorted.size();) {
+    if (ticker.Due()) {
+      BAGALG_RETURN_IF_ERROR(ticker.Flush());
+    }
+    FlatRows group;
+    group.width = rows.width - key_width;
+    size_t end = begin;
+    for (; end < sorted.size() &&
+           CompareRows(sorted.row(begin), sorted.row(end), key_width) == 0;
+         ++end) {
+      group.Push(sorted.row(end) + key_width, sorted.counts[end]);
+    }
+    std::vector<Value> tuple;
+    size_t pos = 0;
+    for (const Type& type : key_types) {
+      tuple.push_back(walk.Of(type, sorted.row(begin) + pos));
+      pos += CellWidth(type);
+    }
+    tuple.push_back(Value::FromBag(
+        Bag::FromCanonicalRows(nested_type, std::move(group))));
+    out.push_back({Value::Tuple(std::move(tuple)), Mult(1)});
+    begin = end;
+  }
+  key_types.push_back(Type::Bag(nested_type));
+  return Bag::FromCanonicalEntries(Type::Tuple(std::move(key_types)),
+                                   std::move(out));
+}
+
+}  // namespace
 
 Result<Bag> Nest(const Bag& bag, const std::vector<size_t>& nested_attrs) {
   if (!bag.empty() && !bag.element_type().IsTuple()) {
@@ -668,11 +743,13 @@ Result<Bag> Nest(const Bag& bag, const std::vector<size_t>& nested_attrs) {
     }
     is_nested[a] = true;
   }
+  if (bag.empty()) return Bag();
+  if (bag.flat_rows() != nullptr) return NestRows(bag, is_nested);
   // Group by the key (non-nested attributes), accumulating the nested
   // projections with their multiplicities.
   std::map<std::vector<Value>, Bag::Builder> groups;
   CheckpointTicker ticker(sizeof(BagEntry));
-  for (const BagEntry& e : bag.entries()) {
+  for (const BagEntry& e : bag.nested_entries()) {
     if (ticker.Due()) {
       BAGALG_RETURN_IF_ERROR(ticker.Flush());
     }
@@ -701,8 +778,10 @@ Result<Bag> Unnest(const Bag& bag, size_t attr, const Limits& limits) {
   Bag::Builder out;
   uint64_t distinct_bound = 0;
   CheckpointTicker ticker(sizeof(BagEntry));
-  for (const BagEntry& e : bag.entries()) {
-    const auto& fields = e.value.fields();
+  ValueWalk walk(bag);
+  for (size_t e = 0; e < walk.size(); ++e) {
+    const Value element = walk.ElementAt(e);
+    const auto& fields = element.fields();
     if (attr >= fields.size()) {
       return Status::InvalidArgument("unnest attribute index out of range");
     }
@@ -726,7 +805,7 @@ Result<Bag> Unnest(const Bag& bag, size_t attr, const Limits& limits) {
       for (size_t i = 0; i < fields.size(); ++i) {
         new_fields.push_back(i == attr ? inner.ElementAt(k) : fields[i]);
       }
-      Mult count = e.count * inner.CountAt(k);
+      Mult count = walk.CountAt(e) * inner.CountAt(k);
       BAGALG_RETURN_IF_ERROR(CheckMultLimit(count, limits));
       out.Add(Value::Tuple(std::move(new_fields)), std::move(count));
     }

@@ -36,7 +36,7 @@ BigNat StandardEncodingSize(const Bag& bag) {
     return bag.TotalCount() * BigNat(FlatValueSize(bag.element_type()));
   }
   BigNat total;
-  for (const BagEntry& e : bag.entries()) {
+  for (const BagEntry& e : bag.nested_entries()) {
     total += e.count * StandardEncodingSize(e.value);
   }
   return total;
@@ -68,7 +68,7 @@ uint64_t CountedEncodingSize(const Bag& bag) {
     }
     return total;
   }
-  for (const BagEntry& e : bag.entries()) {
+  for (const BagEntry& e : bag.nested_entries()) {
     total += CountedEncodingSize(e.value);
     total += e.count.LimbCount() == 0 ? 1 : e.count.LimbCount();
   }
@@ -101,7 +101,7 @@ BigNat MaxMultiplicity(const Bag& bag) {
     }
     return best;
   }
-  for (const BagEntry& e : bag.entries()) {
+  for (const BagEntry& e : bag.nested_entries()) {
     if (e.count > best) best = e.count;
     BigNat inner = MaxMultiplicity(e.value);
     if (inner > best) best = std::move(inner);

@@ -30,8 +30,9 @@ Value Isomorphism::Apply(const Value& value) const {
 
 Result<Bag> Isomorphism::Apply(const Bag& bag) const {
   Bag::Builder builder(bag.element_type());
-  for (const BagEntry& e : bag.entries()) {
-    builder.Add(Apply(e.value), e.count);
+  ValueWalk walk(bag);
+  for (size_t i = 0; i < walk.size(); ++i) {
+    builder.Add(Apply(walk.ElementAt(i)), walk.CountAt(i));
   }
   return std::move(builder).Build();
 }
@@ -76,9 +77,8 @@ void CollectAtoms(const Value& value, std::unordered_set<AtomId>* out) {
 }
 
 void CollectAtoms(const Bag& bag, std::unordered_set<AtomId>* out) {
-  for (const BagEntry& e : bag.entries()) {
-    CollectAtoms(e.value, out);
-  }
+  ValueWalk walk(bag);
+  for (size_t i = 0; i < walk.size(); ++i) CollectAtoms(walk.ElementAt(i), out);
 }
 
 }  // namespace bagalg

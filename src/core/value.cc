@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "src/core/row_format.h"
 #include "src/obs/metrics.h"
@@ -117,10 +116,11 @@ void AppendBagText(const Bag& bag, const AtomTable& table,
           .Append(*rows, 0, rows->size(), table, out);
     }
   } else {
-    for (size_t i = 0; i < bag.DistinctCount(); ++i) {
+    const std::vector<BagEntry>& entries = bag.nested_entries();
+    for (size_t i = 0; i < entries.size(); ++i) {
       if (i != 0) out->append(", ");
-      AppendText(bag.entries()[i].value, table, formats, out);
-      const Mult& count = bag.CountAt(i);
+      AppendText(entries[i].value, table, formats, out);
+      const Mult& count = entries[i].count;
       if (!count.IsOne()) {
         out->push_back('*');
         count.AppendDecimal(out);
@@ -152,36 +152,48 @@ struct Value::Rep {
 // ------------------------------------------------------------------ Bag::Rep
 
 struct Bag::Rep {
+  // The caches few bags ever build, allocated on the first one's use.
+  struct Caches {
+    // Open-addressing hash index over `entries` of a bag of bags (slot
+    // holds entry index + 1; 0 means empty). Built at most once, under
+    // `index_once`, when a membership probe hits a bag with >=
+    // Bag::kIndexThreshold distinct elements.
+    std::once_flag index_once;
+    std::vector<uint32_t> index;
+    // Bag::column_facts(), built at most once under `facts_once`.
+    std::once_flag facts_once;
+    Bag::ColumnFacts facts;
+  };
+
+  ~Rep() { delete caches.load(std::memory_order_acquire); }
+
   Type element_type = Type::Bottom();
   // The canonical storage: `rows` when the element type holds no bag
-  // (`flat`), `entries` otherwise.
+  // (`flat`), `entries` otherwise. The one-byte fields share a word.
   bool flat = true;
-  FlatRows rows;
-  std::vector<BagEntry> entries;
-  Mult total;
+  // Cached IsSetLike answer: kSetLikeUnknown until the first call. A pure
+  // function of the counts, so racing first callers store the same value.
+  static constexpr uint8_t kSetLikeUnknown = 2;
+  mutable std::atomic<uint8_t> set_like{kSetLikeUnknown};
   // The entry hash: set at construction for a bag of bags; for a flat bag
   // computed from the rows on first use (a kernel's intermediate results
   // never need it). Racing first callers store the same value.
   mutable std::atomic<bool> hashed{false};
   mutable std::atomic<size_t> hash{kEntriesSeed};
-  // Flat bags only: the entries() view, built at most once under
-  // `view_once`. Mutable because the view is a cache on an immutable Rep.
-  mutable std::once_flag view_once;
-  mutable std::vector<BagEntry> view;
-  // Lazy open-addressing hash index over `entries` of a bag of bags (slot
-  // holds entry index + 1; 0 means empty). Built at most once, under
-  // `index_once`, when a membership probe hits a bag with >=
-  // Bag::kIndexThreshold distinct elements.
-  mutable std::once_flag index_once;
-  mutable std::vector<uint32_t> index;
-  // Cached IsSetLike answer: kSetLikeUnknown until the first call. A pure
-  // function of the counts, so racing first callers store the same value.
-  static constexpr uint8_t kSetLikeUnknown = 2;
-  mutable std::atomic<uint8_t> set_like{kSetLikeUnknown};
-  // Lazy Bag::column_facts(), built at most once under `facts_once`.
-  mutable std::once_flag facts_once;
-  mutable std::unique_ptr<const Bag::ColumnFacts> facts;
+  FlatRows rows;
+  std::vector<BagEntry> entries;
+  Mult total;
+  // Null until CachesOf first needs it; then set once, never replaced.
+  mutable std::atomic<Caches*> caches{nullptr};
 };
+
+#if defined(__LP64__)
+// Every subbag a powerset enumerates is a Bag::Rep, so its size is the
+// kernels' per-subbag cost: the storage (type, flags, rows, entries,
+// total, hash) and one pointer to the rarely built caches. A lazily
+// built cache added here would cost every subbag its bytes.
+static_assert(sizeof(Bag::Rep) <= 168, "Bag::Rep grew past 168 bytes");
+#endif
 
 namespace {
 
@@ -257,27 +269,19 @@ std::shared_ptr<const Bag::Rep> EntriesRep(Type element_type,
   return rep;
 }
 
-/// Builds the entries() view of a flat bag: one Value per row, the atoms
-/// shared between rows.
-void BuildEntriesView(const Bag::Rep& rep) {
-  const FlatRows& rows = rep.rows;
-  std::unordered_map<AtomId, Value> atoms;
-  const auto atom_of = [&atoms](AtomId id) -> const Value& {
-    auto [it, fresh] = atoms.try_emplace(id);
-    if (fresh) it->second = Value::Atom(id);
-    return it->second;
-  };
-  rep.view.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    size_t pos = 0;
-    rep.view.push_back(
-        {RowValue(rep.element_type, rows.row(i), &pos, atom_of),
-         rows.counts[i]});
+/// The caches of `rep`, allocated by the first caller; a racing loser
+/// frees its own and takes the winner's.
+Bag::Rep::Caches& CachesOf(const Bag::Rep& rep) {
+  Bag::Rep::Caches* caches = rep.caches.load(std::memory_order_acquire);
+  if (caches == nullptr) {
+    auto fresh = std::make_unique<Bag::Rep::Caches>();
+    if (rep.caches.compare_exchange_strong(caches, fresh.get(),
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+      caches = fresh.release();
+    }
   }
-  obs::GlobalMetrics().GetCounter("kernel.entries_views")->Increment();
-  if (rows.size() >= kGovernorAccountMinEntries) {
-    GovernorAccountBytes(rep.view.capacity() * sizeof(BagEntry));
-  }
+  return *caches;
 }
 
 /// The index of the first row of `rows` not below `row`.
@@ -307,16 +311,16 @@ bool IndexEligible(const Bag::Rep& rep) {
 /// Builds the open-addressing table: power-of-two capacity at load factor
 /// <= 0.5, linear probing, slots hold entry index + 1. Deterministic (one
 /// insertion order) and collision-safe: probes compare the actual values.
-void BuildValueIndex(const Bag::Rep& rep) {
+void BuildValueIndex(const Bag::Rep& rep, std::vector<uint32_t>& index) {
   const size_t n = rep.entries.size();
   const size_t cap = std::bit_ceil(n * 2);
   GovernorAccountBytes(cap * sizeof(uint32_t));
-  rep.index.assign(cap, 0);
+  index.assign(cap, 0);
   const size_t mask = cap - 1;
   for (size_t i = 0; i < n; ++i) {
     size_t slot = rep.entries[i].value.Hash() & mask;
-    while (rep.index[slot] != 0) slot = (slot + 1) & mask;
-    rep.index[slot] = static_cast<uint32_t>(i + 1);
+    while (index[slot] != 0) slot = (slot + 1) & mask;
+    index[slot] = static_cast<uint32_t>(i + 1);
   }
   obs::GlobalMetrics().GetCounter("kernel.index_builds")->Increment();
 }
@@ -324,16 +328,19 @@ void BuildValueIndex(const Bag::Rep& rep) {
 /// Probes the (built-on-demand) index of `rep` for `value`; nullptr when
 /// absent. Requires IndexEligible(rep).
 const BagEntry* IndexedFind(const Bag::Rep& rep, const Value& value) {
-  std::call_once(rep.index_once, [&rep] { BuildValueIndex(rep); });
+  Bag::Rep::Caches& caches = CachesOf(rep);
+  std::call_once(caches.index_once,
+                 [&] { BuildValueIndex(rep, caches.index); });
+  const std::vector<uint32_t>& index = caches.index;
   static obs::Counter* probes =
       obs::GlobalMetrics().GetCounter("kernel.index_probes");
   static obs::Counter* hits =
       obs::GlobalMetrics().GetCounter("kernel.index_hits");
   probes->Increment();
-  const size_t mask = rep.index.size() - 1;
+  const size_t mask = index.size() - 1;
   size_t slot = value.Hash() & mask;
   while (true) {
-    const uint32_t stored = rep.index[slot];
+    const uint32_t stored = index[slot];
     if (stored == 0) return nullptr;
     const BagEntry& e = rep.entries[stored - 1];
     if (e.value == value) {
@@ -351,13 +358,12 @@ bool SameCells(const AtomId* a, const AtomId* b, size_t begin, size_t end) {
   return std::equal(a + begin, a + end, b + begin);
 }
 
-/// Builds Bag::column_facts() for `rep`. A column is a field's cell range:
-/// constant when every row matches the first on it, unique when no two
-/// rows match on it after sorting the rows by it.
-std::unique_ptr<const Bag::ColumnFacts> BuildColumnFacts(const Bag::Rep& rep) {
-  auto facts = std::make_unique<Bag::ColumnFacts>();
+/// Builds Bag::column_facts() for `rep` into `facts`. A column is a
+/// field's cell range: constant when every row matches the first on it,
+/// unique when no two rows match on it after sorting the rows by it.
+void BuildColumnFacts(const Bag::Rep& rep, Bag::ColumnFacts* facts) {
   obs::GlobalMetrics().GetCounter("kernel.column_facts_builds")->Increment();
-  if (!rep.flat) return facts;
+  if (!rep.flat) return;
   const size_t n = rep.rows.size();
   const size_t arity =
       rep.element_type.IsTuple() ? rep.element_type.fields().size() : 0;
@@ -390,7 +396,6 @@ std::unique_ptr<const Bag::ColumnFacts> BuildColumnFacts(const Bag::Rep& rep) {
     }
     begin = end;
   }
-  return facts;
 }
 
 // ------------------------------------------------------- canonical order
@@ -606,8 +611,9 @@ void Bag::Builder::Add(Value value, Mult count) {
 void Bag::Builder::AddBag(const Bag& bag, const Mult& factor) {
   if (factor.IsZero()) return;
   Reserve(bag.DistinctCount());
-  for (const BagEntry& e : bag.entries()) {
-    Add(e.value, e.count * factor);
+  ValueWalk walk(bag);
+  for (size_t i = 0; i < walk.size(); ++i) {
+    Add(walk.ElementAt(i), walk.CountAt(i) * factor);
   }
 }
 
@@ -719,11 +725,19 @@ const FlatRows* Bag::flat_rows() const {
   return rep_->flat ? &rep_->rows : nullptr;
 }
 
-const std::vector<BagEntry>& Bag::entries() const {
+const std::vector<BagEntry>& Bag::nested_entries() const {
+  return rep_->entries;
+}
+
+std::vector<BagEntry> Bag::entries() const {
   if (!rep_->flat) return rep_->entries;
-  if (rep_->rows.empty()) return rep_->entries;  // empty: nothing to view
-  std::call_once(rep_->view_once, [this] { BuildEntriesView(*rep_); });
-  return rep_->view;
+  std::vector<BagEntry> out;
+  out.reserve(rep_->rows.size());
+  ValueWalk walk(*this);
+  for (size_t i = 0; i < walk.size(); ++i) {
+    out.push_back({walk.ElementAt(i), walk.CountAt(i)});
+  }
+  return out;
 }
 
 size_t Bag::DistinctCount() const {
@@ -758,9 +772,10 @@ bool Bag::IsSetLike() const {
 }
 
 const Bag::ColumnFacts& Bag::column_facts() const {
-  std::call_once(rep_->facts_once,
-                 [this] { rep_->facts = BuildColumnFacts(*rep_); });
-  return *rep_->facts;
+  Rep::Caches& caches = CachesOf(*rep_);
+  std::call_once(caches.facts_once,
+                 [&] { BuildColumnFacts(*rep_, &caches.facts); });
+  return caches.facts;
 }
 
 Mult Bag::CountOf(const Value& value) const {
@@ -878,16 +893,16 @@ int Bag::Compare(const Bag& other) const {
     return 0;
   }
   // Elements of different shapes differ at the first entry already.
-  const auto& a = entries();
-  const auto& b = other.entries();
-  size_t n = std::min(a.size(), b.size());
+  const size_t n = std::min(na, nb);
   for (size_t i = 0; i < n; ++i) {
-    int c = a[i].value.Compare(b[i].value);
+    int c = rep_->flat || other.rep_->flat
+                ? ElementAt(i).Compare(other.ElementAt(i))
+                : rep_->entries[i].value.Compare(other.rep_->entries[i].value);
     if (c != 0) return c;
-    c = a[i].count.Compare(b[i].count);
+    c = CountAt(i).Compare(other.CountAt(i));
     if (c != 0) return c;
   }
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
+  if (na != nb) return na < nb ? -1 : 1;
   return 0;
 }
 
@@ -903,6 +918,30 @@ std::string Bag::ToString(const AtomTable* table) const {
   AppendBagText(*this, table != nullptr ? *table : GlobalAtomTable(), formats,
                 &out);
   return out;
+}
+
+// ----------------------------------------------------------------- ValueWalk
+
+Value ValueWalk::ElementAt(size_t i) {
+  const FlatRows* rows = bag_.flat_rows();
+  if (rows == nullptr) return bag_.ElementAt(i);
+  if (!counted_) {
+    static obs::Counter* const walks =
+        obs::GlobalMetrics().GetCounter("kernel.value_walks");
+    walks->Increment();
+    counted_ = true;
+  }
+  return Of(bag_.element_type(), rows->row(i));
+}
+
+Value ValueWalk::Of(const Type& type, const AtomId* cells) {
+  const auto atom_of = [this](AtomId id) -> const Value& {
+    auto [it, fresh] = atoms_.try_emplace(id);
+    if (fresh) it->second = Value::Atom(id);
+    return it->second;
+  };
+  size_t pos = 0;
+  return RowValue(type, cells, &pos, atom_of);
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& value) {

@@ -16,10 +16,9 @@
 /// multiplicity n. A bag whose element type holds no bag (every bag of
 /// BALG¹, and the inner bags of a powerset) stores its elements as flat
 /// rows (flat_rows.h): one row of atom ids per distinct element, row-major,
-/// beside a count array; no Value tree is kept. Any other bag stores a
-/// sorted vector of (value, multiplicity) entries. `entries()` answers for
-/// both: for a flat bag it is a view built from the rows on first use,
-/// cached on the bag and charged to the governor. The paper's standard
+/// beside a count array; no Value tree is kept, and a ValueWalk builds
+/// Values from the rows where a caller needs them. Any other bag stores a
+/// sorted vector of (value, multiplicity) entries. The paper's standard
 /// encoding — duplicates written out explicitly — is reproduced by the
 /// size accounting in encoding.h, not by the storage; the counted/explicit
 /// distinction is itself one of the experiments (E19).
@@ -30,6 +29,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -147,9 +147,6 @@ class Bag {
     /// Adds every entry of another bag, scaled by `factor`.
     void AddBag(const Bag& bag, const Mult& factor = Mult(1));
 
-    /// Number of (unmerged) pending additions, for limit pre-checks.
-    size_t PendingCount() const { return items_.size(); }
-
     /// Canonicalizes: puts the additions in value order, merges
     /// duplicates, joins element types. Additions that arrived in order
     /// (kernels that emit canonically) are not sorted at all; a few sorted
@@ -193,12 +190,14 @@ class Bag {
   /// The canonical rows of a bag whose element type holds no bag: its
   /// storage. nullptr when the elements hold a bag.
   const FlatRows* flat_rows() const;
+  /// The canonical entries of a bag whose element type holds a bag: its
+  /// storage. Empty for a flat bag, whose storage is flat_rows().
+  const std::vector<BagEntry>& nested_entries() const;
 
-  /// Canonical entries: sorted by value, distinct, positive counts. For a
-  /// flat bag this is a view built from the rows on the first call, cached
-  /// on the bag and charged to the ambient governor (counter
-  /// `kernel.entries_views`); hot paths read flat_rows() instead.
-  const std::vector<BagEntry>& entries() const;
+  /// A fresh copy of the canonical entries (sorted by value, distinct,
+  /// positive counts), for tests, examples and tools: a flat bag builds
+  /// one Value per row on every call. Library code reads the storage.
+  std::vector<BagEntry> entries() const;
 
   /// Number of distinct elements.
   size_t DistinctCount() const;
@@ -268,6 +267,30 @@ class Bag {
   friend class Builder;
   explicit Bag(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}
   std::shared_ptr<const Rep> rep_;
+};
+
+/// One walk over a bag's distinct elements as Values, for callers that
+/// need Values (eval's uncompiled MAP and σ, isomorphisms). A flat bag's
+/// elements are built from its rows, one atom Value per atom id shared
+/// across the walk (counter `kernel.value_walks`, once per walk that
+/// builds one); a bag of bags hands out its entries. Borrows `bag`.
+class ValueWalk {
+ public:
+  explicit ValueWalk(const Bag& bag) : bag_(bag) {}
+
+  size_t size() const { return bag_.DistinctCount(); }
+  /// The i-th distinct element, i < size().
+  Value ElementAt(size_t i);
+  /// Its multiplicity.
+  const Mult& CountAt(size_t i) const { return bag_.CountAt(i); }
+  /// The value of `type` (which holds no bag) whose atom ids are
+  /// cells[0, CellWidth(type)), its atoms shared with the walk's.
+  Value Of(const Type& type, const AtomId* cells);
+
+ private:
+  const Bag& bag_;
+  std::unordered_map<AtomId, Value> atoms_;
+  bool counted_ = false;
 };
 
 std::ostream& operator<<(std::ostream& os, const Value& value);

@@ -120,8 +120,8 @@ bool BalancedSplitHolds(const std::vector<Value>& family, int n) {
   // |family| / 2.
   std::map<Value, size_t> occurrences;
   for (const Value& set : family) {
-    for (const BagEntry& e : set.bag().entries()) {
-      occurrences[e.value] += 1;
+    for (size_t i = 0; i < set.bag().DistinctCount(); ++i) {
+      occurrences[set.bag().ElementAt(i)] += 1;
     }
   }
   if (occurrences.size() != static_cast<size_t>(n)) return false;

@@ -1,7 +1,7 @@
 /// \file run.cc
-/// The definition of exec::RunPipeline: lower, then run on the IR.
+/// The definition of exec::RunPipeline (run.h): lower, then run on the IR.
 
-#include "src/exec/compile.h"
+#include "src/ir/run.h"
 #include "src/ir/exec_ir.h"
 #include "src/ir/lower.h"
 #include "src/obs/metrics.h"

@@ -9,8 +9,8 @@
 #include "src/algebra/typecheck.h"
 #include "src/analysis/lint.h"
 #include "src/analysis/static_cost.h"
-#include "src/exec/compile.h"
 #include "src/ir/lower.h"
+#include "src/ir/run.h"
 #include "src/lang/parser.h"
 #include "src/obs/metrics.h"
 #include "src/util/build_info.h"
@@ -179,6 +179,15 @@ Result<std::string> ScriptRunner::RunStatement(const std::string& kind,
   }
   if (vr.ok() && kind == "count" && !vr->IsBag()) {
     vr = Status::InvalidArgument("count requires a bag result");
+  }
+  if (vr.ok() && vr->IsBag() && vr->bag().empty() && cost.ok()) {
+    // The engines type an empty result differently (a kernel keeps its
+    // operands' joined type, the IR knows none): both answer with the
+    // statement's static type.
+    const auto it = cost->node_types.find(e.raw());
+    if (it != cost->node_types.end() && it->second.IsBag()) {
+      vr = Value::FromBag(Bag(it->second.element()));
+    }
   }
   if (vr.ok() && vr->IsBag()) {
     entry.result_distinct = uint64_t{vr->bag().DistinctCount()};

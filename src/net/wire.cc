@@ -46,7 +46,7 @@ void AppendAtomJson(AtomId id, const AtomTable& table, std::string* out) {
 void AppendValueEntry(const Bag& bag, size_t i, const AtomTable& table,
                       RowFormatCache& formats, std::string* out) {
   out->append("{\"v\":");
-  AppendValue(bag.entries()[i].value, table, formats, out);
+  AppendValue(bag.nested_entries()[i].value, table, formats, out);
   out->append(",\"n\":\"");
   bag.CountAt(i).AppendDecimal(out);
   out->append("\"}");
@@ -197,7 +197,7 @@ bool PutValueBinary(const Value& value, const AtomTable& table,
       }
       for (size_t i = 0; i < bag.DistinctCount(); ++i) {
         if (out->size() >= stop_size ||
-            !PutValueBinary(bag.entries()[i].value, table, formats,
+            !PutValueBinary(bag.nested_entries()[i].value, table, formats,
                             stop_size, out)) {
           return false;
         }

@@ -25,7 +25,8 @@ Result<Relation> Relation::FromTuples(std::vector<Value> tuples) {
 Result<Relation> Relation::FromBag(const Bag& bag) {
   std::vector<Value> tuples;
   tuples.reserve(bag.DistinctCount());
-  for (const BagEntry& e : bag.entries()) tuples.push_back(e.value);
+  ValueWalk walk(bag);
+  for (size_t i = 0; i < walk.size(); ++i) tuples.push_back(walk.ElementAt(i));
   return FromTuples(std::move(tuples));
 }
 

@@ -179,7 +179,7 @@ Result<TmResult> CompiledMachine::DecodeResult(const Bag& fixpoint) const {
   Value halt_time;
   std::string final_state;
   bool found = false;
-  for (const BagEntry& e : fixpoint.entries()) {
+  for (const BagEntry& e : fixpoint.nested_entries()) {
     const Value& marker = e.value.fields()[3];
     for (const std::string* q : {&spec_.accept_state, &spec_.reject_state}) {
       if (marker == StateAtom(*q)) {
@@ -196,7 +196,7 @@ Result<TmResult> CompiledMachine::DecodeResult(const Bag& fixpoint) const {
   }
   // Collect the cells of the halting time step, ordered by position size.
   std::vector<std::pair<uint64_t, char>> cells;
-  for (const BagEntry& e : fixpoint.entries()) {
+  for (const BagEntry& e : fixpoint.nested_entries()) {
     if (!(e.value.fields()[0] == halt_time)) continue;
     BAGALG_ASSIGN_OR_RETURN(uint64_t pos,
                             e.value.fields()[1].bag().TotalCount().ToUint64());

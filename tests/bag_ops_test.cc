@@ -546,12 +546,15 @@ TEST(BagOpsDeterminismTest, KernelsIdenticalForOneTwoAndEightThreads) {
   // canonical order.
   ASSERT_EQ(first.prod.DistinctCount(), 64u * 64u);
   EXPECT_EQ(first.prod.TotalCount(), left.TotalCount() * right.TotalCount());
+  const std::vector<BagEntry> prod = first.prod.entries();
+  const std::vector<BagEntry> l = left.entries();
+  const std::vector<BagEntry> r = right.entries();
   for (size_t i = 0; i < 64; ++i) {
     for (size_t j = 0; j < 64; ++j) {
-      const BagEntry& e = first.prod.entries()[i * 64 + j];
-      EXPECT_EQ(e.value, MakeTuple({left.entries()[i].value.fields()[0],
-                                    right.entries()[j].value.fields()[0]}));
-      EXPECT_EQ(e.count, left.entries()[i].count * right.entries()[j].count);
+      const BagEntry& e = prod[i * 64 + j];
+      EXPECT_EQ(e.value, MakeTuple({l[i].value.fields()[0],
+                                    r[j].value.fields()[0]}));
+      EXPECT_EQ(e.count, l[i].count * r[j].count);
     }
   }
   // P: 8^4 distinct subbags, each once.
@@ -582,10 +585,11 @@ TEST(BagOpsDeterminismTest, BuilderCanonicalizationIdenticalAcrossThreads) {
     want[Value::Tuple({a, b})] += Mult(rng.Range(1, spec.max_mult));
   }
   ASSERT_EQ(built.DistinctCount(), want.size());
+  const std::vector<BagEntry> entries = built.entries();
   size_t i = 0;
   for (const auto& [value, count] : want) {
-    EXPECT_EQ(built.entries()[i].value, value) << i;
-    EXPECT_EQ(built.entries()[i].count, count) << i;
+    EXPECT_EQ(entries[i].value, value) << i;
+    EXPECT_EQ(entries[i].count, count) << i;
     ++i;
   }
   rng = Rng(2024);

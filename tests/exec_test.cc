@@ -3,7 +3,7 @@
 // load-bearing property — exact agreement with the tree-walking evaluator
 // on randomly generated BALG¹ queries.
 
-#include "src/exec/compile.h"
+#include "src/ir/run.h"
 
 #include <gtest/gtest.h>
 

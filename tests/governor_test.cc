@@ -16,7 +16,7 @@
 
 #include "src/algebra/builder.h"
 #include "src/algebra/eval.h"
-#include "src/exec/compile.h"
+#include "src/ir/run.h"
 #include "src/lang/script.h"
 #include "src/obs/metrics.h"
 #include "src/util/bignat.h"

@@ -14,12 +14,12 @@
 
 #include "src/algebra/derived.h"
 #include "src/algebra/eval.h"
+#include "src/algebra/row_program.h"
 #include "src/analysis/lint.h"
 #include "src/analysis/static_cost.h"
-#include "src/exec/compile.h"
 #include "src/ir/exec_ir.h"
 #include "src/ir/ir.h"
-#include "src/algebra/row_program.h"
+#include "src/ir/run.h"
 #include "src/lang/script.h"
 #include "src/obs/metrics.h"
 #include "src/util/governor.h"

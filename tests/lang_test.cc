@@ -328,13 +328,13 @@ TEST(ScriptTest, LetEvalCountFlow) {
 }
 
 TEST(ScriptTest, FlatLetBuildsNoEntriesView) {
-  auto* views = obs::GlobalMetrics().GetCounter("kernel.entries_views");
+  auto* walks = obs::GlobalMetrics().GetCounter("kernel.value_walks");
   ScriptRunner runner;
-  const uint64_t before = views->value();
+  const uint64_t before = walks->value();
   auto r = runner.RunLine("let W = {{[a, b]*3, [b, c], [a, b], [c, a]*0}}");
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(*r, "W : {{[U, U]}}");
-  EXPECT_EQ(views->value(), before);
+  EXPECT_EQ(walks->value(), before);
 }
 
 TEST(ScriptTest, SchemaAndTypeCommands) {

@@ -362,21 +362,28 @@ TEST(FlatFormsTest, RowOrderIsTheEntryOrder) {
   }
 }
 
-TEST(FlatFormsTest, EntriesViewIsBuiltOnceAndCounted) {
-  auto views = [] {
-    return obs::GlobalMetrics().GetCounter("kernel.entries_views")->value();
+TEST(FlatFormsTest, ValueWalkSharesAtomsAndCountsOnce) {
+  auto walks = [] {
+    return obs::GlobalMetrics().GetCounter("kernel.value_walks")->value();
   };
-  const Bag bag = MakeBag({{MakeAtom("ff_x"), 2}, {MakeAtom("ff_y"), 1}});
-  const uint64_t before = views();
-  EXPECT_EQ(bag.ToString(), "{{ff_x*2, ff_y}}");
-  EXPECT_EQ(views(), before);
-  const std::vector<BagEntry>& entries = bag.entries();
-  EXPECT_EQ(views(), before + 1);
-  const Bag copy = bag;
-  EXPECT_EQ(&copy.entries(), &entries);
-  EXPECT_EQ(views(), before + 1);
-  EXPECT_EQ(entries[0].value, MakeAtom("ff_x"));
-  EXPECT_EQ(entries[1].count, Mult(1));
+  const Value x = MakeAtom("ff_x");
+  const Value y = MakeAtom("ff_y");
+  const Bag bag = MakeBag({{MakeTuple({x, y}), 2}, {MakeTuple({y, y}), 1}});
+  const uint64_t before = walks();
+  EXPECT_EQ(bag.ToString(), "{{[ff_x, ff_y]*2, [ff_y, ff_y]}}");
+  EXPECT_EQ(walks(), before);
+  ValueWalk walk(bag);
+  EXPECT_EQ(walks(), before);
+  const Value first = walk.ElementAt(0);
+  const Value second = walk.ElementAt(1);
+  EXPECT_EQ(walks(), before + 1);
+  EXPECT_EQ(first, MakeTuple({x, y}));
+  EXPECT_EQ(second, MakeTuple({y, y}));
+  EXPECT_EQ(walk.CountAt(0), Mult(2));
+  EXPECT_EQ(walks(), before + 1);
+  // Each walk counts once; entries() is a walk of its own.
+  EXPECT_EQ(bag.entries().size(), 2u);
+  EXPECT_EQ(walks(), before + 2);
 }
 
 /// Atoms for the row-format cases: names that need each JSON escape, a
@@ -858,14 +865,18 @@ TEST(ServerTest, ExecResultTypeHeadersFollowTheRows) {
   auto let = PostStatement(port, R"js({"session":"t","statement":)js"
                                  R"js("let R = {{[a, b]*2, [b, c]}}"})js");
   EXPECT_EQ(let.status, 200) << let.raw;
-  // An empty exec result is typed Bottom on the wire.
-  auto empty = PostStatement(
-      port, R"js({"session":"t","statement":"exec monus(R, R)"})js");
-  EXPECT_EQ(empty.status, 200) << empty.raw;
-  EXPECT_NE(empty.body.find(R"js("result":{"bag":{"type":"{{_}}",)js"
-                            R"js("entries":[]})js"),
-            std::string::npos)
-      << empty.body;
+  // An empty result carries the statement's static type on the wire, on
+  // both engines.
+  for (const char* command : {"exec", "eval"}) {
+    auto empty = PostStatement(
+        port, std::string(R"js({"session":"t","statement":")js") + command +
+                  R"js( monus(R, R)"})js");
+    EXPECT_EQ(empty.status, 200) << empty.raw;
+    EXPECT_NE(empty.body.find(R"js("result":{"bag":{"type":"{{[U, U]}}",)js"
+                              R"js("entries":[]})js"),
+              std::string::npos)
+        << command << ": " << empty.body;
+  }
   // Nested-tuple and atom rows carry their own element types.
   auto nested = PostStatement(
       port, R"js({"session":"t","statement":"exec map(x -> )js"

@@ -21,7 +21,7 @@
 #include "src/algebra/derived.h"
 #include "src/algebra/eval.h"
 #include "src/algebra/explain.h"
-#include "src/exec/compile.h"
+#include "src/ir/run.h"
 #include "src/lang/script.h"
 #include "src/obs/json.h"
 
