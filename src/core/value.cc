@@ -922,16 +922,14 @@ std::string Bag::ToString(const AtomTable* table) const {
 
 // ----------------------------------------------------------------- ValueWalk
 
-Value ValueWalk::ElementAt(size_t i) {
-  const FlatRows* rows = bag_.flat_rows();
-  if (rows == nullptr) return bag_.ElementAt(i);
+Value ValueWalk::RowElementAt(size_t i) {
   if (!counted_) {
     static obs::Counter* const walks =
         obs::GlobalMetrics().GetCounter("kernel.value_walks");
     walks->Increment();
     counted_ = true;
   }
-  return Of(bag_.element_type(), rows->row(i));
+  return Of(bag_.element_type(), rows_->row(i));
 }
 
 Value ValueWalk::Of(const Type& type, const AtomId* cells) {

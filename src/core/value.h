@@ -276,19 +276,28 @@ class Bag {
 /// builds one); a bag of bags hands out its entries. Borrows `bag`.
 class ValueWalk {
  public:
-  explicit ValueWalk(const Bag& bag) : bag_(bag) {}
+  explicit ValueWalk(const Bag& bag)
+      : bag_(bag), rows_(bag.flat_rows()), entries_(bag.nested_entries()) {}
 
   size_t size() const { return bag_.DistinctCount(); }
   /// The i-th distinct element, i < size().
-  Value ElementAt(size_t i);
+  Value ElementAt(size_t i) {
+    return rows_ == nullptr ? entries_[i].value : RowElementAt(i);
+  }
   /// Its multiplicity.
-  const Mult& CountAt(size_t i) const { return bag_.CountAt(i); }
+  const Mult& CountAt(size_t i) const {
+    return rows_ == nullptr ? entries_[i].count : rows_->counts[i];
+  }
   /// The value of `type` (which holds no bag) whose atom ids are
   /// cells[0, CellWidth(type)), its atoms shared with the walk's.
   Value Of(const Type& type, const AtomId* cells);
 
  private:
+  Value RowElementAt(size_t i);
+
   const Bag& bag_;
+  const FlatRows* rows_;
+  const std::vector<BagEntry>& entries_;
   std::unordered_map<AtomId, Value> atoms_;
   bool counted_ = false;
 };

@@ -534,6 +534,9 @@ TEST(BuilderDifferentialTest, MatchesSortAndCombineAtOneTwoAndEightThreads) {
     EXPECT_EQ(*got, *want);
     if (const FlatRows* rows = got->flat_rows()) {
       EXPECT_LE(rows->counts.capacity(), 2 * rows->size());
+    } else {
+      EXPECT_LE(got->nested_entries().capacity(),
+                2 * got->nested_entries().size());
     }
   }
 }
