@@ -78,10 +78,6 @@ bool Polynomial::EventuallyPositive() const {
   return LeadingCoefficient().IsPositive();
 }
 
-bool Polynomial::EventuallyNonNegative() const {
-  return IsZero() || LeadingCoefficient().IsPositive();
-}
-
 BigNat Polynomial::RootBound() const {
   if (coeffs_.size() <= 1) return BigNat(0);
   // Cauchy: all real roots lie within 1 + max |c_i| / |c_lead|. Integer

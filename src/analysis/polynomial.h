@@ -56,8 +56,6 @@ class Polynomial {
 
   /// True iff P(n) > 0 for all sufficiently large n.
   bool EventuallyPositive() const;
-  /// True iff P(n) >= 0 for all sufficiently large n (zero counts).
-  bool EventuallyNonNegative() const;
 
   /// An upper bound B such that P has no sign changes beyond B (Cauchy root
   /// bound, rounded up). Returns 0 for constants.

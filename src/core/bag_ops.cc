@@ -337,21 +337,23 @@ Result<Bag> CartesianProduct(const Bag& a, const Bag& b,
   // emits pairs in block-lexicographic order, which for fixed-arity tuples
   // *is* the canonical value order — so the output is already sorted and
   // distinct and the sort/merge of Builder is skipped. One side may be
-  // flat.
+  // flat; the right side's elements are built once, not once per pair.
   ValueWalk left(a);
   ValueWalk right(b);
+  std::vector<Value> ys;
+  ys.reserve(right.size());
+  for (size_t j = 0; j < right.size(); ++j) ys.push_back(right.ElementAt(j));
   std::vector<BagEntry> entries;
   entries.reserve(pairs);
   CheckpointTicker ticker(sizeof(BagEntry));
   for (size_t i = 0; i < left.size(); ++i) {
     const Value x = left.ElementAt(i);
-    for (size_t j = 0; j < right.size(); ++j) {
+    for (size_t j = 0; j < ys.size(); ++j) {
       if (ticker.Due()) {
         BAGALG_RETURN_IF_ERROR(ticker.Flush());
       }
       std::vector<Value> fields = x.fields();
-      const Value y = right.ElementAt(j);
-      fields.insert(fields.end(), y.fields().begin(), y.fields().end());
+      fields.insert(fields.end(), ys[j].fields().begin(), ys[j].fields().end());
       Mult count = a.CountAt(i) * b.CountAt(j);
       BAGALG_RETURN_IF_ERROR(CheckMultLimit(count, limits));
       entries.push_back({Value::Tuple(std::move(fields)), std::move(count)});

@@ -31,9 +31,6 @@ struct Limits {
   /// A permissive default (the values above).
   static Limits Default() { return Limits{}; }
 
-  /// Everything unlimited; use only in tests on known-small inputs.
-  static Limits Unlimited() { return Limits{0, 0, 0, 0, 0}; }
-
   /// A tight budget for failure-injection tests.
   static Limits Tiny() { return Limits{64, 64, 512, 10000, 64}; }
 };

@@ -100,6 +100,34 @@ TEST(BagOpsTest, ProductMultipliesCounts) {
   EXPECT_EQ(r->DistinctCount(), 1u);
 }
 
+TEST(BagOpsTest, ProductOfFlatAndNestedOperandsPairsEveryElement) {
+  // One operand flat, the other holding a bag, in both orders: every pair
+  // once, counts multiplied, in canonical order (== a Builder's bag).
+  const Bag flat = B({{MakeTuple({A("x")}), 2}, {MakeTuple({A("y")}), 1}});
+  const Bag nested = B({{MakeTuple({Value::FromBag(MakeBagOf({A("u")}))}), 3},
+                        {MakeTuple({Value::FromBag(B({{A("u"), 1},
+                                                      {A("v"), 2}}))}),
+                         1}});
+  for (const bool flat_first : {true, false}) {
+    const Bag& l = flat_first ? flat : nested;
+    const Bag& r = flat_first ? nested : flat;
+    auto got = CartesianProduct(l, r);
+    ASSERT_TRUE(got.ok()) << got.status();
+    Bag::Builder want;
+    for (size_t i = 0; i < l.DistinctCount(); ++i) {
+      for (size_t j = 0; j < r.DistinctCount(); ++j) {
+        std::vector<Value> fields = l.ElementAt(i).fields();
+        fields.push_back(r.ElementAt(j).fields()[0]);
+        want.Add(Value::Tuple(std::move(fields)), l.CountAt(i) * r.CountAt(j));
+      }
+    }
+    const Bag expected = std::move(want).Build().value();
+    EXPECT_EQ(got->DistinctCount(), 4u);
+    EXPECT_EQ(got->Compare(expected), 0) << got->ToString();
+    EXPECT_EQ(got->TotalCount(), Mult(12));
+  }
+}
+
 TEST(BagOpsTest, ProductRequiresTuples) {
   Bag atoms = MakeBagOf({A("x")});
   Bag tuples = MakeBagOf({MakeTuple({A("x")})});
