@@ -104,10 +104,9 @@ TEST(BagOpsTest, ProductOfFlatAndNestedOperandsPairsEveryElement) {
   // One operand flat, the other holding a bag, in both orders: every pair
   // once, counts multiplied, in canonical order (== a Builder's bag).
   const Bag flat = B({{MakeTuple({A("x")}), 2}, {MakeTuple({A("y")}), 1}});
-  const Bag nested = B({{MakeTuple({Value::FromBag(MakeBagOf({A("u")}))}), 3},
-                        {MakeTuple({Value::FromBag(B({{A("u"), 1},
-                                                      {A("v"), 2}}))}),
-                         1}});
+  const Value u = Value::FromBag(MakeBagOf({A("u")}));
+  const Value uv = Value::FromBag(B({{A("u"), 1}, {A("v"), 2}}));
+  const Bag nested = B({{MakeTuple({u}), 3}, {MakeTuple({uv}), 1}});
   for (const bool flat_first : {true, false}) {
     const Bag& l = flat_first ? flat : nested;
     const Bag& r = flat_first ? nested : flat;
